@@ -2,8 +2,10 @@
 
 Declares the package layout and the ``[test]`` extra (pytest plus hypothesis
 for the property-based suites under ``tests/``).  Runtime dependencies are
-limited to numpy; scipy is optional (the LP solver falls back to a greedy
-plan when it is absent).
+numpy and scipy: Jarvis' model-based plan is the LP of Eq. 3 solved with
+scipy's HiGHS backend, and the golden results pin that path.  Without scipy
+the solver's proportional fallback keeps runs going, but its plans differ
+from the goldens.
 """
 
 from setuptools import find_packages, setup
@@ -20,9 +22,9 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy",
+        "scipy",
     ],
     extras_require={
-        "lp": ["scipy"],
         "test": [
             "pytest",
             "pytest-benchmark",

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..baselines import JarvisStrategy, PartitioningStrategy
 from ..core.state import QueryState
 from ..core.stepwise_adapt import FineTuner
-from ..core.lp_solver import cumulative_relay
+from ..core.lp_solver import clear_plan_cache, cumulative_relay
 from ..errors import ConfigurationError
 from ..query.records import IpToTorTable, half_up, record_size_bytes
 from ..simulation.cluster import ClusterResult
@@ -710,8 +710,10 @@ def adaptation_overhead(
     """Measure Jarvis' plan-computation overhead as a fraction of one core.
 
     The paper reports less than 1% of a single core spent in the Profile and
-    Adapt phases.
+    Adapt phases.  The LP memo is cleared first, so the measurement includes
+    real HiGHS solves rather than hits left by earlier runs in this process.
     """
+    clear_plan_cache()
     setup = make_setup(query_name, records_per_epoch=records_per_epoch)
     schedule = budget_schedule or BudgetSchedule([(0, 0.10), (3, 0.80), (18, 0.50)])
     metrics = run_single_source(

@@ -19,17 +19,32 @@ number of records entering the query in an epoch.
 This module solves that LP with ``scipy.optimize.linprog`` (HiGHS) and falls
 back to a proportional heuristic when the solver is unavailable or fails, so
 callers always receive a feasible plan.
+
+Every data source runs its own Jarvis runtime, and in a homogeneous fleet the
+runtimes profile identical pipelines, so the same LP comes up again and again.
+Solves therefore go through a bounded LRU memo keyed on the exact bit pattern
+(``float.hex``) of every value the solve reads: the per-operator costs and
+relay ratios, the per-record budget ``C / N_r``, the records per epoch and the
+epoch duration.  The solve reconstructs its inputs from that key, so a key
+determines its plan completely, and HiGHS is deterministic, so a hit returns
+the bits a re-solve would.  ``0.0`` and ``-0.0`` are different keys.  Solver
+failures are memoized too, so a hit takes the same fallback path a re-solve
+would.  Each call returns a fresh :class:`DataLevelPlan` with its own lists
+and metadata dict.  The memo is per process: forked workers warm their own
+copy.  :func:`clear_plan_cache` empties it, e.g. before timing real solves.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SolverError
+from ..errors import SolverError, require_finite
 from .control_proxy import load_factors_from_effective
 from .profiler import PipelineProfile
 
@@ -39,6 +54,13 @@ try:  # scipy is a hard dependency, but keep the import failure explainable.
     _HAVE_SCIPY = True
 except ImportError:  # pragma: no cover - scipy is installed in CI
     _HAVE_SCIPY = False
+
+#: Distinct LP inputs kept by the solve memo (least recently used evicted).
+_PLAN_CACHE_SIZE = 1024
+
+#: Memo key: ``float.hex`` of the costs, the relay ratios, the per-record
+#: budget, the records per epoch and the epoch duration.
+_PlanKey = Tuple[Tuple[str, ...], Tuple[str, ...], str, str, str]
 
 
 @dataclass(frozen=True)
@@ -130,24 +152,27 @@ def solve_data_level_lp(
         proportional fallback plan is returned with ``solver="fallback"``.
 
     Raises:
-        SolverError: If the profile is empty or contains invalid values.
+        SolverError: If the profile is empty or contains negative, NaN or
+            infinite values.
     """
     costs = profile.costs
     relays = profile.relay_ratios
     n_ops = len(costs)
     if n_ops == 0:
         raise SolverError("cannot partition an empty pipeline")
-    if any(c < 0 for c in costs) or any(r < 0 for r in relays):
-        raise SolverError("costs and relay ratios must be non-negative")
+    for i, (c, r) in enumerate(zip(costs, relays)):
+        require_finite(f"costs[{i}]", c, non_negative=True, error=SolverError)
+        require_finite(f"relay_ratios[{i}]", r, non_negative=True, error=SolverError)
 
     budget = profile.compute_budget if compute_budget is None else compute_budget
+    require_finite("compute_budget", budget, error=SolverError)
+    require_finite("records_per_epoch", profile.records_per_epoch, error=SolverError)
+    require_finite("epoch_duration_s", profile.epoch_duration_s, error=SolverError)
     budget = max(0.0, float(budget))
     records = max(profile.records_per_epoch, 1e-9)
     epoch = max(profile.epoch_duration_s, 1e-9)
     # Per-record budget (the paper's C / N_r), in core-seconds per record.
     per_record_budget = budget * epoch / records
-
-    upstream = cumulative_relay(relays)
 
     # Degenerate budgets (including values so small the solver's feasibility
     # tolerance would dwarf them) behave exactly like a zero budget.
@@ -160,15 +185,56 @@ def solve_data_level_lp(
         )
 
     if _HAVE_SCIPY:
-        plan = _solve_with_linprog(
-            costs, relays, upstream, per_record_budget, records, epoch
+        key: _PlanKey = (
+            tuple(float(c).hex() for c in costs),
+            tuple(float(r).hex() for r in relays),
+            float(per_record_budget).hex(),
+            float(records).hex(),
+            float(epoch).hex(),
         )
+        plan = _memoized_solve(key)
         if plan is not None:
-            return plan
+            return _fresh_copy(plan)
 
+    upstream = cumulative_relay(relays)
     effective = _fallback_effective(costs, relays, upstream, per_record_budget)
     return _plan_from_effective(
         effective, costs, relays, records, epoch, "fallback", "proportional fallback"
+    )
+
+
+def clear_plan_cache() -> None:
+    """Forget every memoized LP solve in this process."""
+    _memoized_solve.cache_clear()
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _memoized_solve(key: _PlanKey) -> Optional[DataLevelPlan]:
+    """Solve the LP whose inputs are exactly the bits in ``key``.
+
+    The returned plan is shared by every hit on ``key``; callers hand out
+    :func:`_fresh_copy` of it, never the plan itself.
+    """
+    cost_bits, relay_bits, budget_bits, records_bits, epoch_bits = key
+    costs = [float.fromhex(c) for c in cost_bits]
+    relays = [float.fromhex(r) for r in relay_bits]
+    return _solve_with_linprog(
+        costs,
+        relays,
+        cumulative_relay(relays),
+        float.fromhex(budget_bits),
+        float.fromhex(records_bits),
+        float.fromhex(epoch_bits),
+    )
+
+
+def _fresh_copy(plan: DataLevelPlan) -> DataLevelPlan:
+    """A copy of ``plan`` that shares no mutable container with it."""
+    return dataclasses.replace(
+        plan,
+        load_factors=list(plan.load_factors),
+        effective_load_factors=list(plan.effective_load_factors),
+        metadata=dict(plan.metadata),
     )
 
 

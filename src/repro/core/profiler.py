@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..config import AdaptationConfig
-from ..errors import PartitioningError
+from ..errors import PartitioningError, require_finite
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,15 @@ class OperatorProfile:
     trusted: bool
 
     def __post_init__(self) -> None:
-        if self.cost_per_record < 0:
-            raise PartitioningError(
-                f"cost_per_record must be non-negative, got {self.cost_per_record!r}"
-            )
-        if self.relay_ratio < 0:
-            raise PartitioningError(
-                f"relay_ratio must be non-negative, got {self.relay_ratio!r}"
-            )
+        require_finite(
+            "cost_per_record",
+            self.cost_per_record,
+            non_negative=True,
+            error=PartitioningError,
+        )
+        require_finite(
+            "relay_ratio", self.relay_ratio, non_negative=True, error=PartitioningError
+        )
 
 
 @dataclass

@@ -194,6 +194,13 @@ class StepWiseAdapt:
         The LP targets slightly less than the measured budget
         (``budget_headroom``) so that modelling error does not immediately
         leave the query congested.
+
+        The solve is memoized per process on the exact bits of the profiled
+        costs, relay ratios, per-record budget, records per epoch and epoch
+        duration (see :mod:`repro.core.lp_solver`).  Runtimes of a homogeneous
+        fleet that profile identical pipelines share one HiGHS solve, and
+        since the solver is deterministic a hit is bit-identical to a
+        re-solve.  :attr:`last_plan` is always this runtime's own copy.
         """
         if self.config.use_lp_init:
             budget = profile.compute_budget * (1.0 - self.config.budget_headroom)

@@ -24,6 +24,7 @@ from repro.analysis.reporting import (
     speedup_table,
     summarize_sweep,
 )
+from repro.core import lp_solver
 from repro.errors import ConfigurationError
 from repro.query.records import IpToTorTable
 from repro.simulation.node import BudgetSchedule
@@ -179,6 +180,23 @@ class TestSectionVIC:
     def test_adaptation_overhead_below_one_percent(self):
         overhead = adaptation_overhead(num_epochs=20, records_per_epoch=RPE)
         assert overhead["core_fraction"] < 0.01
+
+    def test_adaptation_overhead_times_real_solves(self, monkeypatch):
+        """Back-to-back measurements each run HiGHS instead of memo hits."""
+        solves = []
+        original = lp_solver._solve_with_linprog
+
+        def counting(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lp_solver, "_solve_with_linprog", counting)
+        counts = []
+        for _ in range(2):
+            adaptation_overhead(num_epochs=20, records_per_epoch=RPE)
+            counts.append(len(solves))
+        assert 0 < counts[0] < counts[1]
+        assert counts[1] == 2 * counts[0]
 
 
 class TestReporting:
