@@ -18,7 +18,8 @@ budget, both of the figure's strategies):
 * arena mode is at least ``run.arena_min_speedup``x faster than batched
   mode at 128 sources for Jarvis, whose source-side group aggregation is
   exactly the per-source Python work the arena vectorizes (measured
-  ~4.5x).  Best-OP drains raw records to the SP at this budget, leaving
+  3.3-3.9x; the scenario runner times each mode as its fastest of three
+  runs in alternating order).  Best-OP drains raw records to the SP at this budget, leaving
   batched mode no source-side loop to lose, so it rides along only in the
   identity assertions.
 

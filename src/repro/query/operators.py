@@ -67,8 +67,8 @@ class Operator:
     stateful: bool = False
     incremental: bool = True
     #: Arena mode flips this on when the pipeline is built: operators that
-    #: have a whole-block columnar implementation (segmented folds over the
-    #: fleet arena's arrays) use it instead of their per-row batched path.
+    #: have a whole-block columnar implementation (array folds, or raw runs
+    #: folded on demand) use it instead of their per-row batched path.
     #: Metrics stay bit-identical — the vectorized paths produce the same
     #: group sets, record counts, and byte totals; only aggregate slot
     #: floats (which no metric reads) may differ in summation order.
@@ -502,105 +502,157 @@ class AggregateOperator(Operator):
 _KEY_PACK_LIMIT = 1 << 31
 
 
+#: A folded chunk: ``(keys, counts, sums, maxs, mins)``, one row per
+#: distinct packed key.
+Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: A run of arena group state: either a raw ``(keys, values)`` pair, one row
+#: per folded record, or a folded :data:`Chunk`.  A raw run is the chunk
+#: whose counts are 1 and whose sums, maxima and minima are the values.
+Run = Tuple[np.ndarray, ...]
+
+
 def _segment_stats(
-    keys: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-distinct-key ``(count, sum, max, min)`` folds over one batch.
+    keys: np.ndarray,
+    counts: np.ndarray,
+    sums: np.ndarray,
+    maxs: np.ndarray,
+    mins: np.ndarray,
+) -> Chunk:
+    """Fold per-row ``(count, sum, max, min)`` columns to one row per key.
 
-    Sorts the packed keys once, finds run boundaries, and folds each run with
-    ``reduceat``.  Counts and key sets are exact; only the float *sums* may
-    differ from a sequential fold in summation order (numpy uses pairwise
-    summation), which is acceptable because aggregate slot floats never feed
-    the simulation's metrics — all byte/record accounting is count-based.
+    Stable-sorts the packed keys once, finds segment boundaries, and folds
+    each segment with ``reduceat``.  Key sets, counts, maxima and minima are
+    exact.  Float sums associate per key over the raw values in arrival
+    order (the stable sort keeps it) but numpy may sum a segment pairwise,
+    so they can differ from a sequential fold in the last bits.  They never
+    feed metrics: all byte and record accounting is count-based.
     """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate((np.zeros(1, dtype=starts.dtype), starts))
-    ends = np.concatenate((starts[1:], np.array([len(sorted_keys)], dtype=starts.dtype)))
-    return (
-        sorted_keys[starts],
-        ends - starts,
-        np.add.reduceat(sorted_values, starts),
-        np.maximum.reduceat(sorted_values, starts),
-        np.minimum.reduceat(sorted_values, starts),
-    )
-
-
-def _consolidate_chunks(
-    chunks: Sequence[Tuple[np.ndarray, ...]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Merge per-batch segment chunks into one run per distinct key."""
-    if len(chunks) == 1:
-        return chunks[0]
-    keys = np.concatenate([chunk[0] for chunk in chunks])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     starts = np.concatenate((np.zeros(1, dtype=starts.dtype), starts))
     return (
         keys[starts],
-        np.add.reduceat(np.concatenate([chunk[1] for chunk in chunks])[order], starts),
-        np.add.reduceat(np.concatenate([chunk[2] for chunk in chunks])[order], starts),
-        np.maximum.reduceat(
-            np.concatenate([chunk[3] for chunk in chunks])[order], starts
-        ),
-        np.minimum.reduceat(
-            np.concatenate([chunk[4] for chunk in chunks])[order], starts
-        ),
+        np.add.reduceat(counts[order], starts),
+        np.add.reduceat(sums[order], starts),
+        np.maximum.reduceat(maxs[order], starts),
+        np.minimum.reduceat(mins[order], starts),
     )
 
 
-class ColumnarGroupState:
-    """Columnar partial state shipped by arena-mode group aggregates.
+def _run_column(run: Run, index: int) -> np.ndarray:
+    """Column ``index`` of ``run`` read as a chunk (1=counts ... 4=mins)."""
+    if len(run) == 5:
+        return run[index]
+    if index == 1:
+        return np.ones(len(run[0]), dtype=np.int64)
+    return run[1]
 
-    Parallel arrays for the fused ``("avg", "max", "min")`` layout: packed
-    int64 group keys plus per-group record counts, value sums, maxima, and
-    minima.  ``len`` (and ``group_count``) is the distinct-group count, so
+
+def _consolidate_chunks(runs: Sequence[Run]) -> Chunk:
+    """Fold raw runs and chunks, mixed freely, into one chunk.
+
+    This is the only group fold on the arena path.  A single chunk is
+    returned as is.
+    """
+    if len(runs) == 1 and len(runs[0]) == 5:
+        return runs[0]
+    if not runs:
+        empty = np.empty(0, dtype=np.float64)
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), empty, empty, empty)
+    keys = np.concatenate([run[0] for run in runs])
+    counts, sums, maxs, mins = (
+        np.concatenate([_run_column(run, index) for run in runs])
+        for index in range(1, 5)
+    )
+    return _segment_stats(keys, counts, sums, maxs, mins)
+
+
+class ColumnarGroupState:
+    """Arena-mode group state: a list of unfolded runs, folded on demand.
+
+    Each batch an arena-mode group aggregate sees becomes one raw run of
+    packed int64 keys and float values (see :data:`Run`).  The runs stay
+    unfolded until something reads the values (``to_groups`` or the
+    ``keys``/``counts``/``sums``/``maxs``/``mins`` accessors); then
+    :func:`_consolidate_chunks` folds them in place into one chunk for the
+    fused ``("avg", "max", "min")`` layout.  Float sums therefore associate
+    per key over the raw values; they never feed metrics.
+
+    ``len`` and ``group_count`` are the exact distinct-key count, found by
+    sorting keys only (memoized over the runs seen so far), so
     window-boundary byte accounting (``PARTIAL_STATE_ROW_BYTES`` per group)
-    matches the dict representation exactly.  The receiving operator either
-    appends the arrays as one chunk (O(1), the arena fast path) or expands
-    them into its group dict when representations mix.
+    matches the dict representation.  The same class is the operator's
+    pending state and the partial state it ships: the receiving operator
+    appends the shipped runs to its own (the arena fast path) or expands
+    them into its group dict when representations mix.  Runs are never
+    mutated in place, so shipped and receiving states may share arrays.
     """
 
-    __slots__ = ("keys", "counts", "sums", "maxs", "mins", "num_key_columns")
+    __slots__ = ("runs", "num_key_columns", "_distinct", "_distinct_runs")
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        counts: np.ndarray,
-        sums: np.ndarray,
-        maxs: np.ndarray,
-        mins: np.ndarray,
-        num_key_columns: int,
-    ) -> None:
-        self.keys = keys
-        self.counts = counts
-        self.sums = sums
-        self.maxs = maxs
-        self.mins = mins
+    def __init__(self, num_key_columns: int) -> None:
+        self.runs: List[Run] = []
         self.num_key_columns = num_key_columns
+        #: Sorted distinct keys of ``runs[:_distinct_runs]``.
+        self._distinct = np.empty(0, dtype=np.int64)
+        self._distinct_runs = 0
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.group_count
 
     @property
     def group_count(self) -> int:
-        return len(self.keys)
+        runs = self.runs
+        if self._distinct_runs < len(runs):
+            fresh = [run[0] for run in runs[self._distinct_runs :]]
+            keys = np.concatenate([self._distinct, *fresh])
+            # An in-place quicksort, several times faster than ``np.unique``
+            # or a stable sort on these sizes.
+            keys.sort()
+            first = np.empty(len(keys), dtype=bool)
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            self._distinct = keys[first]
+            self._distinct_runs = len(runs)
+        return len(self._distinct)
 
-    def chunk(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.keys, self.counts, self.sums, self.maxs, self.mins)
+    def fold(self) -> Chunk:
+        """Fold every run into one chunk, in place, and return it."""
+        chunk = _consolidate_chunks(self.runs)
+        if not self.runs:
+            return chunk
+        self.runs = [chunk]
+        self._distinct = chunk[0]
+        self._distinct_runs = 1
+        return chunk
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.fold()[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.fold()[1]
+
+    @property
+    def sums(self) -> np.ndarray:
+        return self.fold()[2]
+
+    @property
+    def maxs(self) -> np.ndarray:
+        return self.fold()[3]
+
+    @property
+    def mins(self) -> np.ndarray:
+        return self.fold()[4]
 
     def to_groups(self) -> Dict[Tuple[Any, ...], List[object]]:
         """Expand to the fused dict representation (slot layout
         ``[count, avg_sum, avg_count, max, min]``)."""
         groups: Dict[Tuple[Any, ...], List[object]] = {}
-        counts = self.counts.tolist()
-        sums = self.sums.tolist()
-        maxs = self.maxs.tolist()
-        mins = self.mins.tolist()
-        packed = self.keys.tolist()
+        packed, counts, sums, maxs, mins = (column.tolist() for column in self.fold())
         if self.num_key_columns == 1:
             for index, key in enumerate(packed):
                 count = counts[index]
@@ -645,12 +697,17 @@ class GroupAggregateOperator(Operator):
 
     A third, *deferred* representation engages only in arena mode
     (``vector_mode`` set by the engine) for the bundled probe-query shape —
-    fused ``("avg", "max", "min")`` with one or two int64 key columns:
-    batches fold into per-batch segment chunks (packed keys + counts/sums/
-    maxs/mins arrays) with no per-record Python at all, and the chunks
-    consolidate into one run per distinct key only at window boundaries.
-    Group *sets* and record *counts* — everything metrics read — are exactly
-    the dict paths'; only float sum slots may differ in summation order.
+    fused ``("avg", "max", "min")`` with one or two int64 key columns.  A
+    batch is not folded at all: it appends one owned raw run (packed int64
+    keys, float values) to a :class:`ColumnarGroupState`, with no
+    per-record Python.  The window ships those runs unfolded, and the SP
+    appends them to its own.  Distinct-group counts sort keys only.  Values
+    fold only when something reads them (``flush`` with outputs, a scalar
+    path draining into the dict, or the state's value accessors), so a
+    scale run whose executors discard window outputs never folds.  Group
+    *sets* and record *counts* — everything metrics read — are exactly the
+    dict paths'.  Float sums associate per key over the raw values and may
+    differ from the dict paths' in the last bits; they never feed metrics.
     """
 
     kind = "group_aggregate"
@@ -705,16 +762,16 @@ class GroupAggregateOperator(Operator):
                 else None
             )
         self._groups: Dict[Tuple[Any, ...], object] = {}
-        #: Arena-mode deferred representation: per-batch segment chunks
-        #: awaiting consolidation at the next window boundary.  Empty unless
-        #: ``vector_mode`` is on and ``_vector_ready`` holds.
-        self._vector_chunks: List[Tuple[np.ndarray, ...]] = []
         self._vector_ready = (
             self._fused is not None
             and self._fused_kinds == ("avg", "max", "min")
             and self.key_columns is not None
             and len(self.key_columns) in (1, 2)
         )
+        #: Arena-mode deferred representation: raw runs (and shipped states'
+        #: runs) awaiting a reader.  Empty unless ``vector_mode`` is on and
+        #: ``_vector_ready`` holds.
+        self._vector_state = self._new_vector_state()
         self._last_event_time = 0.0
 
     # -- state updates -----------------------------------------------------------
@@ -745,8 +802,7 @@ class GroupAggregateOperator(Operator):
         slots[0] += 1
 
     def process(self, records: Sequence[Record]) -> List[Record]:
-        if self._vector_chunks:
-            self._drain_vector_state()
+        self._drain_vector_state()
         groups = self._groups
         if self._fused is not None:
             for record in records:
@@ -841,12 +897,18 @@ class GroupAggregateOperator(Operator):
                 return list(zip(*(_column_list(column) for column in columns)))
         return None
 
+    def _new_vector_state(self) -> ColumnarGroupState:
+        return ColumnarGroupState(len(self.key_columns or ()))
+
     def _vector_keys(self, batch: RecordBatch) -> Optional[np.ndarray]:
-        """Packed int64 per-row group keys, or None to use a scalar path.
+        """Packed int64 per-row group keys the caller owns, or None to use a
+        scalar path.
 
         Two key columns pack as ``(k0 << 32) | k1``; with both columns in
         ``[0, 2**31)`` the packing is injective, so the packed-key distinct
-        set corresponds one-to-one with the object path's key tuples.
+        set corresponds one-to-one with the object path's key tuples.  A
+        single key column is copied: the batch may be a fleet-arena view
+        whose buffers the next epoch overwrites, and stored runs outlive it.
         """
         columns = []
         for name in self.key_columns:
@@ -855,7 +917,7 @@ class GroupAggregateOperator(Operator):
                 return None
             columns.append(column)
         if len(columns) == 1:
-            return columns[0]
+            return columns[0].copy()
         for column in columns:
             if len(column) and (
                 int(column.min()) < 0 or int(column.max()) >= _KEY_PACK_LIMIT
@@ -864,11 +926,14 @@ class GroupAggregateOperator(Operator):
         return (columns[0] << np.int64(32)) | columns[1]
 
     def _vector_values(self, batch: RecordBatch) -> Optional[np.ndarray]:
-        """Per-row aggregate input as one float array, or None to fall back.
+        """Per-row aggregate input as one float array the caller owns, or
+        None to fall back.
 
         Mirrors :func:`_batch_field_values` for the shared fused field but
         keeps the ndarray (element-wise ``/ 1000.0`` is bit-identical to the
-        per-record division; no ``tolist`` materialization).
+        per-record division; no ``tolist`` materialization).  A ``stat``
+        column is copied for the same reason as a single key column in
+        :meth:`_vector_keys`.
         """
         if self.value_fn is not _default_value_fn:
             return None
@@ -884,18 +949,18 @@ class GroupAggregateOperator(Operator):
             if isinstance(column, np.ndarray) and np.issubdtype(
                 column.dtype, np.floating
             ):
-                return column
+                return column.copy()
         return None
 
     def _process_batch_vector(self, batch: RecordBatch) -> bool:
-        """Fold one batch into a segment chunk; False means fall back."""
+        """Append one batch as a raw run; False means fall back."""
         packed = self._vector_keys(batch)
         if packed is None:
             return False
         values = self._vector_values(batch)
         if values is None:
             return False
-        self._vector_chunks.append(_segment_stats(packed, values))
+        self._vector_state.runs.append((packed, values))
         times = batch.event_times
         latest = float(times.max()) if isinstance(times, np.ndarray) else max(times)
         if latest > self._last_event_time:
@@ -903,19 +968,16 @@ class GroupAggregateOperator(Operator):
         return True
 
     def _drain_vector_state(self) -> None:
-        """Expand pending segment chunks into the group dict.
+        """Fold pending runs and expand them into the group dict.
 
         Called whenever a scalar path needs the dict representation (mixed
         inputs, flushes with output collection); a pure arena run never takes
-        it off the chunk representation.
+        it off the run representation.
         """
-        if not self._vector_chunks:
+        if not self._vector_state.runs:
             return
-        chunk = _consolidate_chunks(self._vector_chunks)
-        self._vector_chunks = []
-        incoming = ColumnarGroupState(
-            *chunk, num_key_columns=len(self.key_columns)
-        ).to_groups()
+        incoming = self._vector_state.to_groups()
+        self._vector_state = self._new_vector_state()
         groups = self._groups
         for key, theirs in incoming.items():
             mine = groups.get(key)
@@ -990,39 +1052,31 @@ class GroupAggregateOperator(Operator):
 
         Exactness matters: the relay estimate feeds the cost model, and any
         divergence from the reference modes would change placement decisions.
-        On the arena path the pending chunks are consolidated in place (not
-        expanded into the dict), so the count is exact while the state stays
-        columnar; consolidation is memoized as a single chunk.
+        On the arena path only the pending runs' keys are sorted and counted
+        (no fold, no dict expansion), memoized across calls.
         """
-        if self._vector_chunks:
-            if self._groups:
-                self._drain_vector_state()
-            else:
-                if len(self._vector_chunks) > 1:
-                    self._vector_chunks = [_consolidate_chunks(self._vector_chunks)]
-                return len(self._vector_chunks[0][0])
+        if self._vector_state.runs:
+            if not self._groups:
+                return self._vector_state.group_count
+            self._drain_vector_state()
         return len(self._groups)
 
     def partial_state(self) -> Dict[Tuple[Any, ...], object]:
-        if self._vector_chunks:
-            self._drain_vector_state()
+        self._drain_vector_state()
         return self._groups
 
     def take_partial_state(self) -> Optional[object]:
         # ``flush`` clears the group dict without mutating the states inside,
         # so a shallow dict copy transfers ownership of the states safely —
         # this replaces a deep copy that dominated window-boundary cost.
-        if self._vector_chunks:
-            if self._groups:
-                self._drain_vector_state()
-            else:
-                # Pure arena window: ship the consolidated columnar state;
-                # its group_count keeps partial-state byte accounting exact.
-                chunk = _consolidate_chunks(self._vector_chunks)
-                self._vector_chunks = []
-                return ColumnarGroupState(
-                    *chunk, num_key_columns=len(self.key_columns)
-                )
+        state = self._vector_state
+        if state.runs:
+            if not self._groups:
+                # Pure arena window: ship the unfolded runs; their distinct-key
+                # count keeps partial-state byte accounting exact.
+                self._vector_state = self._new_vector_state()
+                return state
+            self._drain_vector_state()
         if not self._groups:
             return None
         return dict(self._groups)
@@ -1091,10 +1145,9 @@ class GroupAggregateOperator(Operator):
                 and not self._groups
                 and len(self.key_columns) == other.num_key_columns
             ):
-                # Arena fast path: adopt the consolidated arrays as one
-                # chunk — the O(group_count) dict merge happens at most once
-                # per window, inside the next consolidation.
-                self._vector_chunks.append(other.chunk())
+                # Arena fast path: adopt the shipped runs unfolded; they fold
+                # only if something reads this window's values.
+                self._vector_state.runs.extend(other.runs)
                 return
             other = other.to_groups()
         if not isinstance(other, dict):
@@ -1121,8 +1174,7 @@ class GroupAggregateOperator(Operator):
                 mine.merge(theirs)
 
     def flush(self) -> List[Record]:
-        if self._vector_chunks:
-            self._drain_vector_state()
+        self._drain_vector_state()
         output: List[Record] = []
         event_time = self._last_event_time
         if self._fused is not None:
@@ -1171,28 +1223,25 @@ class GroupAggregateOperator(Operator):
 
     def flush_bytes(self) -> int:
         if self._fused is not None and self._flush_row_bytes is not None:
-            if self._vector_chunks and self._groups:
+            if self._vector_state.runs and self._groups:
                 # Mixed representations may share keys; merge before counting.
                 self._drain_vector_state()
-            total = len(self._groups) * self._flush_row_bytes
-            if self._vector_chunks:
-                # Closed form straight off the consolidated distinct count —
-                # no dict materialization on the arena path.
-                chunk = _consolidate_chunks(self._vector_chunks)
-                self._vector_chunks = []
-                total += len(chunk[0]) * self._flush_row_bytes
+            # Closed form off the distinct-key count: on the arena path no
+            # fold and no dict rows.
+            groups = len(self._groups) + self._vector_state.group_count
+            self._vector_state = self._new_vector_state()
             self._groups.clear()
-            return total
+            return groups * self._flush_row_bytes
         return record_size_bytes(self.flush())
 
     def discard_window(self) -> None:
         # ``flush`` only reads the states and clears the dict.
         self._groups.clear()
-        self._vector_chunks = []
+        self._vector_state = self._new_vector_state()
 
     def reset(self) -> None:
         self._groups.clear()
-        self._vector_chunks = []
+        self._vector_state = self._new_vector_state()
 
     def clone(self) -> "GroupAggregateOperator":
         return GroupAggregateOperator(

@@ -27,10 +27,19 @@ class WatermarkTracker:
     the minimum over all registered channels that have reported at least once.
     Channels that have never reported hold the merged watermark at ``-inf`` so
     downstream windows never close prematurely.
+
+    The merged value is cached together with how many channels sit at it, so
+    an advance costs O(1) except when the last channel at the minimum moves
+    on; then one rescan finds the new minimum.  A stream processor advancing
+    every one of its channels once per epoch pays O(channels) per epoch, not
+    O(channels²).
     """
 
     def __init__(self, channels: Optional[Iterable[str]] = None) -> None:
         self._watermarks: Dict[str, float] = {}
+        self._merged = -math.inf
+        #: Channels whose watermark equals ``_merged``.
+        self._at_merged = 0
         for channel in channels or ():
             self.register(channel)
 
@@ -40,7 +49,14 @@ class WatermarkTracker:
         Registering an already-known channel is a no-op so callers can be
         idempotent when topologies are rebuilt.
         """
-        self._watermarks.setdefault(channel, -math.inf)
+        if channel in self._watermarks:
+            return
+        self._watermarks[channel] = -math.inf
+        if self._merged > -math.inf:
+            self._merged = -math.inf
+            self._at_merged = 1
+        else:
+            self._at_merged += 1
 
     def channels(self) -> List[str]:
         """Names of all registered channels."""
@@ -51,24 +67,29 @@ class WatermarkTracker:
 
         Watermarks are monotone: attempts to move a channel backwards raise
         :class:`SimulationError`, because a regressing watermark means records
-        were emitted out of order past a closed window.
+        were emitted out of order past a closed window.  NaN is rejected too:
+        it is not ordered, so no minimum could be kept over it.
         """
         if channel not in self._watermarks:
             raise SimulationError(f"unknown watermark channel {channel!r}")
         current = self._watermarks[channel]
-        if watermark < current:
+        if math.isnan(watermark) or watermark < current:
             raise SimulationError(
                 f"watermark for channel {channel!r} regressed from "
                 f"{current!r} to {watermark!r}"
             )
         self._watermarks[channel] = watermark
-        return self.merged()
+        if current == self._merged and watermark > current:
+            self._at_merged -= 1
+            if self._at_merged == 0:
+                values = self._watermarks.values()
+                self._merged = min(values)
+                self._at_merged = sum(1 for value in values if value == self._merged)
+        return self._merged
 
     def merged(self) -> float:
         """The minimum watermark across registered channels (−inf if none)."""
-        if not self._watermarks:
-            return -math.inf
-        return min(self._watermarks.values())
+        return self._merged
 
     def window_closed(self, window_end: float) -> bool:
         """Whether a window ending at ``window_end`` can be finalized."""

@@ -69,6 +69,9 @@ SHARDED_CAPACITY_MULTIPLE = 3.0
 #: Default ingress headroom for the dynamic re-placement scenario.
 DYNAMIC_INGRESS_HEADROOM = 1.67
 
+#: Timed runs per record mode in the ``record_modes`` kind; the fastest counts.
+_MODE_TIMING_ROUNDS = 3
+
 #: Modes accepted by :func:`multi_query_colocation_sweep`.
 FIG11_MODES = ("analytic", "simulated", "comparison")
 
@@ -1158,7 +1161,17 @@ class ScenarioRunner:
         modes = spec.record_modes or ("object", "batched")
         raw: Dict[str, Dict[str, float]] = {}
         for strategy_name in strategies:
-            timings = {mode: run_mode(strategy_name, mode) for mode in modes}
+            # Each mode's wall time is its fastest of _MODE_TIMING_ROUNDS
+            # runs, with the mode order reversed every other round, so a slow
+            # spell of a shared host cannot decide a speedup gate on its own.
+            # The runs are deterministic, so any run's metrics serve.
+            best: Dict[str, Tuple[ClusterMetrics, float]] = {}
+            for round_index in range(_MODE_TIMING_ROUNDS):
+                for mode in modes if round_index % 2 == 0 else modes[::-1]:
+                    metrics, elapsed = run_mode(strategy_name, mode)
+                    if mode not in best or elapsed < best[mode][1]:
+                        best[mode] = (metrics, elapsed)
+            timings = {mode: best[mode] for mode in modes}
             row: Dict[str, float] = {}
             for mode, (metrics, elapsed) in timings.items():
                 row[f"{mode}_wall_s"] = elapsed

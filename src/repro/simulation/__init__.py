@@ -67,9 +67,12 @@ engine fills a whole epoch's fleet input with a handful of array writes,
 hands each pipeline a zero-copy slice view, and recycles the same buffers
 every epoch (allocation-free steady state; anything that outlives the epoch
 is detached through :meth:`~repro.query.records.FleetArena.own`).  Arena
-mode also flips the operators' ``vector_mode``, enabling columnar segmented
-group folds (``np.add.reduceat`` over packed keys) on the source and SP
-pipelines.  Object and batched stay the reference implementations: all
+mode also flips the operators' ``vector_mode``, enabling columnar group
+aggregation on the source and SP pipelines: each batch is stored as a raw
+run of packed int64 keys and float values, distinct-group counts sort keys
+only, and values fold (``np.add.reduceat`` over the sorted keys) only when
+a reader needs them — the scale executors discard window outputs, so they
+never fold.  Object and batched stay the reference implementations: all
 three modes produce bit-identical metrics — an equivalence the test suite
 enforces per epoch, per source, on the Figure 10 and Figure 11
 configurations and under random migration schedules.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.query.watermarks import WatermarkTracker, replicate_watermark
@@ -55,6 +56,66 @@ class TestWatermarkTracker:
         tracker = WatermarkTracker(["a", "b"])
         tracker.advance("a", 3.0)
         assert tracker.advance("b", 7.0) == 3.0
+
+    def test_unreported_channels_hold_minus_inf(self):
+        tracker = WatermarkTracker(["a", "b", "c"])
+        assert tracker.advance("a", 5.0) == -math.inf
+        assert tracker.advance("b", 6.0) == -math.inf
+        assert tracker.advance("c", 1.0) == 1.0
+
+    def test_register_after_advances_pulls_merged_back(self):
+        tracker = WatermarkTracker(["a"])
+        tracker.advance("a", 8.0)
+        tracker.register("late")
+        assert tracker.merged() == -math.inf
+        assert tracker.advance("late", 2.0) == 2.0
+        assert tracker.advance("late", 9.0) == 8.0
+
+    def test_ties_at_minimum_move_only_when_all_advance(self):
+        tracker = WatermarkTracker(["a", "b", "c"])
+        for channel in ("a", "b", "c"):
+            tracker.advance(channel, 4.0)
+        assert tracker.advance("a", 6.0) == 4.0
+        assert tracker.advance("b", 4.0) == 4.0  # a no-op advance
+        assert tracker.advance("b", 5.0) == 4.0
+        assert tracker.advance("c", 7.0) == 5.0
+        assert tracker.advance("b", 6.0) == 6.0
+
+    def test_nan_watermark_rejected(self):
+        tracker = WatermarkTracker(["a"])
+        with pytest.raises(SimulationError):
+            tracker.advance("a", math.nan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=3),
+                st.booleans(),
+            ),
+            max_size=60,
+        )
+    )
+    def test_merged_matches_brute_force_min(self, steps):
+        # Random monotone advances (zero steps included, so ties and no-op
+        # advances happen) interleaved with late registrations.
+        tracker = WatermarkTracker(["c0"])
+        reference = {"c0": -math.inf}
+        for index, step, register in steps:
+            channel = f"c{index}"
+            if channel not in reference:
+                if not register:
+                    continue
+                tracker.register(channel)
+                reference[channel] = -math.inf
+            else:
+                base = reference[channel]
+                reference[channel] = (0.0 if base == -math.inf else base) + step
+                assert tracker.advance(channel, reference[channel]) == min(
+                    reference.values()
+                )
+            assert tracker.merged() == min(reference.values())
 
 
 class TestReplicateWatermark:
