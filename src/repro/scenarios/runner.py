@@ -151,23 +151,7 @@ def run_sharded(
         stream_processor, sp_compute_share, warmup_epochs, seed,
         record_mode=record_mode,
     )
-    if workers > 1:
-        with ParallelBlockController(
-            plan=setup.plan,
-            cost_model=setup.cost_model,
-            sources=specs,
-            num_blocks=num_blocks,
-            placement=placement,
-            cluster_config=cluster_config,
-            stream_processors=stream_processors,
-            workers=workers,
-        ) as controller:
-            metrics = controller.run(num_epochs, warmup_epochs=warmup_epochs)
-        metrics.metadata["strategy"] = strategy_name
-        metrics.metadata["query"] = setup.name
-        metrics.metadata["budget"] = initial_budget
-        return metrics
-    executor = ShardedClusterExecutor(
+    kwargs: Dict[str, Any] = dict(
         plan=setup.plan,
         cost_model=setup.cost_model,
         sources=specs,
@@ -176,7 +160,13 @@ def run_sharded(
         cluster_config=cluster_config,
         stream_processors=stream_processors,
     )
-    metrics = executor.run(num_epochs, warmup_epochs=warmup_epochs)
+    if workers > 1:
+        with ParallelBlockController(workers=workers, **kwargs) as controller:
+            metrics = controller.run(num_epochs, warmup_epochs=warmup_epochs)
+    else:
+        metrics = ShardedClusterExecutor(**kwargs).run(
+            num_epochs, warmup_epochs=warmup_epochs
+        )
     metrics.metadata["strategy"] = strategy_name
     metrics.metadata["query"] = setup.name
     metrics.metadata["budget"] = initial_budget

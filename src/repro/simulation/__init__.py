@@ -79,22 +79,25 @@ configurations and under random migration schedules.
 
 **Process-parallel execution** puts the sharded lockstep on real cores:
 :class:`~repro.simulation.parallel.ParallelBlockController`
-(:mod:`repro.simulation.parallel`) steps the K blocks of each epoch across
-a persistent pool of forked worker processes instead of a serial loop.
-Workers adopt their blocks once, at construction, from a fork snapshot of
-the unstepped executor; in arena mode each block's
-:class:`~repro.query.records.FleetArena` column buffers live in
-``multiprocessing.shared_memory`` segments (created, owned, and unlinked
-by the parent) so RecordBatch columns cross the process boundary without
-pickling, and per-epoch results return as compact metric structs.  Because
-blocks only interact between epochs, migration handoffs are the single
-cross-block synchronization point: the controller gathers end-of-epoch
-pressure signals, runs the :class:`MigrationPolicy` on the main process,
-and ships :class:`SourceMigrationState` between workers.  The serial
-:class:`ShardedClusterExecutor` stays the default and the reference — a
-``workers`` knob selects the pool, and parallel runs are bit-identical to
-serial per epoch per source in all three record modes, including under
-random live-migration schedules (test-enforced).
+(:mod:`repro.simulation.parallel`) is a :class:`ShardedClusterExecutor`
+whose K blocks step across a persistent pool of forked worker processes
+instead of a serial loop.  Both run the same code: the executor reaches
+live block state only through two private primitives (apply a function to
+every block; hand one source from a block to another), and the controller
+overrides just those two, so the run and lockstep loops, the
+:class:`MigrationPolicy` in the loop, placement bookkeeping, and metric
+assembly are the serial executor's own code.  Workers adopt their blocks
+once, at construction, from a fork snapshot of the unstepped controller; in
+arena mode each block's :class:`~repro.query.records.FleetArena` column
+buffers live in ``multiprocessing.shared_memory`` segments (created, owned,
+and unlinked by the parent), and per-epoch results return as compact metric
+structs.  Migration handoffs are the single cross-block synchronization
+point: a :class:`SourceMigrationState` detaches in one worker and attaches
+in another.  The serial executor stays the default and the reference (the
+scenario harness builds the controller only for ``tiling.workers > 1``),
+and parallel runs are bit-identical to it per epoch per source in all three
+record modes, including under random live-migration schedules
+(test-enforced).
 
 **Static contracts.** The invariants above are also enforced *statically* by
 ``simlint`` (``tools/simlint/``, run as ``python -m simlint src/`` with

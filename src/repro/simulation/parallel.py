@@ -3,24 +3,30 @@
 The K blocks of a :class:`~repro.simulation.sharding.ShardedClusterExecutor`
 are independent within an epoch — they interact only through migration
 handoffs at epoch boundaries — yet the serial executor steps them one after
-another in a single Python process.  :class:`ParallelBlockController` runs
-the same blocks across a persistent pool of worker processes instead, with
-the serial executor kept (unstepped) on the main process as the bookkeeping
-authority for placement, migration policy, and metric assembly.
+another in a single Python process.  :class:`ParallelBlockController` is a
+subclass that steps the same blocks across a persistent pool of worker
+processes instead.  The run and lockstep loops, migration policy,
+placement bookkeeping and metric assembly are inherited; the controller
+overrides only the two primitives through which that code reaches live
+block state, ``_blockwise`` and ``_handoff``.
 
 Design notes, in the order they matter:
 
 * **Workers own blocks for the whole run.**  Block state (pipeline operator
   queues, strategies, carryover FIFOs) is large and mutable, so it must not
-  be shipped per epoch.  The controller builds the serial executor first,
-  publishes it through a module global, and forks one single-process
-  ``concurrent.futures.ProcessPoolExecutor`` per worker — the fork snapshot
-  hands every worker a bit-identical copy of the freshly constructed blocks
-  for free, without pickling workloads or strategies.  Block ``i`` is owned
-  by worker ``i % workers`` for the lifetime of the controller.
-* **Per-epoch traffic is compact.**  A worker steps its blocks and returns
-  only frozen :class:`~repro.simulation.metrics.EpochMetrics` structs and
-  the per-block :class:`~repro.simulation.metrics.ClusterEpochMetrics`;
+  be shipped per epoch.  The controller builds its blocks in-process (the
+  inherited constructor), publishes itself through a module global, and
+  forks one single-process ``concurrent.futures.ProcessPoolExecutor`` per
+  worker — each worker claims its blocks from the fork snapshot, so no
+  workload or strategy is ever pickled.  Block ``i`` is owned by worker
+  ``i % workers`` for the lifetime of the controller.  The main process
+  keeps its own copies of the blocks unstepped: the inherited code reads
+  only construction-time fields from them (link capacity, run collectors).
+* **Per-epoch traffic is compact.**  ``_blockwise`` ships a module-level
+  step function from :mod:`~repro.simulation.sharding` to every worker,
+  which applies it to its blocks and returns only frozen
+  :class:`~repro.simulation.metrics.EpochMetrics` structs and the per-block
+  :class:`~repro.simulation.metrics.ClusterEpochMetrics`;
   group/window partial state never crosses back — it lives in the worker,
   and in arena mode its consolidated ``(keys, counts, sums, maxs, mins)``
   arrays travel inside the usual columnar ship path within the block.
@@ -33,18 +39,18 @@ Design notes, in the order they matter:
   back to heap buffers — correctness never depends on segment capacity.
   Segments are owned (created *and* unlinked) by the main process, so a
   crashed worker cannot leak ``/dev/shm`` blocks.
-* **Migration is the only cross-block sync point.**  The controller gathers
-  end-of-epoch pressure signals, runs the
-  :class:`~repro.simulation.sharding.MigrationPolicy` on the main process
-  with exactly the inputs the serial executor would pass, and executes each
-  move by detaching in the owning worker, pickling the
-  :class:`~repro.simulation.multisource.SourceMigrationState`, and
-  attaching in the destination worker before the next epoch.
+* **Migration is the only cross-block sync point.**  The inherited
+  ``run_epoch`` gathers end-of-epoch pressure signals and runs the
+  :class:`~repro.simulation.sharding.MigrationPolicy` on the main process;
+  ``_handoff`` executes each move by detaching in the owning worker,
+  pickling the :class:`~repro.simulation.multisource.SourceMigrationState`,
+  and attaching in the destination worker before the next epoch.
 * **Bit-identity over speed.**  Blocks are stepped by the same code on
   forked copies of the same state, results are reassembled in block order,
-  and the policy sees byte-identical inputs — so a parallel run is
-  bit-identical to serial lockstep per epoch per source in all three record
-  modes, including under migration schedules (test-enforced).
+  and one implementation builds the policy inputs and the metrics — so a
+  parallel run is bit-identical to serial lockstep per epoch per source in
+  all three record modes, including under migration schedules
+  (test-enforced).
 
 This module is the *only* place in the source tree allowed to import
 ``multiprocessing`` / ``concurrent.futures`` (simlint rule SL011): process
@@ -66,7 +72,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel
-from .metrics import ClusterEpochMetrics, ClusterMetrics, EpochMetrics, RunMetrics
+from .metrics import ClusterMetrics, EpochMetrics
 from .multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -83,9 +89,9 @@ from .sharding import (
 
 T = TypeVar("T")
 
-#: Default shared-memory segment size per block (bytes).  Segments are
-#: sparse until written, so a generous default costs only touched pages.
-DEFAULT_SHM_BYTES_PER_BLOCK = 1 << 24
+#: Shared-memory segment size per block (bytes).  Segments are sparse until
+#: written, so a generous size costs only touched pages.
+_SHM_BYTES_PER_BLOCK = 1 << 24
 
 #: How long the controller waits for a worker's teardown task before
 #: abandoning it to the pool shutdown (seconds).
@@ -93,10 +99,10 @@ _CLOSE_TIMEOUT_S = 30.0
 
 _SEGMENT_IDS = itertools.count()
 
-# Main-process side: the freshly built serial executor is published here for
-# the duration of the forks, so worker processes inherit the block objects
-# through the fork snapshot instead of pickling them.
-_FORK_CONTEXT: Optional[ShardedClusterExecutor] = None
+# Main-process side: the controller, its blocks freshly built, is published
+# here for the duration of the forks, so worker processes inherit the block
+# objects through the fork snapshot instead of pickling them.
+_FORK_CONTEXT: Optional["ParallelBlockController"] = None
 
 # Worker-process side: the harness owning this worker's blocks.
 _WORKER: Optional["_WorkerHarness"] = None
@@ -161,7 +167,7 @@ def _worker_adopt(
     """First task in every worker: claim blocks from the fork snapshot.
 
     Runs after the fork, so ``_FORK_CONTEXT`` is this worker's private copy
-    of the freshly constructed serial executor.  In arena mode each claimed
+    of the freshly constructed controller.  In arena mode each claimed
     block's arena is rebased onto the main-created shared-memory segment;
     segment lifetime stays with the main process (see the attach comment
     below for the resource-tracker subtlety).
@@ -173,7 +179,7 @@ def _worker_adopt(
     _FORK_CONTEXT = None
     blocks = {int(index): snapshot.blocks[index] for index in block_indices}
     # The fork keeps the controller's constructor frames alive on this
-    # process's stack, and they reference the snapshot executor — emptying
+    # process's stack, and they reference the snapshot controller — emptying
     # its block list here is what lets _worker_close actually free block
     # state (and with it every numpy view into the shm segments).
     snapshot.blocks = []
@@ -193,30 +199,6 @@ def _worker_adopt(
             arena.set_buffer_allocator(_ShmBumpAllocator(shm))
     _WORKER = _WorkerHarness(blocks, segments)
     return sorted(blocks)
-
-
-def _worker_run_epoch() -> List[Tuple[int, Dict[str, EpochMetrics], ClusterEpochMetrics]]:
-    """Step every owned block one epoch; returns per-block results in order."""
-    harness = _require_worker()
-    out = []
-    for index in sorted(harness.blocks):
-        block = harness.blocks[index]
-        metrics = block.run_epoch()
-        out.append((index, metrics, block._last_cluster_epoch))
-    return out
-
-
-def _worker_run_blocks(
-    num_epochs: int, warmup_epochs: int
-) -> List[Tuple[int, ClusterMetrics]]:
-    """Run every owned block to completion (the no-migration fast path)."""
-    harness = _require_worker()
-    out = []
-    for index in sorted(harness.blocks):
-        metrics = harness.blocks[index].run(num_epochs, warmup_epochs=warmup_epochs)
-        metrics.metadata["block"] = index
-        out.append((index, metrics))
-    return out
 
 
 def _worker_detach(block_index: int, source_name: str) -> SourceMigrationState:
@@ -262,36 +244,22 @@ def _worker_close() -> bool:
     return True
 
 
-def _block_sp_backlog(index: int, block: MultiSourceExecutor) -> int:
-    return block.sp_backlog_records()
-
-
-def _block_conservation(index: int, block: MultiSourceExecutor) -> List[str]:
-    return block.verify_record_conservation()
-
-
-def _block_conservation_report(
-    index: int, block: MultiSourceExecutor
-) -> Dict[str, Dict[str, object]]:
-    return block.record_conservation_report()
-
-
 # ---------------------------------------------------------------------------
 # The controller.
 # ---------------------------------------------------------------------------
 
 
-class ParallelBlockController:
+class ParallelBlockController(ShardedClusterExecutor):
     """Run a sharded fleet's K blocks across a persistent worker pool.
 
-    Drop-in parallel counterpart of
-    :class:`~repro.simulation.sharding.ShardedClusterExecutor`: same
-    constructor shape plus a ``workers`` count, same ``run`` /
-    ``run_epoch`` / ``migrate`` / introspection surface, bit-identical
-    metrics (test-enforced per epoch per source in all three record modes,
-    including under migration schedules).  Serial lockstep remains the
-    default and the reference — this class is only selected when a
-    ``workers`` knob asks for it.
+    A :class:`~repro.simulation.sharding.ShardedClusterExecutor` whose
+    blocks live in worker processes: same constructor plus a ``workers``
+    count, and the inherited ``run`` / ``run_epoch`` / ``migrate`` /
+    introspection, so metrics are bit-identical to the serial executor
+    (test-enforced per epoch per source in all three record modes, including
+    under migration schedules).  Only ``_blockwise`` and ``_handoff`` are
+    overridden, to dispatch to the worker owning each block.  The serial
+    executor remains the default and the reference.
 
     The controller owns OS resources (worker processes, shared-memory
     segments): call :meth:`close` when done, or use it as a context
@@ -310,14 +278,10 @@ class ParallelBlockController:
         stream_processors: Optional[Sequence[Optional[StreamProcessorNode]]] = None,
         migration: Optional[MigrationPolicy] = None,
         workers: int = 2,
-        shm_bytes_per_block: int = DEFAULT_SHM_BYTES_PER_BLOCK,
     ) -> None:
         if workers <= 0:
             raise SimulationError(f"workers must be positive, got {workers!r}")
-        # The serial executor stays on the main process, never stepped: it is
-        # the authority for placement/migration bookkeeping and run metadata,
-        # and its freshly built blocks are the fork snapshot the workers claim.
-        self._serial = ShardedClusterExecutor(
+        super().__init__(
             plan=plan,
             cost_model=cost_model,
             sources=sources,
@@ -327,40 +291,31 @@ class ParallelBlockController:
             stream_processors=stream_processors,
             migration=migration,
         )
-        self._num_workers = min(int(workers), self._serial.num_blocks)
+        self._num_workers = min(int(workers), self.num_blocks)
         self._worker_of = {
-            index: index % self._num_workers
-            for index in range(self._serial.num_blocks)
+            index: index % self._num_workers for index in range(self.num_blocks)
         }
-        self._epoch = 0
-        self._migration_events: List[MigrationEvent] = []
-        self._placement_epochs: List[Dict[str, int]] = []
-        self._last_block_epochs: List[ClusterEpochMetrics] = []
-        self._last_cluster_epoch: Optional[ClusterEpochMetrics] = None
         self._pools: List[concurrent.futures.ProcessPoolExecutor] = []
         self._segments: List[shared_memory.SharedMemory] = []
         self._closed = False
         try:
-            self._start_workers(int(shm_bytes_per_block))
+            self._start_workers()
         except BaseException:
             self.close()
             raise
 
-    def _start_workers(self, shm_bytes_per_block: int) -> None:
+    def _start_workers(self) -> None:
         global _FORK_CONTEXT
-        segment_names: List[Optional[str]] = [None] * self._serial.num_blocks
-        if (
-            self._serial.cluster_config.record_mode == "arena"
-            and shm_bytes_per_block > 0
-        ):
-            for index in range(self._serial.num_blocks):
+        segment_names: List[Optional[str]] = [None] * self.num_blocks
+        if self.cluster_config.record_mode == "arena":
+            for index in range(self.num_blocks):
                 shm = shared_memory.SharedMemory(
-                    name=_segment_name(), create=True, size=shm_bytes_per_block
+                    name=_segment_name(), create=True, size=_SHM_BYTES_PER_BLOCK
                 )
                 self._segments.append(shm)
                 segment_names[index] = shm.name
         context = get_context("fork")
-        _FORK_CONTEXT = self._serial
+        _FORK_CONTEXT = self
         try:
             futures = []
             for worker in range(self._num_workers):
@@ -370,7 +325,7 @@ class ParallelBlockController:
                 self._pools.append(pool)
                 indices = [
                     index
-                    for index in range(self._serial.num_blocks)
+                    for index in range(self.num_blocks)
                     if self._worker_of[index] == worker
                 ]
                 # The first submit forks the worker, snapshotting the
@@ -456,242 +411,55 @@ class ParallelBlockController:
             self.close()
             raise
 
-    def _dispatch(self, fn: Callable[..., T], *args: Any) -> List[T]:
-        """Run one task on every worker; results in worker order."""
-        self._ensure_open()
-        return self._gather([pool.submit(fn, *args) for pool in self._pools])
-
     def _call_worker(self, worker: int, fn: Callable[..., T], *args: Any) -> T:
         self._ensure_open()
         return self._gather([self._pools[worker].submit(fn, *args)])[0]
+
+    def _blockwise(self, fn: Callable[[int, MultiSourceExecutor], T]) -> List[T]:
+        """Run ``fn`` inside the worker owning each block, all workers at once."""
+        self._ensure_open()
+        results = self._gather(
+            [pool.submit(_worker_map, fn) for pool in self._pools]
+        )
+        by_index: Dict[int, T] = dict(
+            pair for worker_result in results for pair in worker_result
+        )
+        return [by_index[index] for index in range(self.num_blocks)]
+
+    def _handoff(
+        self, source_name: str, from_block: int, to_block: int
+    ) -> SourceMigrationState:
+        """Detach in the donor's worker, attach in the recipient's worker."""
+        state = self._call_worker(
+            self._worker_of[from_block], _worker_detach, from_block, source_name
+        )
+        self._call_worker(self._worker_of[to_block], _worker_attach, to_block, state)
+        return state
 
     def map_blocks(self, fn: Callable[[int, MultiSourceExecutor], T]) -> Dict[int, T]:
         """Apply a picklable ``fn(block_index, block)`` inside each worker.
 
         The introspection escape hatch: ``fn`` runs in the process that owns
-        each block's live state and its return value pickles back.  Used by
-        the conservation/backlog helpers below and by tests (e.g. probing
-        per-source RNG states without shipping whole blocks).
+        each block's live state and its return value pickles back, so callers
+        can probe worker-side state (e.g. per-source RNG states) without
+        shipping whole blocks.
         """
-        results = self._dispatch(_worker_map, fn)
-        return {
-            index: value
-            for worker_result in results
-            for index, value in worker_result
-        }
+        return dict(enumerate(self._blockwise(fn)))
 
-    # -- introspection (mirrors ShardedClusterExecutor) ----------------------------
-
-    @property
-    def num_blocks(self) -> int:
-        return self._serial.num_blocks
-
-    @property
-    def num_sources(self) -> int:
-        return len(self._serial._assignment)
-
-    @property
-    def cluster_config(self) -> MultiSourceConfig:
-        return self._serial.cluster_config
-
-    @property
-    def migration(self) -> Optional[MigrationPolicy]:
-        return self._serial.migration
-
-    def source_names(self) -> List[str]:
-        """Fleet source names, grouped by block in placement order.
-
-        Derived from the main-process group bookkeeping (kept in sync by
-        :meth:`migrate`), since the main process's block copies never step.
-        """
-        return [spec.name for group in self._serial._groups for spec in group]
-
-    def block_of(self, source_name: str) -> int:
-        return self._serial.block_of(source_name)
-
-    def assignment(self) -> Dict[str, int]:
-        return self._serial.assignment()
-
-    def placement_report(self) -> Dict[str, object]:
-        return self._serial.placement_report()
-
-    def migration_events(self) -> List[MigrationEvent]:
-        return list(self._migration_events)
-
-    def sp_backlog_records(self) -> int:
-        """Records waiting for compute across every block (queried live)."""
-        return sum(self.map_blocks(_block_sp_backlog).values())
-
-    def verify_record_conservation(self) -> List[str]:
-        violations: List[str] = []
-        per_block = self.map_blocks(_block_conservation)
-        for index in range(self.num_blocks):
-            violations.extend(
-                f"block {index}: {violation}" for violation in per_block[index]
-            )
-        return violations
-
-    def record_conservation_report(self) -> Dict[str, Dict[str, object]]:
-        report: Dict[str, Dict[str, object]] = {}
-        per_block = self.map_blocks(_block_conservation_report)
-        for index in range(self.num_blocks):
-            report.update(per_block[index])
-        return report
-
-    # -- execution ----------------------------------------------------------------
+    # -- execution: inherited, refused once the pool is closed --------------------
 
     def migrate(
         self, source_name: str, to_block: int, reason: str = ""
     ) -> MigrationEvent:
-        """Live-migrate one source between worker-owned blocks.
-
-        Same handoff protocol and validation as
-        :meth:`ShardedClusterExecutor.migrate`, executed where the state
-        lives: detach in the donor's worker, ship the pickled
-        ``SourceMigrationState`` through the main process, attach in the
-        recipient's worker, then update the main-process bookkeeping.
-        """
         self._ensure_open()
-        from_block = self._serial._validate_move(source_name, to_block)
-        state = self._call_worker(
-            self._worker_of[from_block], _worker_detach, from_block, source_name
-        )
-        self._call_worker(self._worker_of[to_block], _worker_attach, to_block, state)
-        self._serial._reassign(source_name, from_block, to_block)
-        event = MigrationEvent(
-            epoch=self._epoch,
-            source=source_name,
-            from_block=from_block,
-            to_block=to_block,
-            moved_bytes=state.requeue_bytes,
-            in_flight_records=state.in_flight_records,
-            reason=reason,
-        )
-        self._migration_events.append(event)
-        return event
+        return super().migrate(source_name, to_block, reason=reason)
 
     def run_epoch(self) -> Dict[str, EpochMetrics]:
-        """Step every block one epoch, all workers in parallel.
-
-        Results are reassembled in block order, so the returned fleet-wide
-        metrics dict — and the policy inputs derived from it — are
-        byte-identical to the serial executor's.  With a migration policy
-        configured, decisions are made on the main process and executed as
-        cross-worker handoffs before the next epoch.
-        """
         self._ensure_open()
-        self._epoch += 1
-        results = self._dispatch(_worker_run_epoch)
-        per_block: Dict[int, Tuple[Dict[str, EpochMetrics], ClusterEpochMetrics]] = {}
-        for worker_result in results:
-            for index, block_metrics, cluster_epoch in worker_result:
-                per_block[index] = (block_metrics, cluster_epoch)
-        metrics: Dict[str, EpochMetrics] = {}
-        block_epochs: List[ClusterEpochMetrics] = []
-        for index in range(self.num_blocks):
-            block_metrics, cluster_epoch = per_block[index]
-            metrics.update(block_metrics)
-            block_epochs.append(cluster_epoch)
-        self._last_block_epochs = block_epochs
-        self._last_cluster_epoch = ClusterEpochMetrics.merge(block_epochs)
-        policy = self._serial.migration
-        if policy is not None:
-            decisions = policy.decide(
-                epoch=self._epoch,
-                block_epochs=block_epochs,
-                assignment=self.assignment(),
-                offered_bytes={
-                    name: em.network_bytes_offered for name, em in metrics.items()
-                },
-            )
-            for decision in decisions:
-                self.migrate(
-                    decision.source, decision.to_block, reason=decision.reason
-                )
-            self._placement_epochs.append(self.assignment())
-        return metrics
+        return super().run_epoch()
 
     def run(
         self, num_epochs: int, warmup_epochs: Optional[int] = None
     ) -> ClusterMetrics:
-        """Run ``num_epochs`` epochs; returns fleet-wide metrics.
-
-        Mirrors :meth:`ShardedClusterExecutor.run` exactly: without a
-        migration policy each worker runs its blocks to completion
-        independently (no per-epoch synchronization at all); with one, the
-        controller drives lockstep epochs with the policy in the loop.
-        """
         self._ensure_open()
-        if num_epochs <= 0:
-            raise SimulationError(f"num_epochs must be positive, got {num_epochs!r}")
-        if self._epoch != 0:
-            raise SimulationError(
-                f"run() needs a fresh executor, but {self._epoch} epoch(s) have "
-                "already been stepped; build a new controller for a new run"
-            )
-        warmup = (
-            self._serial.cluster_config.warmup_epochs
-            if warmup_epochs is None
-            else warmup_epochs
-        )
-        if self._serial.migration is not None:
-            return self._run_lockstep(num_epochs, warmup)
-        results = self._dispatch(_worker_run_blocks, num_epochs, warmup)
-        by_index: Dict[int, ClusterMetrics] = {
-            index: metrics for worker_result in results for index, metrics in worker_result
-        }
-        block_metrics = [by_index[index] for index in range(self.num_blocks)]
-        self._epoch = num_epochs
-        serial = self._serial
-        return ClusterMetrics.merged(
-            block_metrics,
-            metadata={
-                "query": serial.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": serial.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": serial.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
-                "per_block_summary": [m.summary() for m in block_metrics],
-            },
-        )
-
-    def _run_lockstep(self, num_epochs: int, warmup: int) -> ClusterMetrics:
-        serial = self._serial
-        cluster = ClusterMetrics(
-            epoch_duration_s=serial.cluster_config.config.epoch.duration_s,
-            warmup_epochs=warmup,
-            metadata={
-                "query": serial.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": serial.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": serial.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
-            },
-        )
-        per_source_runs: Dict[str, RunMetrics] = {}
-        # The main-process blocks are unstepped copies of the same sources,
-        # so their collector construction (pure container creation) yields
-        # the same per-source RunMetrics the serial lockstep path builds.
-        for block in serial.blocks:
-            _, runs = block._prepare_run_collectors(warmup)
-            per_source_runs.update(runs)
-        for _ in range(num_epochs):
-            epoch_metrics = self.run_epoch()
-            for name, em in epoch_metrics.items():
-                per_source_runs[name].record(em)
-            cluster.record_cluster_epoch(self._last_cluster_epoch)
-        for name, run_metrics in per_source_runs.items():
-            cluster.register_source(name, run_metrics)
-        cluster.metadata.update(
-            {
-                "migration_policy": serial.migration.name,
-                "migrations": [event.as_dict() for event in self._migration_events],
-                "placement_epochs": [
-                    dict(snapshot) for snapshot in self._placement_epochs
-                ],
-                "final_assignment": self.assignment(),
-            }
-        )
-        return cluster
+        return super().run(num_epochs, warmup_epochs=warmup_epochs)

@@ -30,11 +30,21 @@ with ``K`` until every block is unsaturated.
 
 from __future__ import annotations
 
-import inspect
+import functools
 import math
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
@@ -47,8 +57,15 @@ from .metrics import (
     RunMetrics,
 )
 from .multiquery import CoLocatedBlockExecutor, QuerySpec, shard_query_sources
-from .multisource import MultiSourceConfig, MultiSourceExecutor, SourceSpec
+from .multisource import (
+    MultiSourceConfig,
+    MultiSourceExecutor,
+    SourceMigrationState,
+    SourceSpec,
+)
 from .node import StreamProcessorNode
+
+T = TypeVar("T")
 
 
 def estimated_rate_mbps(spec: SourceSpec, default: float = 1.0) -> float:
@@ -80,23 +97,6 @@ def estimated_rate_mbps(spec: SourceSpec, default: float = 1.0) -> float:
     if not math.isfinite(value) or value < 0:
         return default
     return value
-
-
-def _accepts_block_weights(policy: "PlacementPolicy") -> bool:
-    """Whether a policy's ``assign`` takes the ``block_weights`` keyword.
-
-    Probed via the signature (rather than try/except TypeError around the
-    call) so a TypeError raised *inside* a capacity-aware policy surfaces
-    instead of silently re-running the placement capacity-blind.
-    """
-    try:
-        parameters = inspect.signature(policy.assign).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    return "block_weights" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 class PlacementPolicy:
@@ -543,6 +543,13 @@ class ShardedClusterExecutor:
     lockstep per epoch.  Blocks never share state: a record drained by a
     source only ever crosses its own block's link and compute, exactly as in
     the paper's tiled deployment (Figure 4b).
+
+    This class is the one implementation of sharded execution: the run and
+    lockstep loops, the migration policy and handoff, placement bookkeeping,
+    and metric assembly.  It reaches live block state only through
+    :meth:`_blockwise` and :meth:`_handoff`, which run in-process here;
+    :class:`~repro.simulation.parallel.ParallelBlockController` overrides
+    just those two to run in the worker processes that own the blocks.
     """
 
     def __init__(
@@ -594,13 +601,9 @@ class ShardedClusterExecutor:
         ]
         block_weights = [node.ingress_bandwidth_mbps for node in self._block_nodes]
 
-        if _accepts_block_weights(self.placement):
-            assignment = list(
-                self.placement.assign(sources, num_blocks, block_weights=block_weights)
-            )
-        else:
-            # Custom policies predating capacity-aware placement.
-            assignment = list(self.placement.assign(sources, num_blocks))
+        assignment = list(
+            self.placement.assign(sources, num_blocks, block_weights=block_weights)
+        )
         if len(assignment) != len(sources):
             raise SimulationError(
                 f"placement {self.placement.name!r} returned {len(assignment)} "
@@ -643,6 +646,24 @@ class ShardedClusterExecutor:
         self._migration_events: List[MigrationEvent] = []
         self._placement_epochs: List[Dict[str, int]] = []
 
+    # -- block access (the two primitives a worker pool overrides) ----------------
+
+    def _blockwise(self, fn: Callable[[int, MultiSourceExecutor], T]) -> List[T]:
+        """``fn(index, block)`` for every block, results in block order.
+
+        ``fn`` must pickle by reference (a module-level function, or a
+        ``functools.partial`` of one) so a worker pool can ship it.
+        """
+        return [fn(index, block) for index, block in enumerate(self.blocks)]
+
+    def _handoff(
+        self, source_name: str, from_block: int, to_block: int
+    ) -> SourceMigrationState:
+        """Detach one source from ``from_block`` and attach it to ``to_block``."""
+        state = self.blocks[from_block].detach_source(source_name)
+        self.blocks[to_block].attach_source(state)
+        return state
+
     # -- introspection -----------------------------------------------------------
 
     @property
@@ -651,11 +672,16 @@ class ShardedClusterExecutor:
 
     @property
     def num_sources(self) -> int:
-        return sum(block.num_sources for block in self.blocks)
+        return len(self._assignment)
 
     def source_names(self) -> List[str]:
-        """Fleet source names, grouped by block in placement order."""
-        return [name for block in self.blocks for name in block.source_names()]
+        """Fleet source names, grouped by block in placement order.
+
+        Read from the placement bookkeeping, which :meth:`migrate` keeps in
+        the blocks' own order (a migrated source joins the end of its new
+        block).
+        """
+        return [spec.name for group in self._groups for spec in group]
 
     def block_of(self, source_name: str) -> int:
         """Block index a source was placed on."""
@@ -669,7 +695,7 @@ class ShardedClusterExecutor:
 
     def sp_backlog_records(self) -> int:
         """Records waiting for compute across every block's stream processor."""
-        return sum(block.sp_backlog_records() for block in self.blocks)
+        return sum(self._blockwise(_block_sp_backlog))
 
     def placement_report(self) -> Dict[str, object]:
         """Placement-imbalance statistics over estimated per-block rates."""
@@ -694,19 +720,17 @@ class ShardedClusterExecutor:
     def record_conservation_report(self) -> Dict[str, Dict[str, object]]:
         """Per-source record accounting, merged across blocks (names disjoint)."""
         report: Dict[str, Dict[str, object]] = {}
-        for block in self.blocks:
-            report.update(block.record_conservation_report())
+        for block_report in self._blockwise(_block_conservation_report):
+            report.update(block_report)
         return report
 
     def verify_record_conservation(self) -> List[str]:
         """Conservation violations across every block (empty means none)."""
-        violations: List[str] = []
-        for index, block in enumerate(self.blocks):
-            violations.extend(
-                f"block {index}: {violation}"
-                for violation in block.verify_record_conservation()
-            )
-        return violations
+        return [
+            f"block {index}: {violation}"
+            for index, violations in enumerate(self._blockwise(_block_violations))
+            for violation in violations
+        ]
 
     def migration_events(self) -> List[MigrationEvent]:
         """Live migrations executed so far, in execution order."""
@@ -728,10 +752,23 @@ class ShardedClusterExecutor:
         continuous across the move.  Blocks step in lockstep, so the move is
         valid at any epoch boundary (including epoch 0).
         """
-        from_block = self._validate_move(source_name, to_block)
-        handoff = self.blocks[from_block].detach_source(source_name)
-        self.blocks[to_block].attach_source(handoff)
-        self._reassign(source_name, from_block, to_block)
+        from_block = self.block_of(source_name)
+        if not 0 <= to_block < self.num_blocks:
+            raise SimulationError(
+                f"cannot migrate {source_name!r} to block {to_block}; only "
+                f"blocks 0..{self.num_blocks - 1} exist"
+            )
+        if from_block == to_block:
+            raise SimulationError(
+                f"source {source_name!r} is already on block {to_block}"
+            )
+        handoff = self._handoff(source_name, from_block, to_block)
+        self._assignment[source_name] = to_block
+        spec = next(
+            spec for spec in self._groups[from_block] if spec.name == source_name
+        )
+        self._groups[from_block].remove(spec)
+        self._groups[to_block].append(spec)
         event = MigrationEvent(
             epoch=self._epoch,
             source=source_name,
@@ -743,37 +780,6 @@ class ShardedClusterExecutor:
         )
         self._migration_events.append(event)
         return event
-
-    def _validate_move(self, source_name: str, to_block: int) -> int:
-        """Validate a proposed migration; returns the source's current block."""
-        if source_name not in self._assignment:
-            raise SimulationError(f"unknown source {source_name!r}")
-        if not 0 <= to_block < self.num_blocks:
-            raise SimulationError(
-                f"cannot migrate {source_name!r} to block {to_block}; only "
-                f"blocks 0..{self.num_blocks - 1} exist"
-            )
-        from_block = self._assignment[source_name]
-        if from_block == to_block:
-            raise SimulationError(
-                f"source {source_name!r} is already on block {to_block}"
-            )
-        return from_block
-
-    def _reassign(self, source_name: str, from_block: int, to_block: int) -> None:
-        """Update assignment/group bookkeeping after a handoff has executed.
-
-        Split out of :meth:`migrate` because the parallel controller
-        (:mod:`repro.simulation.parallel`) executes the handoff itself in the
-        worker processes that own the two blocks, then reuses this method so
-        the main process's placement bookkeeping stays authoritative.
-        """
-        self._assignment[source_name] = to_block
-        spec = next(
-            spec for spec in self._groups[from_block] if spec.name == source_name
-        )
-        self._groups[from_block].remove(spec)
-        self._groups[to_block].append(spec)
 
     def run_epoch(self) -> Dict[str, EpochMetrics]:
         """Step every block one epoch in lockstep.
@@ -787,10 +793,9 @@ class ShardedClusterExecutor:
         self._epoch += 1
         metrics: Dict[str, EpochMetrics] = {}
         block_epochs: List[ClusterEpochMetrics] = []
-        for block in self.blocks:
-            metrics.update(block.run_epoch())
-            block_epochs.append(block._last_cluster_epoch)
-        self._last_block_epochs = block_epochs
+        for block_metrics, block_epoch in self._blockwise(_step_block):
+            metrics.update(block_metrics)
+            block_epochs.append(block_epoch)
         self._last_cluster_epoch = ClusterEpochMetrics.merge(block_epochs)
         if self.migration is not None:
             decisions = self.migration.decide(
@@ -822,12 +827,15 @@ class ShardedClusterExecutor:
         Blocks accumulate pipeline and carryover state as they step, so a run
         must start from a fresh executor: calling ``run`` after any epoch has
         been stepped (via ``run`` or ``run_epoch``) raises
-        :class:`SimulationError`.
+        :class:`SimulationError`.  With or without a migration policy the
+        epoch counter ends at ``num_epochs``: a later :meth:`migrate` stamps
+        its event with the epochs the run stepped, and :meth:`run_epoch`
+        continues the count.
         """
         if num_epochs <= 0:
             raise SimulationError(f"num_epochs must be positive, got {num_epochs!r}")
-        if self._epoch != 0 or any(block.epochs_run != 0 for block in self.blocks):
-            stepped = max(self._epoch, *(block.epochs_run for block in self.blocks))
+        stepped = max(self._epoch, *self._blockwise(_block_epochs_run))
+        if stepped:
             raise SimulationError(
                 f"run() needs a fresh executor, but {stepped} epoch(s) have "
                 "already been stepped; build a new executor for a new run"
@@ -841,20 +849,14 @@ class ShardedClusterExecutor:
         # to completion is numerically identical to lockstep stepping (which
         # run_epoch still offers for per-epoch drivers) and reuses
         # MultiSourceExecutor.run's metric assembly instead of mirroring it.
-        block_metrics = [
-            block.run(num_epochs, warmup_epochs=warmup) for block in self.blocks
-        ]
-        for block_index, metrics in enumerate(block_metrics):
-            metrics.metadata["block"] = block_index
+        block_metrics = self._blockwise(
+            functools.partial(_run_block, num_epochs, warmup)
+        )
+        self._epoch = num_epochs
         return ClusterMetrics.merged(
             block_metrics,
             metadata={
-                "query": self.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": self.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": self.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
+                **self._run_metadata(),
                 "per_block_summary": [m.summary() for m in block_metrics],
             },
         )
@@ -873,19 +875,16 @@ class ShardedClusterExecutor:
         cluster = ClusterMetrics(
             epoch_duration_s=self.cluster_config.config.epoch.duration_s,
             warmup_epochs=warmup,
-            metadata={
-                "query": self.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": self.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": self.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
-            },
+            metadata=self._run_metadata(),
         )
-        per_source_runs: Dict[str, RunMetrics] = {}
+        # Building collectors reads only construction-time fields (names,
+        # strategy labels, epoch duration), so blocks that never stepped (the
+        # parallel controller's fork snapshot) serve as well as live ones;
+        # the placement bookkeeping supplies the order.
+        collectors: Dict[str, RunMetrics] = {}
         for block in self.blocks:
-            _, runs = block._prepare_run_collectors(warmup)
-            per_source_runs.update(runs)
+            collectors.update(block._prepare_run_collectors(warmup)[1])
+        per_source_runs = {name: collectors[name] for name in self.source_names()}
         for _ in range(num_epochs):
             epoch_metrics = self.run_epoch()
             for name, em in epoch_metrics.items():
@@ -906,6 +905,59 @@ class ShardedClusterExecutor:
             }
         )
         return cluster
+
+    def _run_metadata(self) -> Dict[str, object]:
+        """The block structure every run result carries in its metadata."""
+        block = self.blocks[0]
+        return {
+            "query": self.plan.query_name,
+            "num_sources": self.num_sources,
+            "num_blocks": self.num_blocks,
+            "ingress_bandwidth_mbps": block.link.bandwidth_mbps,
+            "sp_compute_capacity_s": block.sp_compute_capacity_s,
+            "placement": self.placement_report(),
+        }
+
+
+# -- per-block steps ---------------------------------------------------------------
+#
+# What the executor hands to ``_blockwise``.  Module-level so a worker pool can
+# unpickle them by reference and run them in the process owning each block.
+
+
+def _step_block(
+    index: int, block: MultiSourceExecutor
+) -> Tuple[Dict[str, EpochMetrics], ClusterEpochMetrics]:
+    """Step one block one epoch: per-source and shared-resource metrics."""
+    metrics = block.run_epoch()
+    return metrics, block._last_cluster_epoch
+
+
+def _run_block(
+    num_epochs: int, warmup: int, index: int, block: MultiSourceExecutor
+) -> ClusterMetrics:
+    """Run one block to completion (the no-migration whole-run path)."""
+    metrics = block.run(num_epochs, warmup_epochs=warmup)
+    metrics.metadata["block"] = index
+    return metrics
+
+
+def _block_epochs_run(index: int, block: MultiSourceExecutor) -> int:
+    return block.epochs_run
+
+
+def _block_sp_backlog(index: int, block: MultiSourceExecutor) -> int:
+    return block.sp_backlog_records()
+
+
+def _block_violations(index: int, block: MultiSourceExecutor) -> List[str]:
+    return block.verify_record_conservation()
+
+
+def _block_conservation_report(
+    index: int, block: MultiSourceExecutor
+) -> Dict[str, Dict[str, object]]:
+    return block.record_conservation_report()
 
 
 class ShardedCoLocatedExecutor:

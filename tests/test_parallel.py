@@ -32,6 +32,7 @@ from repro.simulation.parallel import (
     _ShmBumpAllocator,
 )
 from repro.simulation.sharding import (
+    NeverMigrate,
     SaturationMigrationPolicy,
     ShardedClusterExecutor,
 )
@@ -103,6 +104,15 @@ def assert_runs_identical(serial_run, parallel_run):
         assert len(serial_epochs) == len(parallel_epochs)
         for left, right in zip(serial_epochs, parallel_epochs):
             assert left == right, (name, left, right)
+
+
+def assert_same_fleet_view(serial, controller):
+    """Fleet introspection reads the same from both executors."""
+    assert serial.source_names() == controller.source_names()
+    assert serial.placement_report() == controller.placement_report()
+    assert serial.migration_events() == controller.migration_events()
+    assert serial.num_sources == controller.num_sources
+    assert serial.sp_backlog_records() == controller.sp_backlog_records()
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,7 @@ class TestBitIdentityRun:
             assert (
                 serial.sp_backlog_records() == controller.sp_backlog_records()
             )
+            assert_same_fleet_view(serial, controller)
             assert controller.verify_record_conservation() == []
             assert (
                 serial.record_conservation_report()
@@ -294,11 +305,46 @@ class TestMigrationScheduleIdentityProperty:
                     serial.migrate(source, target)
                     controller.migrate(source, target)
                     assert serial.assignment() == controller.assignment()
+                assert_same_fleet_view(serial, controller)
             assert controller.verify_record_conservation() == []
             assert (
                 serial.record_conservation_report()
                 == controller.record_conservation_report()
             )
+
+
+class TestSharedBookkeeping:
+    def test_epoch_counter_after_whole_run(self, setup):
+        """run() without a policy advances the epoch counter of both
+        executors, so a migration after it carries the same epoch and the
+        next epoch continues the count."""
+        serial = build_serial(setup)
+        with build_parallel(setup) as controller:
+            serial.run(3, warmup_epochs=1)
+            controller.run(3, warmup_epochs=1)
+            serial_event = serial.migrate("source-0", 1)
+            parallel_event = controller.migrate("source-0", 1)
+            assert serial_event.epoch == parallel_event.epoch == 3
+            assert serial_event == parallel_event
+            assert serial.run_epoch() == controller.run_epoch()
+            assert (
+                serial.migrate("source-0", 0).epoch
+                == controller.migrate("source-0", 0).epoch
+                == 4
+            )
+
+    def test_migration_before_a_policy_run(self, setup):
+        """A source moved before run() keeps its new place in the per-source
+        order of a policy-driven run, in both executors."""
+        serial = build_serial(setup, migration=NeverMigrate())
+        with build_parallel(setup, migration=NeverMigrate()) as controller:
+            serial.migrate("source-0", 1)
+            controller.migrate("source-0", 1)
+            serial_metrics = serial.run(4, warmup_epochs=1)
+            parallel_metrics = controller.run(4, warmup_epochs=1)
+        assert serial_metrics.source_names()[-1] == "source-0"
+        assert_runs_identical(serial_metrics, parallel_metrics)
+        assert serial_metrics.metadata == parallel_metrics.metadata
 
 
 # ---------------------------------------------------------------------------
