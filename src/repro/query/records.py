@@ -55,12 +55,6 @@ def _column_take(column: ColumnData, indices: Sequence[int]) -> ColumnData:
     return [column[i] for i in indices]
 
 
-def _column_compress(column: ColumnData, mask: MaskLike) -> ColumnData:
-    if isinstance(column, np.ndarray):
-        return column[np.asarray(mask, dtype=bool)]
-    return list(_compress(column, mask))
-
-
 def _column_list(column: ColumnData) -> List[Any]:
     """A plain Python list view of a column (numpy converts in C)."""
     if isinstance(column, np.ndarray):
@@ -365,9 +359,15 @@ class RecordBatch:
     slicing, filtering, and concatenation C-speed (native workload generators
     produce them), and :meth:`to_records` converts back to Python scalars so
     object-mode records never carry numpy types.
+
+    Batches are immutable once built and cache their row count.  The public
+    constructor validates its columns; batches derived from validated ones
+    (slices, concatenations, selections, arena views and owned copies) are
+    built by :meth:`_derived`, which skips the checks, so every batch
+    operation costs per batch rather than per column.
     """
 
-    __slots__ = ("record_class", "columns", "uniform_size_bytes", "sizes")
+    __slots__ = ("record_class", "columns", "uniform_size_bytes", "sizes", "_length")
 
     def __init__(
         self,
@@ -395,6 +395,30 @@ class RecordBatch:
         self.columns = columns
         self.uniform_size_bytes = uniform_size_bytes
         self.sizes = sizes
+        self._length = count
+
+    @classmethod
+    def _derived(
+        cls,
+        record_class: type,
+        columns: Dict[str, Any],
+        length: int,
+        uniform_size_bytes: Optional[int],
+        sizes: Optional[List[int]],
+    ) -> "RecordBatch":
+        """A batch over columns derived from validated ones, unchecked.
+
+        The caller guarantees what :meth:`__init__` would check: an
+        ``event_time`` column, every column (and ``sizes``) ``length`` long,
+        and a uniform size or a sizes column.
+        """
+        batch = cls.__new__(cls)
+        batch.record_class = record_class
+        batch.columns = columns
+        batch.uniform_size_bytes = uniform_size_bytes
+        batch.sizes = sizes
+        batch._length = length
+        return batch
 
     # -- construction ----------------------------------------------------------
 
@@ -427,57 +451,67 @@ class RecordBatch:
     # -- container protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.columns["event_time"])
+        return self._length
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._length > 0
 
     def __getitem__(self, item: "int | slice") -> "RecordBatch | RecordRowView":
+        length = self._length
         if isinstance(item, slice):
             # Whole-batch slices are frequent in the pipeline's queue
             # arithmetic (e.g. taking a zero-record prefix leaves the whole
             # queue); batches are treated immutably, so aliasing is safe.
-            start, stop, step = item.indices(len(self))
-            if step == 1 and start == 0 and stop == len(self):
+            start, stop, step = item.indices(length)
+            if step == 1 and start == 0 and stop == length:
                 return self
-            return RecordBatch(
+            return RecordBatch._derived(
                 self.record_class,
                 {name: column[item] for name, column in self.columns.items()},
-                uniform_size_bytes=self.uniform_size_bytes,
-                sizes=self.sizes[item] if self.sizes is not None else None,
+                len(range(start, stop, step)),
+                self.uniform_size_bytes,
+                self.sizes[item] if self.sizes is not None else None,
             )
-        index = item if item >= 0 else len(self) + item
-        return RecordRowView(self, index)
+        if not -length <= item < length:
+            raise IndexError(
+                f"row {item} is out of range for a batch of {length} rows"
+            )
+        return RecordRowView(self, item if item >= 0 else length + item)
 
     def __iter__(self) -> Iterator["RecordRowView"]:
         view_class = RecordRowView
-        for index in range(len(self)):
+        for index in range(self._length):
             yield view_class(self, index)
 
     def __add__(self, other: object) -> "RecordBatch | List[Record]":
         if isinstance(other, RecordBatch):
-            if len(other) == 0:
+            if other._length == 0:
                 return self
-            if len(self) == 0:
+            if self._length == 0:
                 return other
             columns = {
                 name: _column_concat(column, other.columns[name])
                 for name, column in self.columns.items()
             }
+            length = self._length + other._length
             if (
                 self.uniform_size_bytes is not None
                 and self.uniform_size_bytes == other.uniform_size_bytes
             ):
-                return RecordBatch(
-                    self.record_class, columns, uniform_size_bytes=self.uniform_size_bytes
+                return RecordBatch._derived(
+                    self.record_class, columns, length, self.uniform_size_bytes, None
                 )
-            return RecordBatch(
-                self.record_class, columns, sizes=self._sizes_list() + other._sizes_list()
+            return RecordBatch._derived(
+                self.record_class,
+                columns,
+                length,
+                None,
+                self._sizes_list() + other._sizes_list(),
             )
         if isinstance(other, (list, tuple)):
             if not other:
                 return self
-            if len(self) == 0:
+            if self._length == 0:
                 return list(other)
             # Mixed batch + record-object concatenation only arises when an
             # operator without a columnar implementation materialized its
@@ -499,35 +533,47 @@ class RecordBatch:
         gather: a full-length index list is assumed to be the identity and
         returns the batch itself without copying.
         """
-        if len(indices) == len(self):
+        if len(indices) == self._length:
             return self
-        return RecordBatch(
+        return RecordBatch._derived(
             self.record_class,
             {
                 name: _column_take(column, indices)
                 for name, column in self.columns.items()
             },
-            uniform_size_bytes=self.uniform_size_bytes,
-            sizes=(
-                [self.sizes[i] for i in indices] if self.sizes is not None else None
-            ),
+            len(indices),
+            self.uniform_size_bytes,
+            [self.sizes[i] for i in indices] if self.sizes is not None else None,
         )
 
     def compress(self, mask: MaskLike) -> "RecordBatch":
-        """Select rows by boolean mask (numpy indexing / ``itertools.compress``)."""
-        kept = int(mask.sum()) if isinstance(mask, np.ndarray) else sum(mask)
-        if kept == len(self):
+        """Select rows by boolean mask.
+
+        Array columns gather through one shared ``np.flatnonzero`` index;
+        list columns use ``itertools.compress``.  A mask whose length is not
+        the row count raises :class:`SimulationError`.
+        """
+        if len(mask) != self._length:
+            raise SimulationError(
+                f"compress mask has {len(mask)} entries for a batch of "
+                f"{self._length} rows"
+            )
+        index = np.flatnonzero(mask)
+        if len(index) == self._length:
             return self
-        return RecordBatch(
+        return RecordBatch._derived(
             self.record_class,
             {
-                name: _column_compress(column, mask)
+                name: (
+                    column.take(index)
+                    if isinstance(column, np.ndarray)
+                    else list(_compress(column, mask))
+                )
                 for name, column in self.columns.items()
             },
-            uniform_size_bytes=self.uniform_size_bytes,
-            sizes=(
-                list(_compress(self.sizes, mask)) if self.sizes is not None else None
-            ),
+            len(index),
+            self.uniform_size_bytes,
+            list(_compress(self.sizes, mask)) if self.sizes is not None else None,
         )
 
     # -- byte accounting ---------------------------------------------------------
@@ -541,11 +587,11 @@ class RecordBatch:
     def _sizes_list(self) -> List[int]:
         if self.sizes is not None:
             return list(self.sizes)
-        return [self.uniform_size_bytes] * len(self)
+        return [self.uniform_size_bytes] * self._length
 
     def total_size_bytes(self, drain: bool = False) -> int:
         """Exact integer byte total (optionally with drain-path headers)."""
-        count = len(self)
+        count = self._length
         overhead = DRAIN_HEADER_BYTES if drain else 0
         if self.uniform_size_bytes is not None:
             return (self.uniform_size_bytes + overhead) * count
@@ -581,7 +627,7 @@ class RecordBatch:
         record_class = self.record_class
         new = record_class.__new__
         records = []
-        for index in range(len(self)):
+        for index in range(self._length):
             record = new(record_class)
             for name, column in zip(names, plain):
                 setattr(record, name, column[index])
@@ -631,6 +677,10 @@ class FleetArena:
         self.source_ids = np.empty(0, dtype=np.int64)
         self.epochs = np.empty(0, dtype=np.int64)
         self._allocator: Optional[Callable[[int, np.dtype], Optional[np.ndarray]]] = None
+        #: The ``dtypes`` mapping of the last accepted reservation, as passed:
+        #: a request equal to it (same record class and row size) skips the
+        #: dtype normalisation and checks.
+        self._accepted_dtypes: Optional[Dict[str, Any]] = None
 
     def __len__(self) -> int:
         return self._cursor
@@ -702,38 +752,17 @@ class FleetArena:
 
         Returns writable column slices aliasing the block buffers, or None
         when the request is incompatible with the arena schema (the caller
-        then keeps its own per-source batch).
+        then keeps its own per-source batch).  A schema equal to the last
+        accepted one is not checked again.
         """
         if count <= 0 or source_id in self._spans:
             return None
-        if uniform_size_bytes is None or "event_time" not in dtypes:
+        if not (
+            record_class is self._record_class
+            and uniform_size_bytes == self._uniform_size_bytes
+            and dtypes == self._accepted_dtypes
+        ) and not self._accept_schema(record_class, dtypes, uniform_size_bytes, count):
             return None
-        dtypes = {name: np.dtype(dtype) for name, dtype in dtypes.items()}
-        if not all(np.issubdtype(dtype, np.number) for dtype in dtypes.values()):
-            return None
-        if self._buffers:
-            if (
-                record_class is not self._record_class
-                or int(uniform_size_bytes) != self._uniform_size_bytes
-                or set(dtypes) != set(self._buffers)
-                or any(
-                    self._buffers[name].dtype != dtype
-                    for name, dtype in dtypes.items()
-                )
-            ):
-                return None
-        else:
-            self._record_class = record_class
-            self._uniform_size_bytes = int(uniform_size_bytes)
-            capacity = max(self._capacity, count, 1024)
-            self._buffers = {
-                name: self._alloc(capacity, dtype)
-                for name, dtype in dtypes.items()
-            }
-            self.source_ids = self._alloc(capacity, np.int64)
-            self.epochs = self._alloc(capacity, np.int64)
-            self._capacity = capacity
-            self._buffer_ids = frozenset(id(buf) for buf in self._buffers.values())
         start = self._cursor
         stop = start + count
         if stop > self._capacity:
@@ -744,16 +773,50 @@ class FleetArena:
         self._cursor = stop
         return {name: buffer[start:stop] for name, buffer in self._buffers.items()}
 
+    def _accept_schema(
+        self,
+        record_class: type,
+        dtypes: Dict[str, Any],
+        uniform_size_bytes: Optional[int],
+        count: int,
+    ) -> bool:
+        """Check a reservation's schema; the first accepted one fixes it."""
+        if uniform_size_bytes is None or "event_time" not in dtypes:
+            return False
+        normalised = {name: np.dtype(dtype) for name, dtype in dtypes.items()}
+        if not all(np.issubdtype(dtype, np.number) for dtype in normalised.values()):
+            return False
+        if self._buffers:
+            if (
+                record_class is not self._record_class
+                or int(uniform_size_bytes) != self._uniform_size_bytes
+                or set(normalised) != set(self._buffers)
+                or any(
+                    self._buffers[name].dtype != dtype
+                    for name, dtype in normalised.items()
+                )
+            ):
+                return False
+        else:
+            self._record_class = record_class
+            self._uniform_size_bytes = int(uniform_size_bytes)
+            capacity = max(self._capacity, count, 1024)
+            self._buffers = {
+                name: self._alloc(capacity, dtype)
+                for name, dtype in normalised.items()
+            }
+            self.source_ids = self._alloc(capacity, np.int64)
+            self.epochs = self._alloc(capacity, np.int64)
+            self._capacity = capacity
+            self._buffer_ids = frozenset(id(buf) for buf in self._buffers.values())
+        self._accepted_dtypes = dict(dtypes)
+        return True
+
     def append_batch(self, source_id: int, batch: "RecordBatch") -> bool:
         """Copy a per-source batch into the arena; False when incompatible."""
         if not isinstance(batch, RecordBatch) or batch.sizes is not None:
             return False
-        arrays: Dict[str, np.ndarray] = {}
-        for name, column in batch.columns.items():
-            array = column if isinstance(column, np.ndarray) else np.asarray(column)
-            if not np.issubdtype(array.dtype, np.number):
-                return False
-            arrays[name] = array
+        arrays = {name: np.asarray(column) for name, column in batch.columns.items()}
         out = self.reserve(
             source_id,
             len(batch),
@@ -781,10 +844,12 @@ class FleetArena:
         if self._record_class is None:
             return None
         start, stop = self._spans.get(source_id, (0, 0))
-        return RecordBatch(
+        return RecordBatch._derived(
             self._record_class,
             {name: buffer[start:stop] for name, buffer in self._buffers.items()},
-            uniform_size_bytes=self._uniform_size_bytes,
+            stop - start,
+            self._uniform_size_bytes,
+            None,
         )
 
     def aliases(self, column: Any) -> bool:
@@ -803,18 +868,24 @@ class FleetArena:
 
         Copies only the columns that alias the live arena buffers; a batch
         with no aliasing columns is returned unchanged, so the hot path pays
-        for copies exactly where data genuinely outlives the epoch.
+        for copies exactly where data genuinely outlives the epoch.  Each
+        column is tested and, if it aliases, copied in the same pass.
         """
-        if not any(self.aliases(column) for column in batch.columns.values()):
+        columns: Dict[str, ColumnData] = {}
+        copied = False
+        for name, column in batch.columns.items():
+            if self.aliases(column):
+                column = column.copy()
+                copied = True
+            columns[name] = column
+        if not copied:
             return batch
-        return RecordBatch(
+        return RecordBatch._derived(
             batch.record_class,
-            {
-                name: (column.copy() if self.aliases(column) else column)
-                for name, column in batch.columns.items()
-            },
-            uniform_size_bytes=batch.uniform_size_bytes,
-            sizes=batch.sizes,
+            columns,
+            batch._length,
+            batch.uniform_size_bytes,
+            batch.sizes,
         )
 
 

@@ -62,11 +62,14 @@ flows one Python object per record; ``"batched"`` flows columnar
 count-based drain/ship arithmetic), which is several times faster at scale;
 ``"arena"`` goes one step further and stacks *every source in a block* into
 one :class:`~repro.query.records.FleetArena` — the batch columns plus
-``source_ids``/``epochs`` columns and a per-source offset index — so the
-engine fills a whole epoch's fleet input with a handful of array writes,
-hands each pipeline a zero-copy slice view, and recycles the same buffers
-every epoch (allocation-free steady state; anything that outlives the epoch
-is detached through :meth:`~repro.query.records.FleetArena.own`).  Arena
+``source_ids``/``epochs`` columns and a per-source offset index.  In the
+fill phase each workload reserves its rows (the arena checks a schema once,
+then admits equal ones unchecked) and its generation kernel writes the
+epoch — one random draw, a handful of array writes — straight into the
+reserved slices; the engine hands each pipeline a zero-copy slice view and
+recycles the same buffers every epoch (allocation-free steady state;
+anything that outlives the epoch is detached through
+:meth:`~repro.query.records.FleetArena.own`).  Arena
 mode also flips the operators' ``vector_mode``, enabling columnar group
 aggregation on the source and SP pipelines: each batch is stored as a raw
 run of packed int64 keys and float values, distinct-group counts sort keys
@@ -136,7 +139,8 @@ matching patterns:
   unconverted rate-times-time expressions are build failures.  The byte
   accounting bugs of PRs 1–5 were all violations of this algebra.
 * **Arena escape (SL013).** A :class:`FleetArena` view
-  (``arena.view(...)`` or a slice of one) aliases buffers the arena
+  (``arena.view(...)`` or a slice of one) and the writable slices
+  ``arena.reserve(...)`` hands a workload alias buffers the arena
   recycles at the next ``begin_epoch``; such a value may not be stored on
   ``self``, pushed into attribute-reachable containers, or returned —
   i.e. may not outlive the epoch — without being materialized through

@@ -62,6 +62,17 @@ T2T_CPU_FRACTIONS = {
 
 T2T_COUNT_RELAYS = {"window": 1.0, "filter": 0.86, "join": 1.0, "join_1": 1.0}
 
+#: Column dtypes of a Pingmesh batch, in column order.
+_COLUMN_DTYPES = {
+    "event_time": np.float64,
+    "src_ip": np.int64,
+    "dst_ip": np.int64,
+    "src_cluster": np.int64,
+    "dst_cluster": np.int64,
+    "rtt_us": np.float64,
+    "err_code": np.int64,
+}
+
 
 @dataclass(frozen=True)
 class PingmeshConfig:
@@ -165,11 +176,13 @@ class PingmeshConfig:
 class PingmeshWorkload:
     """Generates the probe stream observed by one data source node.
 
-    Generation is columnar: one :class:`~repro.query.records.RecordBatch` per
-    epoch, with every random draw vectorized through numpy (one uniform array
-    per decision).  :meth:`records_for_epoch` materializes record objects from
-    the same batch, so the object and batched execution modes consume
-    *identical* data by construction.
+    Generation is columnar, through one kernel: each epoch's seven probe
+    columns are written into arrays the caller provides — fresh ones for
+    :meth:`batch_for_epoch`, reserved fleet-arena slices for
+    :meth:`fill_arena` — from one ``Generator.random`` draw per epoch, so
+    both paths produce the same columns bit for bit.
+    :meth:`records_for_epoch` materializes record objects from the same
+    batch, so every execution mode consumes *identical* data by construction.
     """
 
     def __init__(self, config: Optional[PingmeshConfig] = None, src_ip: int = 1) -> None:
@@ -192,6 +205,20 @@ class PingmeshWorkload:
         self._anomalous_np = anomalous_np
         self._np_rng = np.random.default_rng(self.config.seed)
         self._next_peer_index = 0
+        # RTT = (base + scale * value) * 1000 per row, with (base, scale)
+        # picked by the row's branch: 0 healthy, 1 tail, 2 anomaly.
+        cfg = self.config
+        tail_low, tail_high = cfg.tail_rtt_ms
+        anomaly_low, anomaly_high = cfg.anomaly_rtt_ms
+        self._rtt_base = np.array(
+            [cfg.base_rtt_ms, tail_low, anomaly_low], dtype=np.float64
+        )
+        self._rtt_scale = np.array(
+            [cfg.rtt_jitter_ms, tail_high - tail_low, anomaly_high - anomaly_low],
+            dtype=np.float64,
+        )
+        #: Within-epoch event-time offsets; an epoch's times are epoch + ramp.
+        self._ramp = np.arange(cfg.records_per_epoch) / cfg.records_per_epoch
 
     @property
     def input_rate_mbps(self) -> float:
@@ -220,123 +247,94 @@ class PingmeshWorkload:
         return self.batch_for_epoch(epoch).to_records()
 
     def batch_for_epoch(self, epoch: int) -> RecordBatch:
-        """One epoch's probe stream as a columnar batch.
+        """One epoch's probe stream as a columnar batch of fresh arrays.
 
-        All randomness comes from one seeded numpy generator: an error draw,
-        an anomaly draw, a tail draw, and a value draw per record, consumed in
-        that fixed order so generation is deterministic per seed regardless of
-        which branches records fall into.
+        Columns stay numpy arrays end-to-end: slicing, filtering, and
+        concatenation on the batched path are then C operations.
         """
-        cfg = self.config
-        count = cfg.records_per_epoch
-        num_peers = len(self._peers)
-        rng = self._np_rng
-
-        # Destinations cycle through the sorted peer list.
-        indices = np.arange(self._next_peer_index, self._next_peer_index + count)
-        indices %= num_peers
-        self._next_peer_index = int((self._next_peer_index + count) % num_peers)
-        dst_ips = self._peers_np[indices]
-        anomalous = self._anomalous_np[indices]
-
-        err_codes = (rng.random(count) < cfg.error_rate).astype(np.int64)
-        is_anomaly = anomalous & (rng.random(count) < cfg.anomaly_probability)
-        is_tail = ~is_anomaly & (rng.random(count) < cfg.tail_probability)
-        value = rng.random(count)
-        anomaly_low, anomaly_high = cfg.anomaly_rtt_ms
-        tail_low, tail_high = cfg.tail_rtt_ms
-        rtts = np.where(
-            is_anomaly,
-            (anomaly_low + (anomaly_high - anomaly_low) * value) * 1000.0,
-            np.where(
-                is_tail,
-                (tail_low + (tail_high - tail_low) * value) * 1000.0,
-                (cfg.base_rtt_ms + cfg.rtt_jitter_ms * value) * 1000.0,
-            ),
-        )
-        event_times = float(epoch) + np.arange(count) / max(1, count)
-
-        # Columns stay numpy arrays end-to-end: slicing, filtering, and
-        # concatenation on the batched path are then C operations.
+        count = self.config.records_per_epoch
+        columns = {
+            name: np.empty(count, dtype=dtype)
+            for name, dtype in _COLUMN_DTYPES.items()
+        }
+        self._generate(epoch, columns)
         return RecordBatch(
             record_class=PingmeshRecord,
-            columns={
-                "event_time": event_times,
-                "src_ip": np.full(count, self.src_ip, dtype=np.int64),
-                "dst_ip": dst_ips,
-                "src_cluster": np.zeros(count, dtype=np.int64),
-                "dst_cluster": np.zeros(count, dtype=np.int64),
-                "rtt_us": rtts,
-                "err_code": err_codes,
-            },
+            columns=columns,
             uniform_size_bytes=PINGMESH_RECORD_BYTES,
         )
 
     def fill_arena(self, epoch: int, arena: object, source_id: int) -> bool:
         """Generate one epoch's probes straight into a fleet arena's rows.
 
-        Arena-mode equivalent of :meth:`batch_for_epoch`: the same seeded
-        draws in the same fixed order (error, anomaly, tail, value) with the
-        same arithmetic, written into reserved block-buffer slices instead of
-        freshly allocated per-source arrays — so the generated columns are
-        bit-identical while epoch stepping reuses the block's memory.
-        Returns False (without consuming any randomness) when the arena
-        refuses the reservation; the engine then falls back to
-        :meth:`batch_for_epoch`.
+        Arena-mode equivalent of :meth:`batch_for_epoch`: the same kernel
+        writes the columns into reserved block-buffer slices instead of fresh
+        arrays, so the generated columns are bit-identical while epoch
+        stepping reuses the block's memory.  Returns False (without consuming
+        any randomness) when the arena refuses the reservation; the engine
+        then falls back to :meth:`batch_for_epoch`.
         """
-        cfg = self.config
-        count = cfg.records_per_epoch
         out = arena.reserve(
             source_id,
-            count,
+            self.config.records_per_epoch,
             PingmeshRecord,
-            {
-                "event_time": np.float64,
-                "src_ip": np.int64,
-                "dst_ip": np.int64,
-                "src_cluster": np.int64,
-                "dst_cluster": np.int64,
-                "rtt_us": np.float64,
-                "err_code": np.int64,
-            },
+            _COLUMN_DTYPES,
             PINGMESH_RECORD_BYTES,
         )
         if out is None:
             return False
-        num_peers = len(self._peers)
-        rng = self._np_rng
-
-        indices = np.arange(self._next_peer_index, self._next_peer_index + count)
-        indices %= num_peers
-        self._next_peer_index = int((self._next_peer_index + count) % num_peers)
-        np.take(self._peers_np, indices, out=out["dst_ip"])
-        anomalous = self._anomalous_np[indices]
-
-        err_draw = rng.random(count)
-        out["err_code"][:] = err_draw < cfg.error_rate
-        is_anomaly = anomalous & (rng.random(count) < cfg.anomaly_probability)
-        is_tail = ~is_anomaly & (rng.random(count) < cfg.tail_probability)
-        value = rng.random(count)
-        anomaly_low, anomaly_high = cfg.anomaly_rtt_ms
-        tail_low, tail_high = cfg.tail_rtt_ms
-        out["rtt_us"][:] = np.where(
-            is_anomaly,
-            (anomaly_low + (anomaly_high - anomaly_low) * value) * 1000.0,
-            np.where(
-                is_tail,
-                (tail_low + (tail_high - tail_low) * value) * 1000.0,
-                (cfg.base_rtt_ms + cfg.rtt_jitter_ms * value) * 1000.0,
-            ),
-        )
-        # (i / count) + epoch == epoch + (i / count): IEEE addition commutes,
-        # so this matches batch_for_epoch's event times bit for bit.
-        out["event_time"][:] = np.arange(count)
-        out["event_time"] /= max(1, count)
-        out["event_time"] += float(epoch)
-        out["src_ip"][:] = self.src_ip
-        out["src_cluster"][:] = 0
-        out["dst_cluster"][:] = 0
+        self._generate(epoch, out)
         return True
+
+    def _generate(self, epoch: int, out: Dict[str, np.ndarray]) -> None:
+        """The generation kernel: write one epoch into ``out``'s columns.
+
+        All randomness is one ``Generator.random(4 * count)`` draw, read as
+        four consecutive blocks of ``count`` uniforms — error, anomaly, tail,
+        value.  That is the stream, in the same order, that four
+        ``random(count)`` draws would consume, so generation is deterministic
+        per seed regardless of which branches records fall into.
+        """
+        cfg = self.config
+        count = cfg.records_per_epoch
+        draws = self._np_rng.random(4 * count)
+        anomalous = self._next_peers(count, out["dst_ip"])
+        np.less(draws[:count], cfg.error_rate, out=out["err_code"])
+        is_anomaly = anomalous & (draws[count : 2 * count] < cfg.anomaly_probability)
+        branch = (draws[2 * count : 3 * count] < cfg.tail_probability).astype(np.intp)
+        branch[is_anomaly] = 2
+        # In place as scale * value + base, then * 1000: IEEE addition and
+        # multiplication commute, so this is (base + scale * value) * 1000
+        # bit for bit (and ramp + epoch is epoch + ramp).
+        rtts = out["rtt_us"]
+        np.take(self._rtt_scale, branch, out=rtts)
+        rtts *= draws[3 * count :]
+        rtts += self._rtt_base.take(branch)
+        rtts *= 1000.0
+        np.add(self._ramp, float(epoch), out=out["event_time"])
+        out["src_ip"].fill(self.src_ip)
+        out["src_cluster"].fill(0)
+        out["dst_cluster"].fill(0)
+
+    def _next_peers(self, count: int, dst_ips: np.ndarray) -> np.ndarray:
+        """Write the next ``count`` destinations into ``dst_ips``.
+
+        Destinations cycle through the sorted peer list from a cursor, copied
+        as contiguous slices that restart at peer 0 on a wrap.  Returns the
+        rows' anomalous-destination flags.
+        """
+        num_peers = len(self._peers_np)
+        start = self._next_peer_index
+        flags = []
+        row = 0
+        while row < count:
+            take = min(count - row, num_peers - start)
+            dst_ips[row : row + take] = self._peers_np[start : start + take]
+            flags.append(self._anomalous_np[start : start + take])
+            row += take
+            start = (start + take) % num_peers
+        self._next_peer_index = start
+        return flags[0] if len(flags) == 1 else np.concatenate(flags)
 
     def tor_table(self, servers_per_tor: int = 40) -> IpToTorTable:
         """Static IP-to-ToR table covering this workload's destinations."""

@@ -20,6 +20,22 @@ class StageState:
         self.by_name[name] = arena.view(arena_id)  # expect: SL013
 
 
+class Generator:
+    def __init__(self):
+        self.columns = None
+
+    def fill_arena(self, epoch, arena, source_id):
+        out = arena.reserve(source_id, 4, object, {"event_time": float}, 16)
+        if out is None:
+            return False
+        self.columns = out  # expect: SL013
+        return True
+
+
+def reserve_rows(arena, source_id, dtypes):
+    return arena.reserve(source_id, 4, object, dtypes, 16)  # expect: SL013
+
+
 def leak_view(arena, arena_id):
     return arena.view(arena_id)  # expect: SL013
 

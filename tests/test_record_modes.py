@@ -37,6 +37,7 @@ from repro.query.aggregates import (
     SumAggregate,
 )
 from repro.query.records import (
+    EnrichedPingmeshRecord,
     FleetArena,
     PingmeshRecord,
     RecordBatch,
@@ -146,6 +147,41 @@ class TestRecordBatchContainer:
         assert view.at(2).err_code == batch.columns["err_code"][2]
         assert getattr(view, "no_such_field", "fallback") == "fallback"
         assert view.size_bytes == batch.uniform_size_bytes
+
+    def test_row_index_out_of_range_raises(self):
+        batch = self.batch(10)
+        times = batch.columns["event_time"]
+        assert batch[-10].event_time == times[0]
+        assert batch[-1].event_time == times[9]
+        assert batch[9].event_time == times[9]
+        # A record list raises for these; the batch must not wrap around.
+        for index in (10, 11, -11, -20):
+            with pytest.raises(IndexError):
+                batch[index]
+
+    def test_compress_gathers_every_column_by_mask(self):
+        batch = self.batch(12)
+        mask = np.asarray(batch.columns["err_code"]) == 0
+        kept = batch.compress(mask)
+        assert len(kept) == int(mask.sum())
+        for name, column in batch.columns.items():
+            assert np.array_equal(kept.columns[name], column[mask]), name
+
+    def test_compress_rejects_a_short_mask_on_list_columns(self):
+        batch = RecordBatch.from_records(self.batch(6).to_records())
+        assert isinstance(batch.columns["event_time"], list)
+        with pytest.raises(SimulationError):
+            batch.compress([True, False, True])
+        with pytest.raises(SimulationError):
+            batch.compress([True] * 7)
+
+    def test_compress_rejects_a_short_mask_on_array_columns(self):
+        batch = self.batch(6)
+        assert isinstance(batch.columns["event_time"], np.ndarray)
+        with pytest.raises(SimulationError):
+            batch.compress(np.ones(3, dtype=bool))
+        with pytest.raises(SimulationError):
+            batch.compress(np.ones(7, dtype=bool))
 
 
 class TestPlanFifoTransfer:
@@ -416,6 +452,9 @@ class TestFleetArenaContainer:
         assert arena.append_batch(0, good)
         # One reservation per source per epoch.
         assert not arena.append_batch(0, good)
+        # A second reservation of the accepted schema takes the fast path
+        # that skips the dtype checks; every refusal below runs after it.
+        assert arena.append_batch(2, good)
         # Ragged per-record sizes stay out of the arena.
         ragged = RecordBatch(
             good.record_class,
@@ -423,6 +462,28 @@ class TestFleetArenaContainer:
             sizes=[86, 86, 86, 86],
         )
         assert not arena.append_batch(1, ragged)
+        # One column cast to another dtype.
+        for name, dtype in (("rtt_us", np.float32), ("err_code", np.int32)):
+            cast = RecordBatch(
+                good.record_class,
+                {
+                    k: (v.astype(dtype) if k == name else v)
+                    for k, v in good.columns.items()
+                },
+                uniform_size_bytes=good.uniform_size_bytes,
+            )
+            assert not arena.append_batch(3, cast), name
+        # Another record class with the very same columns.
+        other = RecordBatch(
+            EnrichedPingmeshRecord,
+            dict(good.columns),
+            uniform_size_bytes=good.uniform_size_bytes,
+        )
+        assert not arena.append_batch(4, other)
+        # Refused requests reserve nothing; the accepted schema still fits.
+        assert arena.span(3) == arena.span(4) == (0, 0)
+        assert arena.append_batch(5, good)
+        assert arena.span(5) == (8, 12)
         # A source the arena has never seen still reads as an empty view
         # once a schema exists (migration-drained sources hit this path).
         unknown = arena.view(99)

@@ -539,6 +539,19 @@ class TestHistoricalBugClasses:
         violations = lint_source(reverted, "src/repro/simulation/engine.py")
         assert "SL013" in {v.rule_id for v in violations}
 
+    def test_reserved_slices_kept_by_a_workload_fire_sl013(self):
+        # fill_arena's reserved slices alias the recycled block buffers; a
+        # generator keeping them would write into another epoch's rows.
+        source = (REPO_ROOT / "src/repro/workloads/pingmesh.py").read_text()
+        reverted = source.replace(
+            "        self._generate(epoch, out)\n",
+            "        self._columns = out\n        self._generate(epoch, out)\n",
+        )
+        assert reverted != source
+        assert lint_source(source, "src/repro/workloads/pingmesh.py") == []
+        violations = lint_source(reverted, "src/repro/workloads/pingmesh.py")
+        assert "SL013" in {v.rule_id for v in violations}
+
     def test_worker_side_shm_create_fires_sl014(self):
         # PR 9 contract: only the main process creates (and unlinks) shm
         # segments; a worker re-creating one leaks /dev/shm blocks on crash.

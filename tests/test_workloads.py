@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.query.records import LogRecord, PingmeshRecord
+from repro.query.records import FleetArena, LogRecord, PingmeshRecord
 from repro.workloads.dynamics import BurstSpec, WorkloadBurst
 from repro.workloads.loganalytics import LogAnalyticsConfig, LogAnalyticsWorkload
 from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload
@@ -101,6 +104,67 @@ class TestPingmeshWorkload:
         records = workload.records_for_epoch(0)
         pairs = {(r.src_ip, r.dst_ip) for r in records}
         assert len(pairs) <= 100
+
+
+class TestPingmeshGeneration:
+    """``batch_for_epoch`` and ``fill_arena`` share one generation kernel.
+
+    No metric reads ``rtt_us``, so the identity suites would not notice a
+    changed value; these tests pin the generated columns themselves.
+    """
+
+    #: (records per epoch, peers): the per-epoch record count divides the
+    #: peer count (the benchmark shape), does not divide it (the peer cursor
+    #: wraps mid-epoch), and exceeds it (an epoch covers every peer, then
+    #: wraps).
+    SHAPES = [(100, 500), (7, 20), (30, 20)]
+
+    @pytest.mark.parametrize("records,peers", SHAPES)
+    def test_fill_arena_writes_the_batch_columns(self, records, peers):
+        config = PingmeshConfig(records_per_epoch=records, peers=peers, seed=4)
+        batched = PingmeshWorkload(config, src_ip=9)
+        filled = PingmeshWorkload(config, src_ip=9)
+        arena = FleetArena()
+        for epoch in range(15):
+            expected = batched.batch_for_epoch(epoch)
+            arena.begin_epoch(epoch)
+            # Another source's rows first, so the slices start mid-buffer.
+            assert arena.append_batch(0, expected)
+            assert filled.fill_arena(epoch, arena, 1)
+            view = arena.view(1)
+            assert list(view.columns) == list(expected.columns)
+            assert len(expected.columns) == 7
+            for name, column in expected.columns.items():
+                written = view.columns[name]
+                assert written.dtype == column.dtype, name
+                assert np.array_equal(written, column), (epoch, name)
+                assert written.tobytes() == column.tobytes(), (epoch, name)
+        assert (
+            filled._np_rng.bit_generator.state == batched._np_rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize(
+        "records,peers,digest",
+        [
+            (7, 20, "63b224ea595eb414cc0da16a462cd16c840c6fcfdeb5748f76fdc1484f9acd57"),
+            (30, 20, "fe213ea86f5aef7cea90bad58c207f5e2d3103fbe581e844226a9f74139415a9"),
+            (100, 500, "8f5121ae7c63fdeb3e52f684ecfdabb02c1708ff96c5b13b716bc57e821e3d1b"),
+        ],
+    )
+    def test_generated_stream_is_pinned(self, records, peers, digest):
+        # No metric reads rtt_us, so a change to the random stream or the
+        # order it is consumed in would pass every metric digest; this one
+        # hashes four epochs of columns (little-endian, in column order).
+        workload = PingmeshWorkload(
+            PingmeshConfig(records_per_epoch=records, peers=peers, seed=11)
+        )
+        hasher = hashlib.sha256()
+        for epoch in range(4):
+            for name, column in workload.batch_for_epoch(epoch).columns.items():
+                hasher.update(name.encode())
+                little = column.dtype.newbyteorder("<")
+                hasher.update(np.ascontiguousarray(column, dtype=little).tobytes())
+        assert hasher.hexdigest() == digest
 
 
 class TestLogAnalyticsWorkload:

@@ -9,13 +9,13 @@ These rules check *contracts over values*, not syntactic patterns:
   return convention.  Escape hatch: ``# simlint: unit[bytes]`` on the
   assignment line asserts the unit of the bound value.
 * **SL013 (arena escape)** taints values aliasing :class:`FleetArena`
-  buffers (``arena.view(...)`` results and slices of them) and flags stores
-  into attribute-reachable state, pushes into attribute-rooted containers,
-  and returns of directly tainted values — the places a zero-copy view can
-  outlive the epoch whose buffers it aliases.  ``own()`` (and any
-  materializing copy) sanitizes.  Stores into *local* containers stay
-  legal: same-epoch handoff through a local dict is the engine's sanctioned
-  pattern.
+  buffers (``arena.view(...)`` and ``arena.reserve(...)`` results and
+  slices of them) and flags stores into attribute-reachable state, pushes
+  into attribute-rooted containers, and returns of directly tainted values
+  — the places a zero-copy view can outlive the epoch whose buffers it
+  aliases.  ``own()`` (and any materializing copy) sanitizes.  Stores into
+  *local* containers stay legal: same-epoch handoff through a local dict
+  is the engine's sanctioned pattern.
 * **SL014 (worker purity)** walks the call graph reachable from the
   worker-side entry points of ``simulation/parallel.py`` (module-level
   ``_worker_*`` tasks and functions submitted to a pool by name) and flags
@@ -471,6 +471,9 @@ _SANITIZING_CALLS = {
     "array",
     "materialize",
 }
+#: Arena methods whose results alias the live buffers: zero-copy views and
+#: the writable column slices a reservation hands out.
+_ALIASING_ARENA_METHODS = {"view", "reserve"}
 _CONTAINER_PUSH_METHODS = {
     "append",
     "appendleft",
@@ -510,7 +513,9 @@ class TaintAnalysis(ForwardAnalysis):
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute):
                 method = node.func.attr
-                if method == "view" and self._is_arena_receiver(node.func.value):
+                if method in _ALIASING_ARENA_METHODS and self._is_arena_receiver(
+                    node.func.value
+                ):
                     for arg in node.args:
                         self.eval_expr(arg, env)
                     return self.TAINTED
@@ -635,17 +640,20 @@ class ArenaEscapeRule(Rule):
 
     id = "SL013"
     summary = (
-        "FleetArena.view()/RecordBatch slice aliases may not be stored into "
-        "attributes/containers or returned without own()"
+        "FleetArena.view()/reserve() results and RecordBatch slice aliases "
+        "may not be stored into attributes/containers or returned without own()"
     )
 
     #: The arena implementation itself manages its buffers by contract.
     EXEMPT_FILES = {"repro/query/records.py"}
+    #: The arena's readers (simulation, query) and its only writer, the
+    #: workloads' ``fill_arena``.
+    PACKAGES = ("repro/simulation/", "repro/query/", "repro/workloads/")
 
     def applies_to(self, ctx: FileContext) -> bool:
         if ctx.module_path in self.EXEMPT_FILES:
             return False
-        return ctx.in_package("repro/simulation/") or ctx.in_package("repro/query/")
+        return any(ctx.in_package(package) for package in self.PACKAGES)
 
     def check(self, ctx: FileContext) -> None:
         for func in ast.walk(ctx.tree):
