@@ -110,7 +110,7 @@ class ControlProxy:
         this does not bias results.
 
         Accepts any sliceable container — record lists or the columnar
-        ``RecordBatch`` of the batched execution mode — and splits it with two
+        ``RecordBatch`` of the arena execution mode — and splits it with two
         slices, never materializing individual elements.
         """
         try:

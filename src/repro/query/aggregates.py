@@ -45,7 +45,8 @@ class Aggregate:
         """Fold a run of values into ``state``.
 
         Must be *bit-identical* to calling :meth:`add` once per value in
-        order — the batched execution mode relies on that equivalence.  The
+        order — the arena execution mode relies on that equivalence (only
+        ndarray float sums may reassociate; they never feed metrics).  The
         base implementation is the sequential fold; subclasses override it
         with closed forms only where the arithmetic is associativity-safe.
         """

@@ -128,7 +128,7 @@ class Stream:
         """Keep only records satisfying ``predicate``.
 
         ``column_equals=(field, value)`` is an optional columnar hint for the
-        batched execution mode; when given, the predicate must be equivalent
+        arena execution mode; when given, the predicate must be equivalent
         to comparing that record field against ``value`` (records lacking the
         field fail the filter).
         """
@@ -178,10 +178,10 @@ class Stream:
     ) -> "Stream":
         """Group records by ``key_fn``; must be followed by :meth:`aggregate`.
 
-        ``key_columns`` is an optional columnar hint for the batched execution
+        ``key_columns`` is an optional columnar hint for the arena execution
         mode: when given, ``key_fn(record)`` must equal the tuple of those
-        record fields, so group keys can be built by zipping columns instead
-        of calling ``key_fn`` once per record.
+        record fields, so group keys can be packed from columns instead of
+        calling ``key_fn`` once per record.
         """
         self._require_window("group_apply")
         if self._pending_group_key is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .records import (
     IpToTorTable,
     Record,
     RecordBatch,
-    _column_list,
     record_size_bytes,
 )
 
@@ -66,13 +65,6 @@ class Operator:
     kind: str = "operator"
     stateful: bool = False
     incremental: bool = True
-    #: Arena mode flips this on when the pipeline is built: operators that
-    #: have a whole-block columnar implementation (array folds, or raw runs
-    #: folded on demand) use it instead of their per-row batched path.
-    #: Metrics stay bit-identical — the vectorized paths produce the same
-    #: group sets, record counts, and byte totals; only aggregate slot
-    #: floats (which no metric reads) may differ in summation order.
-    vector_mode: bool = False
 
     def __init__(self, name: str, cost_hint: float = 1.0) -> None:
         if not name:
@@ -89,14 +81,16 @@ class Operator:
         raise NotImplementedError
 
     def process_batch(self, batch: RecordBatch):
-        """Process a columnar :class:`RecordBatch`.
+        """Process a columnar :class:`RecordBatch` (arena mode).
 
         Operators with a columnar implementation override this and return a
         ``RecordBatch`` (or an empty list); the default materializes the batch
-        and runs the object path, so any operator stays correct in batched
+        and runs the object path, so any operator stays correct in arena
         mode — its output simply degrades to record objects downstream.
-        Overrides must produce *bit-identical* counts, bytes, and state to the
-        object path (the batched/object equivalence tests enforce this).
+        Overrides must produce *bit-identical* counts and bytes to the object
+        path (the arena/object equivalence tests enforce this); only
+        aggregate slot floats, which no metric reads, may differ in
+        summation order.
         """
         return self.process(batch.to_records())
 
@@ -160,8 +154,8 @@ class Operator:
 
 
 #: Aggregate types whose accumulator updates are simple enough to fuse into
-#: one inline loop on the batched path (exact types only — subclasses may
-#: change semantics and fall back to the generic fold).
+#: one flat slot list per group (exact types only — subclasses may change
+#: semantics and keep one :class:`AggregateState` per group).
 _FUSED_KIND_BY_TYPE = {
     AvgAggregate: "avg",
     MaxAggregate: "max",
@@ -177,9 +171,9 @@ def _fused_aggregate_spec(
     """``(kinds, shared field)`` when the aggregate set is fusable.
 
     Fusable means every aggregate is one of the simple incremental kinds and
-    all value-consuming ones read the same field, so a batched group update
-    is a handful of inline float operations — bit-identical to the
-    per-aggregate ``add`` calls — instead of method dispatch per aggregate.
+    all value-consuming ones read the same field, so a group update is a
+    handful of inline float operations — bit-identical to the per-aggregate
+    ``add`` calls — instead of method dispatch per aggregate.
     """
     kinds: List[str] = []
     fields = set()
@@ -234,7 +228,7 @@ class FilterOperator(Operator):
 
     ``column_equals`` is an optional columnar hint ``(field, value)``: when
     set, the predicate must be equivalent to
-    ``getattr(record, field, <something != value>) == value`` so the batched
+    ``getattr(record, field, <something != value>) == value`` so the arena
     path can evaluate it as one comparison per column entry (records without
     the field fail the filter, matching the ``getattr`` default).
     """
@@ -287,7 +281,7 @@ class MapOperator(Operator):
 
     kind = "map"
     #: The user function is an opaque per-record callable, so there is no
-    #: columnar evaluation; batched mode materializes records (simlint SL006).
+    #: columnar evaluation; arena mode materializes records (simlint SL006).
     process_batch_fallback = True
 
     def __init__(
@@ -326,7 +320,7 @@ class JoinOperator(Operator):
     """
 
     kind = "join"
-    #: Lookup/combine are opaque per-record callables; batched mode
+    #: Lookup/combine are opaque per-record callables; arena mode
     #: materializes records through the default path (simlint SL006).
     process_batch_fallback = True
 
@@ -376,7 +370,7 @@ class GroupApplyOperator(Operator):
 
     kind = "group"
     stateful = True
-    #: The key function is an opaque per-record callable; batched mode
+    #: The key function is an opaque per-record callable; arena mode
     #: materializes records through the default path (simlint SL006).
     process_batch_fallback = True
 
@@ -445,7 +439,7 @@ class AggregateOperator(Operator):
     def process_batch(self, batch: RecordBatch) -> List[Record]:
         if not batch:
             return []
-        fields = _batch_field_values(batch, self.value_fn, as_arrays=self.vector_mode)
+        fields = _batch_field_values(batch, self.value_fn)
         if fields is None:
             # Opaque value_fn: materialize so it sees real records.
             return self.process(batch.to_records())
@@ -678,7 +672,7 @@ class GroupAggregateOperator(Operator):
     pressure), mirroring the paper's observation that grouping cost depends on
     the group count.
 
-    Two state representations, chosen once at construction:
+    Two dict representations, chosen once at construction:
 
     * **fused** — when every aggregate is a simple incremental kind
       (sum/count/min/max/avg) sharing one value field, each group's state is a
@@ -686,28 +680,28 @@ class GroupAggregateOperator(Operator):
       :class:`AggregateState` slots would hold (an avg's ``(sum, count)``
       pair is stored as two adjacent entries so updates never allocate
       tuples), updated with inline arithmetic — no per-aggregate dispatch,
-      no state objects.  This is what makes grouped aggregation cheap on the
-      columnar batched path.
+      no state objects.
     * **generic** — any other aggregate set keeps one
-      :class:`AggregateState` per group, exactly as before.
+      :class:`AggregateState` per group.
 
     Both representations produce bit-identical results; partial states only
     ever merge between replicas of the same operator, and ``merge_partial``
     converts between representations when handed the other kind.
 
-    A third, *deferred* representation engages only in arena mode
-    (``vector_mode`` set by the engine) for the bundled probe-query shape —
-    fused ``("avg", "max", "min")`` with one or two int64 key columns.  A
-    batch is not folded at all: it appends one owned raw run (packed int64
-    keys, float values) to a :class:`ColumnarGroupState`, with no
-    per-record Python.  The window ships those runs unfolded, and the SP
-    appends them to its own.  Distinct-group counts sort keys only.  Values
-    fold only when something reads them (``flush`` with outputs, a scalar
-    path draining into the dict, or the state's value accessors), so a
-    scale run whose executors discard window outputs never folds.  Group
-    *sets* and record *counts* — everything metrics read — are exactly the
-    dict paths'.  Float sums associate per key over the raw values and may
-    differ from the dict paths' in the last bits; they never feed metrics.
+    A third, *deferred* representation is the columnar (arena) path for the
+    bundled probe-query shape — fused ``("avg", "max", "min")`` with one or
+    two int64 key columns.  A batch is not folded at all: it appends one
+    owned raw run (packed int64 keys, float values) to a
+    :class:`ColumnarGroupState`, with no per-record Python.  The window
+    ships those runs unfolded, and the SP appends them to its own.
+    Distinct-group counts sort keys only.  Values fold only when something
+    reads them (``flush`` with outputs, an object-path input draining into
+    the dict, or the state's value accessors), so a scale run whose
+    executors discard window outputs never folds.  Group *sets* and record
+    *counts* — everything metrics read — are exactly the dict paths'.
+    Float sums associate per key over the raw values and may differ from
+    the dict paths' in the last bits; they never feed metrics.  Any other
+    batch materializes its records and takes the object path.
     """
 
     kind = "group_aggregate"
@@ -727,8 +721,8 @@ class GroupAggregateOperator(Operator):
             raise QueryDefinitionError("group-aggregate operator needs >= 1 aggregate")
         self.key_fn = key_fn
         #: Optional columnar hint: when set, ``key_fn(record)`` must equal the
-        #: tuple of these record fields, letting the batched path build keys
-        #: by zipping columns instead of calling ``key_fn`` per record.
+        #: tuple of these record fields, letting the arena path pack keys
+        #: from columns instead of calling ``key_fn`` per record.
         self.key_columns = tuple(key_columns) if key_columns else None
         self.aggregates = list(aggregates)
         self.incremental = all_incremental(self.aggregates)
@@ -769,8 +763,8 @@ class GroupAggregateOperator(Operator):
             and len(self.key_columns) in (1, 2)
         )
         #: Arena-mode deferred representation: raw runs (and shipped states'
-        #: runs) awaiting a reader.  Empty unless ``vector_mode`` is on and
-        #: ``_vector_ready`` holds.
+        #: runs) awaiting a reader.  Empty unless ``_vector_ready`` holds and
+        #: batches arrive.
         self._vector_state = self._new_vector_state()
         self._last_event_time = 0.0
 
@@ -826,83 +820,12 @@ class GroupAggregateOperator(Operator):
                 self._last_event_time = record.event_time
         return []
 
-    def _process_batch_fused(
-        self, keys: List[Tuple[Any, ...]], values: Sequence[float]
-    ) -> None:
-        """Tight columnar update loop over (key, value) runs.
-
-        Every arithmetic expression mirrors the corresponding
-        ``Aggregate.add``, so the resulting slot values are bit-identical to
-        the per-record object path.
-        """
-        kinds = self._fused_kinds
-        groups = self._groups
-        get = groups.get
-        if kinds == ("avg", "max", "min"):
-            # The bundled probe queries' pattern, worth its own tight loop:
-            # layout [count, avg_sum, avg_count, max, min].
-            for key, value in zip(keys, values):
-                slots = get(key)
-                if slots is None:
-                    groups[key] = [1, 0.0 + value, 1, value, value]
-                    continue
-                slots[0] += 1
-                slots[1] += value
-                slots[2] += 1
-                if value > slots[3]:
-                    slots[3] = value
-                if value < slots[4]:
-                    slots[4] = value
-            return
-        for key, value in zip(keys, values):
-            slots = get(key)
-            if slots is None:
-                slots = [0, *self._fresh_slots]
-                groups[key] = slots
-            index = 1
-            for kind in kinds:
-                if kind == "avg":
-                    slots[index] = slots[index] + value
-                    slots[index + 1] += 1
-                    index += 2
-                    continue
-                if kind == "max":
-                    high = slots[index]
-                    if high is None or value > high:
-                        slots[index] = value
-                elif kind == "min":
-                    low = slots[index]
-                    if low is None or value < low:
-                        slots[index] = value
-                elif kind == "sum":
-                    slots[index] = slots[index] + value
-                else:  # count
-                    slots[index] = slots[index] + 1
-                index += 1
-            slots[0] += 1
-
-    def _batch_keys(self, batch: RecordBatch) -> Optional[List[Tuple[Any, ...]]]:
-        """Per-row group keys via the column hint, or None to materialize.
-
-        Group keys are always plain-Python tuples (array-backed columns
-        convert in C first), so they hash and compare identically to the
-        ``key_fn`` tuples of the object path.  Without a hint the caller
-        falls back to the object path: evaluating an opaque ``key_fn``
-        against row views would silently change its answer whenever it does
-        more than attribute access (isinstance checks, Record methods).
-        """
-        if self.key_columns:
-            columns = [batch.column(name) for name in self.key_columns]
-            if all(column is not None for column in columns):
-                return list(zip(*(_column_list(column) for column in columns)))
-        return None
-
     def _new_vector_state(self) -> ColumnarGroupState:
         return ColumnarGroupState(len(self.key_columns or ()))
 
     def _vector_keys(self, batch: RecordBatch) -> Optional[np.ndarray]:
-        """Packed int64 per-row group keys the caller owns, or None to use a
-        scalar path.
+        """Packed int64 per-row group keys the caller owns, or None to fall
+        back to the object path.
 
         Two key columns pack as ``(k0 << 32) | k1``; with both columns in
         ``[0, 2**31)`` the packing is injective, so the packed-key distinct
@@ -929,11 +852,10 @@ class GroupAggregateOperator(Operator):
         """Per-row aggregate input as one float array the caller owns, or
         None to fall back.
 
-        Mirrors :func:`_batch_field_values` for the shared fused field but
-        keeps the ndarray (element-wise ``/ 1000.0`` is bit-identical to the
-        per-record division; no ``tolist`` materialization).  A ``stat``
-        column is copied for the same reason as a single key column in
-        :meth:`_vector_keys`.
+        Mirrors :func:`_batch_field_values` for the shared fused field, for
+        float columns only (element-wise ``/ 1000.0`` is bit-identical to the
+        per-record division).  A ``stat`` column is copied for the same
+        reason as a single key column in :meth:`_vector_keys`.
         """
         if self.value_fn is not _default_value_fn:
             return None
@@ -970,7 +892,7 @@ class GroupAggregateOperator(Operator):
     def _drain_vector_state(self) -> None:
         """Fold pending runs and expand them into the group dict.
 
-        Called whenever a scalar path needs the dict representation (mixed
+        Called whenever the object path needs the dict representation (mixed
         inputs, flushes with output collection); a pure arena run never takes
         it off the run representation.
         """
@@ -989,61 +911,9 @@ class GroupAggregateOperator(Operator):
     def process_batch(self, batch: RecordBatch) -> List[Record]:
         if not batch:
             return []
-        if (
-            self.vector_mode
-            and self._vector_ready
-            and self._process_batch_vector(batch)
-        ):
+        if self._vector_ready and self._process_batch_vector(batch):
             return []
-        keys = self._batch_keys(batch)
-        if keys is None:
-            return self.process(batch.to_records())
-        self._drain_vector_state()
-        groups = self._groups
-        fields = _batch_field_values(batch, self.value_fn)
-        if fields is not None and self._fused is not None:
-            shared_field = self._fused_field
-            values = fields.get(shared_field) if shared_field is not None else None
-            if values is None:
-                # Field absent from this record schema: every per-record add
-                # would have seen ``values.get(field, 0.0)``.
-                values = [0.0] * len(batch)
-            self._process_batch_fused(keys, values)
-        elif fields is not None:
-            # Group row indices by key (first-occurrence order, matching the
-            # object path's dict insertion order), then fold each group's
-            # value run in one C-level pass per aggregate.
-            indices_by_key: Dict[Tuple[Any, ...], List[int]] = {}
-            for index, key in enumerate(keys):
-                existing = indices_by_key.get(key)
-                if existing is None:
-                    indices_by_key[key] = [index]
-                else:
-                    existing.append(index)
-            whole = len(batch)
-            for key, indices in indices_by_key.items():
-                state = groups.get(key)
-                if state is None:
-                    state = AggregateState(self.aggregates)
-                    groups[key] = state
-                if len(indices) == whole:
-                    state.add_many(fields, whole)
-                else:
-                    state.add_many(
-                        {
-                            field: [column[i] for i in indices]
-                            for field, column in fields.items()
-                        },
-                        len(indices),
-                    )
-        else:
-            # Opaque value_fn: materialize so it sees real records.
-            return self.process(batch.to_records())
-        times = batch.event_times
-        latest = float(times.max()) if isinstance(times, np.ndarray) else max(times)
-        if latest > self._last_event_time:
-            self._last_event_time = latest
-        return []
+        return self.process(batch.to_records())
 
     # -- state access ------------------------------------------------------------
 
@@ -1051,7 +921,7 @@ class GroupAggregateOperator(Operator):
         """Number of distinct group keys currently held.
 
         Exactness matters: the relay estimate feeds the cost model, and any
-        divergence from the reference modes would change placement decisions.
+        divergence from the object path would change placement decisions.
         On the arena path only the pending runs' keys are sorted and counted
         (no fold, no dict expansion), memoized across calls.
         """
@@ -1073,8 +943,10 @@ class GroupAggregateOperator(Operator):
         if state.runs:
             if not self._groups:
                 # Pure arena window: ship the unfolded runs; their distinct-key
-                # count keeps partial-state byte accounting exact.
-                self._vector_state = self._new_vector_state()
+                # count keeps partial-state byte accounting exact.  The state
+                # stays pending until the call that closes the window
+                # (``flush_bytes``, ``flush`` or ``discard_window``), so the
+                # flushed byte total still counts its groups.
                 return state
             self._drain_vector_state()
         if not self._groups:
@@ -1273,7 +1145,6 @@ def _default_value_fn(record: Record) -> Dict[str, float]:
 def _batch_field_values(
     batch: RecordBatch,
     value_fn: Callable[[Record], Dict[str, float]],
-    as_arrays: bool = False,
 ) -> Optional[Dict[str, Sequence[float]]]:
     """Columnar equivalent of mapping ``value_fn`` over a batch.
 
@@ -1282,9 +1153,8 @@ def _batch_field_values(
     per record — columns hold constructor-coerced floats, and IEEE division
     by 1000.0 is the same operation element-wise in numpy as in Python, so
     ``v / 1000.0`` equals ``float(data["rtt_us"]) / 1000.0`` exactly.
-    With ``as_arrays`` (the arena path) ndarray columns stay ndarrays so the
-    caller can hand them to the aggregates' vectorized ``add_many`` folds.
-    Returns ``None`` when the caller must fall back to per-record evaluation.
+    ndarray columns stay ndarrays so the caller can hand them to the
+    aggregates' vectorized ``add_many`` folds.  Returns ``None`` when the caller must fall back to per-record evaluation.
     """
     if value_fn is not _default_value_fn:
         return None
@@ -1292,16 +1162,12 @@ def _batch_field_values(
     rtt_us = batch.column("rtt_us")
     if rtt_us is not None:
         if isinstance(rtt_us, np.ndarray):
-            rtt = rtt_us / 1000.0
-            values["rtt"] = rtt if as_arrays else rtt.tolist()
+            values["rtt"] = rtt_us / 1000.0
         else:
             values["rtt"] = [value / 1000.0 for value in rtt_us]
     stat = batch.column("stat")
     if stat is not None:
-        if as_arrays and isinstance(stat, np.ndarray):
-            values["stat"] = stat
-        else:
-            values["stat"] = _column_list(stat)
+        values["stat"] = stat
     return values
 
 

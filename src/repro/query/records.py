@@ -341,7 +341,7 @@ class RecordRowView:
 class RecordBatch:
     """Columnar batch of homogeneous records (parallel arrays).
 
-    The batched fast path of the simulator keeps an epoch's records as
+    The arena fast path of the simulator keeps an epoch's records as
     parallel arrays — one list per field — instead of one Python object per
     record, so routing, queueing, draining, and shipping become slicing and
     count arithmetic.  Invariants the equivalence tests rely on:
@@ -426,7 +426,7 @@ class RecordBatch:
     def from_records(cls, records: Sequence[Record]) -> "RecordBatch":
         """Columnar adapter for a homogeneous list of record objects.
 
-        Lets any workload run in batched mode without a native
+        Lets any workload run in arena mode without a native
         ``batch_for_epoch``; generation still pays the per-object cost once,
         but everything downstream runs on the columnar path.
         """

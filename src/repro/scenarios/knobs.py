@@ -54,7 +54,7 @@ FIG11_COLOCATED_ALIASES: Dict[str, str] = {
     "FIG11_RECORDS": "workload.records_per_epoch",
 }
 
-#: object-vs-batched record mode timing (configs/record_modes.toml).
+#: object-vs-arena record mode timing (configs/record_modes.toml).
 RECMODE_ALIASES: Dict[str, str] = {
     "RECMODE_SOURCES": "fleet.sources",
     "RECMODE_RECORDS": "workload.records_per_epoch",

@@ -46,10 +46,8 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "epochs",
         "warmup_epochs",
         "record_mode",
-        "record_modes",
         "seed",
         "min_speedup",
-        "arena_min_speedup",
         "parallel_min_speedup",
         "max_sources_limit",
         "per_query_demand",
@@ -357,19 +355,11 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         spec_kwargs["record_mode"] = _as_str("run", "record_mode", run["record_mode"])
     if "seed" in run:
         spec_kwargs["seed"] = _as_int("run", "seed", run["seed"])
-    if "record_modes" in run:
-        spec_kwargs["record_modes"] = _as_str_tuple(
-            "run", "record_modes", run["record_modes"]
-        )
     if "min_speedup" in run:
         spec_kwargs["min_speedup"] = _as_float("run", "min_speedup", run["min_speedup"])
     if "parallel_min_speedup" in run:
         spec_kwargs["parallel_min_speedup"] = _as_float(
             "run", "parallel_min_speedup", run["parallel_min_speedup"]
-        )
-    if "arena_min_speedup" in run:
-        spec_kwargs["arena_min_speedup"] = _as_float(
-            "run", "arena_min_speedup", run["arena_min_speedup"]
         )
     if "max_sources_limit" in run:
         spec_kwargs["max_sources_limit"] = _as_int(

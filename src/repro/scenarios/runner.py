@@ -31,6 +31,7 @@ from ..config import PINGMESH_RECORD_BYTES
 from ..errors import ConfigurationError, SimulationError
 from ..query.records import DRAIN_HEADER_BYTES
 from ..simulation.cluster import ClusterModel
+from ..simulation.engine import RECORD_MODES
 from ..simulation.metrics import ClusterMetrics, MultiQueryMetrics
 from ..simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
 from ..simulation.multisource import (
@@ -99,7 +100,7 @@ def run_multi_source(
     strategy instance (decentralized runtimes, Section IV-A); they contend for
     the shared stream-processor ingress link and compute.  ``record_mode``
     selects the simulation hot path (``"object"`` or the columnar
-    ``"batched"`` fast path; metrics are bit-identical).
+    ``"arena"`` fast path; metrics are bit-identical).
     """
     specs, cluster_config, initial_budget = _homogeneous_fleet(
         setup, strategy_name, budget, num_sources,
@@ -142,7 +143,7 @@ def run_sharded(
     the ``stream_processor`` node's ingress link and compute capacity.
     ``stream_processors`` optionally overrides the node per block
     (heterogeneous deployments); ``record_mode`` selects the object or
-    batched simulation hot path.  ``workers > 1`` steps the blocks on a
+    arena simulation hot path.  ``workers > 1`` steps the blocks on a
     :class:`~repro.simulation.parallel.ParallelBlockController` worker pool
     instead of the serial lockstep — metrics are bit-identical either way.
     """
@@ -752,8 +753,6 @@ class ScenarioResult:
                 "rate_scale": spec.workload.rate_scale,
                 "cpu_budget": _initial_budget(spec),
                 "min_speedup": spec.min_speedup,
-                "record_modes": list(spec.record_modes or ("object", "batched")),
-                "arena_min_speedup": spec.arena_min_speedup,
             },
             "results": self.raw,
         }
@@ -1148,7 +1147,6 @@ class ScenarioRunner:
             elapsed = time.perf_counter() - start
             return metrics, elapsed
 
-        modes = spec.record_modes or ("object", "batched")
         raw: Dict[str, Dict[str, float]] = {}
         for strategy_name in strategies:
             # Each mode's wall time is its fastest of _MODE_TIMING_ROUNDS
@@ -1157,13 +1155,14 @@ class ScenarioRunner:
             # The runs are deterministic, so any run's metrics serve.
             best: Dict[str, Tuple[ClusterMetrics, float]] = {}
             for round_index in range(_MODE_TIMING_ROUNDS):
-                for mode in modes if round_index % 2 == 0 else modes[::-1]:
+                order = RECORD_MODES if round_index % 2 == 0 else RECORD_MODES[::-1]
+                for mode in order:
                     metrics, elapsed = run_mode(strategy_name, mode)
                     if mode not in best or elapsed < best[mode][1]:
                         best[mode] = (metrics, elapsed)
-            timings = {mode: best[mode] for mode in modes}
             row: Dict[str, float] = {}
-            for mode, (metrics, elapsed) in timings.items():
+            for mode in RECORD_MODES:
+                metrics, elapsed = best[mode]
                 row[f"{mode}_wall_s"] = elapsed
                 row[f"{mode}_goodput_mbps"] = metrics.aggregate_throughput_mbps()
                 row[f"{mode}_median_latency_s"] = metrics.median_latency_s()
@@ -1173,18 +1172,10 @@ class ScenarioRunner:
                     "offered_mbps" if mode == "object" else f"{mode}_offered_mbps"
                 )
                 row[offered_key] = metrics.aggregate_offered_mbps()
-            if "object" in timings and "batched" in timings:
-                object_s = row["object_wall_s"]
-                batched_s = row["batched_wall_s"]
-                row["speedup"] = (
-                    object_s / batched_s if batched_s > 0 else float("inf")
-                )
-            if "batched" in timings and "arena" in timings:
-                batched_s = row["batched_wall_s"]
-                arena_s = row["arena_wall_s"]
-                row["arena_speedup"] = (
-                    batched_s / arena_s if arena_s > 0 else float("inf")
-                )
+            arena_s = row["arena_wall_s"]
+            row["speedup"] = (
+                row["object_wall_s"] / arena_s if arena_s > 0 else float("inf")
+            )
             raw[strategy_name] = row
         return _record_modes_result(spec, raw)
 
@@ -1563,14 +1554,10 @@ def _colocated_result(
 def _record_modes_result(
     spec: ScenarioSpec, raw: Dict[str, Dict[str, float]]
 ) -> ScenarioResult:
-    modes = spec.record_modes or ("object", "batched")
     headers = ["strategy"]
-    headers += [f"{mode}_wall_s" for mode in modes]
-    if "speedup" in next(iter(raw.values()), {}):
-        headers.append("speedup")
-    if "arena_speedup" in next(iter(raw.values()), {}):
-        headers.append("arena_speedup")
-    headers += [f"{mode}_goodput_mbps" for mode in modes]
+    headers += [f"{mode}_wall_s" for mode in RECORD_MODES]
+    headers.append("speedup")
+    headers += [f"{mode}_goodput_mbps" for mode in RECORD_MODES]
     rows = [
         [strategy] + [entry[key] for key in headers[1:]]
         for strategy, entry in raw.items()
@@ -1583,13 +1570,8 @@ def _record_modes_result(
     )
     extras: Dict[str, Any] = {
         "min_speedup": spec.min_speedup,
-        "record_modes": list(modes),
+        "speedups": {s: e["speedup"] for s, e in raw.items()},
     }
-    if "speedup" in next(iter(raw.values()), {}):
-        extras["speedups"] = {s: e["speedup"] for s, e in raw.items()}
-    if "arena_speedup" in next(iter(raw.values()), {}):
-        extras["arena_min_speedup"] = spec.arena_min_speedup
-        extras["arena_speedups"] = {s: e["arena_speedup"] for s, e in raw.items()}
     return ScenarioResult(spec=spec, raw=raw, table=table, extras=extras)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, require_finite
+from ..simulation.engine import RECORD_MODES
 from ..simulation.node import BudgetSchedule, as_budget_schedule
 
 #: Executor families a scenario can target.
@@ -35,9 +36,6 @@ SCENARIO_KINDS = (
 
 #: Evaluation modes for the kinds that have an analytic cross-check.
 SCENARIO_MODES = ("analytic", "simulated", "comparison")
-
-#: Record representations understood by the executors.
-RECORD_MODES = ("object", "batched", "arena")
 
 #: A budget is a constant fraction of a core or ``(start_epoch, budget)``
 #: breakpoints (the piecewise-constant schedules of Figure 8).
@@ -246,20 +244,14 @@ class ScenarioSpec:
     #: steady-state kinds, the hotspot's shift epoch for dynamic
     #: re-placement, and ``max(1, epochs // 4)`` for record-mode timing.
     warmup_epochs: Optional[int] = None
-    record_mode: str = "batched"
+    record_mode: str = "arena"
     seed: int = 1
     mode: str = "simulated"
     #: Assertion shims skip a disabled scenario (FIG10_MIGRATION=0 alias).
     enabled: bool = True
-    #: ``record_modes`` kind: asserted speedup floor (0 disables the gate).
+    #: ``record_modes`` kind: asserted arena-over-object speedup floor (0
+    #: disables the gate).
     min_speedup: float = 0.0
-    #: ``record_modes`` kind: which modes to time, in order.  Empty means the
-    #: legacy object-vs-batched pair; include ``"arena"`` to add the
-    #: fleet-arena series (its speedup is measured over batched).
-    record_modes: Tuple[str, ...] = ()
-    #: ``record_modes`` kind: asserted arena-over-batched speedup floor
-    #: (0 disables; only meaningful when both modes are timed).
-    arena_min_speedup: float = 0.0
     #: ``parallel`` kind: asserted parallel-over-serial speedup floor at
     #: ``tiling.workers`` workers (0 disables the gate — e.g. on machines
     #: with fewer CPUs than workers, where the ratio is meaningless).
@@ -300,32 +292,12 @@ class ScenarioSpec:
             )
         require_finite("min_speedup", self.min_speedup, non_negative=True)
         require_finite(
-            "arena_min_speedup", self.arena_min_speedup, non_negative=True
-        )
-        require_finite(
             "parallel_min_speedup", self.parallel_min_speedup, non_negative=True
         )
         if self.kind == "parallel" and self.tiling.workers < 2:
             raise ConfigurationError(
                 "parallel scenarios need tiling.workers >= 2 (workers=1 is "
                 "the serial reference the parallel run is compared against)"
-            )
-        for mode in self.record_modes:
-            if mode not in RECORD_MODES:
-                raise ConfigurationError(
-                    f"unknown record mode {mode!r} in record_modes; expected "
-                    f"a subset of {RECORD_MODES}"
-                )
-        if len(set(self.record_modes)) != len(self.record_modes):
-            raise ConfigurationError(
-                f"record_modes must be distinct, got {self.record_modes!r}"
-            )
-        if self.arena_min_speedup > 0.0 and self.record_modes and not (
-            "arena" in self.record_modes and "batched" in self.record_modes
-        ):
-            raise ConfigurationError(
-                "arena_min_speedup needs both 'arena' and 'batched' in "
-                f"record_modes, got {self.record_modes!r}"
             )
         require_finite("per_query_demand", self.per_query_demand, positive=True)
         if self.max_sources_limit < 0:

@@ -55,13 +55,12 @@ mode), runs record migration events and per-epoch placement snapshots in
 their metadata, and a run without a policy is bit-identical to the frozen
 placement (test-enforced).
 
-Every executor runs in one of three **record modes** (the ``record_mode``
+Every executor runs in one of two **record modes** (the ``record_mode``
 knob on :class:`ExecutorConfig` / :class:`MultiSourceConfig`): ``"object"``
-flows one Python object per record; ``"batched"`` flows columnar
-:class:`~repro.query.records.RecordBatch` containers (parallel arrays,
-count-based drain/ship arithmetic), which is several times faster at scale;
-``"arena"`` goes one step further and stacks *every source in a block* into
-one :class:`~repro.query.records.FleetArena` — the batch columns plus
+flows one Python object per record and is the reference; ``"arena"`` is the
+one columnar path.  It stacks *every source in a block* into one
+:class:`~repro.query.records.FleetArena` — the
+:class:`~repro.query.records.RecordBatch` columns plus
 ``source_ids``/``epochs`` columns and a per-source offset index.  In the
 fill phase each workload reserves its rows (the arena checks a schema once,
 then admits equal ones unchecked) and its generation kernel writes the
@@ -69,16 +68,17 @@ epoch — one random draw, a handful of array writes — straight into the
 reserved slices; the engine hands each pipeline a zero-copy slice view and
 recycles the same buffers every epoch (allocation-free steady state;
 anything that outlives the epoch is detached through
-:meth:`~repro.query.records.FleetArena.own`).  Arena
-mode also flips the operators' ``vector_mode``, enabling columnar group
-aggregation on the source and SP pipelines: each batch is stored as a raw
-run of packed int64 keys and float values, distinct-group counts sort keys
-only, and values fold (``np.add.reduceat`` over the sorted keys) only when
-a reader needs them — the scale executors discard window outputs, so they
-never fold.  Object and batched stay the reference implementations: all
-three modes produce bit-identical metrics — an equivalence the test suite
-enforces per epoch, per source, on the Figure 10 and Figure 11
-configurations and under random migration schedules.
+:meth:`~repro.query.records.FleetArena.own`).  Routing, queueing, draining
+and shipping are count arithmetic on those views.  Group aggregation of the
+bundled probe queries stays columnar on the source and SP pipelines: each
+batch is stored as a raw run of packed int64 keys and float values,
+distinct-group counts sort keys only, and values fold
+(``np.add.reduceat`` over the sorted keys) only when a reader needs them —
+the scale executors discard window outputs, so they never fold.  Any
+operator without a columnar implementation materializes the batch and runs
+its object path.  Both modes produce bit-identical metrics — an
+equivalence the test suite enforces per epoch, per source, on the Figure 10
+and Figure 11 configurations and under random migration schedules.
 
 **Process-parallel execution** puts the sharded lockstep on real cores:
 :class:`~repro.simulation.parallel.ParallelBlockController`
@@ -98,7 +98,7 @@ structs.  Migration handoffs are the single cross-block synchronization
 point: a :class:`SourceMigrationState` detaches in one worker and attaches
 in another.  The serial executor stays the default and the reference (the
 scenario harness builds the controller only for ``tiling.workers > 1``),
-and parallel runs are bit-identical to it per epoch per source in all three
+and parallel runs are bit-identical to it per epoch per source in both
 record modes, including under random live-migration schedules
 (test-enforced).
 

@@ -9,7 +9,7 @@ per-epoch machinery, so every accounting bugfix had to land three times.
 This module is now the single home of that machinery:
 
 * :class:`EpochEngine` owns *source stepping*: fetching an epoch's records
-  (object or columnar batched mode), tracking measured record sizes and
+  (object or columnar arena mode), tracking measured record sizes and
   watermarks, running each source's pipeline under its budget, accumulating
   the record-conservation counters, and feeding the strategy its
   :class:`~repro.core.runtime.EpochObservation` feedback (including applying
@@ -53,8 +53,10 @@ from .metrics import ClusterMetrics, EpochMetrics, RunMetrics
 from .node import BudgetSchedule, as_budget_schedule
 from .pipeline import RecordContainer, SourceEpochResult, SourcePipeline
 
-#: Supported record representations for the simulation hot path.
-RECORD_MODES = ("object", "batched", "arena")
+#: Supported record representations for the simulation hot path: one
+#: Python object per record (the reference), or the block-level columnar
+#: :class:`FleetArena`.  Metrics are bit-identical across the two.
+RECORD_MODES = ("object", "arena")
 
 
 class WorkloadSource(Protocol):
@@ -267,13 +269,11 @@ class EpochEngine:
         return state
 
     def _register_arena_source(self, state: SourceState) -> None:
-        """Arena mode: give the source a row-owner id and columnar operators."""
+        """Arena mode: give the source a row-owner id in the fleet arena."""
         if self.arena is None:
             return
         state.arena_id = self._next_arena_id
         self._next_arena_id += 1
-        for stage in state.pipeline.stages:
-            stage.operator.vector_mode = True
 
     # -- live migration ----------------------------------------------------------
 
@@ -312,10 +312,10 @@ class EpochEngine:
     def fetch_records(self, workload: WorkloadSource, epoch: int) -> RecordContainer:
         """One epoch's records in the engine's record representation.
 
-        Batched and arena modes prefer a workload's native ``batch_for_epoch``
-        (columns built directly, no record objects); workloads without one are
-        adapted via :meth:`RecordBatch.from_records`, which pays the object
-        cost once at generation but keeps everything downstream columnar.
+        Arena mode prefers a workload's native ``batch_for_epoch`` (columns
+        built directly, no record objects); workloads without one are adapted
+        via :meth:`RecordBatch.from_records`, which pays the object cost once
+        at generation but keeps everything downstream columnar.
         """
         if self.record_mode != "object":
             batch_fn = getattr(workload, "batch_for_epoch", None)
@@ -583,7 +583,7 @@ class EpochAccountant:
     the executors now feed this class their network/SP terms as plain numbers
     and get :class:`EpochMetrics` back.  Keeping the arithmetic in one place
     (and applying debits in the caller-given order) is what makes the K=1
-    sharding, single-co-located-query, and batched/object equivalences exact.
+    sharding, single-co-located-query, and arena/object equivalences exact.
     """
 
     @staticmethod

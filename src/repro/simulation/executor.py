@@ -54,13 +54,12 @@ class ExecutorConfig:
             average.  Defaults to the Pingmesh probe-record size the paper
             reports (Section II-B).
         record_mode: Record representation on the simulation hot path.
-            ``"object"`` keeps one Python object per record; ``"batched"``
-            runs the columnar :class:`~repro.query.records.RecordBatch` fast
-            path (bit-identical metrics, several times faster); ``"arena"``
-            additionally stacks the block's sources into one reusable
+            ``"object"`` keeps one Python object per record (the reference);
+            ``"arena"`` runs columnar
+            :class:`~repro.query.records.RecordBatch` views of one reusable
             :class:`~repro.query.records.FleetArena` and folds group
             aggregates with segmented array ops (bit-identical metrics,
-            fastest at fleet scale).
+            several times faster).
     """
 
     config: JarvisConfig = field(default_factory=JarvisConfig)
@@ -126,11 +125,6 @@ class BuildingBlockExecutor:
             window_length_s=plan.window_length_s,
             epoch_duration_s=epoch_s,
         )
-        if self.exec_config.record_mode == "arena":
-            # Columnar partial states shipped by the arena-mode source merge
-            # O(1) when the SP-side replicas run their vector paths too.
-            for operator in self.sp_pipeline.operators:
-                operator.vector_mode = True
         self.link = NetworkLink(
             bandwidth_mbps=self.exec_config.effective_bandwidth_mbps,
             epoch_duration_s=epoch_s,

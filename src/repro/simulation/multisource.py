@@ -93,14 +93,12 @@ class MultiSourceConfig:
         assumed_record_bytes: Record size assumed for byte accounting until a
             source's first non-empty epoch provides a measured average.
         record_mode: Record representation on the simulation hot path.
-            ``"object"`` keeps one Python object per record; ``"batched"``
-            runs the columnar :class:`~repro.query.records.RecordBatch` fast
-            path (bit-identical metrics, several times faster at scale);
-            ``"arena"`` additionally stacks every source in the block into
-            one reusable :class:`~repro.query.records.FleetArena` and folds
-            group aggregates with whole-block segmented array ops
-            (bit-identical metrics again, several times faster still at
-            128+ sources).
+            ``"object"`` keeps one Python object per record (the reference);
+            ``"arena"`` stacks every source in the block into one reusable
+            :class:`~repro.query.records.FleetArena`, steps columnar
+            :class:`~repro.query.records.RecordBatch` views of it, and folds
+            group aggregates with segmented array ops (bit-identical
+            metrics, many times faster at fleet scale).
     """
 
     config: JarvisConfig = field(default_factory=JarvisConfig)
@@ -135,7 +133,7 @@ class _TransferItem:
     records, ``-1`` for records emitted by the source's final stage, and
     ``-2`` for partial aggregation state.  ``records`` is a
     :data:`~repro.simulation.pipeline.RecordContainer` — a record list in
-    object mode, a columnar batch in batched and arena modes (the engine
+    object mode, a columnar batch in arena mode (the engine
     copies any batch column that aliases the fleet arena before it lands
     here, so queued items survive the arena's next-epoch buffer reuse, and a
     migrating source's partial-transfer state stays valid in the adopting
@@ -260,11 +258,6 @@ class MultiSourceExecutor:
             epoch_duration_s=epoch_s,
             source_name=sources[0].name if sources else "__idle__",
         )
-        if self.cluster_config.record_mode == "arena":
-            # Columnar partial states shipped by arena-mode sources merge
-            # O(1) when the SP-side replicas run their vector paths too.
-            for operator in self.sp_pipeline.operators:
-                operator.vector_mode = True
         self.sp_compute_capacity_s = (
             sp_node.compute_capacity_per_epoch(epoch_s)
             * self.cluster_config.sp_compute_share
@@ -649,8 +642,8 @@ class MultiSourceExecutor:
         the per-source totals and head-item progress, subtract, and clamp.
         Element-wise float64 subtraction and ``np.maximum`` round exactly as
         their scalar counterparts, so this is bit-identical to mapping
-        :meth:`_remaining_demand` over the fleet (which the reference modes,
-        and small arenas, still do).
+        :meth:`_remaining_demand` over the fleet (which object mode, and
+        small arenas, still do).
         """
         sources = self._sources
         if self.epoch_engine.arena is None or len(sources) < 8:

@@ -152,7 +152,7 @@ def plan_fifo_transfer(
     crossed the link in earlier epochs.  Record sizes are exact integers —
     either one ``uniform_size`` (closed form, O(1)) or a per-record ``sizes``
     sequence (one cumulative walk) — so byte totals never accumulate float
-    error, and the object and batched execution modes share this single
+    error, and the object and arena execution modes share this single
     arithmetic, which is what makes their metrics bit-identical.
 
     A record completes when the budget covers its remaining bytes within

@@ -49,8 +49,13 @@ Design notes, in the order they matter:
   forked copies of the same state, results are reassembled in block order,
   and one implementation builds the policy inputs and the metrics — so a
   parallel run is bit-identical to serial lockstep per epoch per source in
-  all three record modes, including under migration schedules
+  both record modes, including under migration schedules
   (test-enforced).
+* **A dead worker is a project error.**  A worker process that dies
+  (killed, out of memory) breaks its pool; the next dispatch to it raises
+  :class:`~repro.errors.SimulationError` chained to the pool error, after
+  the same teardown as a failing task, so no ``/dev/shm`` segment
+  outlives it.
 
 This module is the *only* place in the source tree allowed to import
 ``multiprocessing`` / ``concurrent.futures`` (simlint rule SL011): process
@@ -256,15 +261,16 @@ class ParallelBlockController(ShardedClusterExecutor):
     blocks live in worker processes: same constructor plus a ``workers``
     count, and the inherited ``run`` / ``run_epoch`` / ``migrate`` /
     introspection, so metrics are bit-identical to the serial executor
-    (test-enforced per epoch per source in all three record modes, including
+    (test-enforced per epoch per source in both record modes, including
     under migration schedules).  Only ``_blockwise`` and ``_handoff`` are
     overridden, to dispatch to the worker owning each block.  The serial
     executor remains the default and the reference.
 
     The controller owns OS resources (worker processes, shared-memory
     segments): call :meth:`close` when done, or use it as a context
-    manager.  Any error escaping a worker task cancels the sibling futures,
-    shuts the pools down, and unlinks every segment before re-raising.
+    manager.  Any error escaping a worker task, or a worker process dying,
+    cancels the sibling futures, shuts the pools down, and unlinks every
+    segment before the error propagates.
     """
 
     def __init__(
@@ -395,31 +401,41 @@ class ParallelBlockController(ShardedClusterExecutor):
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _gather(self, futures: List[concurrent.futures.Future]) -> List[Any]:
-        """Resolve futures in order; on any failure cancel siblings and close.
+    def _gather(
+        self, calls: Sequence[Tuple[int, Callable[..., Any], Tuple[Any, ...]]]
+    ) -> List[Any]:
+        """Submit ``(worker, fn, args)`` calls and resolve them in order.
 
         A block raising :class:`SimulationError` mid-epoch must not leave
         sibling workers running or shm segments linked: pending futures are
         cancelled, the pools shut down, and every segment unlinked before
-        the error propagates.
+        the error propagates.  A dead worker breaks its pool, at submit or at
+        result time; it gets the same teardown and surfaces as a
+        :class:`SimulationError` chained to the pool error.
         """
+        self._ensure_open()
+        futures: List[concurrent.futures.Future] = []
         try:
+            for worker, fn, args in calls:
+                futures.append(self._pools[worker].submit(fn, *args))
             return [future.result() for future in futures]
-        except BaseException:
+        except BaseException as error:
             for future in futures:
                 future.cancel()
             self.close()
+            if isinstance(error, concurrent.futures.BrokenExecutor):
+                raise SimulationError(
+                    "a parallel worker process died; the controller is closed"
+                ) from error
             raise
 
     def _call_worker(self, worker: int, fn: Callable[..., T], *args: Any) -> T:
-        self._ensure_open()
-        return self._gather([self._pools[worker].submit(fn, *args)])[0]
+        return self._gather([(worker, fn, args)])[0]
 
     def _blockwise(self, fn: Callable[[int, MultiSourceExecutor], T]) -> List[T]:
         """Run ``fn`` inside the worker owning each block, all workers at once."""
-        self._ensure_open()
         results = self._gather(
-            [pool.submit(_worker_map, fn) for pool in self._pools]
+            [(worker, _worker_map, (fn,)) for worker in range(len(self._pools))]
         )
         by_index: Dict[int, T] = dict(
             pair for worker_result in results for pair in worker_result

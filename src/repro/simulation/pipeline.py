@@ -34,7 +34,7 @@ from .cost_model import CostModel
 PARTIAL_STATE_ROW_BYTES = 48
 
 #: What flows between pipeline stages: a record list on the object path, a
-#: columnar :class:`RecordBatch` on the batched path.  Both support ``len``,
+#: columnar :class:`RecordBatch` on the arena path.  Both support ``len``,
 #: slicing, concatenation, and :func:`record_size_bytes`, so the epoch loop
 #: below is written once against that container protocol.
 RecordContainer = Union[Sequence[Record], RecordBatch]
@@ -52,7 +52,7 @@ class _SourceStage:
     """One proxy/operator pair on the data source, plus its pending queue.
 
     ``queue`` is a :data:`RecordContainer`: a record list on the object path,
-    a :class:`RecordBatch` on the batched path (an empty list concatenates
+    a :class:`RecordBatch` on the arena path (an empty list concatenates
     into whichever container the epoch produces).
     """
 
@@ -212,7 +212,7 @@ class SourcePipeline:
 
         Args:
             records: Records arriving at the query during this epoch — a
-                record list (object mode) or a :class:`RecordBatch` (batched
+                record list (object mode) or a :class:`RecordBatch` (arena
                 mode); the epoch loop is container-generic and both modes run
                 bit-identical accounting arithmetic.
             cpu_budget_fraction: CPU budget as a fraction of one core (may

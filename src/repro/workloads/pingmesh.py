@@ -250,7 +250,7 @@ class PingmeshWorkload:
         """One epoch's probe stream as a columnar batch of fresh arrays.
 
         Columns stay numpy arrays end-to-end: slicing, filtering, and
-        concatenation on the batched path are then C operations.
+        concatenation on the arena path are then C operations.
         """
         count = self.config.records_per_epoch
         columns = {

@@ -1,12 +1,13 @@
 """Arena-mode group aggregation: deferred raw runs against the dict path.
 
-In arena mode (``vector_mode``) a :class:`GroupAggregateOperator` stores
-each batch as an unfolded raw run and folds only when something reads the
-values.  Metrics read only group sets and counts, so nothing else checks
-the folded values; these tests pin them to the object path, check that
-stored runs own their arrays even when the batch is a recycled fleet-arena
-view, and that the shipped state counts exactly and survives pickling
-(migration handoffs pickle pending SP items across worker processes).
+In arena mode a :class:`GroupAggregateOperator` stores each batch as an
+unfolded raw run and folds only when something reads the values.  Metrics
+read only group sets and counts, so nothing else checks the folded values;
+these tests pin them to the object path, check that stored runs own their
+arrays even when the batch is a recycled fleet-arena view, that the shipped
+state counts exactly and survives pickling (migration handoffs pickle
+pending SP items across worker processes), and that closing the window
+after the handoff still measures the shipped groups.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ def batches():
     return [workload.batch_for_epoch(epoch) for epoch in range(6)]
 
 
-def group_aggregate(key_columns=("src_ip", "dst_ip"), field="rtt", vector=True):
-    operator = GroupAggregateOperator(
+def group_aggregate(key_columns=("src_ip", "dst_ip"), field="rtt"):
+    return GroupAggregateOperator(
         "g",
         key_fn=lambda record: tuple(getattr(record, name) for name in key_columns),
         aggregates=[AvgAggregate(field), MaxAggregate(field), MinAggregate(field)],
         key_columns=key_columns,
     )
-    operator.vector_mode = vector
-    return operator
 
 
 def rows_by_key(records):
@@ -49,7 +48,7 @@ class TestValuesMatchObjectPath:
     @pytest.mark.parametrize("sp_scalar_first", [False, True])
     def test_source_ship_sp_merge_flush(self, batches, prefold, sp_scalar_first):
         source, sp = group_aggregate(), group_aggregate()
-        ref_source, ref_sp = group_aggregate(vector=False), group_aggregate(vector=False)
+        ref_source, ref_sp = group_aggregate(), group_aggregate()
         for batch in batches[:3]:
             source.process_batch(batch)
             ref_source.process(batch.to_records())
@@ -167,3 +166,38 @@ class TestShippedState:
         receiver = group_aggregate()
         receiver.merge_partial(restored)
         assert receiver.group_count() == shipped.group_count
+
+
+class TestWindowCloseAfterHandoff:
+    """The source pipeline ships the partial state, then closes the window;
+    the byte total it measures there is the G+R relay profiling reads."""
+
+    @pytest.fixture
+    def handed_off(self, batches):
+        arena, reference = group_aggregate(), group_aggregate()
+        for batch in batches[:3]:
+            arena.process_batch(batch)
+            reference.process(batch.to_records())
+        shipped = arena.take_partial_state()
+        assert isinstance(shipped, ColumnarGroupState)
+        assert len(shipped) == len(reference.take_partial_state())
+        return arena, reference, shipped
+
+    def test_flush_bytes_counts_the_shipped_groups(self, handed_off):
+        arena, reference, shipped = handed_off
+        expected = reference.flush_bytes()
+        assert expected > 0
+        assert arena.flush_bytes() == expected
+        assert arena.group_count() == 0
+        assert shipped.group_count == len(shipped.to_groups())
+
+    def test_flush_closes_the_window(self, handed_off):
+        arena, reference, _ = handed_off
+        got, want = rows_by_key(arena.flush()), rows_by_key(reference.flush())
+        assert got.keys() == want.keys()
+        assert arena.group_count() == 0 and arena.flush() == []
+
+    def test_discard_window_closes_the_window(self, handed_off):
+        arena, _, _ = handed_off
+        arena.discard_window()
+        assert arena.group_count() == 0 and arena.flush_bytes() == 0

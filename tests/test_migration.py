@@ -76,7 +76,7 @@ def cluster_epoch(epoch=0, sent=80.0, queued=0.0, capacity=100.0, backlog=0):
 
 
 class TestMigrationMechanics:
-    @pytest.mark.parametrize("record_mode", ["object", "batched", "arena"])
+    @pytest.mark.parametrize("record_mode", ["object", "arena"])
     def test_migrate_conserves_records_and_link_queues(self, setup, record_mode):
         """The handoff moves queued bytes between links and keeps every
         record accounted for, on a link tight enough that carryover queues,
@@ -149,7 +149,7 @@ class TestMigrationMechanics:
     def test_attach_rejects_record_mode_mismatch(self, setup):
         executor = build(setup, record_mode="object")
         handoff = executor.blocks[0].detach_source("source-0")
-        other = build(setup, seed=50, record_mode="batched")
+        other = build(setup, seed=50, record_mode="arena")
         with pytest.raises(SimulationError, match="record mode"):
             other.blocks[0].attach_source(handoff)
 
@@ -167,7 +167,7 @@ class TestMigrationMechanics:
 
 
 class TestDisabledMigrationEquivalence:
-    @pytest.mark.parametrize("record_mode", ["object", "batched"])
+    @pytest.mark.parametrize("record_mode", ["object", "arena"])
     def test_never_migrating_run_matches_static_run_exactly(self, setup, record_mode):
         """Acceptance: with migration disabled (or a policy that never
         moves), the sharded executor's output is bit-identical to the
@@ -281,7 +281,7 @@ class TestSaturationPolicy:
 
 
 class TestHotspotRecovery:
-    @pytest.mark.parametrize("record_mode", ["object", "batched"])
+    @pytest.mark.parametrize("record_mode", ["object", "arena"])
     def test_dynamic_recovers_half_the_goodput_gap(self, record_mode):
         """Acceptance: on the mid-run hotspot scenario, dynamic re-placement
         recovers >= 50% of the static-to-oracle goodput gap, migrations
@@ -316,16 +316,16 @@ class TestHotspotRecovery:
                 records_per_epoch=120, num_epochs=24, shift_epoch=6,
                 record_mode=mode,
             )
-            for mode in ("object", "batched")
+            for mode in ("object", "arena")
         }
         for key in ("static_mbps", "dynamic_mbps", "oracle_mbps"):
-            assert results["object"][key] == results["batched"][key]
+            assert results["object"][key] == results["arena"][key]
         assert [
             (e["epoch"], e["source"], e["to_block"])
             for e in results["object"]["migrations"]
         ] == [
             (e["epoch"], e["source"], e["to_block"])
-            for e in results["batched"]["migrations"]
+            for e in results["arena"]["migrations"]
         ]
 
 
@@ -361,7 +361,7 @@ class TestMigrationScheduleProperty:
         num_sources=st.integers(min_value=2, max_value=5),
         num_blocks=st.integers(min_value=2, max_value=3),
         ingress=st.floats(min_value=0.005, max_value=2.0),
-        record_mode=st.sampled_from(["object", "batched"]),
+        record_mode=st.sampled_from(["object", "arena"]),
     )
     def test_conservation_holds_across_arbitrary_schedules(
         self, setup, data, num_sources, num_blocks, ingress, record_mode

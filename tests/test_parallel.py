@@ -2,7 +2,7 @@
 
 The contract under test: a :class:`ParallelBlockController` is a drop-in
 execution substrate for :class:`ShardedClusterExecutor` — bit-identical
-metrics per epoch per source in all three record modes, including under
+metrics per epoch per source in both record modes, including under
 migration schedules — plus the OS-resource half of the story: shared-memory
 arenas in the workers, and pool/segment teardown on every path out,
 error paths included.
@@ -10,9 +10,11 @@ error paths included.
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from repro.simulation.sharding import (
 # directly to cross-check the controller's segment handling.
 from multiprocessing import shared_memory
 
-RECORD_MODES = ["object", "batched", "arena"]
+RECORD_MODES = ["object", "arena"]
 
 
 @pytest.fixture(scope="module")
@@ -152,12 +154,16 @@ def _probe_num_sources(index, block):
     return len(block.epoch_engine.sources)
 
 
+def _probe_pid(index, block):
+    return os.getpid()
+
+
 class _FailAfter:
     """Workload wrapper raising SimulationError from a given epoch on.
 
     Intercepts every fetch entry point the engine may pick — including the
-    arena-mode native ``fill_arena`` — so the failure fires in all three
-    record modes.
+    arena-mode native ``fill_arena`` — so the failure fires in both record
+    modes.
     """
 
     def __init__(self, inner, fail_at):
@@ -506,9 +512,8 @@ class TestArenaOnSharedMemory:
                 assert flags and all(flags.values())
 
     def test_non_arena_modes_create_no_segments(self, setup):
-        for record_mode in ("object", "batched"):
-            with build_parallel(setup, record_mode=record_mode) as controller:
-                assert controller.shared_segment_names() == []
+        with build_parallel(setup, record_mode="object") as controller:
+            assert controller.shared_segment_names() == []
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +586,34 @@ class TestTeardown:
         # Resource-tracker check: the segments are gone from /dev/shm and a
         # re-attach by name fails — nothing leaked for the tracker to nag
         # about at interpreter exit.
+        for name in segments:
+            assert not os.path.exists(f"/dev/shm/{name}")
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        with pytest.raises(SimulationError, match="closed"):
+            controller.run_epoch()
+
+    @pytest.mark.parametrize("action", ["run_epoch", "migrate"])
+    def test_killed_worker_ends_in_simulation_error(self, setup, action):
+        """SIGKILL one worker between epochs: the next dispatch to it — an
+        epoch or a migration handoff — raises SimulationError chained to the
+        broken pool, with the controller closed and no segment linked."""
+        controller = build_parallel(
+            setup, num_sources=8, num_blocks=4, record_mode="arena"
+        )
+        segments = controller.shared_segment_names()
+        assert len(segments) == 4
+        controller.run_epoch()
+        # Block 1 lives on worker 1; source-0 lives on block 0 (worker 0).
+        os.kill(controller.map_blocks(_probe_pid)[1], signal.SIGKILL)
+        with pytest.raises(SimulationError, match="died") as raised:
+            if action == "run_epoch":
+                controller.run_epoch()
+            else:
+                controller.migrate("source-0", 1)
+        assert isinstance(raised.value.__cause__, concurrent.futures.BrokenExecutor)
+        assert controller._closed
+        assert controller._pools == []
         for name in segments:
             assert not os.path.exists(f"/dev/shm/{name}")
             with pytest.raises(FileNotFoundError):

@@ -1,15 +1,16 @@
-"""Batched/arena (columnar) vs object execution mode: bit-exact equivalence.
+"""Arena (columnar) vs object execution mode: bit-exact equivalence.
 
 The simulators select their hot-path record representation through the
 ``record_mode`` knob (:class:`~repro.simulation.executor.ExecutorConfig` /
-:class:`~repro.simulation.multisource.MultiSourceConfig`).  The batched and
-arena modes exist purely for speed; these tests pin down that each
-reproduces the object mode's metrics *bit-exactly* — not approximately — on
-the configurations the evaluation figures run (Fig. 10 multi-source/sharded,
-Fig. 11 co-located), that the :class:`~repro.query.records.FleetArena`
-container honours its aliasing/ownership contract, that the columnar
-containers survive empty inputs, and that record conservation holds in the
-fast modes under arbitrary fleets (hypothesis property).
+:class:`~repro.simulation.multisource.MultiSourceConfig`).  The arena mode
+exists purely for speed; these tests pin down that it reproduces the object
+mode's metrics *bit-exactly* — not approximately — on the configurations
+the evaluation figures run (Fig. 10 multi-source/sharded, Fig. 11
+co-located) and under a changing budget that re-profiles after window
+closes, that the :class:`~repro.query.records.FleetArena` container
+honours its aliasing/ownership contract, that the columnar containers
+survive empty inputs, and that record conservation holds in the fast mode
+under arbitrary fleets (hypothesis property).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.simulation.multisource import (
     homogeneous_sources,
 )
 from repro.simulation.network import plan_fifo_transfer
-from repro.simulation.node import StreamProcessorNode
+from repro.simulation.node import BudgetSchedule, StreamProcessorNode
 from repro.simulation.sharding import ShardedClusterExecutor
 from repro.errors import SimulationError
 
@@ -71,28 +72,29 @@ def fleet(setup, num_sources, strategy_name="Jarvis", seed=10, budget=0.55):
     )
 
 
-def assert_epochs_identical(object_run, batched_run):
+def assert_epochs_identical(object_run, arena_run):
     """Every epoch metric of every source must match bit-for-bit."""
-    assert object_run.source_names() == batched_run.source_names()
+    assert object_run.source_names() == arena_run.source_names()
     for name in object_run.source_names():
         obj_epochs = object_run.per_source[name].epochs
-        bat_epochs = batched_run.per_source[name].epochs
-        assert len(obj_epochs) == len(bat_epochs)
-        for obj, bat in zip(obj_epochs, bat_epochs):
-            assert obj == bat, (name, obj, bat)
+        arena_epochs = arena_run.per_source[name].epochs
+        assert len(obj_epochs) == len(arena_epochs)
+        for obj, arena in zip(obj_epochs, arena_epochs):
+            assert obj == arena, (name, obj, arena)
 
 
 class TestRecordModeValidation:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            validate_record_mode("vectorized")
+        for mode in ("vectorized", "batched"):
+            with pytest.raises(SimulationError):
+                validate_record_mode(mode)
         with pytest.raises(SimulationError):
             MultiSourceConfig(record_mode="columns")
         with pytest.raises(SimulationError):
             ExecutorConfig(record_mode="columns")
 
     def test_all_advertised_modes_accepted(self):
-        assert RECORD_MODES == ("object", "batched", "arena")
+        assert RECORD_MODES == ("object", "arena")
         for mode in RECORD_MODES:
             validate_record_mode(mode)
             MultiSourceConfig(record_mode=mode)
@@ -209,7 +211,7 @@ class TestPlanFifoTransfer:
 
 
 class TestMultiSourceEquivalence:
-    """Fig. 10 configurations: the fast modes must equal object bit-for-bit."""
+    """Fig. 10 configurations: arena must equal object bit-for-bit."""
 
     @pytest.mark.parametrize("strategy_name", ["Jarvis", "Best-OP"])
     def test_fig10_multi_source_bit_exact(self, setup, strategy_name):
@@ -224,18 +226,14 @@ class TestMultiSourceEquivalence:
                 warmup_epochs=4,
                 record_mode=mode,
             )
-        obj = runs["object"]
-        for mode in ("batched", "arena"):
-            fast = runs[mode]
-            assert (
-                obj.aggregate_throughput_mbps() == fast.aggregate_throughput_mbps()
-            ), mode
-            assert obj.aggregate_offered_mbps() == fast.aggregate_offered_mbps(), mode
-            assert obj.network_utilization() == fast.network_utilization(), mode
-            assert obj.median_latency_s() == fast.median_latency_s(), mode
-            assert_epochs_identical(obj, fast)
+        obj, arena = runs["object"], runs["arena"]
+        assert obj.aggregate_throughput_mbps() == arena.aggregate_throughput_mbps()
+        assert obj.aggregate_offered_mbps() == arena.aggregate_offered_mbps()
+        assert obj.network_utilization() == arena.network_utilization()
+        assert obj.median_latency_s() == arena.median_latency_s()
+        assert_epochs_identical(obj, arena)
 
-    @pytest.mark.parametrize("record_mode", ["batched", "arena"])
+    @pytest.mark.parametrize("record_mode", ["arena"])
     def test_fast_mode_run_conserves_records(self, setup, record_mode):
         executor = MultiSourceExecutor(
             plan=setup.plan,
@@ -265,16 +263,12 @@ class TestMultiSourceEquivalence:
             )
             for mode in RECORD_MODES
         }
-        obj = runs["object"]
-        for mode in ("batched", "arena"):
-            fast = runs[mode]
-            assert (
-                obj.aggregate_throughput_mbps() == fast.aggregate_throughput_mbps()
-            ), mode
-            assert_epochs_identical(obj, fast)
+        obj, arena = runs["object"], runs["arena"]
+        assert obj.aggregate_throughput_mbps() == arena.aggregate_throughput_mbps()
+        assert_epochs_identical(obj, arena)
 
     def test_generic_workload_falls_back_to_from_records(self, setup):
-        """A workload without ``batch_for_epoch`` still runs batched mode."""
+        """A workload without ``batch_for_epoch`` still runs arena mode."""
 
         class PlainWorkload:
             def __init__(self, inner):
@@ -302,12 +296,11 @@ class TestMultiSourceEquivalence:
                 ),
             )
             runs[mode] = executor.run(8, warmup_epochs=2)
-        for mode in ("batched", "arena"):
-            assert (
-                runs["object"].aggregate_throughput_mbps()
-                == runs[mode].aggregate_throughput_mbps()
-            ), mode
-            assert_epochs_identical(runs["object"], runs[mode])
+        assert (
+            runs["object"].aggregate_throughput_mbps()
+            == runs["arena"].aggregate_throughput_mbps()
+        )
+        assert_epochs_identical(runs["object"], runs["arena"])
 
 
 class TestBuildingBlockEquivalence:
@@ -328,13 +321,60 @@ class TestBuildingBlockEquivalence:
                 ),
             )
             runs[mode] = executor.run(14, warmup_epochs=4)
-        obj = runs["object"]
-        for mode in ("batched", "arena"):
-            fast = runs[mode]
-            assert obj.throughput_mbps() == fast.throughput_mbps(), mode
-            assert obj.offered_mbps() == fast.offered_mbps(), mode
-            for obj_epoch, fast_epoch in zip(obj.epochs, fast.epochs):
-                assert obj_epoch == fast_epoch, mode
+        obj, arena = runs["object"], runs["arena"]
+        assert obj.throughput_mbps() == arena.throughput_mbps()
+        assert obj.offered_mbps() == arena.offered_mbps()
+        assert obj.epochs == arena.epochs
+
+
+class _RelayRecorder:
+    """Strategy wrapper logging the relays every profiling epoch measured."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def on_epoch_end(self, observation):
+        if observation.measured_relays is not None:
+            self.log.append((observation.epoch, observation.measured_relays))
+        return self.inner.on_epoch_end(observation)
+
+
+class TestWindowCloseRelay:
+    def test_reprofiling_after_a_window_close_reads_the_same_relay(self):
+        """Budget changes after the first window close make Jarvis
+        re-profile, and profiling reads the G+R relay measured when the last
+        window closed.  Arena must report the object path's relay there, not
+        fall back to the live group-count estimate."""
+        setup = make_setup("s2s_probe", records_per_epoch=300)
+        schedule = BudgetSchedule.steps((0, 0.55), (23, 0.30), (37, 0.8))
+        logs, runs = {}, {}
+        for mode in RECORD_MODES:
+            log = logs[mode] = []
+            specs = homogeneous_sources(
+                4,
+                workload_factory=lambda i: setup.workload_factory(10 + i),
+                strategy_factory=lambda i: _RelayRecorder(
+                    make_strategy("Jarvis", setup, 0.55), log
+                ),
+                budget=schedule,
+            )
+            executor = MultiSourceExecutor(
+                plan=setup.plan,
+                cost_model=setup.cost_model,
+                sources=specs,
+                cluster_config=MultiSourceConfig(
+                    config=setup.config, record_mode=mode
+                ),
+            )
+            runs[mode] = executor.run(60, warmup_epochs=10)
+        # Profiling happened after windows closed (10-epoch windows).
+        assert any(epoch > 20 for epoch, _ in logs["object"])
+        assert logs["arena"] == logs["object"]
+        assert_epochs_identical(runs["object"], runs["arena"])
 
 
 class TestColocatedEquivalence:
@@ -353,21 +393,17 @@ class TestColocatedEquivalence:
             )
             for mode in RECORD_MODES
         }
-        obj = runs["object"]
-        for mode in ("batched", "arena"):
-            fast = runs[mode]
+        obj, arena = runs["object"], runs["arena"]
+        assert obj.aggregate_throughput_mbps() == arena.aggregate_throughput_mbps()
+        assert obj.median_latency_s() == arena.median_latency_s()
+        assert sorted(obj.per_query.keys()) == sorted(arena.per_query.keys())
+        for name, obj_cluster in obj.per_query.items():
+            arena_cluster = arena.per_query[name]
             assert (
-                obj.aggregate_throughput_mbps() == fast.aggregate_throughput_mbps()
-            ), mode
-            assert obj.median_latency_s() == fast.median_latency_s(), mode
-            assert sorted(obj.per_query.keys()) == sorted(fast.per_query.keys())
-            for name, obj_cluster in obj.per_query.items():
-                fast_cluster = fast.per_query[name]
-                assert (
-                    obj_cluster.aggregate_throughput_mbps()
-                    == fast_cluster.aggregate_throughput_mbps()
-                ), (mode, name)
-                assert_epochs_identical(obj_cluster, fast_cluster)
+                obj_cluster.aggregate_throughput_mbps()
+                == arena_cluster.aggregate_throughput_mbps()
+            ), name
+            assert_epochs_identical(obj_cluster, arena_cluster)
 
     def test_fig11_sweep_rows_bit_exact(self):
         rows = {
@@ -381,7 +417,7 @@ class TestColocatedEquivalence:
             )
             for mode in RECORD_MODES
         }
-        assert rows["object"] == rows["batched"] == rows["arena"]
+        assert rows["object"] == rows["arena"]
 
 
 class TestFleetArenaContainer:
@@ -569,7 +605,7 @@ class TestEmptyInputEdgeCases:
 
 
 class TestFastModeConservationProperty:
-    @pytest.mark.parametrize("record_mode", ["batched", "arena"])
+    @pytest.mark.parametrize("record_mode", ["arena"])
     @given(
         num_sources=st.integers(min_value=1, max_value=4),
         records_per_epoch=st.integers(min_value=1, max_value=60),
@@ -588,7 +624,7 @@ class TestFastModeConservationProperty:
         ingress_mbps,
     ):
         """Every injected record is accounted for exactly once, whatever the
-        fleet shape, budget, or link capacity — in both fast modes."""
+        fleet shape, budget, or link capacity — in the fast mode."""
         setup = make_setup("s2s_probe", records_per_epoch=records_per_epoch)
         specs = homogeneous_sources(
             num_sources,
@@ -630,7 +666,7 @@ class TestCrossModeMigrationProperty:
     def test_modes_identical_under_random_migration_schedules(
         self, num_sources, records_per_epoch, moves, ingress_mbps
     ):
-        """All three record modes agree bit-for-bit on every per-source epoch
+        """Both record modes agree bit-for-bit on every per-source epoch
         metric under a random fleet and a random live-migration schedule, and
         each conserves records throughout."""
         schedule = sorted((epoch, index % num_sources) for epoch, index in moves)
@@ -659,9 +695,7 @@ class TestCrossModeMigrationProperty:
                 per_epoch.append(executor.run_epoch())
             assert executor.verify_record_conservation() == [], mode
             runs[mode] = per_epoch
-        for mode in ("batched", "arena"):
-            for obj_epoch, fast_epoch in zip(runs["object"], runs[mode]):
-                assert obj_epoch == fast_epoch, mode
+        assert runs["object"] == runs["arena"]
 
 
 class TestEngineSingleHome:

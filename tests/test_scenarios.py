@@ -82,7 +82,7 @@ class TestSpecValidation:
     def test_minimal_spec_defaults(self):
         spec = ScenarioSpec(name="s", kind="scaling")
         assert spec.mode == "simulated"
-        assert spec.record_mode == "batched"
+        assert spec.record_mode == "arena"
         assert spec.enabled is True
         assert spec.fleet.strategy == "Jarvis"
 
@@ -187,6 +187,20 @@ class TestLoader:
         with pytest.raises(ConfigurationError, match=r"run\.'epoch'"):
             spec_from_dict(
                 {"scenario": {"name": "x", "kind": "scaling"}, "run": {"epoch": 9}}
+            )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {"record_mode": "batched"},
+            {"record_modes": ["object", "arena"]},
+            {"arena_min_speedup": 3.0},
+        ],
+    )
+    def test_retired_record_mode_keys_rejected(self, run):
+        with pytest.raises(ConfigurationError):
+            spec_from_dict(
+                {"scenario": {"name": "x", "kind": "record_modes"}, "run": run}
             )
 
     def test_hotspot_requires_shift_epoch(self):
@@ -383,7 +397,7 @@ class TestDeprecatedEnvAliases:
 def _tiny_comparison_dict():
     return {
         "scenario": {"name": "tiny_comparison", "kind": "scaling", "mode": "comparison"},
-        "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "batched"},
+        "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "arena"},
         "workload": {"records_per_epoch": 120},
         "fleet": {"budget": 0.55},
         "sweep": {"sources": [1, 2], "strategies": ["Jarvis"]},
@@ -410,7 +424,7 @@ class TestGoldenEquivalence:
             records_per_epoch=120,
             num_epochs=8,
             warmup_epochs=2,
-            record_mode="batched",
+            record_mode="arena",
         )
         assert got == golden["scaling_comparison"]
 
@@ -454,7 +468,7 @@ class TestGoldenEquivalence:
         spec = load_scenario(
             {
                 "scenario": {"name": "g", "kind": "scaling", "mode": "simulated"},
-                "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "batched"},
+                "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "arena"},
                 "workload": {"records_per_epoch": 120},
                 "fleet": {"budget": 0.55},
                 "sweep": {"sources": [1, 2], "strategies": ["Best-OP"]},
@@ -470,7 +484,7 @@ class TestGoldenEquivalence:
         spec = load_scenario(
             {
                 "scenario": {"name": "g", "kind": "sharded"},
-                "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "batched"},
+                "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "arena"},
                 "workload": {"records_per_epoch": 120},
                 "fleet": {"sources": 4, "budget": 0.55},
                 "sweep": {"blocks": [1, 2], "strategies": ["Jarvis"]},
@@ -486,7 +500,7 @@ class TestGoldenEquivalence:
         spec = load_scenario(
             {
                 "scenario": {"name": "g", "kind": "dynamic_replacement"},
-                "run": {"epochs": 16, "record_mode": "batched"},
+                "run": {"epochs": 16, "record_mode": "arena"},
                 "workload": {
                     "records_per_epoch": 150,
                     "hotspot": {"shift_epoch": 4},
@@ -531,7 +545,7 @@ class TestGoldenEquivalence:
         spec = load_scenario(
             {
                 "scenario": {"name": "g", "kind": "colocated", "mode": "comparison"},
-                "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "batched"},
+                "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": "arena"},
                 "workload": {"records_per_epoch": 100},
                 "fleet": {"cores": 1},
                 "sweep": {"queries": [1, 2]},
@@ -551,7 +565,7 @@ class TestGoldenEquivalence:
         raw = ScenarioRunner().run(spec).raw
         for strategy, want in golden["record_modes"].items():
             got = raw[strategy]
-            for mode in ("object", "batched"):
+            for mode in ("object", "arena"):
                 assert got[f"{mode}_goodput_mbps"] == want[mode]["goodput_mbps"]
                 assert (
                     got[f"{mode}_median_latency_s"] == want[mode]["median_latency_s"]

@@ -321,7 +321,7 @@ class FloatEqualityRule(Rule):
 
 
 class RecordModeParityRule(Rule):
-    """SL006: the object and batched execution modes must stay in lockstep —
+    """SL006: the object and arena execution modes must stay in lockstep —
     every operator class that defines ``process`` must either define
     ``process_batch`` or explicitly opt out with
     ``process_batch_fallback = True`` (inheriting the materializing default
