@@ -3,10 +3,10 @@
 Every benchmark here is a thin assertion shim over a scenario config under
 ``configs/`` — the parameters live in TOML, the execution in
 :class:`repro.scenarios.runner.ScenarioRunner`, and this file keeps only the
-paper's acceptance assertions.  Tune a run with ``--set``-style overrides on
-the CLI (``python -m repro.scenarios configs/fig10_sim_vs_analytic.toml
---set sweep.sources=1,8,16``); the historical ``FIG10_*`` environment knobs
-still work as deprecated aliases (:mod:`repro.scenarios.knobs`).
+paper's acceptance assertions.  The shims run each config as committed; to
+try another shape, run the config through the CLI with ``--set`` overrides
+(``python -m repro.scenarios configs/fig10_sim_vs_analytic.toml --set
+sweep.sources=1,8,64,128``).
 
 Paper shape:
 
@@ -26,24 +26,11 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios import ScenarioRunner, load_scenario
-from repro.scenarios.knobs import (
-    FIG10_MIGRATION_ALIASES,
-    FIG10_SCALING_ALIASES,
-    FIG10_SHARDED_ALIASES,
-    deprecated_env_overrides,
-)
 
 from .conftest import CONFIG_DIR, write_result
 
 #: The analytic Fig. 10 settings, one scenario config per subfigure.
 ANALYTIC_CONFIGS = ("fig10a_10x", "fig10b_5x", "fig10c_1x")
-
-#: Loaded at import so the skip condition sees FIG10_MIGRATION=0 (legacy
-#: alias for --set scenario.enabled=false) the way the old knob did.
-MIGRATION_SPEC = load_scenario(
-    CONFIG_DIR / "fig10_dynamic_replacement.toml",
-    overrides=deprecated_env_overrides(FIG10_MIGRATION_ALIASES),
-)
 
 
 @pytest.mark.parametrize("name", ANALYTIC_CONFIGS)
@@ -65,10 +52,7 @@ def test_fig10_scaling(benchmark, name):
 
 def test_fig10_sim_vs_analytic(benchmark):
     """True multi-source executor vs the closed-form cross-check."""
-    spec = load_scenario(
-        CONFIG_DIR / "fig10_sim_vs_analytic.toml",
-        overrides=deprecated_env_overrides(FIG10_SCALING_ALIASES),
-    )
+    spec = load_scenario(CONFIG_DIR / "fig10_sim_vs_analytic.toml")
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
@@ -90,10 +74,7 @@ def test_fig10_sharded_scaling(benchmark):
     blocks divides the contention, so aggregate goodput must keep growing
     with K — the scale-out behaviour one ``MultiSourceExecutor`` cannot show.
     """
-    spec = load_scenario(
-        CONFIG_DIR / "fig10_sharded_scaling.toml",
-        overrides=deprecated_env_overrides(FIG10_SHARDED_ALIASES),
-    )
+    spec = load_scenario(CONFIG_DIR / "fig10_sharded_scaling.toml")
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
@@ -110,9 +91,6 @@ def test_fig10_sharded_scaling(benchmark):
             assert throughputs[-1] > 1.1 * throughputs[0], (strategy, throughputs)
 
 
-@pytest.mark.skipif(
-    not MIGRATION_SPEC.enabled, reason="scenario.enabled=false (FIG10_MIGRATION=0)"
-)
 def test_fig10_dynamic_replacement(benchmark):
     """Dynamic re-placement on a mid-run hotspot: static vs dynamic vs oracle.
 
@@ -122,8 +100,9 @@ def test_fig10_dynamic_replacement(benchmark):
     hot block and recover at least half of the goodput gap to an oracle
     placement built with perfect post-shift knowledge.
     """
+    spec = load_scenario(CONFIG_DIR / "fig10_dynamic_replacement.toml")
     result = benchmark.pedantic(
-        ScenarioRunner().run, args=(MIGRATION_SPEC,), rounds=1, iterations=1
+        ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
     write_result(
         "fig10_dynamic_replacement", result.table, data=result.bench_payload()

@@ -1,9 +1,7 @@
 """Figure 11: multiple query instances on one data source node.
 
 Every benchmark here is a thin assertion shim over a scenario config under
-``configs/`` (see ``benchmarks/bench_fig10_scaling.py`` for the pattern);
-the historical ``FIG11_*`` environment knobs still work as deprecated
-aliases (:mod:`repro.scenarios.knobs`).
+``configs/`` (see ``benchmarks/bench_fig10_scaling.py`` for the pattern).
 
 Paper shape: co-located S2SProbe instances (fixed load factors sized for the
 per-query CPU demand of 55%/30%/5% at 10x/5x/1x input scaling) do not
@@ -25,7 +23,6 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.scenarios import ScenarioRunner, load_scenario
-from repro.scenarios.knobs import FIG11_COLOCATED_ALIASES, deprecated_env_overrides
 
 from .conftest import CONFIG_DIR, write_result
 
@@ -85,10 +82,7 @@ def test_fig11_multi_query(benchmark, name):
 
 def test_fig11_colocated(benchmark):
     """True co-located multi-query executor vs the closed-form cross-check."""
-    spec = load_scenario(
-        CONFIG_DIR / "fig11_colocated.toml",
-        overrides=deprecated_env_overrides(FIG11_COLOCATED_ALIASES),
-    )
+    spec = load_scenario(CONFIG_DIR / "fig11_colocated.toml")
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )

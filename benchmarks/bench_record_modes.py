@@ -1,9 +1,7 @@
 """Object vs arena record mode on the Figure 10 building block.
 
 A thin assertion shim over ``configs/record_modes.toml`` (see
-``benchmarks/bench_fig10_scaling.py`` for the pattern); the historical
-``RECMODE_*`` environment knobs still work as deprecated aliases
-(:mod:`repro.scenarios.knobs`).
+``benchmarks/bench_fig10_scaling.py`` for the pattern).
 
 The arena record mode exists so the Fig. 10 simulated sweep can reach
 hundreds of sources in CI time; this benchmark pins down both halves of
@@ -16,23 +14,19 @@ budget, 64 sources, both of the figure's strategies):
   source-side processing on a 2-vCPU host; the scenario runner times each
   mode as its fastest of three runs in alternating order).
 
-Set ``run.min_speedup`` to 0 to skip the wall-clock assertion on noisy
-machines.
+Set ``run.min_speedup`` to 0 in the config to skip the wall-clock
+assertion on noisy machines.
 """
 
 from __future__ import annotations
 
 from repro.scenarios import ScenarioRunner, load_scenario
-from repro.scenarios.knobs import RECMODE_ALIASES, deprecated_env_overrides
 
 from .conftest import CONFIG_DIR, write_result
 
 
 def test_record_mode_speedup_and_equivalence(benchmark):
-    spec = load_scenario(
-        CONFIG_DIR / "record_modes.toml",
-        overrides=deprecated_env_overrides(RECMODE_ALIASES),
-    )
+    spec = load_scenario(CONFIG_DIR / "record_modes.toml")
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )

@@ -2,8 +2,8 @@
 
 Each benchmark regenerates one of the paper's figures (or an inline claim)
 and writes the resulting rows/series both to stdout and to a text file under
-``benchmarks/output/`` so ``EXPERIMENTS.md`` can be refreshed from a single
-``pytest benchmarks/ --benchmark-only`` run.
+``benchmarks/output/``, so one ``pytest benchmarks/bench_*.py
+--benchmark-disable`` run refreshes every figure's table.
 """
 
 from __future__ import annotations

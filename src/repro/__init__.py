@@ -26,7 +26,8 @@ for the full surface:
 * :mod:`repro.baselines`   — Jarvis, its ablations, and the paper's baselines.
 * :mod:`repro.workloads`   — synthetic Pingmesh / LogAnalytics generators.
 * :mod:`repro.synopsis`    — the sampling comparison of Figure 9.
-* :mod:`repro.analysis`    — canned experiments for every figure.
+* :mod:`repro.analysis`    — canned experiments for the single-source figures.
+* :mod:`repro.scenarios`   — config-driven cluster experiments (Figs. 10-11).
 """
 
 from .config import (
@@ -101,8 +102,6 @@ from .analysis import (
     run_single_source,
     throughput_sweep,
     convergence_run,
-    scaling_sweep,
-    multi_query_sweep,
     synopsis_comparison,
 )
 
@@ -177,7 +176,5 @@ __all__ = [
     "run_single_source",
     "throughput_sweep",
     "convergence_run",
-    "scaling_sweep",
-    "multi_query_sweep",
     "synopsis_comparison",
 ]

@@ -1,9 +1,11 @@
-"""Experiment harness: canned runners for every figure in the evaluation.
+"""Experiment harness: canned runners for the single-source figures.
 
 The functions in :mod:`repro.analysis.experiments` reproduce the experiments
-behind Figures 3 and 7-11 (plus the inline claims of Sections VI-B/C/E/F);
-:mod:`repro.analysis.reporting` formats their results as the tables and series
-recorded in ``EXPERIMENTS.md`` and printed by the benchmark harness.
+behind Figures 3 and 7-9 (plus the inline claims of Sections VI-B/C);
+:mod:`repro.analysis.reporting` formats results as the tables, series and
+HTML reports the benchmark harness and the scenario runner print.  The
+cluster-scale figures (10 and 11) are scenario configs run by
+:class:`repro.scenarios.ScenarioRunner`.
 """
 
 from .experiments import (
@@ -15,8 +17,6 @@ from .experiments import (
     throughput_sweep,
     convergence_run,
     partitioning_mode_comparison,
-    scaling_sweep,
-    multi_query_sweep,
     synopsis_comparison,
     operator_count_convergence,
     adaptation_overhead,
@@ -32,8 +32,6 @@ __all__ = [
     "throughput_sweep",
     "convergence_run",
     "partitioning_mode_comparison",
-    "scaling_sweep",
-    "multi_query_sweep",
     "synopsis_comparison",
     "operator_count_convergence",
     "adaptation_overhead",

@@ -1,8 +1,10 @@
-"""Canned experiment runners for every figure of the paper's evaluation.
+"""Canned experiment runners for the paper's single-source figures.
 
 Each function reproduces the measurement behind one figure (or one inline
-claim); the benchmarks in ``benchmarks/`` call them and print the resulting
-rows/series, and ``EXPERIMENTS.md`` records paper-vs-measured values.
+claim) on one data source: Figure 3 (partitioning modes), Figure 7
+(throughput over CPU budgets), Figure 8 (convergence), Figure 9 (synopsis),
+and the Section VI-B/C overhead and convergence studies.  The benchmarks in
+``benchmarks/`` call them and print the resulting rows/series.
 
 All experiments run on the epoch simulator with cost models calibrated to the
 paper's reported CPU fractions, and with network bandwidth expressed relative
@@ -10,15 +12,12 @@ to the input rate exactly as in the paper's configuration (Section VI-A), so
 the *shape* of every result — who wins, by what factor, where knees and
 crossovers fall — is comparable even though absolute rates are scaled down.
 
-The cluster-scale sweeps (Figures 10/11, record-mode timing) are thin
-builders over the declarative harness in :mod:`repro.scenarios`: each
-constructs a :class:`~repro.scenarios.spec.ScenarioSpec` and delegates to the
-:class:`~repro.scenarios.runner.ScenarioRunner`, so the keyword-argument API
-and the TOML-config path execute the exact same code (fixed-seed equivalence
-is test-enforced).  The setup layer (:func:`make_setup`, strategy factories,
-fleet construction) and the run primitives live in
-:mod:`repro.scenarios.setups` / :mod:`repro.scenarios.runner` and are
-re-exported here under their historical names.
+The cluster-scale experiments (Figures 10 and 11, the Section VI-E latency
+tail, record-mode and worker-pool timing) are scenario configs under
+``configs/`` run by :class:`repro.scenarios.ScenarioRunner`.  The setup
+layer (:func:`make_setup`, :func:`make_strategy`, :func:`run_single_source`,
+:class:`HotspotWorkload`) lives in :mod:`repro.scenarios.setups` and is
+re-exported here under its historical names.
 """
 
 from __future__ import annotations
@@ -30,56 +29,23 @@ from ..baselines import JarvisStrategy, PartitioningStrategy
 from ..core.state import QueryState
 from ..core.stepwise_adapt import FineTuner
 from ..core.lp_solver import clear_plan_cache, cumulative_relay
-from ..errors import ConfigurationError
 from ..query.records import IpToTorTable, half_up, record_size_bytes
-from ..simulation.cluster import ClusterResult
 from ..simulation.executor import BuildingBlockExecutor
-from ..simulation.metrics import ClusterMetrics
 from ..simulation.node import BudgetSchedule
-from ..simulation.sharding import MigrationPolicy
 from ..synopsis.estimators import alert_analysis, evaluate_sampling_accuracy
 from ..synopsis.sampling import WindowSampler
 
-# Setup-level primitives and constants moved to the scenario harness; kept
-# importable here (tests, benchmarks, and examples use these names).
+# The setup layer lives in the scenario harness; these names stay importable
+# here (tests, benchmarks, the perf harness and examples use them).
 from ..scenarios.setups import (  # noqa: F401
-    CLUSTER_CAPACITY_INPUT_MULTIPLE,
-    MULTI_QUERY_DEMAND,
-    PAPER_BANDWIDTH_MBPS,
-    PAPER_INPUT_MBPS,
-    QUERY_NAMES,
     STRATEGY_NAMES,
     HotspotWorkload,
     QuerySetup,
-    _cluster_sp_node,
-    _homogeneous_fleet,
     ground_truth_profile,
     make_setup,
     make_strategy,
     measure_relays,
     run_single_source,
-)
-
-# Run primitives moved to the scenario runner; same public names.
-from ..scenarios.runner import (  # noqa: F401
-    FIG11_MODES,
-    _fig11_fixed_plan,
-    multi_query_sweep,
-    run_multi_query,
-    run_multi_source,
-    run_sharded,
-)
-from ..scenarios.runner import (
-    ScenarioRunner,
-    dynamic_replacement_sweep as _dynamic_replacement_impl,
-)
-from ..scenarios.spec import (
-    FleetSpec,
-    HotspotSpec,
-    ScenarioSpec,
-    SweepSpec,
-    TilingSpec,
-    WorkloadSpec,
 )
 
 
@@ -285,335 +251,6 @@ def synopsis_comparison(
         "sampling": sampling_results,
         "jarvis": jarvis_results,
     }
-
-
-# ---------------------------------------------------------------------------
-# Figure 10: scaling the number of data source nodes.
-#
-# Three paths reproduce the figure: ``simulated_scaling_sweep`` runs the true
-# multi-source executor (N concurrent pipelines contending for the shared
-# ingress link and SP compute), ``sharded_scaling_sweep`` tiles the fleet
-# across several stream-processor building blocks (Figure 4b) to continue
-# past one block's saturation knee, and ``scaling_sweep`` keeps the
-# closed-form ClusterModel extrapolation as a fast analytic cross-check;
-# ``scaling_comparison`` runs the first and last and reports the agreement.
-#
-# Each sweep below builds a ScenarioSpec and delegates to the ScenarioRunner,
-# so these keyword APIs and the configs/*.toml files drive identical code.
-# ---------------------------------------------------------------------------
-
-
-def _scaling_workload(rate_scale: float, records_per_epoch: int) -> WorkloadSpec:
-    return WorkloadSpec(
-        query="s2s_probe",
-        records_per_epoch=records_per_epoch,
-        rate_scale=rate_scale,
-    )
-
-
-def sharded_scaling_sweep(
-    rate_scale: float = 1.0,
-    cpu_budget: float = 0.55,
-    num_sources: int = 8,
-    block_counts: Sequence[int] = (1, 2, 4),
-    strategies: Sequence[str] = ("Jarvis", "Best-OP"),
-    placement: "str | Dict[str, int]" = "round_robin",
-    records_per_epoch: int = 800,
-    num_epochs: int = 40,
-    warmup_epochs: int = 12,
-    sp_capacity_multiple: float = 3.0,
-    record_mode: str = "object",
-) -> Dict[str, List[ClusterMetrics]]:
-    """Figure 10 past the single-block knee: goodput vs number of blocks.
-
-    Holds the fleet (``num_sources``) fixed and sweeps the number of
-    stream-processor building blocks it is partitioned over.  The per-block
-    ingress capacity defaults to ``3x`` one source's 10x input rate, so the
-    default fleet saturates one block and aggregate goodput grows ~linearly
-    with ``K`` until every block drops below its knee — the scale-out story
-    of §VI-E that a single :class:`MultiSourceExecutor` cannot show.
-    """
-    if isinstance(placement, str):
-        tiling = TilingSpec(
-            placement=placement, sp_capacity_multiple=sp_capacity_multiple
-        )
-    else:
-        tiling = TilingSpec(
-            placement="static",
-            placement_map=dict(placement),
-            sp_capacity_multiple=sp_capacity_multiple,
-        )
-    spec = ScenarioSpec(
-        name="sharded-scaling",
-        kind="sharded",
-        workload=_scaling_workload(rate_scale, records_per_epoch),
-        fleet=FleetSpec(sources=num_sources, budget=cpu_budget),
-        tiling=tiling,
-        sweep=SweepSpec(blocks=tuple(block_counts), strategies=tuple(strategies)),
-        epochs=num_epochs,
-        warmup_epochs=warmup_epochs,
-        record_mode=record_mode,
-    )
-    return ScenarioRunner().run(spec).raw
-
-
-def dynamic_replacement_sweep(
-    rate_scale: float = 1.0,
-    cpu_budget: float = 1.0,
-    num_sources: int = 16,
-    num_blocks: int = 2,
-    shift_epoch: int = 8,
-    hotspot_factor: float = 2.0,
-    num_epochs: int = 32,
-    warmup_epochs: Optional[int] = None,
-    records_per_epoch: int = 300,
-    strategy_name: str = "All-SP",
-    ingress_headroom: float = 1.67,
-    migration: Optional[MigrationPolicy] = None,
-    seed: int = 1,
-    record_mode: str = "object",
-) -> Dict[str, object]:
-    """Mid-run hotspot: static vs dynamic vs oracle placement, one scenario.
-
-    Thin builder over the scenario harness — see
-    :func:`repro.scenarios.runner.dynamic_replacement_sweep` for the scenario
-    itself (this keeps the historical keyword API, including passing a
-    pre-constructed ``migration`` policy object, which a config file cannot
-    express).
-    """
-    # The shift-inside-the-run and blocks/fleet checks live in the runner
-    # primitive; validate shift_epoch shape here so spec construction does not
-    # mask the historical error messages.
-    if num_blocks < 2 or num_sources < num_blocks or not 0 <= shift_epoch < num_epochs:
-        return _dynamic_replacement_impl(
-            rate_scale=rate_scale,
-            cpu_budget=cpu_budget,
-            num_sources=num_sources,
-            num_blocks=num_blocks,
-            shift_epoch=shift_epoch,
-            hotspot_factor=hotspot_factor,
-            num_epochs=num_epochs,
-            warmup_epochs=warmup_epochs,
-            records_per_epoch=records_per_epoch,
-            strategy_name=strategy_name,
-            ingress_headroom=ingress_headroom,
-            migration=migration,
-            seed=seed,
-            record_mode=record_mode,
-        )
-    spec = ScenarioSpec(
-        name="dynamic-replacement",
-        kind="dynamic_replacement",
-        workload=WorkloadSpec(
-            records_per_epoch=records_per_epoch,
-            rate_scale=rate_scale,
-            hotspot=HotspotSpec(shift_epoch=shift_epoch, factor=hotspot_factor),
-        ),
-        fleet=FleetSpec(
-            sources=num_sources, strategy=strategy_name, budget=cpu_budget
-        ),
-        tiling=TilingSpec(blocks=num_blocks, ingress_headroom=ingress_headroom),
-        epochs=num_epochs,
-        warmup_epochs=warmup_epochs,
-        seed=seed,
-        record_mode=record_mode,
-    )
-    return ScenarioRunner().run(spec, migration=migration).raw
-
-
-def simulated_scaling_sweep(
-    rate_scale: float = 1.0,
-    cpu_budget: float = 0.55,
-    node_counts: Sequence[int] = (1, 2, 4, 8),
-    strategies: Sequence[str] = ("Jarvis", "Best-OP"),
-    records_per_epoch: int = 800,
-    num_epochs: int = 40,
-    warmup_epochs: int = 12,
-    record_mode: str = "object",
-) -> Dict[str, List[ClusterMetrics]]:
-    """Figure 10 on the true multi-source executor (measured aggregates)."""
-    spec = ScenarioSpec(
-        name="simulated-scaling",
-        kind="scaling",
-        mode="simulated",
-        workload=_scaling_workload(rate_scale, records_per_epoch),
-        fleet=FleetSpec(budget=cpu_budget),
-        sweep=SweepSpec(sources=tuple(node_counts), strategies=tuple(strategies)),
-        epochs=num_epochs,
-        warmup_epochs=warmup_epochs,
-        record_mode=record_mode,
-    )
-    return ScenarioRunner().run(spec).raw
-
-
-def scaling_comparison(
-    rate_scale: float = 1.0,
-    cpu_budget: float = 0.55,
-    node_counts: Sequence[int] = (1, 2, 4, 8),
-    strategies: Sequence[str] = ("Jarvis", "Best-OP"),
-    records_per_epoch: int = 800,
-    num_epochs: int = 40,
-    warmup_epochs: int = 12,
-    record_mode: str = "object",
-) -> Dict[str, List[Dict[str, float]]]:
-    """Analytic-vs-simulated comparison mode for the Figure 10 sweep.
-
-    For each strategy and source count, runs both the measured
-    :class:`MultiSourceExecutor` and the closed-form
-    :meth:`ClusterModel.scale` cross-check and reports the throughput ratio
-    (``simulated / analytic``; ~1.0 below the saturation knee).
-    """
-    spec = ScenarioSpec(
-        name="scaling-comparison",
-        kind="scaling",
-        mode="comparison",
-        workload=_scaling_workload(rate_scale, records_per_epoch),
-        fleet=FleetSpec(budget=cpu_budget),
-        sweep=SweepSpec(sources=tuple(node_counts), strategies=tuple(strategies)),
-        epochs=num_epochs,
-        warmup_epochs=warmup_epochs,
-        record_mode=record_mode,
-    )
-    return ScenarioRunner().run(spec).raw
-
-
-def latency_experiment(
-    num_sources: int = 8,
-    rate_scale: float = 1.0,
-    cpu_budget: float = 0.55,
-    strategies: Sequence[str] = ("Jarvis", "Best-OP"),
-    records_per_epoch: int = 800,
-    num_epochs: int = 40,
-    warmup_epochs: int = 12,
-) -> Dict[str, Dict[str, object]]:
-    """§VI-E: the epoch-latency distribution under shared-link contention.
-
-    Runs each strategy on the measured multi-source executor and reports the
-    cluster-wide latency distribution plus per-source medians — the claim
-    behind "Jarvis improves median epoch latency by ~3.4x" and Best-OP's tail
-    exceeding 60 seconds once it is over capacity.
-    """
-    setup = make_setup(
-        "s2s_probe", records_per_epoch=records_per_epoch, rate_scale=rate_scale
-    )
-    sp_node = _cluster_sp_node(records_per_epoch)
-    results: Dict[str, Dict[str, object]] = {}
-    for strategy_name in strategies:
-        metrics = run_multi_source(
-            setup,
-            strategy_name,
-            cpu_budget,
-            num_sources=num_sources,
-            num_epochs=num_epochs,
-            warmup_epochs=warmup_epochs,
-            stream_processor=sp_node,
-        )
-        results[strategy_name] = {
-            "median_latency_s": metrics.median_latency_s(),
-            "p95_latency_s": metrics.latency_percentile_s(0.95),
-            "max_latency_s": metrics.max_latency_s(),
-            "per_source_median_s": metrics.per_source_latency_s(),
-            "aggregate_throughput_mbps": metrics.aggregate_throughput_mbps(),
-            "network_utilization": metrics.network_utilization(),
-        }
-    return results
-
-
-def scaling_sweep(
-    rate_scale: float = 1.0,
-    cpu_budget: float = 0.55,
-    node_counts: Sequence[int] = (1, 8, 16, 24, 32, 40, 48),
-    strategies: Sequence[str] = ("Jarvis", "Best-OP"),
-    records_per_epoch: int = 800,
-    num_epochs: int = 40,
-    warmup_epochs: int = 12,
-) -> Dict[str, List[ClusterResult]]:
-    """Reproduce Figure 10 analytically (the fast closed-form cross-check).
-
-    ``rate_scale`` selects the paper's input-rate setting: 1.0 = 10x scaling
-    with a 55% CPU budget (Fig. 10a), 0.5 = 5x with 30% (Fig. 10b), 0.1 = no
-    scaling with 5% (Fig. 10c).  The shared stream-processor ingress capacity
-    is the same across settings (it models the query's share of the SP link).
-    For measured aggregates from actually-contending sources, use
-    :func:`simulated_scaling_sweep`; :func:`scaling_comparison` runs both.
-    """
-    spec = ScenarioSpec(
-        name="analytic-scaling",
-        kind="scaling",
-        mode="analytic",
-        workload=_scaling_workload(rate_scale, records_per_epoch),
-        fleet=FleetSpec(budget=cpu_budget),
-        sweep=SweepSpec(sources=tuple(node_counts), strategies=tuple(strategies)),
-        epochs=num_epochs,
-        warmup_epochs=warmup_epochs,
-        max_sources_limit=0,
-    )
-    return ScenarioRunner().run(spec).raw["sweep"]
-
-
-def max_supported_sources(
-    rate_scale: float,
-    cpu_budget: float,
-    strategies: Sequence[str] = ("Jarvis", "Best-OP"),
-    records_per_epoch: int = 800,
-    limit: int = 400,
-) -> Dict[str, int]:
-    """How many sources each strategy supports before throughput degrades.
-
-    This is the measurement behind the paper's headline "handles up to 75%
-    more data sources" claim (Figure 10b: ~70 vs ~40 sources at 5x scaling).
-    """
-    spec = ScenarioSpec(
-        name="supported-sources",
-        kind="scaling",
-        mode="analytic",
-        workload=_scaling_workload(rate_scale, records_per_epoch),
-        fleet=FleetSpec(budget=cpu_budget),
-        sweep=SweepSpec(strategies=tuple(strategies)),
-        max_sources_limit=limit,
-    )
-    return ScenarioRunner().run(spec).raw["supported"]
-
-
-# ---------------------------------------------------------------------------
-# Figure 11: multiple queries on one data source node.
-# ---------------------------------------------------------------------------
-
-
-def multi_query_colocation_sweep(
-    rate_scale: float = 1.0,
-    cores: int = 1,
-    query_counts: Sequence[int] = (1, 2, 3, 4, 5),
-    records_per_epoch: int = 800,
-    num_epochs: int = 40,
-    warmup_epochs: int = 12,
-    per_query_demand: Optional[float] = None,
-    mode: str = "simulated",
-    record_mode: str = "object",
-) -> List[Dict[str, float]]:
-    """Figure 11 on the co-located multi-query executor (or both paths).
-
-    Thin builder over the scenario harness — see
-    :func:`repro.scenarios.runner.multi_query_colocation_sweep` for the modes
-    and the contention model.
-    """
-    if mode not in FIG11_MODES:
-        raise ConfigurationError(
-            f"unknown mode {mode!r}; expected one of {FIG11_MODES}"
-        )
-    spec = ScenarioSpec(
-        name="multi-query-colocation",
-        kind="colocated",
-        mode=mode,
-        workload=_scaling_workload(rate_scale, records_per_epoch),
-        fleet=FleetSpec(cores=cores),
-        sweep=SweepSpec(queries=tuple(query_counts)),
-        epochs=num_epochs,
-        warmup_epochs=warmup_epochs,
-        record_mode=record_mode,
-        per_query_demand=per_query_demand,
-    )
-    return ScenarioRunner().run(spec).raw
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The benchmark harness prints the same rows/series the paper's figures plot;
 these helpers turn the dictionaries returned by
-:mod:`repro.analysis.experiments` into aligned text tables suitable for the
-console and for ``EXPERIMENTS.md``.
+:mod:`repro.analysis.experiments` and :mod:`repro.scenarios` into aligned
+text tables for the console and ``benchmarks/output/``, and into
+self-contained HTML reports.
 """
 
 from __future__ import annotations

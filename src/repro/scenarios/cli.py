@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     spec = load_scenario(args.config, overrides=args.overrides)
-    if not spec.enabled:
-        print(f"scenario {spec.name!r} is disabled (scenario.enabled=false)")
-        return 0
     result = ScenarioRunner().run(spec)
     print(result.table)
 

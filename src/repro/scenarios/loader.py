@@ -2,14 +2,14 @@
 
 The on-disk shape mirrors the spec dataclasses section by section::
 
-    [scenario]            # name, kind, mode, enabled
+    [scenario]            # name, kind, mode
     [run]                 # epochs, warmup_epochs, record_mode, seed, ...
     [workload]            # query, records_per_epoch, rate_scale
     [workload.hotspot]    # shift_epoch, factor
     [fleet]               # sources, strategy, budget, cores, sp_compute_share
     [tiling]              # blocks, placement, sp_capacity_multiple, ...
     [migration]           # policy, saturation_pressure, ...
-    [sweep]               # sources, blocks, queries, budgets, strategies
+    [sweep]               # sources, blocks, queries, strategies
 
 Unknown keys are rejected with the full dotted path so a typo in a config
 file fails at load time, and every numeric knob flows through the spec
@@ -19,6 +19,8 @@ so an override is checked exactly like a file value.
 """
 
 from __future__ import annotations
+
+import math
 
 try:
     import tomllib
@@ -41,7 +43,7 @@ from .spec import (
 _SECTIONS = ("scenario", "run", "workload", "fleet", "tiling", "migration", "sweep")
 
 _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
-    "scenario": ("name", "kind", "mode", "enabled"),
+    "scenario": ("name", "kind", "mode"),
     "run": (
         "epochs",
         "warmup_epochs",
@@ -71,7 +73,7 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "hot_epochs",
         "cooldown_epochs",
     ),
-    "sweep": ("sources", "blocks", "queries", "budgets", "strategies"),
+    "sweep": ("sources", "blocks", "queries", "strategies"),
 }
 
 
@@ -91,17 +93,17 @@ def _require_section(data: Mapping[str, Any], section: str) -> Mapping[str, Any]
 
 
 def _as_int(section: str, key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigurationError(f"{section}.{key} must be an integer, got {value!r}")
-    try:
-        as_float = float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{section}.{key} must be an integer, got {value!r}"
-        ) from None
-    if int(as_float) != as_float:
-        raise ConfigurationError(f"{section}.{key} must be an integer, got {value!r}")
-    return int(as_float)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, (float, str)):
+        try:
+            as_float = float(value)
+        except ValueError:
+            as_float = math.nan
+        # TOML and --set both admit nan and inf, which int() cannot take.
+        if math.isfinite(as_float) and as_float.is_integer():
+            return int(as_float)
+    raise ConfigurationError(f"{section}.{key} must be an integer, got {value!r}")
 
 
 def _as_float(section: str, key: str, value: Any) -> float:
@@ -109,24 +111,10 @@ def _as_float(section: str, key: str, value: Any) -> float:
         raise ConfigurationError(f"{section}.{key} must be a number, got {value!r}")
     try:
         return float(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigurationError(
             f"{section}.{key} must be a number, got {value!r}"
         ) from None
-
-
-def _as_bool(section: str, key: str, value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return bool(value)
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-    raise ConfigurationError(f"{section}.{key} must be a boolean, got {value!r}")
 
 
 def _as_str(section: str, key: str, value: Any) -> str:
@@ -145,16 +133,6 @@ def _as_int_tuple(section: str, key: str, value: Any) -> Tuple[int, ...]:
     )
 
 
-def _as_float_tuple(section: str, key: str, value: Any) -> Tuple[float, ...]:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        return (_as_float(section, key, value),)
-    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-        return tuple(_as_float(section, key, item) for item in value)
-    raise ConfigurationError(
-        f"{section}.{key} must be a number or list of numbers, got {value!r}"
-    )
-
-
 def _as_str_tuple(section: str, key: str, value: Any) -> Tuple[str, ...]:
     if isinstance(value, str):
         return (value,)
@@ -166,9 +144,7 @@ def _as_str_tuple(section: str, key: str, value: Any) -> Tuple[str, ...]:
 
 
 def _as_budget(section: str, key: str, value: Any) -> Union[float, Tuple[Tuple[int, float], ...]]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         return _as_float(section, key, value)
     if isinstance(value, Sequence):
         pairs: List[Tuple[int, float]] = []
@@ -322,10 +298,6 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         sweep_kwargs["blocks"] = _as_int_tuple("sweep", "blocks", sweep_raw["blocks"])
     if "queries" in sweep_raw:
         sweep_kwargs["queries"] = _as_int_tuple("sweep", "queries", sweep_raw["queries"])
-    if "budgets" in sweep_raw:
-        sweep_kwargs["budgets"] = _as_float_tuple(
-            "sweep", "budgets", sweep_raw["budgets"]
-        )
     if "strategies" in sweep_raw:
         sweep_kwargs["strategies"] = _as_str_tuple(
             "sweep", "strategies", sweep_raw["strategies"]
@@ -343,8 +315,6 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     }
     if "mode" in scenario:
         spec_kwargs["mode"] = _as_str("scenario", "mode", scenario["mode"])
-    if "enabled" in scenario:
-        spec_kwargs["enabled"] = _as_bool("scenario", "enabled", scenario["enabled"])
     if "epochs" in run:
         spec_kwargs["epochs"] = _as_int("run", "epochs", run["epochs"])
     if "warmup_epochs" in run and run["warmup_epochs"] is not None:
@@ -401,10 +371,7 @@ def _coerce_scalar(text: str) -> Any:
     try:
         return float(text)
     except ValueError:
-        pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+        return text
 
 
 def _coerce_override_value(text: str) -> Any:

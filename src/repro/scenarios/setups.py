@@ -7,10 +7,10 @@ strategies, :func:`run_single_source` runs one strategy on one data source,
 and the fleet helpers (:func:`_cluster_sp_node` / :func:`_homogeneous_fleet`)
 size the shared stream-processor node and build homogeneous source specs.
 
-Historically this code lived in ``repro.analysis.experiments``; it moved here
-so the scenario layer never imports ``repro.analysis`` (which sits above it)
-— ``experiments`` re-exports everything under its old names, so existing
-imports keep working.
+It lives here so the scenario layer never imports ``repro.analysis`` (which
+sits above it); ``repro.analysis.experiments`` re-exports the setup names
+its callers use (:func:`make_setup`, :func:`make_strategy`,
+:func:`run_single_source`, :class:`HotspotWorkload`, ...).
 """
 
 from __future__ import annotations

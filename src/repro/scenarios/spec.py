@@ -5,14 +5,14 @@ figure-style experiment: which executor family runs (``kind``), the query and
 workload dynamics, the fleet composition and CPU budget schedule, the block
 tiling and placement policy, the migration policy, and the sweep axes to
 expand into individual runs.  Specs are plain frozen dataclasses so they can
-be built from TOML files (:mod:`repro.scenarios.loader`), from benchmark env
-aliases (:mod:`repro.scenarios.knobs`), or directly in code; the
-:class:`~repro.scenarios.runner.ScenarioRunner` executes them.
+be built from TOML files (:mod:`repro.scenarios.loader`) or directly in
+code; the :class:`~repro.scenarios.runner.ScenarioRunner` executes them.
 
 Every float knob is validated through :func:`repro.errors.require_finite`
-(simlint rule SL008 discipline) at construction, so a NaN smuggled in via a
-config file fails loudly at load time rather than corrupting placement or
-accounting mid-run.
+(simlint rule SL008 discipline) at construction, and placement names,
+migration-policy knobs and the dynamic re-placement shape are checked by the
+same code the simulators use, so a malformed config fails loudly at load
+time rather than after setup or mid-run.
 """
 
 from __future__ import annotations
@@ -20,9 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-from ..errors import ConfigurationError, require_finite
+from ..errors import ConfigurationError, SimulationError, require_finite
 from ..simulation.engine import RECORD_MODES
 from ..simulation.node import BudgetSchedule, as_budget_schedule
+from ..simulation.sharding import (
+    MigrationPolicy,
+    NeverMigrate,
+    SaturationMigrationPolicy,
+    make_placement,
+)
 
 #: Executor families a scenario can target.
 SCENARIO_KINDS = (
@@ -122,6 +128,7 @@ class FleetSpec:
         if self.cores < 1:
             raise ConfigurationError(f"fleet cores must be >= 1, got {self.cores!r}")
         _check_budget("fleet budget", self.budget)
+        self.budget_schedule()  # the schedule's own checks (starts at epoch 0)
         require_finite("sp_compute_share", self.sp_compute_share, positive=True)
 
     def budget_schedule(self) -> BudgetSchedule:
@@ -158,10 +165,22 @@ class TilingSpec:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers!r}")
         require_finite("sp_capacity_multiple", self.sp_capacity_multiple, positive=True)
         require_finite("ingress_headroom", self.ingress_headroom, positive=True)
-        if self.placement == "static" and self.placement_map is None:
-            raise ConfigurationError(
-                "placement='static' requires a placement_map of source -> block"
-            )
+        if self.placement == "static":
+            if self.placement_map is None:
+                raise ConfigurationError(
+                    "placement='static' requires a placement_map of source -> block"
+                )
+        else:
+            try:
+                make_placement(self.placement)
+            except SimulationError as exc:
+                raise ConfigurationError(str(exc)) from None
+        for source, block in (self.placement_map or {}).items():
+            if block < 0:
+                raise ConfigurationError(
+                    f"placement_map sends {source!r} to block {block!r}; "
+                    "blocks are numbered from 0"
+                )
 
     def placement_arg(self) -> "str | Dict[str, int]":
         """The placement argument the sharded executors accept."""
@@ -188,14 +207,24 @@ class MigrationSpec:
             )
         require_finite("saturation_pressure", self.saturation_pressure, positive=True)
         require_finite("relief_pressure", self.relief_pressure, positive=True)
-        if self.hot_epochs < 1:
-            raise ConfigurationError(
-                f"hot_epochs must be >= 1, got {self.hot_epochs!r}"
-            )
-        if self.cooldown_epochs < 0:
-            raise ConfigurationError(
-                f"cooldown_epochs must be >= 0, got {self.cooldown_epochs!r}"
-            )
+        try:
+            self.build()
+        except SimulationError as exc:
+            raise ConfigurationError(str(exc)) from None
+
+    def build(self) -> MigrationPolicy:
+        """The policy object the sharded executor consults between epochs.
+
+        The saturation knobs are checked by the policy itself even when
+        ``policy = "never"`` ignores them, so a bad value never loads.
+        """
+        saturation = SaturationMigrationPolicy(
+            saturation_pressure=self.saturation_pressure,
+            relief_pressure=self.relief_pressure,
+            hot_epochs=self.hot_epochs,
+            cooldown_epochs=self.cooldown_epochs,
+        )
+        return NeverMigrate() if self.policy == "never" else saturation
 
 
 @dataclass(frozen=True)
@@ -204,13 +233,12 @@ class SweepSpec:
 
     The runner expands whichever axes the scenario ``kind`` supports:
     ``sources`` (scaling), ``blocks`` (sharded), ``queries`` (colocated),
-    ``budgets`` (any cluster kind), and ``strategies`` (all kinds).
+    and ``strategies`` (all kinds).
     """
 
     sources: Tuple[int, ...] = ()
     blocks: Tuple[int, ...] = ()
     queries: Tuple[int, ...] = ()
-    budgets: Tuple[float, ...] = ()
     strategies: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -224,8 +252,6 @@ class SweepSpec:
                     raise ConfigurationError(
                         f"sweep.{axis} values must be >= 1, got {value!r}"
                     )
-        for value in self.budgets:
-            require_finite("sweep.budgets", float(value), non_negative=True)
 
 
 @dataclass(frozen=True)
@@ -247,8 +273,6 @@ class ScenarioSpec:
     record_mode: str = "arena"
     seed: int = 1
     mode: str = "simulated"
-    #: Assertion shims skip a disabled scenario (FIG10_MIGRATION=0 alias).
-    enabled: bool = True
     #: ``record_modes`` kind: asserted arena-over-object speedup floor (0
     #: disables the gate).
     min_speedup: float = 0.0
@@ -304,10 +328,30 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"max_sources_limit must be >= 0, got {self.max_sources_limit!r}"
             )
-        if self.kind == "dynamic_replacement" and self.workload.hotspot is None:
+        if self.kind == "dynamic_replacement":
+            self._check_dynamic_replacement()
+
+    def _check_dynamic_replacement(self) -> None:
+        hotspot = self.workload.hotspot
+        if hotspot is None:
             raise ConfigurationError(
                 "dynamic_replacement scenarios need a [workload.hotspot] "
                 "section (shift_epoch, factor)"
+            )
+        blocks = self.tiling.blocks
+        if blocks < 2:
+            raise ConfigurationError(
+                f"need >= 2 blocks for re-placement, got {blocks!r}"
+            )
+        if self.fleet.sources < blocks:
+            raise ConfigurationError(
+                f"need >= 1 source per block, got {self.fleet.sources!r} "
+                f"sources for {blocks!r} blocks"
+            )
+        if hotspot.shift_epoch >= self.epochs:
+            raise ConfigurationError(
+                f"shift_epoch must fall inside the run, got "
+                f"{hotspot.shift_epoch!r} of {self.epochs!r} epochs"
             )
 
     def resolved_warmup(self) -> int:

@@ -119,7 +119,8 @@ strict-mypy ratchet over this subpackage's accounting core:
   explicitly opt into the object-path fallback (SL006), and raised errors
   are project exception types, never bare ``ValueError``/``RuntimeError``
   (SL007);
-* environment knobs stay in the scenario config layer (SL009), and
+* nothing reads the process environment — knobs live in scenario
+  configs and ``--set`` overrides (SL009) — and
   ``copy.deepcopy`` is banned from the epoch hot path — window-boundary
   handoffs transfer ownership or shallow-copy instead (SL010);
 * process-level parallelism is single-homed in

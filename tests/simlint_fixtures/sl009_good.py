@@ -1,19 +1,15 @@
-# simlint-fixture-path: repro/scenarios/knobs.py
-"""Known-good fixture: env aliases live in the scenario config layer.
+# simlint-fixture-path: repro/scenarios/cli.py
+"""Known-good fixture: knobs arrive as an argument, never from the environment.
 
-Only ``repro/scenarios/knobs.py`` may read the environment; every other
-module takes its knobs from a scenario config (``configs/*.toml``) or a
-``--set`` override list, so the same code below is a violation anywhere
-else (see ``sl009_bad.py``).
+Every module takes its knobs from a scenario config (``configs/*.toml``) or
+from the ``--set`` override list its caller passes in; reading the process
+environment is a violation anywhere (see ``sl009_bad.py``).  ``os`` itself
+stays usable: only ``os.environ`` / ``os.getenv`` are banned.
 """
 
 import os
 
 
-def deprecated_aliases(aliases):
-    overrides = []
-    for env_var, override_path in aliases.items():
-        value = os.environ.get(env_var)
-        if value is not None:
-            overrides.append(f"{override_path}={value}")
-    return overrides
+def scenario_overrides(config_path, overrides=()):
+    entries = [entry.strip() for entry in overrides if entry.strip()]
+    return os.path.basename(config_path), entries

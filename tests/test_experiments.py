@@ -1,4 +1,9 @@
-"""Integration tests for the experiment harness (small-scale versions)."""
+"""Integration tests for the experiment harness (small-scale versions).
+
+The single-source figures run through :mod:`repro.analysis.experiments`; the
+cluster figures (10 and 11) run as dict-shaped scenario specs through
+:class:`repro.scenarios.ScenarioRunner`, the one entry point they have.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +13,9 @@ from repro.analysis.experiments import (
     adaptation_overhead,
     convergence_run,
     make_setup,
-    max_supported_sources,
-    multi_query_sweep,
     operator_count_convergence,
     partitioning_mode_comparison,
     reset_jarvis_plan,
-    scaling_sweep,
     swap_join_table,
     synopsis_comparison,
     throughput_sweep,
@@ -27,6 +29,7 @@ from repro.analysis.reporting import (
 from repro.core import lp_solver
 from repro.errors import ConfigurationError
 from repro.query.records import IpToTorTable
+from repro.scenarios import ScenarioRunner, spec_from_dict
 from repro.simulation.node import BudgetSchedule
 
 RPE = 200  # records per epoch for fast integration runs
@@ -128,27 +131,37 @@ class TestFigure9:
         assert results["jarvis"][1.0]["accuracy_loss"] == 0.0
 
 
+def run_scenario(data):
+    return ScenarioRunner().run(spec_from_dict(data)).raw
+
+
 class TestFigure10:
     def test_scaling_sweep_jarvis_supports_more_sources(self):
-        supported = max_supported_sources(
-            rate_scale=0.5, cpu_budget=0.30, records_per_epoch=400, limit=200
-        )
+        supported = run_scenario(
+            {
+                "scenario": {"name": "f10", "kind": "scaling", "mode": "analytic"},
+                "run": {"max_sources_limit": 200},
+                "workload": {"records_per_epoch": 400, "rate_scale": 0.5},
+                "fleet": {"budget": 0.30},
+                "sweep": {"strategies": ["Jarvis", "Best-OP"]},
+            }
+        )["supported"]
         assert supported["Jarvis"] > supported["Best-OP"]
         # The paper reports ~75% more sources; allow a generous band.
         ratio = supported["Jarvis"] / max(1, supported["Best-OP"])
         assert ratio > 1.4
 
     def test_scaling_sweep_results_structure(self):
-        results = scaling_sweep(
-            rate_scale=1.0,
-            cpu_budget=0.55,
-            node_counts=(1, 16, 64),
-            strategies=("Jarvis",),
-            records_per_epoch=RPE,
-            num_epochs=25,
-            warmup_epochs=10,
+        results = run_scenario(
+            {
+                "scenario": {"name": "f10", "kind": "scaling", "mode": "analytic"},
+                "run": {"epochs": 25, "warmup_epochs": 10, "max_sources_limit": 0},
+                "workload": {"records_per_epoch": RPE, "rate_scale": 1.0},
+                "fleet": {"budget": 0.55},
+                "sweep": {"sources": [1, 16, 64], "strategies": ["Jarvis"]},
+            }
         )
-        series = results["Jarvis"]
+        series = results["sweep"]["Jarvis"]
         assert [r.num_sources for r in series] == [1, 16, 64]
         assert series[0].aggregate_throughput_mbps <= series[-1].expected_throughput_mbps
         # Throughput grows with the node count even past saturation.
@@ -157,13 +170,17 @@ class TestFigure10:
 
 class TestFigure11:
     def test_multi_query_saturates_with_core_count(self):
-        one_core = multi_query_sweep(
-            rate_scale=1.0, cores=1, query_counts=(1, 2, 4),
-            records_per_epoch=RPE, num_epochs=25, warmup_epochs=10,
-        )
-        two_cores = multi_query_sweep(
-            rate_scale=1.0, cores=2, query_counts=(1, 2, 4),
-            records_per_epoch=RPE, num_epochs=25, warmup_epochs=10,
+        one_core, two_cores = (
+            run_scenario(
+                {
+                    "scenario": {"name": "f11", "kind": "colocated", "mode": "analytic"},
+                    "run": {"epochs": 25, "warmup_epochs": 10},
+                    "workload": {"records_per_epoch": RPE, "rate_scale": 1.0},
+                    "fleet": {"cores": cores},
+                    "sweep": {"queries": [1, 2, 4]},
+                }
+            )
+            for cores in (1, 2)
         )
         # Aggregate throughput is monotone in the query count until saturation,
         # and two cores support strictly more aggregate throughput at 4 queries.

@@ -5,13 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import (
-    HotspotWorkload,
-    dynamic_replacement_sweep,
-    make_setup,
-)
+from repro.analysis.experiments import HotspotWorkload, make_setup
 from repro.baselines import AllSPStrategy
 from repro.errors import SimulationError
+from repro.scenarios import ScenarioRunner, spec_from_dict
 from repro.simulation.metrics import ClusterEpochMetrics
 from repro.simulation.multisource import MultiSourceConfig, homogeneous_sources
 from repro.simulation.node import StreamProcessorNode
@@ -280,19 +277,32 @@ class TestSaturationPolicy:
             SaturationMigrationPolicy(rate_smoothing=0.0)
 
 
+def hotspot_run(record_mode, epochs, shift_epoch):
+    """The mid-run hotspot scenario: 16 All-SP sources on 2 blocks at full
+    budget, block 0's sources doubling their rate at ``shift_epoch``."""
+    spec = spec_from_dict(
+        {
+            "scenario": {"name": "hotspot", "kind": "dynamic_replacement"},
+            "run": {"epochs": epochs, "record_mode": record_mode},
+            "workload": {
+                "records_per_epoch": 120,
+                "hotspot": {"shift_epoch": shift_epoch},
+            },
+            "fleet": {"sources": 16, "strategy": "All-SP", "budget": 1.0},
+            "tiling": {"blocks": 2},
+        }
+    )
+    return ScenarioRunner().run(spec).raw
+
+
 class TestHotspotRecovery:
     @pytest.mark.parametrize("record_mode", ["object", "arena"])
     def test_dynamic_recovers_half_the_goodput_gap(self, record_mode):
         """Acceptance: on the mid-run hotspot scenario, dynamic re-placement
         recovers >= 50% of the static-to-oracle goodput gap, migrations
-        execute, and records are conserved (enforced inside the sweep) — in
-        both record modes."""
-        result = dynamic_replacement_sweep(
-            records_per_epoch=120,
-            num_epochs=30,
-            shift_epoch=8,
-            record_mode=record_mode,
-        )
+        execute, and records are conserved (enforced inside the runner) —
+        in both record modes."""
+        result = hotspot_run(record_mode, epochs=30, shift_epoch=8)
         assert result["oracle_mbps"] > result["static_mbps"]
         assert result["dynamic_mbps"] > result["static_mbps"]
         assert result["gap_recovered"] >= 0.5
@@ -312,10 +322,7 @@ class TestHotspotRecovery:
 
     def test_both_modes_agree_exactly(self):
         results = {
-            mode: dynamic_replacement_sweep(
-                records_per_epoch=120, num_epochs=24, shift_epoch=6,
-                record_mode=mode,
-            )
+            mode: hotspot_run(mode, epochs=24, shift_epoch=6)
             for mode in ("object", "arena")
         }
         for key in ("static_mbps", "dynamic_mbps", "oracle_mbps"):

@@ -21,14 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import (
-    make_setup,
-    make_strategy,
-    multi_query_colocation_sweep,
-    run_multi_query,
-    run_multi_source,
-    run_sharded,
-)
+from repro.analysis.experiments import make_setup, make_strategy
 from repro.baselines import AllSPStrategy
 from repro.query.aggregates import (
     AvgAggregate,
@@ -45,6 +38,8 @@ from repro.query.records import (
     RecordRowView,
     record_size_bytes,
 )
+from repro.scenarios import ScenarioRunner, spec_from_dict
+from repro.scenarios.runner import run_multi_query, run_multi_source, run_sharded
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.multisource import (
@@ -407,14 +402,16 @@ class TestColocatedEquivalence:
 
     def test_fig11_sweep_rows_bit_exact(self):
         rows = {
-            mode: multi_query_colocation_sweep(
-                query_counts=(1, 2),
-                records_per_epoch=80,
-                num_epochs=8,
-                warmup_epochs=2,
-                mode="simulated",
-                record_mode=mode,
-            )
+            mode: ScenarioRunner().run(
+                spec_from_dict(
+                    {
+                        "scenario": {"name": "f11", "kind": "colocated", "mode": "simulated"},
+                        "run": {"epochs": 8, "warmup_epochs": 2, "record_mode": mode},
+                        "workload": {"records_per_epoch": 80},
+                        "sweep": {"queries": [1, 2]},
+                    }
+                )
+            ).raw
             for mode in RECORD_MODES
         }
         assert rows["object"] == rows["arena"]

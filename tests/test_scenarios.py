@@ -3,13 +3,13 @@
 Three layers are covered:
 
 * **spec/loader** — dataclass validation, dict/TOML loading with strict
-  unknown-key checking, ``--set`` override parsing and deep-merge, and the
-  deprecated env-var aliases in :mod:`repro.scenarios.knobs`;
-* **equivalence** — fixed-seed results must match the pre-refactor
-  ``experiments`` functions bit for bit.  ``tests/data/scenario_golden.json``
-  pins the numbers those functions produced *before* they became thin
-  builders over :class:`ScenarioRunner`; both the refactored entry points and
-  dict-config runs are checked against it;
+  unknown-key checking, ``--set`` override parsing and deep-merge, and a
+  bounded fuzz of every declared key (a hostile value loads or raises
+  :class:`ConfigurationError`, nothing else);
+* **equivalence** — fixed-seed results of every scenario kind must match
+  ``tests/data/scenario_golden.json`` bit for bit.  The file pins the
+  numbers the cluster experiments produced before they ran through
+  :class:`ScenarioRunner`, and dict-config runs are checked against it;
 * **reporting** — the text-table helpers (including the ``ratio(0, 0)`` and
   ``series_table`` ordering fixes) and the self-contained HTML report, with
   golden files for the BENCH JSON and REPORT HTML artifacts.
@@ -19,16 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import (
-    max_supported_sources,
-    multi_query_sweep,
-    scaling_comparison,
-)
 from repro.analysis.reporting import (
     flatten_rows,
     format_table,
@@ -55,11 +50,7 @@ from repro.scenarios import (
     spec_from_dict,
 )
 from repro.scenarios import loader as scenario_loader
-from repro.scenarios.knobs import (
-    FIG10_MIGRATION_ALIASES,
-    RECMODE_ALIASES,
-    deprecated_env_overrides,
-)
+from repro.scenarios.spec import SCENARIO_KINDS
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -83,7 +74,6 @@ class TestSpecValidation:
         spec = ScenarioSpec(name="s", kind="scaling")
         assert spec.mode == "simulated"
         assert spec.record_mode == "arena"
-        assert spec.enabled is True
         assert spec.fleet.strategy == "Jarvis"
 
     @pytest.mark.parametrize(
@@ -109,6 +99,28 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="hotspot"):
             ScenarioSpec(name="s", kind="dynamic_replacement")
 
+    @pytest.mark.parametrize(
+        "sources, blocks, shift_epoch, match",
+        [
+            (8, 1, 4, ">= 2 blocks"),
+            (2, 4, 4, "source per block"),
+            (8, 2, 16, "inside the run"),
+        ],
+        ids=["one_block", "fewer_sources_than_blocks", "shift_after_the_run"],
+    )
+    def test_dynamic_replacement_shape_rejected_at_load(
+        self, sources, blocks, shift_epoch, match
+    ):
+        data = {
+            "scenario": {"name": "x", "kind": "dynamic_replacement"},
+            "run": {"epochs": 16},
+            "workload": {"hotspot": {"shift_epoch": shift_epoch}},
+            "fleet": {"sources": sources},
+            "tiling": {"blocks": blocks},
+        }
+        with pytest.raises(ConfigurationError, match=match):
+            spec_from_dict(data)
+
     def test_hotspot_factor_must_amplify(self):
         with pytest.raises(ConfigurationError):
             HotspotSpec(shift_epoch=4, factor=0.5)
@@ -120,17 +132,50 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             MigrationSpec(policy="sometimes")
 
+    def test_migration_relief_above_saturation_rejected_at_load(self):
+        with pytest.raises(ConfigurationError, match="relief_pressure"):
+            spec_from_dict(
+                {
+                    "scenario": {"name": "x", "kind": "sharded"},
+                    "migration": {"saturation_pressure": 0.9, "relief_pressure": 0.95},
+                }
+            )
+
     def test_sweep_axes_positive(self):
         with pytest.raises(ConfigurationError):
             SweepSpec(sources=(1, 0))
         with pytest.raises(ConfigurationError):
-            SweepSpec(budgets=(0.5, float("inf")))
+            SweepSpec(queries=(0,))
 
     def test_static_placement_needs_map(self):
         with pytest.raises(ConfigurationError, match="placement_map"):
             TilingSpec(placement="static")
         tiling = TilingSpec(placement="static", placement_map={"src-0": 1})
         assert tiling.placement_arg() == {"src-0": 1}
+
+    def test_unknown_placement_rejected_at_load(self):
+        with pytest.raises(ConfigurationError, match="zigzag"):
+            spec_from_dict(
+                {
+                    "scenario": {"name": "x", "kind": "sharded"},
+                    "tiling": {"placement": "zigzag"},
+                }
+            )
+        # Every name the sharded executors accept still loads.
+        for name in ("round_robin", "byte-rate-balanced", "rr"):
+            assert TilingSpec(placement=name).placement == name
+
+    def test_negative_placement_map_block_rejected_at_load(self):
+        with pytest.raises(ConfigurationError, match="source-1"):
+            spec_from_dict(
+                {
+                    "scenario": {"name": "x", "kind": "sharded"},
+                    "tiling": {
+                        "placement": "static",
+                        "placement_map": {"source-0": 0, "source-1": -1},
+                    },
+                }
+            )
 
     def test_budget_schedule_validation(self):
         fleet = FleetSpec(budget=((0, 0.3), (10, 0.6)))
@@ -139,6 +184,8 @@ class TestSpecValidation:
             FleetSpec(budget=())
         with pytest.raises(ConfigurationError):
             FleetSpec(budget=((0, float("nan")),))
+        with pytest.raises(ConfigurationError, match="epoch 0"):
+            FleetSpec(budget=((3, 0.5),))
 
     def test_resolved_warmup_defaults(self):
         steady = ScenarioSpec(name="s", kind="scaling", epochs=25)
@@ -149,6 +196,7 @@ class TestSpecValidation:
             name="s",
             kind="dynamic_replacement",
             workload=WorkloadSpec(hotspot=HotspotSpec(shift_epoch=7)),
+            tiling=TilingSpec(blocks=2),
             epochs=30,
         )
         assert dynamic.resolved_warmup() == 7  # the hotspot's shift epoch
@@ -227,23 +275,54 @@ class TestLoader:
 
     @pytest.mark.parametrize(
         "run",
-        [{"epochs": 8.5}, {"epochs": True}, {"epochs": "eight"}, {"epochs": None}],
+        [
+            {"epochs": 8.5},
+            {"epochs": True},
+            {"epochs": "eight"},
+            {"epochs": None},
+            {"epochs": float("nan")},
+            {"epochs": float("inf")},
+            {"epochs": "nan"},
+            {"epochs": "inf"},
+        ],
     )
     def test_non_integer_epochs_rejected(self, run):
         data = {"scenario": {"name": "x", "kind": "scaling"}, "run": run}
         with pytest.raises(ConfigurationError):
             spec_from_dict(data)
 
-    def test_boolean_coercion(self):
-        for raw, expected in (("no", False), ("on", True), (0, False), (True, True)):
-            spec = spec_from_dict(
-                {"scenario": {"name": "x", "kind": "scaling", "enabled": raw}}
-            )
-            assert spec.enabled is expected
+    def test_non_finite_integers_rejected_everywhere(self):
+        base = {"scenario": {"name": "x", "kind": "sharded"}}
+        for override in (
+            "run.epochs=inf",
+            "fleet.sources=nan",
+            "sweep.blocks=1,inf",
+        ):
+            with pytest.raises(ConfigurationError):
+                load_scenario(base, overrides=[override])
+        with pytest.raises(ConfigurationError):
+            spec_from_dict({**base, "fleet": {"budget": [[float("inf"), 0.5]]}})
         with pytest.raises(ConfigurationError):
             spec_from_dict(
-                {"scenario": {"name": "x", "kind": "scaling", "enabled": "maybe"}}
+                {
+                    **base,
+                    "tiling": {
+                        "placement": "static",
+                        "placement_map": {"source-0": float("nan")},
+                    },
+                }
             )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("scenario", "enabled", False), ("sweep", "budgets", [0.1, 0.9])],
+        ids=["scenario.enabled", "sweep.budgets"],
+    )
+    def test_retired_keys_rejected(self, section, key, value):
+        data = {"scenario": {"name": "x", "kind": "scaling"}}
+        data.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            spec_from_dict(data)
 
     def test_scalar_axes_promote_to_tuples(self):
         spec = spec_from_dict(
@@ -307,9 +386,9 @@ class TestOverrides:
     def test_parse_scalar_coercion(self):
         assert parse_override("run.epochs=8") == (("run", "epochs"), 8)
         assert parse_override("run.min_speedup=5.0") == (("run", "min_speedup"), 5.0)
-        assert parse_override("scenario.enabled=false") == (
-            ("scenario", "enabled"),
-            False,
+        assert parse_override("scenario.name=false") == (
+            ("scenario", "name"),
+            "false",
         )
         assert parse_override("workload.query=s2s_probe") == (
             ("workload", "query"),
@@ -346,51 +425,62 @@ class TestOverrides:
     def test_overrides_validate_like_file_values(self):
         data = {"scenario": {"name": "x", "kind": "scaling"}}
         assert load_scenario(data, overrides=["run.epochs=9"]).epochs == 9
-        assert load_scenario(data, overrides=["scenario.enabled=false"]).enabled is False
         with pytest.raises(ConfigurationError, match="unknown key"):
             load_scenario(data, overrides=["run.bogus=1"])
 
 
-class TestDeprecatedEnvAliases:
-    def test_hits_translate_and_warn(self):
-        env = {"RECMODE_EPOCHS": "9", "RECMODE_SOURCES": "12", "UNRELATED": "1"}
-        with pytest.warns(DeprecationWarning) as captured:
-            overrides = deprecated_env_overrides(RECMODE_ALIASES, env=env)
-        assert overrides == ["run.epochs=9", "fleet.sources=12"]
-        messages = [str(w.message) for w in captured]
-        assert len(messages) == 2
-        assert any("--set run.epochs=9" in m for m in messages)
+#: Every key the loader declares, as (section, key) dotted-path parts.
+DECLARED_KEYS = [
+    (tuple(section.split(".")), key)
+    for section, keys in scenario_loader._SECTION_KEYS.items()
+    for key in keys
+]
 
-    def test_boolean_path_normalizes_legacy_spellings(self):
-        for raw, expected in (("0", "false"), ("no", "false"), ("1", "true")):
-            with pytest.warns(DeprecationWarning):
-                overrides = deprecated_env_overrides(
-                    FIG10_MIGRATION_ALIASES, env={"FIG10_MIGRATION": raw}
-                )
-            assert overrides == [f"scenario.enabled={expected}"]
+#: Values a config file or an override list can smuggle into any key.
+HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "8", "-1", "0", "static"]),
+    st.lists(
+        st.one_of(st.integers(-3, 70), st.floats(), st.text(max_size=3)),
+        max_size=3,
+    ),
+    st.lists(st.lists(st.one_of(st.integers(-2, 9), st.floats()), max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.floats()), max_size=2),
+)
 
-    def test_empty_env_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_env_overrides(RECMODE_ALIASES, env={}) == []
 
-    def test_alias_overrides_drive_the_loader(self):
-        with pytest.warns(DeprecationWarning):
-            overrides = deprecated_env_overrides(
-                FIG10_MIGRATION_ALIASES, env={"FIG10_MIGRATION": "0"}
-            )
-        spec = load_scenario(
-            {
-                "scenario": {"name": "x", "kind": "dynamic_replacement"},
-                "workload": {"hotspot": {"shift_epoch": 4}},
-            },
-            overrides=overrides,
-        )
-        assert spec.enabled is False
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from(DECLARED_KEYS),
+        value=HOSTILE_VALUES,
+        kind=st.sampled_from(SCENARIO_KINDS),
+    )
+    def test_hostile_value_loads_or_raises_configuration_error(self, path, value, kind):
+        data = {
+            "scenario": {"name": "fuzz", "kind": kind},
+            "workload": {"hotspot": {"shift_epoch": 4}},
+            "fleet": {"sources": 4},
+            "tiling": {"blocks": 2, "workers": 2},
+        }
+        section, key = path
+        table = data
+        for part in section:
+            table = table.setdefault(part, {})
+        table[key] = value
+        try:
+            spec = spec_from_dict(data)
+        except ConfigurationError:
+            return
+        assert isinstance(spec, ScenarioSpec)
 
 
 # ---------------------------------------------------------------------------
-# Fixed-seed equivalence with the pre-refactor experiments functions.
+# Fixed-seed equivalence with the golden numbers.
 # ---------------------------------------------------------------------------
 
 
@@ -414,19 +504,6 @@ class TestGoldenEquivalence:
 
     def test_scaling_comparison_via_config(self, golden, tiny_comparison_result):
         assert tiny_comparison_result.raw == golden["scaling_comparison"]
-
-    def test_scaling_comparison_via_experiments(self, golden):
-        got = scaling_comparison(
-            rate_scale=1.0,
-            cpu_budget=0.55,
-            node_counts=(1, 2),
-            strategies=("Jarvis",),
-            records_per_epoch=120,
-            num_epochs=8,
-            warmup_epochs=2,
-            record_mode="arena",
-        )
-        assert got == golden["scaling_comparison"]
 
     def test_scaling_analytic_sweep(self, golden):
         spec = load_scenario(
@@ -456,13 +533,6 @@ class TestGoldenEquivalence:
         )
         raw = ScenarioRunner().run(spec).raw
         assert raw["supported"] == golden["max_supported_sources"]
-        # The refactored experiments entry point goes through the same runner.
-        assert (
-            max_supported_sources(
-                rate_scale=1.0, cpu_budget=0.55, records_per_epoch=120, limit=64
-            )
-            == golden["max_supported_sources"]
-        )
 
     def test_simulated_scaling_sweep(self, golden):
         spec = load_scenario(
@@ -529,17 +599,6 @@ class TestGoldenEquivalence:
             }
         )
         assert ScenarioRunner().run(spec).raw == golden["multi_query_sweep"]
-        assert (
-            multi_query_sweep(
-                rate_scale=1.0,
-                cores=1,
-                query_counts=(1, 2),
-                records_per_epoch=100,
-                num_epochs=8,
-                warmup_epochs=2,
-            )
-            == golden["multi_query_sweep"]
-        )
 
     def test_colocated_comparison(self, golden):
         spec = load_scenario(
@@ -753,20 +812,3 @@ class TestCli:
         html = (out_dir / "REPORT_cli_case.html").read_text()
         assert "Scenario: cli_case" in html
         assert "sources" in capsys.readouterr().out
-
-    def test_cli_skips_disabled_scenarios(self, tmp_path, capsys):
-        from repro.scenarios.cli import main
-
-        out_dir = tmp_path / "out"
-        code = main(
-            [
-                str(self._write_config(tmp_path)),
-                "--set",
-                "scenario.enabled=false",
-                "--out",
-                str(out_dir),
-            ]
-        )
-        assert code == 0
-        assert not out_dir.exists()
-        assert "disabled" in capsys.readouterr().out

@@ -490,12 +490,12 @@ class TestHistoricalBugClasses:
 
     def test_env_knob_in_benchmark_fires_sl009(self):
         # The record-modes benchmark once read RECMODE_* from the environment
-        # directly; knobs now arrive as --set overrides, with the env vars
-        # accepted only through repro/scenarios/knobs.py as deprecated aliases.
+        # directly; knobs now arrive through the scenario config alone.
         source = (REPO_ROOT / "benchmarks/bench_record_modes.py").read_text()
         reverted = source.replace(
-            "deprecated_env_overrides(RECMODE_ALIASES)",
-            '[f"run.min_speedup={os.environ.get(\'RECMODE_MIN_SPEEDUP\', 5.0)}"]',
+            'load_scenario(CONFIG_DIR / "record_modes.toml")',
+            'load_scenario(CONFIG_DIR / "record_modes.toml", overrides=['
+            'f"run.min_speedup={os.environ.get(\'RECMODE_MIN_SPEEDUP\', 5.0)}"])',
         )
         assert reverted != source
         violations = lint_source(reverted, "benchmarks/bench_record_modes.py")
@@ -564,8 +564,14 @@ class TestHistoricalBugClasses:
         violations = lint_source(reverted, "src/repro/simulation/parallel.py")
         assert "SL014" in {v.rule_id for v in violations}
 
-    def test_env_alias_layer_itself_is_exempt_from_sl009(self):
-        path = REPO_ROOT / "src/repro/scenarios/knobs.py"
-        source = path.read_text()
-        assert "os.environ" in source  # the one sanctioned reader
-        assert lint_source(source, str(path)) == []
+    def test_env_read_in_scenarios_fires_sl009(self):
+        # repro/scenarios/knobs.py was once the one module allowed to read
+        # the environment (deprecated env aliases); the ban has no allowlist.
+        source = (
+            "import os\n\n\n"
+            "def overrides():\n"
+            "    return os.environ.get('SCENARIO_SET', '').split()\n"
+        )
+        for path in ("src/repro/scenarios/knobs.py", "src/repro/scenarios/cli.py"):
+            violations = lint_source(source, path)
+            assert "SL009" in {v.rule_id for v in violations}, path

@@ -519,28 +519,25 @@ class FiniteGuardRule(Rule):
 
 
 class EnvKnobRule(Rule):
-    """SL009: process-environment reads live only in the scenario config
-    layer.  Benchmarks historically grew 16 ad-hoc ``FIG10_*``/``FIG11_*``/
-    ``RECMODE_*`` env knobs; scenario configs replaced them with ``--set``
-    overrides, and ``repro/scenarios/knobs.py`` is the single module allowed
-    to translate deprecated env aliases.  Everywhere else — including the
-    benchmark shims, which this rule covers unlike the ``repro/``-scoped
-    rest of the catalogue — env access is banned so knob sprawl cannot
-    regrow."""
+    """SL009: nothing reads the process environment.  Benchmarks once grew
+    ad-hoc ``FIG10_*``/``FIG11_*``/``RECMODE_*`` env knobs that rewrote CI
+    runs behind the configs' backs; scenario configs and ``--set``
+    overrides replaced them, so env access is banned everywhere — including
+    the benchmark shims, which this rule covers unlike the
+    ``repro/``-scoped rest of the catalogue."""
 
     id = "SL009"
     summary = (
-        "os.environ/os.getenv only in repro/scenarios/knobs.py (the scenario "
-        "config layer); pass --set overrides instead"
+        "no os.environ/os.getenv reads; declare knobs in a scenario config "
+        "or pass --set overrides"
     )
 
     BANNED = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
-    ALLOWED_FILES = {"repro/scenarios/knobs.py"}
 
     def applies_to(self, ctx: FileContext) -> bool:
         # Wider scope than the default: benchmark and tooling files (module
         # paths outside repro/) are exactly where env knobs used to sprawl.
-        return ctx.module_path not in self.ALLOWED_FILES
+        return True
 
     def check(self, ctx: FileContext) -> None:
         for node in ast.walk(ctx.tree):
@@ -551,10 +548,8 @@ class EnvKnobRule(Rule):
                 ctx.report(
                     node,
                     self.id,
-                    f"{name} read outside the scenario config layer; declare "
-                    "the knob in a scenario config (configs/*.toml) or a "
-                    "--set override, and keep env aliases in "
-                    "repro/scenarios/knobs.py",
+                    f"{name} read; declare the knob in a scenario config "
+                    "(configs/*.toml) or take it as a --set override",
                 )
 
 
