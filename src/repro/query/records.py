@@ -107,9 +107,14 @@ class Record:
 
 
 class PingmeshRecord(Record):
-    """A single Pingmesh probe result between a pair of servers."""
+    """A single Pingmesh probe result between a pair of servers.
 
-    __slots__ = ("src_ip", "dst_ip", "src_cluster", "dst_cluster", "rtt_us", "err_code")
+    The wire record also carries source and destination cluster identifiers
+    (counted in :data:`PINGMESH_RECORD_BYTES`); no query reads them, so the
+    simulated record does not hold them.
+    """
+
+    __slots__ = ("src_ip", "dst_ip", "rtt_us", "err_code")
 
     def __init__(
         self,
@@ -118,14 +123,10 @@ class PingmeshRecord(Record):
         dst_ip: int,
         rtt_us: float,
         err_code: int = 0,
-        src_cluster: int = 0,
-        dst_cluster: int = 0,
     ) -> None:
         super().__init__(event_time)
         self.src_ip = int(src_ip)
         self.dst_ip = int(dst_ip)
-        self.src_cluster = int(src_cluster)
-        self.dst_cluster = int(dst_cluster)
         self.rtt_us = float(rtt_us)
         self.err_code = int(err_code)
 
@@ -146,8 +147,6 @@ class PingmeshRecord(Record):
             "event_time": self.event_time,
             "src_ip": self.src_ip,
             "dst_ip": self.dst_ip,
-            "src_cluster": self.src_cluster,
-            "dst_cluster": self.dst_cluster,
             "rtt_us": self.rtt_us,
             "err_code": self.err_code,
         }
@@ -658,10 +657,14 @@ class FleetArena:
     batch.  Metrics depend only on row counts and exact integer byte sizes,
     so views and fallback batches are interchangeable bit-identically.
 
-    Because buffers are recycled every epoch, any view that must survive the
-    epoch boundary (operator queues, carryover transfers) has to be detached
-    first: :meth:`own` copies exactly the columns that alias the live buffers
-    and returns other batches unchanged.
+    Because buffers are recycled every epoch, any view that survives the
+    epoch boundary has to be detached before the next fill: :meth:`own`
+    copies exactly the columns that alias the live buffers and returns other
+    batches unchanged.  Operator stage queues are owned right after their
+    source steps; executor queues (carryover, SP backlog) may hold views for
+    the rest of the block epoch, and the executor owns whatever is still
+    queued when the epoch ends.  Between epochs no executor-held batch
+    aliases an arena.
     """
 
     def __init__(self) -> None:
@@ -863,14 +866,30 @@ class FleetArena:
             return False
         return id(column) in self._buffer_ids or id(column.base) in self._buffer_ids
 
+    def aliased_by(self, records: object) -> bool:
+        """Whether ``records`` is a non-empty batch reading the live buffers.
+
+        The next fill overwrites the rows such a batch reads, so a batch
+        still held across the epoch boundary has lost its records.  A
+        zero-row view reads nothing and is never flagged.
+        """
+        return (
+            isinstance(records, RecordBatch)
+            and records._length > 0
+            and any(self.aliases(column) for column in records.columns.values())
+        )
+
     def own(self, batch: "RecordBatch") -> "RecordBatch":
         """Detach a batch from the recycled buffers before it escapes an epoch.
 
         Copies only the columns that alias the live arena buffers; a batch
         with no aliasing columns is returned unchanged, so the hot path pays
         for copies exactly where data genuinely outlives the epoch.  Each
-        column is tested and, if it aliases, copied in the same pass.
+        column is tested and, if it aliases, copied in the same pass.  A
+        zero-row batch reads no buffer memory and is returned as it is.
         """
+        if not batch._length:
+            return batch
         columns: Dict[str, ColumnData] = {}
         copied = False
         for name, column in batch.columns.items():

@@ -66,10 +66,15 @@ fill phase each workload reserves its rows (the arena checks a schema once,
 then admits equal ones unchecked) and its generation kernel writes the
 epoch — one random draw, a handful of array writes — straight into the
 reserved slices; the engine hands each pipeline a zero-copy slice view and
-recycles the same buffers every epoch (allocation-free steady state;
-anything that outlives the epoch is detached through
-:meth:`~repro.query.records.FleetArena.own`).  Routing, queueing, draining
-and shipping are count arithmetic on those views.  Group aggregation of the
+recycles the same buffers every epoch (allocation-free steady state).
+Operator queues are detached through
+:meth:`~repro.query.records.FleetArena.own` right after their source steps;
+drained and emitted views may wait in the executor's carryover and SP
+backlog for the rest of the block epoch, whose last phase owns whatever is
+still queued — only this epoch's items, at each FIFO's tail — so between
+epochs no executor-held batch aliases an arena, and the conservation check
+reports one that does.  Routing, queueing, draining and shipping are count
+arithmetic on those views.  Group aggregation of the
 bundled probe queries stays columnar on the source and SP pipelines: each
 batch is stored as a raw run of packed int64 keys and float values,
 distinct-group counts sort keys only, and values fold
@@ -145,7 +150,10 @@ matching patterns:
   recycles at the next ``begin_epoch``; such a value may not be stored on
   ``self``, pushed into attribute-reachable containers, or returned —
   i.e. may not outlive the epoch — without being materialized through
-  ``own()``.  Same-epoch handoff through local containers stays free.
+  ``own()``.  Same-epoch handoff through local containers stays free, and
+  so does an executor queue that holds a drained view until
+  ``MultiSourceExecutor._finish_epoch``, which owns what remains; the
+  conservation check catches a queued view that outlives the epoch.
 * **Worker purity (SL014).** Code reachable from the worker-side entry
   points of :mod:`repro.simulation.parallel` may not write module globals
   beyond the worker-owned ``_WORKER``/``_FORK_CONTEXT``, may not create

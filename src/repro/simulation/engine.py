@@ -384,29 +384,23 @@ class EpochEngine:
             fetched[state.name] = arena.view(state.arena_id)
         return fetched
 
-    def _own_escaping(self, state: SourceState, src: SourceEpochResult) -> None:
-        """Detach from the arena everything that outlives this epoch.
+    def _own_escaping(self, state: SourceState) -> None:
+        """Detach the source's operator queues from the arena.
 
-        The arena recycles its buffers next epoch, so the two places record
-        views can survive the boundary — the source operator queues and the
-        epoch result's outbound containers (which executors park in carryover
-        queues) — must own their columns.  :meth:`FleetArena.own` copies only
-        columns that actually alias the live buffers, so batches that were
-        filtered, concatenated, or re-fetched stay untouched.
+        The arena recycles its buffers at the next fill, and stage queues
+        outlive the epoch by construction, so each one owns its columns right
+        after the source steps.  The epoch result's drained and emitted
+        containers stay views: the executor consumes them within the block
+        epoch and owns whatever it still queues when the epoch ends
+        (:meth:`~repro.simulation.multisource.MultiSourceExecutor._finish_epoch`).
+        :meth:`FleetArena.own` copies only columns that actually alias the
+        live buffers, so batches that were filtered, concatenated, or
+        re-fetched stay untouched.
         """
         arena = self.arena
         for stage in state.pipeline.stages:
             if isinstance(stage.queue, RecordBatch):
                 stage.queue = arena.own(stage.queue)
-        src.drained = [
-            (
-                stage_index,
-                arena.own(records) if isinstance(records, RecordBatch) else records,
-            )
-            for stage_index, records in src.drained
-        ]
-        if isinstance(src.emitted, RecordBatch):
-            src.emitted = arena.own(src.emitted)
 
     def _step_source(
         self,
@@ -431,7 +425,7 @@ class EpochEngine:
             records, budget_fraction, profile=state.strategy.wants_profile()
         )
         if self.arena is not None:
-            self._own_escaping(state, src)
+            self._own_escaping(state)
         for stage, count in enumerate(src.processed_per_stage):
             state.processed_per_stage[stage] += count
         for stage, count in enumerate(src.forwarded_per_stage):
@@ -506,8 +500,19 @@ class EpochEngine:
         """Check the conservation invariants; returns violation descriptions.
 
         An empty list means every record is accounted for exactly once.
+        Between epochs, an operator queue still viewing the arena is a
+        violation too: the next fill overwrites the records it holds.
         """
         violations: List[str] = []
+        arena = self.arena
+        if arena is not None:
+            violations.extend(
+                f"{state.name} stage {stage}: the queue's {len(step.queue)} "
+                "records alias the recycled arena"
+                for state in self._sources
+                for stage, step in enumerate(state.pipeline.stages)
+                if arena.aliased_by(step.queue)
+            )
         for name, stats in self.conservation_report(drain_in_flight).items():
             per_stage = zip(
                 stats["forwarded_per_stage"],

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +43,12 @@ import numpy as np
 from ..config import JarvisConfig, PINGMESH_RECORD_BYTES
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
-from ..query.records import DRAIN_HEADER_BYTES, RecordBatch, record_size_bytes
+from ..query.records import (
+    DRAIN_HEADER_BYTES,
+    FleetArena,
+    RecordBatch,
+    record_size_bytes,
+)
 from .cost_model import CostModel
 from .engine import (
     EpochAccountant,
@@ -133,14 +139,15 @@ class _TransferItem:
     records, ``-1`` for records emitted by the source's final stage, and
     ``-2`` for partial aggregation state.  ``records`` is a
     :data:`~repro.simulation.pipeline.RecordContainer` — a record list in
-    object mode, a columnar batch in arena mode (the engine
-    copies any batch column that aliases the fleet arena before it lands
-    here, so queued items survive the arena's next-epoch buffer reuse, and a
-    migrating source's partial-transfer state stays valid in the adopting
-    block's arena).  ``progress_bytes`` tracks
-    how much of the head record (or of the state blob) has already crossed
-    the link: transfers larger than one epoch's allocation simply take
-    several epochs, they never starve behind head-of-line blocking.
+    object mode, a columnar batch in arena mode.  An arena batch may view the
+    fleet arena until the block epoch ends, when
+    :meth:`MultiSourceExecutor._finish_epoch` owns every such batch still
+    queued; queued items therefore survive the arena's next-epoch buffer
+    reuse, and a migrating source's partial-transfer state stays valid in
+    the adopting block's arena.  ``progress_bytes`` tracks how much of the
+    head record (or of the state blob) has already crossed the link:
+    transfers larger than one epoch's allocation simply take several
+    epochs, they never starve behind head-of-line blocking.
     """
 
     stage_index: int
@@ -158,6 +165,8 @@ class _CarryoverSourceState(SourceState):
         super().__init__(*args, **kwargs)
         self.carryover: Deque[_TransferItem] = deque()
         self.carryover_bytes = 0.0
+        #: How many items at the carryover's tail this epoch enqueued.
+        self.fresh_items = 0
 
 
 @dataclass
@@ -290,6 +299,8 @@ class MultiSourceExecutor:
         #: go through ``_sp_free`` and drain every epoch.
         self._sp_pending: Deque[Tuple[str, _TransferItem]] = deque()
         self._sp_free: Deque[Tuple[str, _TransferItem]] = deque()
+        #: How many items at the SP backlog's tail this epoch's shipping added.
+        self._fresh_sp_pending = 0
         self._epoch_index = 0
         self._epoch_results: List[Tuple[_CarryoverSourceState, object, float]] = []
 
@@ -335,8 +346,28 @@ class MultiSourceExecutor:
         """Check the conservation invariants; returns violation descriptions.
 
         An empty list means every record is accounted for exactly once.
+        Between epochs, a carryover, SP-backlog or SP-free batch still
+        viewing the block's arena is a violation too: the next fill
+        overwrites the records it holds.
         """
-        return self.epoch_engine.verify_conservation(self._drain_in_flight())
+        violations = self.epoch_engine.verify_conservation(self._drain_in_flight())
+        arena = self.epoch_engine.arena
+        if arena is None:
+            return violations
+        queued = [
+            (state.name, "carryover", item)
+            for state in self._sources
+            for item in state.carryover
+        ]
+        queued += [(name, "SP backlog", item) for name, item in self._sp_pending]
+        queued += [(name, "SP free queue", item) for name, item in self._sp_free]
+        violations.extend(
+            f"{name} {queue}: a queued item's {len(item.records)} records "
+            "alias the recycled arena"
+            for name, queue, item in queued
+            if arena.aliased_by(item.records)
+        )
+        return violations
 
     # -- execution ----------------------------------------------------------------
     #
@@ -520,10 +551,12 @@ class MultiSourceExecutor:
         demands = self._fleet_demands()
         allocations = max_min_fair_share(demands, byte_budget)
         contending_sources = sum(1 for demand in demands if demand > 0.0)
+        pending = len(self._sp_pending)
         shipped_bytes = [
             self._ship(state, allocation)
             for state, allocation in zip(self._sources, allocations)
         ]
+        self._fresh_sp_pending = len(self._sp_pending) - pending
         return shipped_bytes, contending_sources
 
     def _finish_epoch(
@@ -548,6 +581,9 @@ class MultiSourceExecutor:
         Goodput debits growth in *every* queue a record can park in (source
         operator queues, carryover, SP compute backlog); the arithmetic lives
         in :meth:`EpochAccountant.finish_source_epoch`.
+
+        Every driver ends its block epoch here, so this is where arena views
+        still queued are owned (:meth:`_own_queued`).
         """
         epoch_s = self.config.epoch.duration_s
         sp_cpu_total = sum(sp_cpu_by_source.values())
@@ -603,7 +639,28 @@ class MultiSourceExecutor:
             sp_backlog_records=self.sp_backlog_records(),
         )
         self._epoch_results = []
+        arena = self.epoch_engine.arena
+        if arena is not None:
+            self._own_queued(arena)
         return metrics
+
+    def _own_queued(self, arena: FleetArena) -> None:
+        """Detach from the arena the batches this epoch left queued.
+
+        The arena recycles its buffers at the next fill.  Items queued in
+        earlier epochs were owned when those epochs ended, and shipping and
+        the SP drain pop from the head, so this epoch's survivors are the
+        tail of each FIFO: only those tails are walked, and a saturated
+        queue is not re-walked every epoch.  The SP free queue drains every
+        epoch and holds nothing here.
+        """
+        for state in self._sources:
+            for item in islice(reversed(state.carryover), state.fresh_items):
+                if isinstance(item.records, RecordBatch):
+                    item.records = arena.own(item.records)
+        for _, item in islice(reversed(self._sp_pending), self._fresh_sp_pending):
+            if isinstance(item.records, RecordBatch):
+                item.records = arena.own(item.records)
 
     def _prepare_run_collectors(
         self, warmup: int
@@ -666,6 +723,7 @@ class MultiSourceExecutor:
         self, state: _CarryoverSourceState, src: SourceEpochResult
     ) -> float:
         """Queue one epoch's outbound data; returns the new bytes enqueued."""
+        queued_items = len(state.carryover)
         new_bytes = 0.0
         for stage_index, records in src.drained:
             if not records:
@@ -697,6 +755,7 @@ class MultiSourceExecutor:
                 )
                 new_bytes += per_stage_bytes
         state.carryover_bytes += new_bytes
+        state.fresh_items = len(state.carryover) - queued_items
         return new_bytes
 
     @staticmethod

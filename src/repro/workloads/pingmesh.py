@@ -67,8 +67,6 @@ _COLUMN_DTYPES = {
     "event_time": np.float64,
     "src_ip": np.int64,
     "dst_ip": np.int64,
-    "src_cluster": np.int64,
-    "dst_cluster": np.int64,
     "rtt_us": np.float64,
     "err_code": np.int64,
 }
@@ -176,7 +174,7 @@ class PingmeshConfig:
 class PingmeshWorkload:
     """Generates the probe stream observed by one data source node.
 
-    Generation is columnar, through one kernel: each epoch's seven probe
+    Generation is columnar, through one kernel: each epoch's five probe
     columns are written into arrays the caller provides — fresh ones for
     :meth:`batch_for_epoch`, reserved fleet-arena slices for
     :meth:`fill_arena` — from one ``Generator.random`` draw per epoch, so
@@ -195,10 +193,12 @@ class PingmeshWorkload:
         # Destination IPs are 1000..1000+peers; the anomalous subset is a
         # uniform random sample (seed-dependent), drawn directly instead of
         # shuffling the whole peer list — fleet construction is O(sample),
-        # which matters when benchmarks build hundreds of sources.
-        self._peers = list(range(1000, 1000 + self.config.peers))
+        # which matters when benchmarks build hundreds of sources.  A range
+        # samples exactly as the equal list would (``sample`` only indexes
+        # its population) without holding one Python int per peer.
+        self._peers = range(1000, 1000 + self.config.peers)
         self._anomalous = frozenset(self._rng.sample(self._peers, anomaly_count))
-        self._peers_np = np.asarray(self._peers, dtype=np.int64)
+        self._peers_np = np.arange(1000, 1000 + self.config.peers, dtype=np.int64)
         anomalous_np = np.zeros(len(self._peers), dtype=bool)
         if self._anomalous:
             anomalous_np[np.asarray(sorted(self._anomalous)) - 1000] = True
@@ -313,8 +313,6 @@ class PingmeshWorkload:
         rtts *= 1000.0
         np.add(self._ramp, float(epoch), out=out["event_time"])
         out["src_ip"].fill(self.src_ip)
-        out["src_cluster"].fill(0)
-        out["dst_cluster"].fill(0)
 
     def _next_peers(self, count: int, dst_ips: np.ndarray) -> np.ndarray:
         """Write the next ``count`` destinations into ``dst_ips``.

@@ -42,6 +42,7 @@ from repro.scenarios import ScenarioRunner, spec_from_dict
 from repro.scenarios.runner import run_multi_query, run_multi_source, run_sharded
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
+from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
 from repro.simulation.multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -477,6 +478,11 @@ class TestFleetArenaContainer:
             assert np.array_equal(column, view.columns[name]), name
         # Already-detached batches pass through untouched.
         assert arena.own(owned) is owned
+        # A zero-row view reads no buffer memory, so there is nothing to copy.
+        empty = view[:0]
+        assert arena.own(empty) is empty
+        assert not arena.aliased_by(empty)
+        assert arena.aliased_by(view) and not arena.aliased_by(owned)
 
     def test_schema_strictness_refuses_incompatible_batches(self, setup):
         arena = FleetArena()
@@ -644,6 +650,126 @@ class TestFastModeConservationProperty:
         for _ in range(num_epochs):
             executor.run_epoch()
         assert executor.verify_record_conservation() == []
+
+
+class TestArenaOwnershipBetweenEpochs:
+    """Between block epochs no executor-held batch aliases an arena.
+
+    Executors keep drained and emitted arena views queued for the rest of
+    the block epoch and own what is still queued when it ends; the next
+    fill overwrites every row a missed view reads.
+    """
+
+    def _block(
+        self, setup, num_sources, strategy="All-SP", budget=1.0, **config
+    ):
+        return MultiSourceExecutor(
+            plan=setup.plan,
+            cost_model=setup.cost_model,
+            sources=fleet(setup, num_sources, strategy, budget=budget),
+            cluster_config=MultiSourceConfig(
+                config=setup.config, record_mode="arena", **config
+            ),
+        )
+
+    def _fleet(self, setup, kind):
+        if kind == "link_saturated":
+            link = StreamProcessorNode(ingress_bandwidth_mbps=0.15)
+            return self._block(setup, 3, stream_processor=link)
+        if kind == "sp_compute_capped":
+            return self._block(setup, 3, sp_compute_share=0.001)
+        if kind == "operator_backlog":
+            return self._block(setup, 3, "All-Src", budget=0.1)
+        if kind == "sharded_migration":
+            return ShardedClusterExecutor(
+                plan=setup.plan,
+                cost_model=setup.cost_model,
+                sources=fleet(setup, 4),
+                num_blocks=2,
+                cluster_config=MultiSourceConfig(
+                    config=setup.config,
+                    stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=0.1),
+                    record_mode="arena",
+                ),
+            )
+        return CoLocatedBlockExecutor(
+            [
+                QuerySpec(
+                    name=name,
+                    plan=setup.plan,
+                    cost_model=setup.cost_model,
+                    sources=fleet(setup, 2, "All-SP", seed=seed, budget=1.0),
+                    sp_compute_share=0.5,
+                    config=setup.config,
+                )
+                for name, seed in (("a", 10), ("b", 20))
+            ],
+            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=0.2),
+            record_mode="arena",
+        )
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "link_saturated",
+            "sp_compute_capped",
+            "operator_backlog",
+            "sharded_migration",
+            "colocated",
+        ],
+    )
+    def test_no_queued_batch_aliases_the_arena(self, setup, kind):
+        executor = self._fleet(setup, kind)
+        for epoch in range(8):
+            if kind == "sharded_migration" and epoch == 3:
+                executor.migrate("source-0", 1 - executor.block_of("source-0"))
+            executor.run_epoch()
+            assert executor.verify_record_conservation() == [], epoch
+        report = executor.record_conservation_report()
+        if kind == "colocated":
+            report = {
+                name: stats
+                for per_query in report.values()
+                for name, stats in per_query.items()
+            }
+        # The fleet really keeps records queued across epochs.
+        assert sum(
+            stats["drain_in_flight_records"] + sum(stats["queued_per_stage"])
+            for stats in report.values()
+        )
+
+    @pytest.mark.parametrize("kind", ["link_saturated", "sp_compute_capped"])
+    def test_queued_batch_keeps_its_epoch_values(self, setup, kind):
+        """An All-SP source drains every record as one batch per epoch.
+        While that batch waits — in the carryover, shrinking from its head as
+        the link ships it, or whole in the SP backlog — the next epoch's
+        fill must not change the values it holds."""
+        executor = self._fleet(setup, kind)
+        # The last source of the fleet: its batch is the SP backlog's tail.
+        twin = setup.workload_factory(12)
+        held = None
+        checked = 0
+        for epoch in range(8):
+            executor.run_epoch()
+            if held is not None:
+                item, generated = held
+                rows = len(item.records)
+                for name in ("dst_ip", "err_code"):
+                    assert np.array_equal(
+                        item.records.columns[name],
+                        generated.columns[name][len(generated) - rows :],
+                    ), (epoch, name)
+                checked += rows > 0
+            generated = twin.batch_for_epoch(epoch)
+            if kind == "link_saturated":
+                item = executor._sources_by_name["source-2"].carryover[-1]
+            else:
+                item = [
+                    item for name, item in executor._sp_pending if name == "source-2"
+                ][-1]
+            assert item.stage_index == 0 and len(item.records), epoch
+            held = (item, generated)
+        assert checked
 
 
 class TestCrossModeMigrationProperty:

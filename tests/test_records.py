@@ -39,12 +39,15 @@ class TestPingmeshRecord:
         assert record.key() == (10, 20)
 
     def test_as_dict_round_trip(self):
-        record = PingmeshRecord(1.5, 1, 2, 300.0, err_code=1, src_cluster=3, dst_cluster=4)
+        record = PingmeshRecord(1.5, 1, 2, 300.0, err_code=1)
         data = record.as_dict()
-        assert data["event_time"] == 1.5
-        assert data["err_code"] == 1
-        assert data["src_cluster"] == 3
-        assert data["dst_cluster"] == 4
+        assert data == {
+            "event_time": 1.5,
+            "src_ip": 1,
+            "dst_ip": 2,
+            "rtt_us": 300.0,
+            "err_code": 1,
+        }
 
     def test_fields_coerced_to_expected_types(self):
         record = PingmeshRecord(0, "1", "2", "10.5", err_code="0")  # type: ignore[arg-type]

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.query.records import FleetArena, LogRecord, PingmeshRecord
+from repro.query.records import FleetArena, LogRecord, PingmeshRecord, half_up
 from repro.workloads.dynamics import BurstSpec, WorkloadBurst
 from repro.workloads.loganalytics import LogAnalyticsConfig, LogAnalyticsWorkload
 from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload
@@ -99,6 +100,22 @@ class TestPingmeshWorkload:
         records = workload.records_for_epoch(0)
         assert all(table.lookup(r.dst_ip) is not None for r in records)
 
+    @pytest.mark.parametrize("peers", [600, 12500])
+    def test_peer_range_samples_and_maps_like_a_peer_list(self, peers):
+        # The peers are held as a range; sampling and the ToR table must see
+        # exactly what a list of the same ints gives.
+        listed = list(range(1000, 1000 + peers))
+        for seed in range(11):
+            config = PingmeshConfig(records_per_epoch=10, peers=peers, seed=seed)
+            workload = PingmeshWorkload(config, src_ip=7)
+            count = half_up(peers * config.anomaly_peer_fraction)
+            assert workload.anomalous_peers == frozenset(
+                random.Random(seed).sample(listed, count)
+            )
+            expected = {ip: ip // 40 for ip in listed}
+            expected[7] = 7 // 40
+            assert workload.tor_table()._mapping == expected
+
     def test_key_cardinality_bounded_by_peers(self):
         workload = self.make(records_per_epoch=3000, peers=100)
         records = workload.records_for_epoch(0)
@@ -133,7 +150,7 @@ class TestPingmeshGeneration:
             assert filled.fill_arena(epoch, arena, 1)
             view = arena.view(1)
             assert list(view.columns) == list(expected.columns)
-            assert len(expected.columns) == 7
+            assert len(expected.columns) == 5
             for name, column in expected.columns.items():
                 written = view.columns[name]
                 assert written.dtype == column.dtype, name
@@ -146,9 +163,9 @@ class TestPingmeshGeneration:
     @pytest.mark.parametrize(
         "records,peers,digest",
         [
-            (7, 20, "63b224ea595eb414cc0da16a462cd16c840c6fcfdeb5748f76fdc1484f9acd57"),
-            (30, 20, "fe213ea86f5aef7cea90bad58c207f5e2d3103fbe581e844226a9f74139415a9"),
-            (100, 500, "8f5121ae7c63fdeb3e52f684ecfdabb02c1708ff96c5b13b716bc57e821e3d1b"),
+            (7, 20, "c4781341f014a25f79afe0065db07df4b73be76afdffb6f4e82445bddcd29301"),
+            (30, 20, "877c3f4f1a3a1ae6dfd0d51ddef7efabb210f81f8ba834a206b31fac5f4f78ac"),
+            (100, 500, "fa65cce1623b42b3b92ae4b96ad80e2cfd054d5cd589454cb02ea2a41fe8033f"),
         ],
     )
     def test_generated_stream_is_pinned(self, records, peers, digest):

@@ -15,7 +15,11 @@ These rules check *contracts over values*, not syntactic patterns:
   — the places a zero-copy view can outlive the epoch whose buffers it
   aliases.  ``own()`` (and any materializing copy) sanitizes.  Stores into
   *local* containers stay legal: same-epoch handoff through a local dict
-  is the engine's sanctioned pattern.
+  is the engine's sanctioned pattern.  An executor queue may also hold a
+  drained view until ``MultiSourceExecutor._finish_epoch``, which owns
+  what remains; those views arrive as pipeline results, not as
+  ``view()``/``reserve()`` values, so the record-conservation check, not
+  this rule, guards that sweep.
 * **SL014 (worker purity)** walks the call graph reachable from the
   worker-side entry points of ``simulation/parallel.py`` (module-level
   ``_worker_*`` tasks and functions submitted to a pool by name) and flags
