@@ -20,13 +20,9 @@ from .lp_solver import DataLevelPlan, solve_data_level_lp
 from .stepwise_adapt import StepWiseAdapt, AdaptationResult
 from .partitioner import OperatorLevelPartitioner, operator_level_boundary
 from .runtime import JarvisRuntime, EpochObservation
-from .fairness import FairShareAllocator, QueryDemand, max_min_fair_allocation
 from .checkpoint import Checkpoint, CheckpointPolicy, CheckpointStore
 
 __all__ = [
-    "FairShareAllocator",
-    "QueryDemand",
-    "max_min_fair_allocation",
     "Checkpoint",
     "CheckpointPolicy",
     "CheckpointStore",

@@ -6,7 +6,7 @@ The on-disk shape mirrors the spec dataclasses section by section::
     [run]                 # epochs, warmup_epochs, record_mode, seed, ...
     [workload]            # query, records_per_epoch, rate_scale
     [workload.hotspot]    # shift_epoch, factor
-    [fleet]               # sources, strategy, budget, cores, sp_compute_share
+    [fleet]               # sources, strategy, budget, cores
     [tiling]              # blocks, placement, sp_capacity_multiple, ...
     [migration]           # policy, saturation_pressure, ...
     [sweep]               # sources, blocks, queries, strategies
@@ -56,7 +56,7 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
     ),
     "workload": ("query", "records_per_epoch", "rate_scale", "hotspot"),
     "workload.hotspot": ("shift_epoch", "factor"),
-    "fleet": ("sources", "strategy", "budget", "cores", "sp_compute_share"),
+    "fleet": ("sources", "strategy", "budget", "cores"),
     "tiling": (
         "blocks",
         "placement",
@@ -227,10 +227,6 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         fleet_kwargs["budget"] = _as_budget("fleet", "budget", fleet_raw["budget"])
     if "cores" in fleet_raw:
         fleet_kwargs["cores"] = _as_int("fleet", "cores", fleet_raw["cores"])
-    if "sp_compute_share" in fleet_raw:
-        fleet_kwargs["sp_compute_share"] = _as_float(
-            "fleet", "sp_compute_share", fleet_raw["sp_compute_share"]
-        )
     fleet = FleetSpec(**fleet_kwargs)
 
     tiling_kwargs: Dict[str, Any] = {}

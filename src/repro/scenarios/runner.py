@@ -83,7 +83,6 @@ def run_multi_source(
     num_epochs: int = 40,
     warmup_epochs: int = 12,
     stream_processor: Optional[StreamProcessorNode] = None,
-    sp_compute_share: float = 1.0,
     seed: int = 1,
     record_mode: str = "object",
 ) -> ClusterMetrics:
@@ -97,7 +96,7 @@ def run_multi_source(
     """
     specs, cluster_config, initial_budget = _homogeneous_fleet(
         setup, strategy_name, budget, num_sources,
-        stream_processor, sp_compute_share, warmup_epochs, seed,
+        stream_processor, warmup_epochs, seed,
         record_mode=record_mode,
     )
     executor = MultiSourceExecutor(
@@ -123,7 +122,6 @@ def run_sharded(
     num_epochs: int = 40,
     warmup_epochs: int = 12,
     stream_processor: Optional[StreamProcessorNode] = None,
-    sp_compute_share: float = 1.0,
     seed: int = 1,
     record_mode: str = "object",
     stream_processors: Optional[Sequence[Optional[StreamProcessorNode]]] = None,
@@ -142,7 +140,7 @@ def run_sharded(
     """
     specs, cluster_config, initial_budget = _homogeneous_fleet(
         setup, strategy_name, budget, num_sources,
-        stream_processor, sp_compute_share, warmup_epochs, seed,
+        stream_processor, warmup_epochs, seed,
         record_mode=record_mode,
     )
     kwargs: Dict[str, Any] = dict(
@@ -907,7 +905,6 @@ class ScenarioRunner:
                 _budget_arg(spec),
                 spec.fleet.sources,
                 None,
-                spec.fleet.sp_compute_share,
                 warmup,
                 spec.seed,
                 record_mode=record_mode,
@@ -970,7 +967,6 @@ class ScenarioRunner:
                 _budget_arg(spec),
                 spec.fleet.sources,
                 sp_node,
-                spec.fleet.sp_compute_share,
                 warmup,
                 spec.seed,
                 record_mode=spec.record_mode,

@@ -378,7 +378,6 @@ def _homogeneous_fleet(
     budget: "float | BudgetSchedule",
     num_sources: int,
     stream_processor: Optional[StreamProcessorNode],
-    sp_compute_share: float,
     warmup_epochs: int,
     seed: int,
     record_mode: str = "object",
@@ -403,7 +402,6 @@ def _homogeneous_fleet(
     cluster_config = MultiSourceConfig(
         config=setup.config,
         stream_processor=sp_node,
-        sp_compute_share=sp_compute_share,
         warmup_epochs=warmup_epochs,
         record_mode=record_mode,
     )

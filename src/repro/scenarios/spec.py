@@ -117,8 +117,6 @@ class FleetSpec:
     #: Source-node cores shared max-min fairly between co-located query
     #: instances (the Figure 11 axis); single-query kinds ignore it.
     cores: int = 1
-    #: Fraction of the stream processor's compute available to this query.
-    sp_compute_share: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sources < 1:
@@ -129,7 +127,6 @@ class FleetSpec:
             raise ConfigurationError(f"fleet cores must be >= 1, got {self.cores!r}")
         _check_budget("fleet budget", self.budget)
         self.budget_schedule()  # the schedule's own checks (starts at epoch 0)
-        require_finite("sp_compute_share", self.sp_compute_share, positive=True)
 
     def budget_schedule(self) -> BudgetSchedule:
         return as_budget_schedule(self.budget)

@@ -29,14 +29,16 @@ thin executors**:
   - :class:`CoLocatedBlockExecutor` — several independent queries
     (:class:`QuerySpec`) sharing ONE stream-processor node, the link split
     hierarchically (weighted max-min across queries, max-min across each
-    query's sources) and SP compute split by ``sp_compute_share``
-    (Figure 11 at cluster scale);
-  - :class:`ShardedClusterExecutor` / :class:`ShardedCoLocatedExecutor` —
-    fleets tiled across K building blocks by a :class:`PlacementPolicy`
-    (Figure 4b), with optional per-block :class:`StreamProcessorNode`
-    overrides for heterogeneous deployments and capacity-aware byte-rate
-    placement.  Blocks without sources are legitimate idle blocks (they step
-    zero-byte epochs with their capacity still counted).
+    query's sources) and SP compute split by ``sp_compute_share``, with
+    compute one query leaves idle water-filled into its backlogged
+    neighbours (Figure 11 at cluster scale);
+  - :class:`ShardedClusterExecutor` — the one sharded executor: a fleet
+    tiled across K :class:`MultiSourceExecutor` building blocks by a
+    :class:`PlacementPolicy` (Figure 4b), with optional per-block
+    :class:`StreamProcessorNode` overrides for heterogeneous deployments and
+    capacity-aware byte-rate placement.  Blocks without sources are
+    legitimate idle blocks (they step zero-byte epochs with their capacity
+    still counted).
 
 **Dynamic re-placement** reacts to measured load instead of freezing the
 placement at construction: a :class:`MigrationPolicy` (the bundled
@@ -208,7 +210,7 @@ from .multisource import (
     SourceSpec,
     homogeneous_sources,
 )
-from .multiquery import CoLocatedBlockExecutor, QuerySpec, single_query
+from .multiquery import CoLocatedBlockExecutor, QuerySpec
 from .parallel import ParallelBlockController
 from .sharding import (
     ByteRateBalancedPlacement,
@@ -220,7 +222,6 @@ from .sharding import (
     RoundRobinPlacement,
     SaturationMigrationPolicy,
     ShardedClusterExecutor,
-    ShardedCoLocatedExecutor,
     StaticPlacement,
     make_placement,
 )
@@ -261,7 +262,6 @@ __all__ = [
     "homogeneous_sources",
     "CoLocatedBlockExecutor",
     "QuerySpec",
-    "single_query",
     "ParallelBlockController",
     "max_min_fair_share",
     "weighted_max_min_fair_share",
@@ -276,5 +276,4 @@ __all__ = [
     "NeverMigrate",
     "SaturationMigrationPolicy",
     "ShardedClusterExecutor",
-    "ShardedCoLocatedExecutor",
 ]

@@ -2,10 +2,11 @@
 
 Three executors reproduce the paper's evaluation — the single-source
 :class:`~repro.simulation.executor.BuildingBlockExecutor`, the shared-link
-:class:`~repro.simulation.multisource.MultiSourceExecutor`, and the
-co-located :class:`~repro.simulation.multiquery.CoLocatedBlockExecutor` (plus
-the sharded tilings of the latter two).  They used to re-implement the same
-per-epoch machinery, so every accounting bugfix had to land three times.
+:class:`~repro.simulation.multisource.MultiSourceExecutor` (which
+:class:`~repro.simulation.sharding.ShardedClusterExecutor` tiles), and the
+co-located :class:`~repro.simulation.multiquery.CoLocatedBlockExecutor`.
+They used to re-implement the same per-epoch machinery, so every accounting
+bugfix had to land three times.
 This module is now the single home of that machinery:
 
 * :class:`EpochEngine` owns *source stepping*: fetching an epoch's records
@@ -133,7 +134,6 @@ class SourceState:
         strategy: Strategy,
         budget: "float | BudgetSchedule",
         pipeline: SourcePipeline,
-        assumed_record_bytes: float,
     ) -> None:
         self.name = name
         self.workload = workload
@@ -143,7 +143,9 @@ class SourceState:
         #: Row-owner id inside the engine's fleet arena (arena mode only);
         #: reassigned by the adopting engine when the source migrates.
         self.arena_id = -1
-        self.avg_record_bytes = max(1.0, assumed_record_bytes)
+        #: Measured mean record size; the Pingmesh probe-record size the
+        #: paper reports (Section II-B) until a non-empty epoch measures one.
+        self.avg_record_bytes = float(PINGMESH_RECORD_BYTES)
         self.watermark: Optional[float] = None
         #: Previous-epoch byte level of the source operator backlog.
         self.prev_backlog_bytes = 0.0
@@ -192,12 +194,10 @@ class EpochEngine:
         cost_model: CostModel,
         config: Optional[JarvisConfig] = None,
         record_mode: str = "object",
-        assumed_record_bytes: float = float(PINGMESH_RECORD_BYTES),
     ) -> None:
         self.cost_model = cost_model
         self.config = config or JarvisConfig()
         self.record_mode = validate_record_mode(record_mode)
-        self.assumed_record_bytes = assumed_record_bytes
         #: Arena mode stacks every source's epoch input into one block-level
         #: columnar batch; the per-source views handed to the pipelines alias
         #: its recycled buffers, so epoch stepping is allocation-free.
@@ -260,9 +260,7 @@ class EpochEngine:
         )
         initial = strategy.initial_load_factors(pipeline.num_stages)
         pipeline.set_load_factors(pad_load_factors(initial, pipeline.num_stages))
-        state = state_factory(
-            name, workload, strategy, budget, pipeline, self.assumed_record_bytes
-        )
+        state = state_factory(name, workload, strategy, budget, pipeline)
         self._register_arena_source(state)
         self._sources.append(state)
         self._by_name[name] = state

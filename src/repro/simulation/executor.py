@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..config import JarvisConfig, PINGMESH_RECORD_BYTES
+from ..config import JarvisConfig
 from ..core.runtime import EpochObservation
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
@@ -49,10 +49,6 @@ class ExecutorConfig:
         warmup_epochs: Epochs excluded from metric aggregation.
         sp_cores_share: Stream-processor cores available to this source's
             share of the query (the 64-core SP divided by its tenant count).
-        assumed_record_bytes: Record size assumed for goodput/backlog byte
-            accounting until the first non-empty epoch provides a measured
-            average.  Defaults to the Pingmesh probe-record size the paper
-            reports (Section II-B).
         record_mode: Record representation on the simulation hot path.
             ``"object"`` keeps one Python object per record (the reference);
             ``"arena"`` runs columnar
@@ -66,15 +62,11 @@ class ExecutorConfig:
     bandwidth_mbps: Optional[float] = None
     warmup_epochs: int = 0
     sp_cores_share: float = 4.0
-    assumed_record_bytes: float = float(PINGMESH_RECORD_BYTES)
     record_mode: str = "object"
 
     def __post_init__(self) -> None:
         require_finite("bandwidth_mbps", self.bandwidth_mbps, positive=True)
         require_finite("sp_cores_share", self.sp_cores_share, positive=True)
-        require_finite(
-            "assumed_record_bytes", self.assumed_record_bytes, positive=True
-        )
         validate_record_mode(self.record_mode)
 
     @property
@@ -109,7 +101,6 @@ class BuildingBlockExecutor:
             cost_model=cost_model,
             config=self.config,
             record_mode=self.exec_config.record_mode,
-            assumed_record_bytes=self.exec_config.assumed_record_bytes,
         )
         self._state = self.epoch_engine.add_source(
             name="source-0",

@@ -483,50 +483,11 @@ class MultiQueryMetrics:
             raise SimulationError(f"query {name!r} already registered")
         self.per_query[name] = metrics
 
-    @classmethod
-    def merged(
-        cls,
-        parts: Sequence["MultiQueryMetrics"],
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "MultiQueryMetrics":
-        """Fleet-wide view from per-block runs of a sharded co-located fleet.
-
-        Each part holds one block's co-located queries; a query hosted on
-        several blocks has its per-block :class:`ClusterMetrics` merged via
-        :meth:`ClusterMetrics.merged` (source names must be disjoint across
-        the blocks hosting it), so every query ends up with exactly one
-        fleet-wide entry.
-        """
-        if not parts:
-            raise SimulationError("cannot merge an empty set of multi-query metrics")
-        for attr in ("epoch_duration_s", "warmup_epochs"):
-            values = {getattr(part, attr) for part in parts}
-            if len(values) != 1:
-                raise SimulationError(
-                    f"cannot merge parts with differing {attr}: {sorted(values)}"
-                )
-        by_query: Dict[str, List[ClusterMetrics]] = {}
-        for part in parts:
-            for name, metrics in part.per_query.items():
-                by_query.setdefault(name, []).append(metrics)
-        fleet = cls(
-            epoch_duration_s=parts[0].epoch_duration_s,
-            warmup_epochs=parts[0].warmup_epochs,
-            metadata=dict(metadata or {}),
-        )
-        for name, blocks in by_query.items():
-            merged = blocks[0] if len(blocks) == 1 else ClusterMetrics.merged(blocks)
-            fleet.register_query(name, merged)
-        return fleet
-
     # -- selection -------------------------------------------------------------
 
     @property
     def num_queries(self) -> int:
         return len(self.per_query)
-
-    def query_names(self) -> List[str]:
-        return list(self.per_query)
 
     # -- aggregate headline metrics ---------------------------------------------
 

@@ -22,11 +22,11 @@ Two shared resources are arbitrated hierarchically per epoch:
   standalone ``MultiSourceExecutor`` applies to the whole link.
 * **SP compute** — the node's per-epoch core-seconds are split by each
   query's ``sp_compute_share`` (shares must sum to at most 1; the slack is
-  headroom the operator reserved).  With ``redistribute_idle_compute`` (the
-  default) further drain passes water-fill compute that one query's share
-  left unused into the queries whose backlogs are still non-empty,
-  proportionally to their shares, until the surplus is exhausted or nobody
-  is hungry — the compute analogue of the link's work conservation.
+  headroom the operator reserved).  Further drain passes then water-fill
+  compute that one query's share left unused into the queries whose
+  backlogs are still non-empty, proportionally to their shares, until the
+  surplus is exhausted or nobody is hungry — the compute analogue of the
+  link's work conservation.
 
 A single co-located query with ``sp_compute_share=1.0`` reproduces a
 standalone ``MultiSourceExecutor`` *exactly* (test-enforced): the tier-1
@@ -36,10 +36,10 @@ cap, and every phase runs the same arithmetic in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import JarvisConfig, PINGMESH_RECORD_BYTES
+from ..config import JarvisConfig
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel
@@ -99,10 +99,6 @@ class QuerySpec:
                 f"sp_compute_share must be within (0, 1] or None, "
                 f"got {self.sp_compute_share!r}"
             )
-        if not self.ingress_weight > 0:
-            raise SimulationError(
-                f"ingress_weight must be > 0, got {self.ingress_weight!r}"
-            )
 
 
 def _resolve_compute_shares(queries: Sequence[QuerySpec]) -> List[float]:
@@ -149,46 +145,23 @@ class CoLocatedBlockExecutor:
         queries: Sequence[QuerySpec],
         stream_processor: Optional[StreamProcessorNode] = None,
         warmup_epochs: int = 0,
-        redistribute_idle_compute: bool = True,
-        assumed_record_bytes: float = float(PINGMESH_RECORD_BYTES),
         record_mode: str = "object",
-        epoch_duration_s: Optional[float] = None,
     ) -> None:
-        """``epoch_duration_s`` is only needed for a block hosting zero
-        queries (an idle block of a sharded tiling wider than the fleet):
-        with no query to read the epoch length from, the tiling supplies it
-        so the idle block still steps in lockstep.  When queries are present
-        it must agree with their shared epoch duration."""
-        if not queries and epoch_duration_s is None:
-            raise SimulationError(
-                "co-located executor needs at least one query (or an explicit "
-                "epoch_duration_s for an idle block)"
-            )
+        if not queries:
+            raise SimulationError("co-located executor needs at least one query")
         names = [q.name for q in queries]
         if len(set(names)) != len(names):
             raise SimulationError(f"query names must be unique, got {names!r}")
         epoch_durations = {q.config.epoch.duration_s for q in queries}
-        if queries and len(epoch_durations) != 1:
+        if len(epoch_durations) != 1:
             raise SimulationError(
                 "co-located queries must share one epoch duration, got "
                 f"{sorted(epoch_durations)}"
             )
-        if (
-            queries
-            and epoch_duration_s is not None
-            and epoch_duration_s != queries[0].config.epoch.duration_s
-        ):
-            raise SimulationError(
-                f"explicit epoch_duration_s {epoch_duration_s!r} disagrees with "
-                f"the queries' {queries[0].config.epoch.duration_s!r}"
-            )
 
         self.queries = list(queries)
         self.warmup_epochs = warmup_epochs
-        self.redistribute_idle_compute = redistribute_idle_compute
-        self.epoch_duration_s = (
-            queries[0].config.epoch.duration_s if queries else float(epoch_duration_s)
-        )
+        self.epoch_duration_s = queries[0].config.epoch.duration_s
 
         self.stream_processor = stream_processor or StreamProcessorNode()
         self.link: SharedLink = self.stream_processor.ingress_link(
@@ -210,15 +183,11 @@ class CoLocatedBlockExecutor:
                     stream_processor=self.stream_processor,
                     sp_compute_share=share,
                     warmup_epochs=warmup_epochs,
-                    assumed_record_bytes=assumed_record_bytes,
                     record_mode=record_mode,
                 ),
             )
             for q, share in zip(queries, self._shares)
         ]
-        self._engines_by_name: Dict[str, MultiSourceExecutor] = {
-            q.name: engine for q, engine in zip(self.queries, self._engines)
-        }
         self._epoch = 0
 
     # -- introspection -----------------------------------------------------------
@@ -227,23 +196,9 @@ class CoLocatedBlockExecutor:
     def num_queries(self) -> int:
         return len(self.queries)
 
-    @property
-    def epochs_run(self) -> int:
-        """How many epochs this block has stepped so far."""
-        return self._epoch
-
-    def query_names(self) -> List[str]:
-        return [q.name for q in self.queries]
-
     def compute_shares(self) -> Dict[str, float]:
         """Resolved per-query compute shares (explicit plus defaulted)."""
         return {q.name: share for q, share in zip(self.queries, self._shares)}
-
-    def engine(self, query_name: str) -> MultiSourceExecutor:
-        """The per-query execution engine (primarily for tests/inspection)."""
-        if query_name not in self._engines_by_name:
-            raise SimulationError(f"unknown query {query_name!r}")
-        return self._engines_by_name[query_name]
 
     def sp_backlog_records(self) -> int:
         """Records waiting for SP compute across every co-located query."""
@@ -300,8 +255,8 @@ class CoLocatedBlockExecutor:
 
         # Phase 3: SP compute, split by sp_compute_share.  Free items (state
         # merges, final records) always drain; record batches get one pass at
-        # the query's own share, then — if enabled — further passes share out
-        # whatever compute the other queries' slices left idle.  The
+        # the query's own share, then further passes share out whatever
+        # compute the other queries' slices left idle.  The
         # redistribution water-fills like the link tier: surplus a hungry
         # query cannot absorb (its backlog drains mid-pass) is re-offered to
         # the queries still backlogged, until the surplus is exhausted or
@@ -312,7 +267,7 @@ class CoLocatedBlockExecutor:
             engine._drain_sp_pending(engine.sp_compute_capacity_s)
             for engine in engines
         ]
-        if self.redistribute_idle_compute and len(engines) > 1:
+        if len(engines) > 1:
             assigned = sum(engine.sp_compute_capacity_s for engine in engines)
             leftover = assigned - sum(sum(cpu.values()) for cpu in cpu_by_query)
             while leftover > 1e-12:
@@ -425,37 +380,3 @@ class CoLocatedBlockExecutor:
                 cluster.register_source(source_name, run_metrics)
             result.register_query(name, cluster)
         return result
-
-
-def single_query(
-    name: str,
-    plan: PhysicalPlan,
-    cost_model: CostModel,
-    sources: Sequence[SourceSpec],
-    config: Optional[JarvisConfig] = None,
-    sp_compute_share: float = 1.0,
-    ingress_weight: float = 1.0,
-) -> QuerySpec:
-    """Convenience constructor mirroring ``MultiSourceExecutor``'s signature."""
-    return QuerySpec(
-        name=name,
-        plan=plan,
-        cost_model=cost_model,
-        sources=sources,
-        sp_compute_share=sp_compute_share,
-        ingress_weight=ingress_weight,
-        config=config or JarvisConfig(),
-    )
-
-
-def shard_query_sources(
-    query: QuerySpec, groups: Sequence[Sequence[SourceSpec]]
-) -> List[Optional[QuerySpec]]:
-    """Per-block clones of ``query``, one per source group (None when empty).
-
-    Used by the sharded co-located executor: a query keeps its compute share
-    and ingress weight on every block that hosts a slice of its fleet.
-    """
-    return [
-        replace(query, sources=list(group)) if group else None for group in groups
-    ]

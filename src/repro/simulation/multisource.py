@@ -40,7 +40,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import JarvisConfig, PINGMESH_RECORD_BYTES
+from ..config import JarvisConfig
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
 from ..query.records import (
@@ -96,8 +96,6 @@ class MultiSourceConfig:
         sp_compute_share: Fraction of the SP's cores available to this query
             (the paper's SP is shared by ~20 queries).
         warmup_epochs: Epochs excluded from metric aggregation.
-        assumed_record_bytes: Record size assumed for byte accounting until a
-            source's first non-empty epoch provides a measured average.
         record_mode: Record representation on the simulation hot path.
             ``"object"`` keeps one Python object per record (the reference);
             ``"arena"`` stacks every source in the block into one reusable
@@ -111,7 +109,6 @@ class MultiSourceConfig:
     stream_processor: StreamProcessorNode = field(default_factory=StreamProcessorNode)
     sp_compute_share: float = 1.0
     warmup_epochs: int = 0
-    assumed_record_bytes: float = float(PINGMESH_RECORD_BYTES)
     record_mode: str = "object"
 
     def __post_init__(self) -> None:
@@ -122,12 +119,6 @@ class MultiSourceConfig:
             raise SimulationError(
                 f"sp_compute_share must be within (0, 1], got {self.sp_compute_share!r}"
             )
-        require_finite(
-            "assumed_record_bytes",
-            self.assumed_record_bytes,
-            positive=True,
-            error=SimulationError,
-        )
         validate_record_mode(self.record_mode)
 
 
@@ -237,9 +228,9 @@ class MultiSourceExecutor:
         allow_empty_fleet: bool = False,
     ) -> None:
         """``allow_empty_fleet`` permits construction with zero sources: the
-        sharded executors use it so a block whose fleet migrated away (or a
-        tiling wider than the fleet) keeps stepping zero-byte epochs with its
-        capacity still counted, instead of being a construction error."""
+        one sharded executor uses it so a block whose fleet migrated away (or
+        a tiling wider than the fleet) keeps stepping zero-byte epochs with
+        its capacity still counted, instead of being a construction error."""
         if not sources and not allow_empty_fleet:
             raise SimulationError("multi-source executor needs at least one source")
         names = [spec.name for spec in sources]
@@ -276,7 +267,6 @@ class MultiSourceExecutor:
             cost_model=cost_model,
             config=self.config,
             record_mode=self.cluster_config.record_mode,
-            assumed_record_bytes=self.cluster_config.assumed_record_bytes,
         )
         self._sources: List[_CarryoverSourceState] = []
         self._sources_by_name: Dict[str, _CarryoverSourceState] = {}

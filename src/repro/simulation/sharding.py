@@ -49,14 +49,7 @@ from typing import (
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel
-from .metrics import (
-    ClusterEpochMetrics,
-    ClusterMetrics,
-    EpochMetrics,
-    MultiQueryMetrics,
-    RunMetrics,
-)
-from .multiquery import CoLocatedBlockExecutor, QuerySpec, shard_query_sources
+from .metrics import ClusterEpochMetrics, ClusterMetrics, EpochMetrics, RunMetrics
 from .multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -958,173 +951,3 @@ def _block_conservation_report(
     index: int, block: MultiSourceExecutor
 ) -> Dict[str, Dict[str, object]]:
     return block.record_conservation_report()
-
-
-class ShardedCoLocatedExecutor:
-    """A fleet of co-located queries tiled across K building blocks.
-
-    The multi-query generalisation of :class:`ShardedClusterExecutor`: every
-    block's stream processor is shared by several queries
-    (:class:`~repro.simulation.multiquery.CoLocatedBlockExecutor`) instead of
-    one.  The placement policy is applied to the *flattened* fleet — every
-    query's sources concatenated in query order — in a single invocation, so
-    round-robin deals consecutive sources (and single-source queries) across
-    blocks instead of restarting at block 0 per query, and byte-rate
-    balancing packs against fleet-wide block load rather than balancing each
-    query in isolation.  A query keeps its ``sp_compute_share`` and
-    ``ingress_weight`` on every block that hosts a slice of its fleet, and
-    blocks a query has no sources on simply do not host it.  Fleet-wide
-    aggregation merges each query's per-block
-    :class:`~repro.simulation.metrics.ClusterMetrics` into one entry of a
-    :class:`~repro.simulation.metrics.MultiQueryMetrics`.
-    """
-
-    def __init__(
-        self,
-        queries: Sequence[QuerySpec],
-        num_blocks: int,
-        placement: PlacementLike = "round_robin",
-        stream_processor: Optional[StreamProcessorNode] = None,
-        warmup_epochs: int = 0,
-        redistribute_idle_compute: bool = True,
-        record_mode: str = "object",
-    ) -> None:
-        if num_blocks <= 0:
-            raise SimulationError(f"num_blocks must be positive, got {num_blocks!r}")
-        if not queries:
-            raise SimulationError("sharded co-located executor needs >= 1 query")
-
-        self.queries = list(queries)
-        self.placement = make_placement(placement)
-        self.warmup_epochs = warmup_epochs
-
-        flat_sources = [spec for query in self.queries for spec in query.sources]
-        flat_blocks = list(self.placement.assign(flat_sources, num_blocks))
-        if len(flat_blocks) != len(flat_sources):
-            raise SimulationError(
-                f"placement {self.placement.name!r} returned {len(flat_blocks)} "
-                f"assignments for {len(flat_sources)} sources"
-            )
-        per_block_queries: List[List[QuerySpec]] = [[] for _ in range(num_blocks)]
-        assignment: Dict[str, Dict[str, int]] = {}
-        cursor = 0
-        for query in self.queries:
-            blocks = flat_blocks[cursor : cursor + len(query.sources)]
-            cursor += len(query.sources)
-            groups: List[List[SourceSpec]] = [[] for _ in range(num_blocks)]
-            for spec, block in zip(query.sources, blocks):
-                if not 0 <= block < num_blocks:
-                    raise SimulationError(
-                        f"placement {self.placement.name!r} sent {spec.name!r} "
-                        f"to block {block}, but only blocks 0.."
-                        f"{num_blocks - 1} exist"
-                    )
-                groups[block].append(spec)
-            assignment[query.name] = {
-                spec.name: block for spec, block in zip(query.sources, blocks)
-            }
-            for block, shard in enumerate(shard_query_sources(query, groups)):
-                if shard is not None:
-                    per_block_queries[block].append(shard)
-        # Blocks hosting no query sources stay as idle blocks stepping
-        # zero-byte epochs (a tiling wider than the fleet is not an error);
-        # they take the fleet's epoch duration since they have no query of
-        # their own to read it from.
-        self._assignment = assignment
-        epoch_duration_s = self.queries[0].config.epoch.duration_s
-        self.blocks: List[CoLocatedBlockExecutor] = [
-            CoLocatedBlockExecutor(
-                queries=hosted,
-                stream_processor=stream_processor,
-                warmup_epochs=warmup_epochs,
-                redistribute_idle_compute=redistribute_idle_compute,
-                record_mode=record_mode,
-                epoch_duration_s=epoch_duration_s,
-            )
-            for hosted in per_block_queries
-        ]
-        self._epoch = 0
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.queries)
-
-    def query_names(self) -> List[str]:
-        return [query.name for query in self.queries]
-
-    def assignment(self) -> Dict[str, Dict[str, int]]:
-        """Copy of the query -> source -> block assignment."""
-        return {name: dict(mapping) for name, mapping in self._assignment.items()}
-
-    def blocks_of(self, query_name: str) -> List[int]:
-        """Sorted block indices hosting a slice of ``query_name``'s fleet."""
-        if query_name not in self._assignment:
-            raise SimulationError(f"unknown query {query_name!r}")
-        return sorted(set(self._assignment[query_name].values()))
-
-    def verify_record_conservation(self) -> List[str]:
-        """Conservation violations across every block (empty means none)."""
-        violations: List[str] = []
-        for index, block in enumerate(self.blocks):
-            violations.extend(
-                f"block {index}: {violation}"
-                for violation in block.verify_record_conservation()
-            )
-        return violations
-
-    # -- execution ----------------------------------------------------------------
-
-    def run_epoch(self) -> Dict[str, Dict[str, EpochMetrics]]:
-        """Step every block one epoch in lockstep.
-
-        Returns per-source epoch metrics nested under each query's name,
-        combined across the blocks hosting the query (source names are
-        disjoint across blocks).
-        """
-        self._epoch += 1
-        metrics: Dict[str, Dict[str, EpochMetrics]] = {}
-        for block in self.blocks:
-            for name, per_source in block.run_epoch().items():
-                metrics.setdefault(name, {}).update(per_source)
-        return metrics
-
-    def run(
-        self, num_epochs: int, warmup_epochs: Optional[int] = None
-    ) -> MultiQueryMetrics:
-        """Run every block for ``num_epochs``; returns fleet-wide metrics.
-
-        Blocks never share state, so each block runs to completion and the
-        per-block results merge afterwards
-        (:meth:`MultiQueryMetrics.merged`), mirroring
-        :meth:`ShardedClusterExecutor.run`.  Reuse of a stepped executor
-        raises :class:`SimulationError`.
-        """
-        if num_epochs <= 0:
-            raise SimulationError(f"num_epochs must be positive, got {num_epochs!r}")
-        if self._epoch != 0 or any(block.epochs_run != 0 for block in self.blocks):
-            stepped = max(self._epoch, *(block.epochs_run for block in self.blocks))
-            raise SimulationError(
-                f"run() needs a fresh executor, but {stepped} epoch(s) have "
-                "already been stepped; build a new executor for a new run"
-            )
-        warmup = self.warmup_epochs if warmup_epochs is None else warmup_epochs
-        block_metrics = [
-            block.run(num_epochs, warmup_epochs=warmup) for block in self.blocks
-        ]
-        for index, metrics in enumerate(block_metrics):
-            metrics.metadata["block"] = index
-        return MultiQueryMetrics.merged(
-            block_metrics,
-            metadata={
-                "num_queries": self.num_queries,
-                "num_blocks": self.num_blocks,
-                "placement": self.placement.name,
-                "assignment": self.assignment(),
-            },
-        )

@@ -10,11 +10,7 @@ from repro.config import JarvisConfig
 from repro.errors import SimulationError
 from repro.analysis.experiments import make_setup, make_strategy
 from repro.simulation.metrics import ClusterMetrics, MultiQueryMetrics, RunMetrics
-from repro.simulation.multiquery import (
-    CoLocatedBlockExecutor,
-    QuerySpec,
-    single_query,
-)
+from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
 from repro.simulation.multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -22,7 +18,6 @@ from repro.simulation.multisource import (
     homogeneous_sources,
 )
 from repro.simulation.node import StreamProcessorNode
-from repro.simulation.sharding import ShardedCoLocatedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -167,13 +162,13 @@ class TestSingleQueryEquivalence:
         ).run(15, warmup_epochs=4)
         colocated = CoLocatedBlockExecutor(
             [
-                single_query(
-                    "q0",
-                    setup.plan,
-                    setup.cost_model,
-                    specs(),
-                    config=setup.config,
+                QuerySpec(
+                    name="q0",
+                    plan=setup.plan,
+                    cost_model=setup.cost_model,
+                    sources=specs(),
                     sp_compute_share=1.0,
+                    config=setup.config,
                 )
             ],
             stream_processor=sp(),
@@ -249,7 +244,11 @@ class TestHierarchicalLinkArbitration:
 
 
 class TestComputeSharing:
-    def build(self, setup, redistribute):
+    def test_idle_compute_redistribution_unblocks_starved_query(self, setup):
+        """The starved query's own share leaves 1200 records in its SP
+        backlog after 10 epochs; the idle neighbour's compute, water-filled
+        into it, drains them all.  The idle query holds no records, so the
+        block's backlog is the starved query's."""
         queries = [
             make_query(
                 setup, "starved", all_sp_fleet(setup, 2, seed=10, prefix="s"),
@@ -260,26 +259,16 @@ class TestComputeSharing:
                 share=0.9, weight=1.0,
             ),
         ]
-        return CoLocatedBlockExecutor(
+        executor = CoLocatedBlockExecutor(
             queries,
             stream_processor=StreamProcessorNode(
                 cores=64, ingress_bandwidth_mbps=1000.0
             ),
-            redistribute_idle_compute=redistribute,
         )
-
-    def test_idle_compute_redistribution_unblocks_starved_query(self, setup):
-        """With redistribution the starved query's SP backlog drains using
-        the idle neighbour's compute; without it the backlog persists."""
-        strict = self.build(setup, redistribute=False)
-        shared = self.build(setup, redistribute=True)
         for _ in range(10):
-            strict.run_epoch()
-            shared.run_epoch()
-        assert strict.sp_backlog_records() > 0
-        assert shared.sp_backlog_records() == 0
-        assert strict.verify_record_conservation() == []
-        assert shared.verify_record_conservation() == []
+            executor.run_epoch()
+        assert executor.sp_backlog_records() == 0
+        assert executor.verify_record_conservation() == []
 
 
 class TestRunReuseGuard:
@@ -334,124 +323,6 @@ class TestColocatedConservation:
         )
         executor.run(6, warmup_epochs=0)
         assert executor.verify_record_conservation() == []
-
-
-class TestShardedCoLocated:
-    def queries(self, setup, sources_per_query=4):
-        return [
-            make_query(
-                setup, "alpha",
-                all_sp_fleet(setup, sources_per_query, seed=10, prefix="a"),
-                share=0.6, weight=2.0,
-            ),
-            make_query(
-                setup, "beta",
-                all_sp_fleet(setup, sources_per_query, seed=40, prefix="b"),
-                share=0.4, weight=1.0,
-            ),
-        ]
-
-    def test_k1_matches_colocated_exactly(self, setup):
-        sp = lambda: StreamProcessorNode(ingress_bandwidth_mbps=2.0)
-        direct = CoLocatedBlockExecutor(
-            self.queries(setup), stream_processor=sp()
-        ).run(10, warmup_epochs=2)
-        sharded = ShardedCoLocatedExecutor(
-            self.queries(setup), num_blocks=1, stream_processor=sp()
-        ).run(10, warmup_epochs=2)
-        for name in direct.query_names():
-            assert (
-                sharded.per_query[name].summary()
-                == direct.per_query[name].summary()
-            )
-            for a, b in zip(
-                sharded.per_query[name].cluster_epochs,
-                direct.per_query[name].cluster_epochs,
-            ):
-                assert a == b
-
-    def test_partitions_each_query_across_blocks(self, setup):
-        executor = ShardedCoLocatedExecutor(
-            self.queries(setup),
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        assert executor.num_blocks == 2
-        assert executor.blocks_of("alpha") == [0, 1]
-        assert executor.blocks_of("beta") == [0, 1]
-        assignment = executor.assignment()
-        assert set(assignment) == {"alpha", "beta"}
-        assert sorted(assignment["alpha"].values()) == [0, 0, 1, 1]
-        metrics = executor.run(8, warmup_epochs=2)
-        assert executor.verify_record_conservation() == []
-        assert metrics.per_query["alpha"].num_sources == 4
-        assert metrics.num_queries == 2
-
-    def test_single_source_queries_spread_across_blocks(self, setup):
-        """Regression: the placement runs once over the flattened fleet, so
-        four one-source queries deal out round-robin across two blocks —
-        per-query placement would restart at block 0 every time, leave block
-        1 empty, and reject the configuration."""
-        queries = [
-            make_query(
-                setup, f"q{i}", all_sp_fleet(setup, 1, seed=10 * (i + 1),
-                                             prefix=f"q{i}-src"),
-                share=0.25,
-            )
-            for i in range(4)
-        ]
-        executor = ShardedCoLocatedExecutor(
-            queries,
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        assert [executor.blocks_of(f"q{i}") for i in range(4)] == [
-            [0], [1], [0], [1]
-        ]
-        metrics = executor.run(6, warmup_epochs=0)
-        assert executor.verify_record_conservation() == []
-        assert metrics.num_queries == 4
-
-    def test_query_with_fewer_sources_than_blocks(self, setup):
-        """A query absent from a block simply is not hosted there."""
-        queries = [
-            make_query(
-                setup, "wide", all_sp_fleet(setup, 4, seed=10, prefix="w"),
-                share=0.5,
-            ),
-            make_query(
-                setup, "narrow", all_sp_fleet(setup, 1, seed=40, prefix="n"),
-                share=0.5,
-            ),
-        ]
-        executor = ShardedCoLocatedExecutor(
-            queries,
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        assert executor.blocks_of("narrow") == [0]
-        metrics = executor.run(6, warmup_epochs=0)
-        assert metrics.per_query["narrow"].num_sources == 1
-        assert metrics.per_query["wide"].num_sources == 4
-
-    def test_idle_blocks_step_and_reuse_rejected(self, setup):
-        """Regression: a tiling wider than the fleet used to be a hard
-        SimulationError; idle blocks must construct and step zero-byte
-        epochs instead (they can host migrated sources later)."""
-        queries = [make_query(setup, "tiny", all_sp_fleet(setup, 1))]
-        wide = ShardedCoLocatedExecutor(queries, num_blocks=2)
-        assert wide.num_blocks == 2
-        metrics = wide.run(3, warmup_epochs=0)
-        assert metrics.query_names() == ["tiny"]
-        assert wide.verify_record_conservation() == []
-        executor = ShardedCoLocatedExecutor(
-            self.queries(setup),
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        executor.run_epoch()
-        with pytest.raises(SimulationError, match="fresh executor"):
-            executor.run(3)
 
 
 class TestMultiQueryMetrics:
@@ -513,27 +384,3 @@ class TestMultiQueryMetrics:
         metrics.register_query("a", self.cluster())
         with pytest.raises(SimulationError):
             metrics.register_query("a", self.cluster())
-
-    def test_merged_validations(self):
-        with pytest.raises(SimulationError):
-            MultiQueryMetrics.merged([])
-        one = MultiQueryMetrics(epoch_duration_s=1.0)
-        other = MultiQueryMetrics(epoch_duration_s=2.0)
-        with pytest.raises(SimulationError):
-            MultiQueryMetrics.merged([one, other])
-
-    def test_merged_combines_blocks_per_query(self):
-        block0 = MultiQueryMetrics(epoch_duration_s=1.0)
-        cluster0 = self.cluster()
-        block0.register_query("q", cluster0)
-        block1 = MultiQueryMetrics(epoch_duration_s=1.0)
-        block1_cluster = self.cluster()
-        # Rename the source so the merge across blocks stays disjoint.
-        block1_cluster.per_source["other"] = block1_cluster.per_source.pop("src")
-        block1.register_query("q", block1_cluster)
-        fleet = MultiQueryMetrics.merged([block0, block1])
-        assert fleet.num_queries == 1
-        assert fleet.per_query["q"].num_sources == 2
-        assert fleet.aggregate_throughput_mbps() == pytest.approx(
-            2 * cluster0.aggregate_throughput_mbps()
-        )

@@ -158,6 +158,13 @@ def _probe_pid(index, block):
     return os.getpid()
 
 
+def _kill_self_on_block_1(index, block):
+    """SIGKILL the worker process while it runs block 1's task."""
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index
+
+
 class _FailAfter:
     """Workload wrapper raising SimulationError from a given epoch on.
 
@@ -593,24 +600,29 @@ class TestTeardown:
         with pytest.raises(SimulationError, match="closed"):
             controller.run_epoch()
 
-    @pytest.mark.parametrize("action", ["run_epoch", "migrate"])
+    @pytest.mark.parametrize("action", ["run_epoch", "migrate", "map_blocks"])
     def test_killed_worker_ends_in_simulation_error(self, setup, action):
-        """SIGKILL one worker between epochs: the next dispatch to it — an
-        epoch or a migration handoff — raises SimulationError chained to the
-        broken pool, with the controller closed and no segment linked."""
+        """SIGKILL one worker between epochs — the next dispatch to it, an
+        epoch or a migration handoff — or while it runs a task (the
+        ``map_blocks`` callback kills its own process on block 1).  Either
+        way the call raises SimulationError chained to the broken pool, with
+        the controller closed and no segment linked."""
         controller = build_parallel(
             setup, num_sources=8, num_blocks=4, record_mode="arena"
         )
         segments = controller.shared_segment_names()
         assert len(segments) == 4
         controller.run_epoch()
-        # Block 1 lives on worker 1; source-0 lives on block 0 (worker 0).
-        os.kill(controller.map_blocks(_probe_pid)[1], signal.SIGKILL)
+        if action != "map_blocks":
+            # Block 1 lives on worker 1; source-0 lives on block 0 (worker 0).
+            os.kill(controller.map_blocks(_probe_pid)[1], signal.SIGKILL)
         with pytest.raises(SimulationError, match="died") as raised:
             if action == "run_epoch":
                 controller.run_epoch()
-            else:
+            elif action == "migrate":
                 controller.migrate("source-0", 1)
+            else:
+                controller.map_blocks(_kill_self_on_block_1)
         assert isinstance(raised.value.__cause__, concurrent.futures.BrokenExecutor)
         assert controller._closed
         assert controller._pools == []

@@ -315,8 +315,12 @@ class TestLoader:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("scenario", "enabled", False), ("sweep", "budgets", [0.1, 0.9])],
-        ids=["scenario.enabled", "sweep.budgets"],
+        [
+            ("scenario", "enabled", False),
+            ("sweep", "budgets", [0.1, 0.9]),
+            ("fleet", "sp_compute_share", 1.5),
+        ],
+        ids=["scenario.enabled", "sweep.budgets", "fleet.sp_compute_share"],
     )
     def test_retired_keys_rejected(self, section, key, value):
         data = {"scenario": {"name": "x", "kind": "scaling"}}
