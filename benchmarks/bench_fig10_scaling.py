@@ -39,7 +39,7 @@ def test_fig10_scaling(benchmark, name):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result(name, result.table, data=result.bench_payload())
+    write_result(name, result.table, data=result.payload)
 
     supported = result.raw["supported"]
     assert supported["Jarvis"] > supported["Best-OP"]
@@ -56,7 +56,7 @@ def test_fig10_sim_vs_analytic(benchmark):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result("fig10_sim_vs_analytic", result.table, data=result.bench_payload())
+    write_result("fig10_sim_vs_analytic", result.table, data=result.payload)
 
     # Below the saturation knee the measured executor must agree with the
     # analytic cross-check (acceptance criterion: within 10%).
@@ -78,7 +78,7 @@ def test_fig10_sharded_scaling(benchmark):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result("fig10_sharded_scaling", result.table, data=result.bench_payload())
+    write_result("fig10_sharded_scaling", result.table, data=result.payload)
 
     for strategy, entries in result.raw.items():
         throughputs = [m.aggregate_throughput_mbps() for m in entries]
@@ -104,9 +104,7 @@ def test_fig10_dynamic_replacement(benchmark):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result(
-        "fig10_dynamic_replacement", result.table, data=result.bench_payload()
-    )
+    write_result("fig10_dynamic_replacement", result.table, data=result.payload)
 
     # Dynamic placement must beat static and recover >= 50% of the oracle gap.
     raw = result.raw

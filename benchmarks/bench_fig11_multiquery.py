@@ -86,7 +86,7 @@ def test_fig11_colocated(benchmark):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result("fig11_colocated", result.table, data=result.bench_payload())
+    write_result("fig11_colocated", result.table, data=result.payload)
 
     rows = result.raw
     demand = rows[0]["per_query_demand"]

@@ -33,7 +33,7 @@ def test_parallel_gate_speedup_and_identity(benchmark):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result("parallel_gate", result.table, data=result.bench_payload())
+    write_result("parallel_gate", result.table, data=result.payload)
 
     # Bit-identity is unconditional: per-source per-epoch metrics from the
     # worker pool must equal the serial lockstep reference exactly.

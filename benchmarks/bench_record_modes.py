@@ -30,7 +30,7 @@ def test_record_mode_speedup_and_equivalence(benchmark):
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
-    write_result("record_modes", result.table, data=result.bench_payload())
+    write_result("record_modes", result.table, data=result.payload)
 
     # Identical metrics: the arena is an optimization, never a model change.
     for strategy, entry in result.raw.items():

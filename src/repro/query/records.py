@@ -331,11 +331,6 @@ class RecordRowView:
         batch = object.__getattribute__(self, "_batch")
         return {name: column[index] for name, column in batch.columns.items()}
 
-    def to_record(self) -> Record:
-        """Materialize this row as a standalone record object."""
-        batch = object.__getattribute__(self, "_batch")
-        return batch.materialize_row(object.__getattribute__(self, "_index"))
-
 
 class RecordBatch:
     """Columnar batch of homogeneous records (parallel arrays).
@@ -605,15 +600,6 @@ class RecordBatch:
     @property
     def event_times(self) -> List[float]:
         return self.columns["event_time"]
-
-    def materialize_row(self, index: int) -> Record:
-        record = self.record_class.__new__(self.record_class)
-        for name, column in self.columns.items():
-            value = column[index]
-            if isinstance(value, np.generic):
-                value = value.item()
-            setattr(record, name, value)
-        return record
 
     def to_records(self) -> List[Record]:
         """Materialize the whole batch as record objects (slow path).

@@ -5,14 +5,17 @@ data" and "metrics out of the simulators".  Config → :class:`ScenarioRunner`
 is the one way to run a cluster experiment:
 
 * :mod:`~repro.scenarios.spec` — frozen, validated dataclasses describing a
-  scenario (workload, fleet, tiling, migration, sweep axes, run knobs);
-* :mod:`~repro.scenarios.loader` — TOML/dict loading with strict
+  scenario (workload, fleet, tiling, sweep axes, run knobs); they are the
+  only declaration of the config schema;
+* :mod:`~repro.scenarios.loader` — TOML/dict loading whose sections, keys,
+  types and required keys are read off the spec fields, with strict
   unknown-key checking and ``--set section.key=value`` overrides;
 * :mod:`~repro.scenarios.setups` — query setups, strategy factories, and
   fleet construction shared by every run;
 * :mod:`~repro.scenarios.runner` — the run primitives plus the
-  :class:`~repro.scenarios.runner.ScenarioRunner` that reads a spec, expands
-  its sweep into runs and renders tables/reports;
+  :class:`~repro.scenarios.runner.ScenarioRunner`, which hands a spec to
+  the one function of its kind; that function expands the sweep into runs
+  and builds the table, series, report data and ``BENCH`` payload;
 * :mod:`~repro.scenarios.cli` — ``python -m repro.scenarios CONFIG --set
   ...``, the command-line face of the same path.
 
@@ -29,7 +32,6 @@ from .runner import ScenarioResult, ScenarioRunner
 from .spec import (
     FleetSpec,
     HotspotSpec,
-    MigrationSpec,
     ScenarioSpec,
     SweepSpec,
     TilingSpec,
@@ -39,7 +41,6 @@ from .spec import (
 __all__ = [
     "FleetSpec",
     "HotspotSpec",
-    "MigrationSpec",
     "ScenarioResult",
     "ScenarioRunner",
     "ScenarioSpec",

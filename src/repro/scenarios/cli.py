@@ -62,7 +62,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench_path = out_dir / f"BENCH_{spec.name}.json"
     bench_path.write_text(
         json.dumps(
-            {"name": spec.name, "table": result.table, **result.bench_payload()},
+            {"name": spec.name, "table": result.table, **result.payload},
             indent=2,
             sort_keys=True,
             default=str,

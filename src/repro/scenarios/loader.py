@@ -1,21 +1,23 @@
 """Load and validate :class:`~repro.scenarios.spec.ScenarioSpec` from TOML.
 
-The on-disk shape mirrors the spec dataclasses section by section::
+The on-disk shape is read off the spec dataclasses (:data:`SECTION_FIELDS`)::
 
     [scenario]            # name, kind, mode
-    [run]                 # epochs, warmup_epochs, record_mode, seed, ...
-    [workload]            # query, records_per_epoch, rate_scale
-    [workload.hotspot]    # shift_epoch, factor
-    [fleet]               # sources, strategy, budget, cores
-    [tiling]              # blocks, placement, sp_capacity_multiple, ...
-    [migration]           # policy, saturation_pressure, ...
-    [sweep]               # sources, blocks, queries, strategies
+    [run]                 # every other scalar ScenarioSpec field
+    [workload]            # one section per dataclass-typed field ...
+    [workload.hotspot]    # ... and a nested one per dataclass inside it
+    [fleet]
+    [tiling]
+    [sweep]
 
-Unknown keys are rejected with the full dotted path so a typo in a config
-file fails at load time, and every numeric knob flows through the spec
-dataclasses' ``require_finite`` validation.  Command-line style overrides
-(``--set fleet.sources=16``) are applied to the raw dict before validation,
-so an override is checked exactly like a file value.
+A key's type hint picks its validator, and a field without a default is a
+required key.  Unknown keys are rejected with the full dotted path so a typo
+in a config file fails at load time, and every numeric knob flows through
+the spec dataclasses' ``require_finite`` validation.  No key accepts
+``None``: neither TOML nor ``--set`` can write it, so an unset knob is an
+absent key.  Command-line style overrides (``--set fleet.sources=16``) are
+applied to the raw dict before validation, so an override is checked exactly
+like a file value.
 """
 
 from __future__ import annotations
@@ -26,73 +28,46 @@ try:
     import tomllib
 except ModuleNotFoundError:  # Python < 3.11: dict-based specs still work.
     tomllib = None  # type: ignore[assignment]
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-from ..errors import ConfigurationError
-from .spec import (
-    FleetSpec,
-    HotspotSpec,
-    MigrationSpec,
-    ScenarioSpec,
-    SweepSpec,
-    TilingSpec,
-    WorkloadSpec,
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_type_hints,
 )
 
-_SECTIONS = ("scenario", "run", "workload", "fleet", "tiling", "migration", "sweep")
+from ..errors import ConfigurationError
+from .spec import BudgetLike, ScenarioSpec
 
-_SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
-    "scenario": ("name", "kind", "mode"),
-    "run": (
-        "epochs",
-        "warmup_epochs",
-        "record_mode",
-        "seed",
-        "min_speedup",
-        "parallel_min_speedup",
-        "max_sources_limit",
-        "per_query_demand",
-    ),
-    "workload": ("query", "records_per_epoch", "rate_scale", "hotspot"),
-    "workload.hotspot": ("shift_epoch", "factor"),
-    "fleet": ("sources", "strategy", "budget", "cores"),
-    "tiling": (
-        "blocks",
-        "placement",
-        "placement_map",
-        "sp_capacity_multiple",
-        "ingress_headroom",
-        "sp_cores",
-        "workers",
-    ),
-    "migration": (
-        "policy",
-        "saturation_pressure",
-        "relief_pressure",
-        "hot_epochs",
-        "cooldown_epochs",
-    ),
-    "sweep": ("sources", "blocks", "queries", "strategies"),
+_SPEC_HINTS = get_type_hints(ScenarioSpec)
+_SCENARIO_KEYS = ("name", "kind", "mode")
+
+#: Every config section's keys and their type hints.  ``[scenario]`` names
+#: the experiment, ``[run]`` holds every other scalar :class:`ScenarioSpec`
+#: field, and each dataclass-typed field is a section of its own.
+SECTION_FIELDS: Dict[str, Dict[str, Any]] = {
+    "scenario": {key: _SPEC_HINTS[key] for key in _SCENARIO_KEYS},
+    "run": {
+        key: hint
+        for key, hint in _SPEC_HINTS.items()
+        if key not in _SCENARIO_KEYS and not is_dataclass(hint)
+    },
+    **{
+        key: get_type_hints(hint)
+        for key, hint in _SPEC_HINTS.items()
+        if is_dataclass(hint)
+    },
 }
 
 
-def _require_section(data: Mapping[str, Any], section: str) -> Mapping[str, Any]:
-    value = data.get(section, {})
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"[{section}] must be a table, got {type(value).__name__}"
-        )
-    allowed = _SECTION_KEYS[section]
-    for key in value:
-        if key not in allowed:
-            raise ConfigurationError(
-                f"unknown key {section}.{key!r}; expected one of {sorted(allowed)}"
-            )
-    return value
-
-
-def _as_int(section: str, key: str, value: Any) -> int:
+def _as_int(path: str, value: Any) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, (float, str)):
@@ -103,65 +78,123 @@ def _as_int(section: str, key: str, value: Any) -> int:
         # TOML and --set both admit nan and inf, which int() cannot take.
         if math.isfinite(as_float) and as_float.is_integer():
             return int(as_float)
-    raise ConfigurationError(f"{section}.{key} must be an integer, got {value!r}")
+    raise ConfigurationError(f"{path} must be an integer, got {value!r}")
 
 
-def _as_float(section: str, key: str, value: Any) -> float:
+def _as_float(path: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigurationError(f"{section}.{key} must be a number, got {value!r}")
+        raise ConfigurationError(f"{path} must be a number, got {value!r}")
     try:
         return float(value)
     except (ValueError, OverflowError):
-        raise ConfigurationError(
-            f"{section}.{key} must be a number, got {value!r}"
-        ) from None
+        raise ConfigurationError(f"{path} must be a number, got {value!r}") from None
 
 
-def _as_str(section: str, key: str, value: Any) -> str:
+def _as_str(path: str, value: Any) -> str:
     if not isinstance(value, str):
-        raise ConfigurationError(f"{section}.{key} must be a string, got {value!r}")
+        raise ConfigurationError(f"{path} must be a string, got {value!r}")
     return value
 
 
-def _as_int_tuple(section: str, key: str, value: Any) -> Tuple[int, ...]:
+def _as_int_tuple(path: str, value: Any) -> Tuple[int, ...]:
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        return (_as_int(section, key, value),)
+        return (_as_int(path, value),)
     if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-        return tuple(_as_int(section, key, item) for item in value)
+        return tuple(_as_int(path, item) for item in value)
     raise ConfigurationError(
-        f"{section}.{key} must be an integer or list of integers, got {value!r}"
+        f"{path} must be an integer or list of integers, got {value!r}"
     )
 
 
-def _as_str_tuple(section: str, key: str, value: Any) -> Tuple[str, ...]:
+def _as_str_tuple(path: str, value: Any) -> Tuple[str, ...]:
     if isinstance(value, str):
         return (value,)
     if isinstance(value, Sequence) and not isinstance(value, bytes):
-        return tuple(_as_str(section, key, item) for item in value)
+        return tuple(_as_str(path, item) for item in value)
     raise ConfigurationError(
-        f"{section}.{key} must be a string or list of strings, got {value!r}"
+        f"{path} must be a string or list of strings, got {value!r}"
     )
 
 
-def _as_budget(section: str, key: str, value: Any) -> Union[float, Tuple[Tuple[int, float], ...]]:
+def _as_budget(path: str, value: Any) -> Union[float, Tuple[Tuple[int, float], ...]]:
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        return _as_float(section, key, value)
+        return _as_float(path, value)
     if isinstance(value, Sequence):
         pairs: List[Tuple[int, float]] = []
         for item in value:
             if not isinstance(item, Sequence) or isinstance(item, str) or len(item) != 2:
                 raise ConfigurationError(
-                    f"{section}.{key} schedule entries must be "
+                    f"{path} schedule entries must be "
                     f"[start_epoch, budget] pairs, got {item!r}"
                 )
-            pairs.append(
-                (_as_int(section, key, item[0]), _as_float(section, key, item[1]))
-            )
+            pairs.append((_as_int(path, item[0]), _as_float(path, item[1])))
         return tuple(pairs)
     raise ConfigurationError(
-        f"{section}.{key} must be a number or list of [epoch, budget] pairs, "
-        f"got {value!r}"
+        f"{path} must be a number or list of [epoch, budget] pairs, got {value!r}"
     )
+
+
+def _as_block_map(path: str, value: Any) -> Dict[str, int]:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(
+            f"{path} must be a table of source -> block, got {value!r}"
+        )
+    return {
+        _as_str(f"{path}.key", key): _as_int(f"{path}.{key}", block)
+        for key, block in value.items()
+    }
+
+
+#: The validator for each type hint a spec field carries.
+_COERCERS: Dict[Any, Callable[[str, Any], Any]] = {
+    int: _as_int,
+    float: _as_float,
+    str: _as_str,
+    Tuple[int, ...]: _as_int_tuple,
+    Tuple[str, ...]: _as_str_tuple,
+    BudgetLike: _as_budget,
+    Mapping[str, int]: _as_block_map,
+}
+
+
+def _coerce(path: str, hint: Any, value: Any) -> Any:
+    """``value`` validated as a field of type ``hint``; ``None`` never loads."""
+    args = get_args(hint)
+    if type(None) in args:  # Optional[X]: unset means an absent key
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    if is_dataclass(hint):
+        return hint(**_read(hint, path, get_type_hints(hint), value))
+    return _COERCERS[hint](path, value)
+
+
+def _read(
+    cls: Any, section: str, keys: Mapping[str, Any], table: Any
+) -> Dict[str, Any]:
+    """The validated ``cls`` constructor arguments one config table sets."""
+    if not isinstance(table, Mapping):
+        raise ConfigurationError(
+            f"[{section}] must be a table, got {type(table).__name__}"
+        )
+    for key in table:
+        if key not in keys:
+            raise ConfigurationError(
+                f"unknown key {section}.{key!r}; expected one of {sorted(keys)}"
+            )
+    required = [
+        spec_field.name
+        for spec_field in fields(cls)
+        if spec_field.name in keys
+        and spec_field.default is MISSING
+        and spec_field.default_factory is MISSING
+    ]
+    if not all(key in table for key in required):
+        raise ConfigurationError(
+            f"[{section}] must declare " + " and ".join(map(repr, required))
+        )
+    return {
+        key: _coerce(f"{section}.{key}", keys[key], value)
+        for key, value in table.items()
+    }
 
 
 def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
@@ -171,171 +204,19 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
             f"scenario data must be a mapping, got {type(data).__name__}"
         )
     for section in data:
-        if section not in _SECTIONS:
+        if section not in SECTION_FIELDS:
             raise ConfigurationError(
-                f"unknown section [{section}]; expected one of {list(_SECTIONS)}"
+                f"unknown section [{section}]; expected one of {list(SECTION_FIELDS)}"
             )
-
-    scenario = _require_section(data, "scenario")
-    if "name" not in scenario or "kind" not in scenario:
-        raise ConfigurationError("[scenario] must declare both 'name' and 'kind'")
-    run = _require_section(data, "run")
-    workload_raw = _require_section(data, "workload")
-    fleet_raw = _require_section(data, "fleet")
-    tiling_raw = _require_section(data, "tiling")
-    sweep_raw = _require_section(data, "sweep")
-
-    hotspot: Optional[HotspotSpec] = None
-    if "hotspot" in workload_raw:
-        hot_raw = workload_raw["hotspot"]
-        if not isinstance(hot_raw, Mapping):
-            raise ConfigurationError(
-                f"[workload.hotspot] must be a table, got {hot_raw!r}"
-            )
-        for key in hot_raw:
-            if key not in _SECTION_KEYS["workload.hotspot"]:
-                raise ConfigurationError(
-                    f"unknown key workload.hotspot.{key!r}; expected one of "
-                    f"{sorted(_SECTION_KEYS['workload.hotspot'])}"
-                )
-        if "shift_epoch" not in hot_raw:
-            raise ConfigurationError("[workload.hotspot] must declare 'shift_epoch'")
-        hotspot = HotspotSpec(
-            shift_epoch=_as_int("workload.hotspot", "shift_epoch", hot_raw["shift_epoch"]),
-            factor=_as_float("workload.hotspot", "factor", hot_raw.get("factor", 2.0)),
-        )
-
-    workload_kwargs: Dict[str, Any] = {"hotspot": hotspot}
-    if "query" in workload_raw:
-        workload_kwargs["query"] = _as_str("workload", "query", workload_raw["query"])
-    if "records_per_epoch" in workload_raw:
-        workload_kwargs["records_per_epoch"] = _as_int(
-            "workload", "records_per_epoch", workload_raw["records_per_epoch"]
-        )
-    if "rate_scale" in workload_raw:
-        workload_kwargs["rate_scale"] = _as_float(
-            "workload", "rate_scale", workload_raw["rate_scale"]
-        )
-    workload = WorkloadSpec(**workload_kwargs)
-
-    fleet_kwargs: Dict[str, Any] = {}
-    if "sources" in fleet_raw:
-        fleet_kwargs["sources"] = _as_int("fleet", "sources", fleet_raw["sources"])
-    if "strategy" in fleet_raw:
-        fleet_kwargs["strategy"] = _as_str("fleet", "strategy", fleet_raw["strategy"])
-    if "budget" in fleet_raw:
-        fleet_kwargs["budget"] = _as_budget("fleet", "budget", fleet_raw["budget"])
-    if "cores" in fleet_raw:
-        fleet_kwargs["cores"] = _as_int("fleet", "cores", fleet_raw["cores"])
-    fleet = FleetSpec(**fleet_kwargs)
-
-    tiling_kwargs: Dict[str, Any] = {}
-    if "blocks" in tiling_raw:
-        tiling_kwargs["blocks"] = _as_int("tiling", "blocks", tiling_raw["blocks"])
-    if "placement" in tiling_raw:
-        tiling_kwargs["placement"] = _as_str(
-            "tiling", "placement", tiling_raw["placement"]
-        )
-    if "placement_map" in tiling_raw:
-        raw_map = tiling_raw["placement_map"]
-        if not isinstance(raw_map, Mapping):
-            raise ConfigurationError(
-                f"tiling.placement_map must be a table of source -> block, "
-                f"got {raw_map!r}"
-            )
-        tiling_kwargs["placement_map"] = {
-            _as_str("tiling.placement_map", "key", key): _as_int(
-                "tiling.placement_map", key, value
-            )
-            for key, value in raw_map.items()
-        }
-    if "sp_capacity_multiple" in tiling_raw:
-        tiling_kwargs["sp_capacity_multiple"] = _as_float(
-            "tiling", "sp_capacity_multiple", tiling_raw["sp_capacity_multiple"]
-        )
-    if "ingress_headroom" in tiling_raw:
-        tiling_kwargs["ingress_headroom"] = _as_float(
-            "tiling", "ingress_headroom", tiling_raw["ingress_headroom"]
-        )
-    if "sp_cores" in tiling_raw:
-        tiling_kwargs["sp_cores"] = _as_int("tiling", "sp_cores", tiling_raw["sp_cores"])
-    if "workers" in tiling_raw:
-        tiling_kwargs["workers"] = _as_int("tiling", "workers", tiling_raw["workers"])
-    tiling = TilingSpec(**tiling_kwargs)
-
-    migration: Optional[MigrationSpec] = None
-    if "migration" in data:
-        mig_raw = _require_section(data, "migration")
-        mig_kwargs: Dict[str, Any] = {}
-        if "policy" in mig_raw:
-            mig_kwargs["policy"] = _as_str("migration", "policy", mig_raw["policy"])
-        if "saturation_pressure" in mig_raw:
-            mig_kwargs["saturation_pressure"] = _as_float(
-                "migration", "saturation_pressure", mig_raw["saturation_pressure"]
-            )
-        if "relief_pressure" in mig_raw:
-            mig_kwargs["relief_pressure"] = _as_float(
-                "migration", "relief_pressure", mig_raw["relief_pressure"]
-            )
-        if "hot_epochs" in mig_raw:
-            mig_kwargs["hot_epochs"] = _as_int(
-                "migration", "hot_epochs", mig_raw["hot_epochs"]
-            )
-        if "cooldown_epochs" in mig_raw:
-            mig_kwargs["cooldown_epochs"] = _as_int(
-                "migration", "cooldown_epochs", mig_raw["cooldown_epochs"]
-            )
-        migration = MigrationSpec(**mig_kwargs)
-
-    sweep_kwargs: Dict[str, Any] = {}
-    if "sources" in sweep_raw:
-        sweep_kwargs["sources"] = _as_int_tuple("sweep", "sources", sweep_raw["sources"])
-    if "blocks" in sweep_raw:
-        sweep_kwargs["blocks"] = _as_int_tuple("sweep", "blocks", sweep_raw["blocks"])
-    if "queries" in sweep_raw:
-        sweep_kwargs["queries"] = _as_int_tuple("sweep", "queries", sweep_raw["queries"])
-    if "strategies" in sweep_raw:
-        sweep_kwargs["strategies"] = _as_str_tuple(
-            "sweep", "strategies", sweep_raw["strategies"]
-        )
-    sweep = SweepSpec(**sweep_kwargs)
-
-    spec_kwargs: Dict[str, Any] = {
-        "name": _as_str("scenario", "name", scenario["name"]),
-        "kind": _as_str("scenario", "kind", scenario["kind"]),
-        "workload": workload,
-        "fleet": fleet,
-        "tiling": tiling,
-        "migration": migration,
-        "sweep": sweep,
-    }
-    if "mode" in scenario:
-        spec_kwargs["mode"] = _as_str("scenario", "mode", scenario["mode"])
-    if "epochs" in run:
-        spec_kwargs["epochs"] = _as_int("run", "epochs", run["epochs"])
-    if "warmup_epochs" in run and run["warmup_epochs"] is not None:
-        spec_kwargs["warmup_epochs"] = _as_int(
-            "run", "warmup_epochs", run["warmup_epochs"]
-        )
-    if "record_mode" in run:
-        spec_kwargs["record_mode"] = _as_str("run", "record_mode", run["record_mode"])
-    if "seed" in run:
-        spec_kwargs["seed"] = _as_int("run", "seed", run["seed"])
-    if "min_speedup" in run:
-        spec_kwargs["min_speedup"] = _as_float("run", "min_speedup", run["min_speedup"])
-    if "parallel_min_speedup" in run:
-        spec_kwargs["parallel_min_speedup"] = _as_float(
-            "run", "parallel_min_speedup", run["parallel_min_speedup"]
-        )
-    if "max_sources_limit" in run:
-        spec_kwargs["max_sources_limit"] = _as_int(
-            "run", "max_sources_limit", run["max_sources_limit"]
-        )
-    if "per_query_demand" in run:
-        spec_kwargs["per_query_demand"] = _as_float(
-            "run", "per_query_demand", run["per_query_demand"]
-        )
-    return ScenarioSpec(**spec_kwargs)
+    kwargs: Dict[str, Any] = {}
+    for section, keys in SECTION_FIELDS.items():
+        table = data.get(section, {})
+        if section in ("scenario", "run"):
+            kwargs.update(_read(ScenarioSpec, section, keys, table))
+        else:
+            cls = _SPEC_HINTS[section]
+            kwargs[section] = cls(**_read(cls, section, keys, table))
+    return ScenarioSpec(**kwargs)
 
 
 def parse_override(entry: str) -> Tuple[Tuple[str, ...], Any]:

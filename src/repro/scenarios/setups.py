@@ -352,7 +352,6 @@ def run_single_source(
 
 def _cluster_sp_node(
     records_per_epoch: int,
-    sp_cores: int = 64,
     capacity_multiple: float = CLUSTER_CAPACITY_INPUT_MULTIPLE,
 ) -> StreamProcessorNode:
     """Shared-SP node whose ingress capacity matches the paper calibration.
@@ -366,10 +365,7 @@ def _cluster_sp_node(
     input_at_10x = make_setup(
         "s2s_probe", records_per_epoch=records_per_epoch
     ).input_rate_mbps
-    return StreamProcessorNode(
-        cores=sp_cores,
-        ingress_bandwidth_mbps=capacity_multiple * input_at_10x,
-    )
+    return StreamProcessorNode(ingress_bandwidth_mbps=capacity_multiple * input_at_10x)
 
 
 def _homogeneous_fleet(

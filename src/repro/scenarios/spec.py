@@ -3,16 +3,20 @@
 A :class:`ScenarioSpec` is the complete, serializable description of one
 figure-style experiment: which executor family runs (``kind``), the query and
 workload dynamics, the fleet composition and CPU budget schedule, the block
-tiling and placement policy, the migration policy, and the sweep axes to
-expand into individual runs.  Specs are plain frozen dataclasses so they can
-be built from TOML files (:mod:`repro.scenarios.loader`) or directly in
-code; the :class:`~repro.scenarios.runner.ScenarioRunner` executes them.
+tiling and placement policy, and the sweep axes to expand into individual
+runs.  Specs are plain frozen dataclasses so they can be built from TOML
+files (:mod:`repro.scenarios.loader`) or directly in code; the
+:class:`~repro.scenarios.runner.ScenarioRunner` executes them.
+
+These dataclasses are the only declaration of the config schema: the loader
+reads its sections, keys, types and required keys off their fields, so a
+knob added or removed here is added to or removed from every config at once.
 
 Every float knob is validated through :func:`repro.errors.require_finite`
-(simlint rule SL008 discipline) at construction, and placement names,
-migration-policy knobs and the dynamic re-placement shape are checked by the
-same code the simulators use, so a malformed config fails loudly at load
-time rather than after setup or mid-run.
+(simlint rule SL008 discipline) at construction, and placement names and the
+dynamic re-placement shape are checked by the same code the simulators use,
+so a malformed config fails loudly at load time rather than after setup or
+mid-run.
 """
 
 from __future__ import annotations
@@ -23,12 +27,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 from ..errors import ConfigurationError, SimulationError, require_finite
 from ..simulation.engine import RECORD_MODES
 from ..simulation.node import BudgetSchedule, as_budget_schedule
-from ..simulation.sharding import (
-    MigrationPolicy,
-    NeverMigrate,
-    SaturationMigrationPolicy,
-    make_placement,
-)
+from ..simulation.sharding import make_placement
 
 #: Executor families a scenario can target.
 SCENARIO_KINDS = (
@@ -134,20 +133,13 @@ class FleetSpec:
 
 @dataclass(frozen=True)
 class TilingSpec:
-    """Stream-processor side: block count, placement, and ingress sizing."""
+    """Stream-processor side: block count, placement and worker processes."""
 
     blocks: int = 1
     #: ``"round_robin"`` / ``"byte_rate_balanced"`` / ``"static"`` (with
     #: ``placement_map``); the sharded executors interpret it.
     placement: str = "round_robin"
     placement_map: Optional[Mapping[str, int]] = None
-    #: Per-block ingress capacity as a multiple of one source's 10x input
-    #: rate; ``None`` selects the kind's calibrated default.
-    sp_capacity_multiple: Optional[float] = None
-    #: Dynamic re-placement only: per-block ingress as a multiple of one
-    #: block's nominal drained rate.
-    ingress_headroom: Optional[float] = None
-    sp_cores: int = 64
     #: Worker processes stepping the blocks.  1 (the default) keeps the
     #: serial lockstep reference path; > 1 selects the process-parallel
     #: controller (bit-identical metrics, near-linear wall-clock in blocks).
@@ -156,12 +148,8 @@ class TilingSpec:
     def __post_init__(self) -> None:
         if self.blocks < 1:
             raise ConfigurationError(f"blocks must be >= 1, got {self.blocks!r}")
-        if self.sp_cores < 1:
-            raise ConfigurationError(f"sp_cores must be >= 1, got {self.sp_cores!r}")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers!r}")
-        require_finite("sp_capacity_multiple", self.sp_capacity_multiple, positive=True)
-        require_finite("ingress_headroom", self.ingress_headroom, positive=True)
         if self.placement == "static":
             if self.placement_map is None:
                 raise ConfigurationError(
@@ -184,44 +172,6 @@ class TilingSpec:
         if self.placement_map is not None:
             return dict(self.placement_map)
         return self.placement
-
-
-@dataclass(frozen=True)
-class MigrationSpec:
-    """Dynamic re-placement policy knobs (``SaturationMigrationPolicy``)."""
-
-    policy: str = "saturation"
-    saturation_pressure: float = 0.95
-    relief_pressure: float = 0.92
-    hot_epochs: int = 2
-    cooldown_epochs: int = 2
-
-    def __post_init__(self) -> None:
-        if self.policy not in ("saturation", "never"):
-            raise ConfigurationError(
-                f"unknown migration policy {self.policy!r}; expected "
-                "'saturation' or 'never'"
-            )
-        require_finite("saturation_pressure", self.saturation_pressure, positive=True)
-        require_finite("relief_pressure", self.relief_pressure, positive=True)
-        try:
-            self.build()
-        except SimulationError as exc:
-            raise ConfigurationError(str(exc)) from None
-
-    def build(self) -> MigrationPolicy:
-        """The policy object the sharded executor consults between epochs.
-
-        The saturation knobs are checked by the policy itself even when
-        ``policy = "never"`` ignores them, so a bad value never loads.
-        """
-        saturation = SaturationMigrationPolicy(
-            saturation_pressure=self.saturation_pressure,
-            relief_pressure=self.relief_pressure,
-            hot_epochs=self.hot_epochs,
-            cooldown_epochs=self.cooldown_epochs,
-        )
-        return NeverMigrate() if self.policy == "never" else saturation
 
 
 @dataclass(frozen=True)
@@ -260,7 +210,6 @@ class ScenarioSpec:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     fleet: FleetSpec = field(default_factory=FleetSpec)
     tiling: TilingSpec = field(default_factory=TilingSpec)
-    migration: Optional[MigrationSpec] = None
     sweep: SweepSpec = field(default_factory=SweepSpec)
     epochs: int = 25
     #: ``None`` derives the kind's default: ``max(2, epochs // 3)`` for the
@@ -280,9 +229,6 @@ class ScenarioSpec:
     #: ``scaling`` kind, analytic mode: search limit for the supported-sources
     #: computation; 0 skips it entirely.
     max_sources_limit: int = 400
-    #: ``colocated`` kind: per-query CPU demand override (``None`` selects
-    #: the paper's demand for the rate scale, or calibrates).
-    per_query_demand: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -320,7 +266,6 @@ class ScenarioSpec:
                 "parallel scenarios need tiling.workers >= 2 (workers=1 is "
                 "the serial reference the parallel run is compared against)"
             )
-        require_finite("per_query_demand", self.per_query_demand, positive=True)
         if self.max_sources_limit < 0:
             raise ConfigurationError(
                 f"max_sources_limit must be >= 0, got {self.max_sources_limit!r}"

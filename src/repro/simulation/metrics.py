@@ -515,13 +515,6 @@ class MultiQueryMetrics:
             for name, metrics in self.per_query.items()
         }
 
-    def per_query_latency_s(self) -> Dict[str, float]:
-        """Median epoch latency per query."""
-        return {
-            name: metrics.median_latency_s()
-            for name, metrics in self.per_query.items()
-        }
-
     def median_latency_s(self) -> float:
         """Median epoch latency across every query, source, and epoch."""
         values: List[float] = []

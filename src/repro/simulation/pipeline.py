@@ -458,13 +458,6 @@ class SourcePipeline:
             stage.measured_relay = None
         self._epoch_index = 0
 
-    def ground_truth_relays(self) -> List[float]:
-        """Best-known byte relay ratios per stage (1.0 where unmeasured)."""
-        return [
-            stage.measured_relay if stage.measured_relay is not None else 1.0
-            for stage in self.stages
-        ]
-
 
 @dataclass
 class StreamProcessorEpochResult:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import random
 
 import numpy as np
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..errors import WorkloadError, require_finite
 from ..query.builder import Query, s2s_probe_query, t2t_probe_query
@@ -229,18 +229,6 @@ class PingmeshWorkload:
     def anomalous_peers(self) -> frozenset:
         """Destination IPs configured to experience network issues."""
         return self._anomalous
-
-    def _rtt_for(self, dst_ip: int) -> float:
-        """Scalar RTT draw (kept for tests/tools that probe single records)."""
-        cfg = self.config
-        if dst_ip in self._anomalous and self._rng.random() < cfg.anomaly_probability:
-            low, high = cfg.anomaly_rtt_ms
-            return self._rng.uniform(low, high) * 1000.0  # milliseconds -> us
-        if self._rng.random() < cfg.tail_probability:
-            low, high = cfg.tail_rtt_ms
-            return self._rng.uniform(low, high) * 1000.0
-        jitter = self._rng.uniform(0.0, cfg.rtt_jitter_ms)
-        return (cfg.base_rtt_ms + jitter) * 1000.0
 
     def records_for_epoch(self, epoch: int) -> List[PingmeshRecord]:
         """Probe records arriving during ``epoch`` (epoch duration = 1 s)."""

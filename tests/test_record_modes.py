@@ -39,7 +39,7 @@ from repro.query.records import (
     record_size_bytes,
 )
 from repro.scenarios import ScenarioRunner, spec_from_dict
-from repro.scenarios.runner import run_multi_query, run_multi_source, run_sharded
+from repro.scenarios.runner import run_multi_query, run_sharded
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
@@ -213,11 +213,12 @@ class TestMultiSourceEquivalence:
     def test_fig10_multi_source_bit_exact(self, setup, strategy_name):
         runs = {}
         for mode in RECORD_MODES:
-            runs[mode] = run_multi_source(
+            runs[mode] = run_sharded(
                 setup,
                 strategy_name,
                 0.55,
                 num_sources=6,
+                num_blocks=1,
                 num_epochs=14,  # crosses a 10-epoch window boundary
                 warmup_epochs=4,
                 record_mode=mode,

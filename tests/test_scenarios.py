@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,11 +36,10 @@ from repro.analysis.reporting import (
     speedup_table,
     summarize_sweep,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios import (
     FleetSpec,
     HotspotSpec,
-    MigrationSpec,
     ScenarioRunner,
     ScenarioSpec,
     SweepSpec,
@@ -51,8 +52,12 @@ from repro.scenarios import (
 )
 from repro.scenarios import loader as scenario_loader
 from repro.scenarios.spec import SCENARIO_KINDS
+from repro.simulation.multiquery import CoLocatedBlockExecutor
+from repro.simulation.multisource import MultiSourceExecutor
+from repro.simulation.sharding import ShardedClusterExecutor
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 requires_tomllib = pytest.mark.skipif(
     scenario_loader.tomllib is None, reason="tomllib needs Python >= 3.11"
@@ -126,20 +131,6 @@ class TestSpecValidation:
             HotspotSpec(shift_epoch=4, factor=0.5)
         with pytest.raises(ConfigurationError):
             HotspotSpec(shift_epoch=-1)
-
-    def test_migration_policy_names(self):
-        assert MigrationSpec(policy="never").policy == "never"
-        with pytest.raises(ConfigurationError):
-            MigrationSpec(policy="sometimes")
-
-    def test_migration_relief_above_saturation_rejected_at_load(self):
-        with pytest.raises(ConfigurationError, match="relief_pressure"):
-            spec_from_dict(
-                {
-                    "scenario": {"name": "x", "kind": "sharded"},
-                    "migration": {"saturation_pressure": 0.9, "relief_pressure": 0.95},
-                }
-            )
 
     def test_sweep_axes_positive(self):
         with pytest.raises(ConfigurationError):
@@ -386,6 +377,15 @@ class TestLoader:
                 load_scenario("no/such/scenario.toml")
 
 
+@requires_tomllib
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.toml")), ids=lambda path: path.stem
+)
+def test_committed_config_loads(path):
+    """Every committed config loads, and names the artifacts after its file."""
+    assert load_scenario(path).name == path.stem
+
+
 class TestOverrides:
     def test_parse_scalar_coercion(self):
         assert parse_override("run.epochs=8") == (("run", "epochs"), 8)
@@ -433,11 +433,19 @@ class TestOverrides:
             load_scenario(data, overrides=["run.bogus=1"])
 
 
+def _declared_keys(section, keys):
+    for key, hint in keys.items():
+        yield section, key
+        for nested in get_args(hint):
+            if is_dataclass(nested):
+                yield from _declared_keys(section + (key,), get_type_hints(nested))
+
+
 #: Every key the loader declares, as (section, key) dotted-path parts.
 DECLARED_KEYS = [
-    (tuple(section.split(".")), key)
-    for section, keys in scenario_loader._SECTION_KEYS.items()
-    for key in keys
+    path
+    for section, keys in scenario_loader.SECTION_FIELDS.items()
+    for path in _declared_keys((section,), keys)
 ]
 
 #: Values a config file or an override list can smuggle into any key.
@@ -636,6 +644,58 @@ class TestGoldenEquivalence:
             assert got["offered_mbps"] == want["object"]["offered_mbps"]
 
 
+#: One small spec per simulated kind and mode, each a few epochs long.
+CONSERVATION_CASES = {
+    "scaling_simulated": {
+        "scenario": {"kind": "scaling", "mode": "simulated"},
+        "sweep": {"sources": [2]},
+    },
+    "scaling_comparison": {
+        "scenario": {"kind": "scaling", "mode": "comparison"},
+        "sweep": {"sources": [2]},
+    },
+    "sharded": {"scenario": {"kind": "sharded"}, "sweep": {"blocks": [2]}},
+    "dynamic_replacement": {
+        "scenario": {"kind": "dynamic_replacement"},
+        "workload": {"records_per_epoch": 60, "hotspot": {"shift_epoch": 2}},
+        "tiling": {"blocks": 2},
+    },
+    "colocated_simulated": {
+        "scenario": {"kind": "colocated", "mode": "simulated"},
+        "sweep": {"queries": [2]},
+    },
+    "record_modes": {"scenario": {"kind": "record_modes"}},
+    "parallel": {"scenario": {"kind": "parallel"}, "tiling": {"blocks": 2, "workers": 2}},
+}
+
+
+class TestConservationChecked:
+    """Every simulated kind refuses a run that lost or duplicated a record."""
+
+    @pytest.mark.parametrize("case", sorted(CONSERVATION_CASES))
+    def test_violation_raises_simulation_error(self, case, monkeypatch):
+        def violated(self):
+            return ["source-0: 1 record lost"]
+
+        for executor in (
+            MultiSourceExecutor,
+            ShardedClusterExecutor,
+            CoLocatedBlockExecutor,
+        ):
+            monkeypatch.setattr(executor, "verify_record_conservation", violated)
+        data = {
+            "run": {"epochs": 4, "warmup_epochs": 1},
+            "workload": {"records_per_epoch": 60},
+            "fleet": {"sources": 2},
+            "sweep": {"strategies": ["Jarvis"]},
+        }
+        for section, table in CONSERVATION_CASES[case].items():
+            data[section] = {**data.get(section, {}), **table}
+        data["scenario"] = {"name": case, **data["scenario"]}
+        with pytest.raises(SimulationError, match="conservation"):
+            ScenarioRunner().run(spec_from_dict(data))
+
+
 # ---------------------------------------------------------------------------
 # Text-table reporting helpers.
 # ---------------------------------------------------------------------------
@@ -762,7 +822,7 @@ class TestHtmlReport:
         payload = {
             "name": result.spec.name,
             "table": result.table,
-            **result.bench_payload(),
+            **result.payload,
         }
         assert json.loads(json.dumps(payload, sort_keys=True, default=str)) == want
 
