@@ -94,6 +94,22 @@ class Operator:
         """
         return self.process(batch.to_records())
 
+    @property
+    def masks_rows(self) -> bool:
+        """Whether :meth:`row_mask` answers: ``process_batch`` only drops
+        rows, and a columnar test says which."""
+        return False
+
+    def row_mask(self, batch: RecordBatch) -> np.ndarray:
+        """The rows ``process_batch(batch)`` keeps, as a boolean array.
+
+        Defined when :attr:`masks_rows` holds, and then
+        ``process_batch(batch)`` equals ``batch.compress(row_mask(batch))``.
+        The stream processor uses it to run one operator over many sources'
+        batches at once and still count each batch's survivors.
+        """
+        raise NotImplementedError(f"operator {self.name!r} has no row mask")
+
     def reset(self) -> None:
         """Clear any per-window state (called at window boundaries)."""
 
@@ -219,6 +235,13 @@ class WindowOperator(Operator):
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
         return batch
 
+    @property
+    def masks_rows(self) -> bool:
+        return True
+
+    def row_mask(self, batch: RecordBatch) -> np.ndarray:
+        return np.ones(len(batch), dtype=bool)
+
     def clone(self) -> "WindowOperator":
         return WindowOperator(self.name, self.length_s, self.cost_hint)
 
@@ -250,20 +273,32 @@ class FilterOperator(Operator):
         return [record for record in records if self.predicate(record)]
 
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
-        hint = self.column_equals
-        if hint is not None:
-            column = batch.column(hint[0])
-            if column is None:
-                return batch.take([])
-            target = hint[1]
-            if isinstance(column, np.ndarray):
-                return batch.compress(column == target)
-            return batch.compress([value == target for value in column])
+        if self.masks_rows:
+            return batch.compress(self.row_mask(batch))
         # No columnar hint: materialize and run the object path.  Evaluating
         # an opaque predicate against row views would silently change its
         # answer whenever it does more than attribute access (isinstance
         # checks, Record methods), breaking the bit-identical contract.
         return self.process(batch.to_records())
+
+    @property
+    def masks_rows(self) -> bool:
+        return self.column_equals is not None
+
+    def row_mask(self, batch: RecordBatch) -> np.ndarray:
+        """One comparison per entry of the hinted column; a batch without
+        that column keeps no row (the predicate's ``getattr`` default)."""
+        if self.column_equals is None:
+            return super().row_mask(batch)
+        name, target = self.column_equals
+        column = batch.column(name)
+        if column is None:
+            return np.zeros(len(batch), dtype=bool)
+        if isinstance(column, np.ndarray):
+            return column == target
+        return np.fromiter(
+            (value == target for value in column), dtype=bool, count=len(column)
+        )
 
     def clone(self) -> "FilterOperator":
         return FilterOperator(

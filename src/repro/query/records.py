@@ -16,7 +16,7 @@ millions of them during a benchmark run.
 from __future__ import annotations
 
 import math
-from itertools import compress as _compress
+from itertools import chain, compress as _compress
 from typing import (
     Any,
     Callable,
@@ -42,11 +42,11 @@ ColumnData = Union[List[Any], np.ndarray]
 MaskLike = Union[Sequence[bool], np.ndarray]
 
 
-def _column_concat(left: ColumnData, right: ColumnData) -> ColumnData:
-    """Concatenate two columns (plain lists and/or numpy arrays)."""
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        return np.concatenate([np.asarray(left), np.asarray(right)])
-    return left + right
+def _column_concat(parts: Sequence[ColumnData]) -> ColumnData:
+    """Concatenate columns (plain lists and/or numpy arrays)."""
+    if any(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(parts))
 
 
 def _column_take(column: ColumnData, indices: Sequence[int]) -> ColumnData:
@@ -359,9 +359,22 @@ class RecordBatch:
     (slices, concatenations, selections, arena views and owned copies) are
     built by :meth:`_derived`, which skips the checks, so every batch
     operation costs per batch rather than per column.
+
+    A :class:`FleetArena` view and its unit-step slices also know the row
+    of the arena buffers they start at (``_base_row``, None for any other
+    batch): every column is ``buffer[_base_row : _base_row + len]`` of its
+    buffer, which lets :func:`coalesce_batches` join adjacent views without
+    copying.
     """
 
-    __slots__ = ("record_class", "columns", "uniform_size_bytes", "sizes", "_length")
+    __slots__ = (
+        "record_class",
+        "columns",
+        "uniform_size_bytes",
+        "sizes",
+        "_length",
+        "_base_row",
+    )
 
     def __init__(
         self,
@@ -390,6 +403,7 @@ class RecordBatch:
         self.uniform_size_bytes = uniform_size_bytes
         self.sizes = sizes
         self._length = count
+        self._base_row: Optional[int] = None
 
     @classmethod
     def _derived(
@@ -399,12 +413,14 @@ class RecordBatch:
         length: int,
         uniform_size_bytes: Optional[int],
         sizes: Optional[List[int]],
+        base_row: Optional[int] = None,
     ) -> "RecordBatch":
         """A batch over columns derived from validated ones, unchecked.
 
         The caller guarantees what :meth:`__init__` would check: an
         ``event_time`` column, every column (and ``sizes``) ``length`` long,
-        and a uniform size or a sizes column.
+        and a uniform size or a sizes column; and, with ``base_row``, that
+        every column is its buffer's rows ``base_row`` onwards.
         """
         batch = cls.__new__(cls)
         batch.record_class = record_class
@@ -412,6 +428,7 @@ class RecordBatch:
         batch.uniform_size_bytes = uniform_size_bytes
         batch.sizes = sizes
         batch._length = length
+        batch._base_row = base_row
         return batch
 
     # -- construction ----------------------------------------------------------
@@ -459,12 +476,14 @@ class RecordBatch:
             start, stop, step = item.indices(length)
             if step == 1 and start == 0 and stop == length:
                 return self
+            base_row = self._base_row
             return RecordBatch._derived(
                 self.record_class,
                 {name: column[item] for name, column in self.columns.items()},
                 len(range(start, stop, step)),
                 self.uniform_size_bytes,
                 self.sizes[item] if self.sizes is not None else None,
+                base_row + start if base_row is not None and step == 1 else None,
             )
         if not -length <= item < length:
             raise IndexError(
@@ -483,25 +502,7 @@ class RecordBatch:
                 return self
             if self._length == 0:
                 return other
-            columns = {
-                name: _column_concat(column, other.columns[name])
-                for name, column in self.columns.items()
-            }
-            length = self._length + other._length
-            if (
-                self.uniform_size_bytes is not None
-                and self.uniform_size_bytes == other.uniform_size_bytes
-            ):
-                return RecordBatch._derived(
-                    self.record_class, columns, length, self.uniform_size_bytes, None
-                )
-            return RecordBatch._derived(
-                self.record_class,
-                columns,
-                length,
-                None,
-                self._sizes_list() + other._sizes_list(),
-            )
+            return _concatenated([self, other])
         if isinstance(other, (list, tuple)):
             if not other:
                 return self
@@ -624,6 +625,79 @@ class RecordBatch:
             f"<RecordBatch {self.record_class.__name__} n={len(self)} "
             f"columns={sorted(self.columns)}>"
         )
+
+
+def coalesce_batches(batches: Sequence[RecordBatch]) -> RecordBatch:
+    """One batch of ``batches``' rows in order, equal to chaining ``+``.
+
+    A single batch is returned as it is.  Arena views that are adjacent in
+    the same buffers — consecutive sources' spans of a :class:`FleetArena`,
+    as a FIFO of same-epoch shipments usually is — become one view over
+    their whole span, and nothing is copied; the view aliases the buffers
+    exactly as its parts did.  Any other run of batches concatenates each
+    column once.  The batches must share one schema.
+    """
+    batches = [batch for batch in batches if batch._length] or list(batches[:1])
+    if len(batches) == 1:
+        return batches[0]
+    span = _span_view(batches)
+    return span if span is not None else _concatenated(batches)
+
+
+def _concatenated(batches: Sequence[RecordBatch]) -> RecordBatch:
+    """Non-empty ``batches`` as one batch of fresh columns; a uniform row
+    size survives only when every batch has it."""
+    first = batches[0]
+    columns = {
+        name: _column_concat([batch.columns[name] for batch in batches])
+        for name in first.columns
+    }
+    uniform = first.uniform_size_bytes
+    sizes: Optional[List[int]] = None
+    if uniform is None or any(
+        batch.uniform_size_bytes != uniform for batch in batches
+    ):
+        uniform = None
+        sizes = [size for batch in batches for size in batch._sizes_list()]
+    return RecordBatch._derived(
+        first.record_class,
+        columns,
+        sum(batch._length for batch in batches),
+        uniform,
+        sizes,
+    )
+
+
+def _span_view(batches: Sequence[RecordBatch]) -> Optional[RecordBatch]:
+    """``batches`` as one view when each starts at the arena row where the
+    previous one ended, over the same buffers; else None."""
+    first = batches[0]
+    start = first._base_row
+    if start is None:
+        return None
+    bases = {
+        name: getattr(column, "base", None) for name, column in first.columns.items()
+    }
+    stop = start
+    for batch in batches:
+        if (
+            batch._base_row != stop
+            or batch.uniform_size_bytes != first.uniform_size_bytes
+            or batch.columns.keys() != bases.keys()
+        ):
+            return None
+        for name, column in batch.columns.items():
+            if getattr(column, "base", None) is not bases[name]:
+                return None
+        stop += batch._length
+    return RecordBatch._derived(
+        first.record_class,
+        {name: base[start:stop] for name, base in bases.items()},
+        stop - start,
+        first.uniform_size_bytes,
+        None,
+        start,
+    )
 
 
 class FleetArena:
@@ -839,6 +913,7 @@ class FleetArena:
             stop - start,
             self._uniform_size_bytes,
             None,
+            start,
         )
 
     def aliases(self, column: Any) -> bool:

@@ -113,11 +113,24 @@ class CostModel:
             table_size = max(1, int(getattr(operator, "table_size")))
             cost *= (table_size / spec.ref_table_size) ** spec.table_scale_exp
 
-        if spec.group_log_cost and hasattr(operator, "group_count"):
+        if self._reads_group_count(spec, operator):
             groups = max(1, int(operator.group_count()))
             cost += spec.group_log_cost * math.log2(groups + 1)
 
         return cost
+
+    @staticmethod
+    def _reads_group_count(spec: OperatorCostSpec, operator: Operator) -> bool:
+        return bool(spec.group_log_cost) and hasattr(operator, "group_count")
+
+    def cost_depends_on_state(self, operator: Operator) -> bool:
+        """Whether ``operator``'s per-record cost changes as it folds records.
+
+        The group term reads the live group count, so such an operator's
+        cost holds only for the next batch: batches cannot share one
+        evaluation of :meth:`cost_per_record`.
+        """
+        return self._reads_group_count(self.spec_for(operator), operator)
 
     def batch_cost(self, operator: Operator, num_records: int) -> float:
         """Core-seconds needed to process ``num_records`` records."""

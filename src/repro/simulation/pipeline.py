@@ -19,13 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..config import ProxyThresholds
 from ..core.control_proxy import ControlProxy, ProxyObservation
 from ..errors import SimulationError
 from ..query.operators import Operator
-from ..query.records import Record, RecordBatch, half_up, record_size_bytes
+from ..query.records import (
+    Record,
+    RecordBatch,
+    coalesce_batches,
+    half_up,
+    record_size_bytes,
+)
 from ..query.watermarks import WatermarkTracker
 from .cost_model import CostModel
 
@@ -469,6 +478,20 @@ class StreamProcessorEpochResult:
     final_outputs: List[Record] = field(default_factory=list)
 
 
+class SPArrivals(NamedTuple):
+    """What one :meth:`StreamProcessorPipeline.process_arrivals` call did."""
+
+    #: Records that entered an operator, summed over operators.
+    records_processed: int
+    #: CPU seconds of the whole call.
+    cpu_used_seconds: float
+    #: Materialized outputs (empty unless ``collect_outputs``).
+    outputs: List[Record]
+    #: CPU seconds of each processed drained batch, in order.  Under a
+    #: compute budget its length is how many batches were processed.
+    batch_cpu_seconds: List[float]
+
+
 class StreamProcessorPipeline:
     """Replicated query pipeline on the stream processor side."""
 
@@ -525,7 +548,7 @@ class StreamProcessorPipeline:
                 stateless tails; merged into the output stream directly).
             watermark: Event-time watermark reported by the source this epoch.
         """
-        processed, cpu_used, outputs = self.process_arrivals(
+        arrivals = self.process_arrivals(
             drained,
             partial_states=partial_states,
             emitted=emitted,
@@ -533,9 +556,9 @@ class StreamProcessorPipeline:
         )
         result = StreamProcessorEpochResult(
             epoch=self._epoch_index,
-            records_processed=processed,
-            cpu_used_seconds=cpu_used,
-            final_outputs=outputs,
+            records_processed=arrivals.records_processed,
+            cpu_used_seconds=arrivals.cpu_used_seconds,
+            final_outputs=arrivals.outputs,
         )
         result.final_outputs.extend(self.advance_epoch())
         return result
@@ -548,41 +571,83 @@ class StreamProcessorPipeline:
         watermark: Optional[float] = None,
         source_name: Optional[str] = None,
         collect_outputs: bool = True,
-    ) -> Tuple[int, float, List[Record]]:
+        compute_budget_s: Optional[float] = None,
+        cpu_used_s: float = 0.0,
+    ) -> SPArrivals:
         """Process one batch of arrivals without advancing the epoch clock.
 
-        The multi-source executor calls this once per source (possibly many
-        times within one epoch) and then :meth:`advance_epoch` exactly once,
-        so window boundaries stay aligned with wall-clock epochs no matter how
-        many sources feed the pipeline.
+        The multi-source executor calls this many times within one epoch
+        and then :meth:`advance_epoch` exactly once, so window boundaries
+        stay aligned with wall-clock epochs no matter how many sources feed
+        the pipeline.
 
-        Returns ``(records_processed, cpu_used_seconds, outputs)``; outputs
-        are materialized record objects, even for columnar arrivals.  Callers
-        that discard the output stream (the scale executors) pass
-        ``collect_outputs=False`` so columnar arrivals are never materialized
-        just to be thrown away — processing and state effects are identical
-        either way.
+        Each drained batch resumes at its stage and runs the operators after
+        it, stopping at the first operator whose input is empty.  Its CPU is
+        the running sum of :meth:`CostModel.batch_cost` over those operators.
+
+        With ``compute_budget_s``, ``drained`` is a FIFO walked under that
+        budget: a batch is processed if and only if ``cpu_used_s`` plus the
+        CPU of the batches processed before it is below the budget, and the
+        walk stops at the first batch that is not.  Batches of one stage,
+        all columnar, whose operators are row filters up to a last operator
+        (:attr:`Operator.masks_rows`) and whose costs do not depend on state
+        (:meth:`CostModel.cost_depends_on_state`) run as one columnar pass
+        (:meth:`_fold_run`); any other FIFO runs batch by batch.  Both give
+        the same results.
+
+        Returns an :class:`SPArrivals`; outputs are materialized record
+        objects, even for columnar arrivals.  Callers that discard the output
+        stream (the scale executors) pass ``collect_outputs=False`` so
+        columnar arrivals are never materialized just to be thrown away —
+        processing and state effects are identical either way.
         """
         source = source_name or self._source_name
         if source not in self._source_names:
             raise SimulationError(f"unknown source {source!r}; register it first")
-        cpu_used = 0.0
-        records_processed = 0
+        outputs: List[Record] = []
         if collect_outputs:
-            outputs: List[Record] = (
+            outputs = (
                 emitted.to_records()
                 if isinstance(emitted, RecordBatch)
                 else list(emitted)
             )
-        else:
-            outputs = []
 
         if watermark is not None:
             self.watermarks.advance(f"{source}:forwarded", watermark)
             for operator in self.operators:
                 self.watermarks.advance(f"{source}:drain:{operator.name}", watermark)
 
+        sink = outputs if collect_outputs else None
+        if compute_budget_s is not None and self._foldable(drained):
+            records_processed, cpu_used, batch_cpu = self._fold_run(
+                drained, compute_budget_s, cpu_used_s, sink
+            )
+        else:
+            records_processed, cpu_used, batch_cpu = self._run_each(
+                drained, compute_budget_s, cpu_used_s, sink
+            )
+
+        for stage_index, state in (partial_states or {}).items():
+            operator = self.operators[stage_index]
+            operator.merge_partial(state)
+
+        return SPArrivals(records_processed, cpu_used, outputs, batch_cpu)
+
+    def _run_each(
+        self,
+        drained: Sequence[Tuple[int, RecordContainer]],
+        compute_budget_s: Optional[float],
+        cpu_used_s: float,
+        outputs: Optional[List[Record]],
+    ) -> Tuple[int, float, List[float]]:
+        """Run the drained batches one at a time (see :meth:`process_arrivals`);
+        returns ``(records_processed, cpu_used, batch_cpu)``."""
+        cpu_used = 0.0
+        records_processed = 0
+        batch_cpu: List[float] = []
         for stage_index, records in drained:
+            if compute_budget_s is not None and cpu_used_s >= compute_budget_s:
+                break
             if not 0 <= stage_index < len(self.operators):
                 raise SimulationError(
                     f"drained batch targets unknown stage {stage_index}"
@@ -590,24 +655,111 @@ class StreamProcessorPipeline:
             current: RecordContainer = (
                 records if isinstance(records, RecordBatch) else list(records)
             )
+            cpu = 0.0
             for operator in self.operators[stage_index:]:
                 if not current:
                     break
-                cpu_used += self.cost_model.batch_cost(operator, len(current))
+                cost = self.cost_model.batch_cost(operator, len(current))
+                cpu_used += cost
+                cpu += cost
                 records_processed += len(current)
                 current = process_records(operator, current)
-            if current and collect_outputs:
+            if current and outputs is not None:
                 outputs.extend(
                     current.to_records()
                     if isinstance(current, RecordBatch)
                     else current
                 )
+            batch_cpu.append(cpu)
+            cpu_used_s += cpu
+        return records_processed, cpu_used, batch_cpu
 
-        for stage_index, state in (partial_states or {}).items():
-            operator = self.operators[stage_index]
-            operator.merge_partial(state)
+    def _foldable(self, drained: Sequence[Tuple[int, RecordContainer]]) -> bool:
+        """Whether a drained FIFO can run as one columnar pass (:meth:`_fold_run`)."""
+        if len(drained) < 2:
+            return False
+        stage_index, first = drained[0]
+        if not 0 <= stage_index < len(self.operators) or not isinstance(
+            first, RecordBatch
+        ):
+            return False
+        if any(
+            stage != stage_index
+            or not isinstance(records, RecordBatch)
+            or records.record_class is not first.record_class
+            for stage, records in drained
+        ):
+            return False
+        operators = self.operators[stage_index:]
+        return all(operator.masks_rows for operator in operators[:-1]) and not any(
+            self.cost_model.cost_depends_on_state(operator) for operator in operators
+        )
 
-        return records_processed, cpu_used, outputs
+    def _fold_run(
+        self,
+        drained: Sequence[Tuple[int, RecordContainer]],
+        compute_budget_s: float,
+        cpu_used_s: float,
+        outputs: Optional[List[Record]],
+    ) -> Tuple[int, float, List[float]]:
+        """One pass of each operator over a foldable FIFO (see
+        :meth:`process_arrivals`); returns ``(records_processed, cpu_used,
+        batch_cpu)``.
+
+        The batches coalesce into one (:func:`coalesce_batches`, a view of
+        the arena when they are adjacent in it).  Each row filter runs once
+        over it, and one search of the kept rows for the batch offsets
+        splits the survivors by batch.  The per-batch counts give each batch
+        its exact CPU, summed in the per-batch order, and the budget walk
+        picks how many batches are processed.  The last operator then folds
+        the survivors of exactly those batches, in FIFO order, in one call.
+        Rows of the batches left unprocessed only went through row masks,
+        which change no state.
+        """
+        stage_index = drained[0][0]
+        operators = self.operators[stage_index:]
+        costs = [self.cost_model.cost_per_record(operator) for operator in operators]
+        batches = [records for _, records in drained]
+        current = coalesce_batches(batches)
+        counts = [[len(batch) for batch in batches]]
+        # Row offsets of each batch in ``current``.
+        bounds = list(accumulate(counts[0], initial=0))
+        for operator in operators[:-1]:
+            mask = operator.row_mask(current)
+            if np.count_nonzero(mask) == len(current):  # e.g. the Window
+                counts.append(counts[-1])
+                continue
+            kept = np.flatnonzero(mask)
+            # Survivors before each old offset: the new offsets.
+            bounds = np.searchsorted(kept, bounds).tolist()
+            current = current.take(kept)
+            counts.append([stop - start for start, stop in zip(bounds, bounds[1:])])
+
+        cpu_used = 0.0
+        records_processed = 0
+        batch_cpu: List[float] = []
+        for index in range(len(batches)):
+            if cpu_used_s >= compute_budget_s:
+                break
+            cpu = 0.0
+            for cost, stage_counts in zip(costs, counts):
+                count = stage_counts[index]
+                if not count:
+                    break
+                cpu += cost * count
+                records_processed += count
+            batch_cpu.append(cpu)
+            cpu_used += cpu
+            cpu_used_s += cpu
+
+        survivors = current[: bounds[len(batch_cpu)]]
+        if survivors:
+            output = process_records(operators[-1], survivors)
+            if output and outputs is not None:
+                outputs.extend(
+                    output.to_records() if isinstance(output, RecordBatch) else output
+                )
+        return records_processed, cpu_used, batch_cpu
 
     def advance_epoch(self, collect_outputs: bool = True) -> List[Record]:
         """Close the current epoch; flush operators at window boundaries.

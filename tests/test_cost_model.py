@@ -84,6 +84,26 @@ class TestContextDependentCosts:
         gr.process([PingmeshRecord(0.0, 1, i, 1.0) for i in range(1000)])
         assert model.cost_per_record(gr) > base
 
+    def test_cost_depends_on_state_exactly_when_the_group_term_applies(self):
+        query = s2s_probe_query()
+        window, filter_op, gr = query.logical_plan().operators
+        defaults = CostModel()
+        assert defaults.cost_depends_on_state(gr)
+        assert not defaults.cost_depends_on_state(filter_op)
+        assert not defaults.cost_depends_on_state(window)
+        calibrated = s2s_cost_model(query)
+        assert not any(
+            calibrated.cost_depends_on_state(op) for op in (window, filter_op, gr)
+        )
+        grouped = calibrate_cost_model(
+            [window, filter_op, gr],
+            cpu_fractions={"filter": 0.13, "group_aggregate": 0.8},
+            input_records_per_second=1000.0,
+            group_log_cost_fraction=0.2,
+        )
+        assert grouped.cost_depends_on_state(gr)
+        assert not grouped.cost_depends_on_state(filter_op)
+
 
 class TestCalibration:
     def test_s2s_calibration_matches_paper_fractions(self):

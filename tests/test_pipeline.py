@@ -8,7 +8,7 @@ from repro.config import ProxyThresholds
 from repro.core.state import OperatorState
 from repro.errors import SimulationError
 from repro.query.builder import s2s_probe_query
-from repro.query.records import PingmeshRecord
+from repro.query.records import FleetArena, PingmeshRecord
 from repro.simulation.pipeline import (
     SourcePipeline,
     StreamProcessorPipeline,
@@ -310,3 +310,50 @@ class TestStreamProcessorPipeline:
         sp.reset()
         result = sp.process_epoch(drained=[])
         assert result.records_processed == 0
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    @pytest.mark.parametrize("layout", ["arena_views", "owned"])
+    def test_budgeted_run_matches_one_call_per_batch(self, cost_model, stage, layout):
+        """One budgeted call over a FIFO of batches processes, charges and
+        folds exactly what one call per batch under the same budget does."""
+        workloads = [
+            PingmeshWorkload(
+                PingmeshConfig(records_per_epoch=RATE, peers=RATE * 5, seed=seed)
+            )
+            for seed in range(6)
+        ]
+        arena = FleetArena()
+        arena.begin_epoch(0)
+        for source_id, source in enumerate(workloads):
+            assert source.fill_arena(0, arena, source_id)
+        views = [arena.view(source_id) for source_id in range(len(workloads))]
+        batches = views if layout == "arena_views" else [arena.own(v) for v in views]
+        drained = [(stage, batch) for batch in batches]
+        alone = [
+            build_sp(cost_model).process_arrivals([item], collect_outputs=False)
+            for item in drained
+        ]
+        cpus = [result.cpu_used_seconds for result in alone]
+        used = 0.5 * cpus[0]
+        for processed in range(1, len(drained) + 1):
+            budget = used + sum(cpus[: processed - 1]) + 0.5 * cpus[processed - 1]
+            reference, spent, expected = build_sp(cost_model), used, []
+            for item in drained:
+                if spent >= budget:
+                    break
+                cpu = reference.process_arrivals(
+                    [item], collect_outputs=False
+                ).cpu_used_seconds
+                spent += cpu
+                expected.append(cpu)
+            run = build_sp(cost_model)
+            result = run.process_arrivals(
+                drained, collect_outputs=False, compute_budget_s=budget, cpu_used_s=used
+            )
+            assert len(expected) == processed
+            assert result.batch_cpu_seconds == expected
+            assert result.records_processed == sum(
+                r.records_processed for r in alone[:processed]
+            )
+            groups = reference.operators[-1].group_count()
+            assert run.operators[-1].group_count() == groups

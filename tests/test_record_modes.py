@@ -6,8 +6,10 @@ The simulators select their hot-path record representation through the
 exists purely for speed; these tests pin down that it reproduces the object
 mode's metrics *bit-exactly* — not approximately — on the configurations
 the evaluation figures run (Fig. 10 multi-source/sharded, Fig. 11
-co-located) and under a changing budget that re-profiles after window
-closes, that the :class:`~repro.query.records.FleetArena` container
+co-located), under a changing budget that re-profiles after window
+closes, and where the stream processor folds a run of batches in one pass
+(cut by its budget, concatenated, or with a state-dependent cost), that
+the :class:`~repro.query.records.FleetArena` container
 honours its aliasing/ownership contract, that the columnar containers
 survive empty inputs, and that record conservation holds in the fast mode
 under arbitrary fleets (hypothesis property).
@@ -30,16 +32,19 @@ from repro.query.aggregates import (
     MinAggregate,
     SumAggregate,
 )
+from repro.query.operators import FilterOperator
 from repro.query.records import (
     EnrichedPingmeshRecord,
     FleetArena,
     PingmeshRecord,
     RecordBatch,
     RecordRowView,
+    coalesce_batches,
     record_size_bytes,
 )
 from repro.scenarios import ScenarioRunner, spec_from_dict
 from repro.scenarios.runner import run_multi_query, run_sharded
+from repro.simulation.cost_model import calibrate_cost_model
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
@@ -51,6 +56,7 @@ from repro.simulation.multisource import (
 from repro.simulation.network import plan_fifo_transfer
 from repro.simulation.node import BudgetSchedule, StreamProcessorNode
 from repro.simulation.sharding import ShardedClusterExecutor
+from repro.workloads.pingmesh import S2S_COUNT_RELAYS, S2S_CPU_FRACTIONS
 from repro.errors import SimulationError
 
 
@@ -298,6 +304,195 @@ class TestMultiSourceEquivalence:
             == runs["arena"].aggregate_throughput_mbps()
         )
         assert_epochs_identical(runs["object"], runs["arena"])
+
+
+@pytest.fixture(scope="module")
+def run_setup():
+    return make_setup("s2s_probe", records_per_epoch=300)
+
+
+def _group_cost_setup(setup):
+    """``setup`` with a G+R whose cost grows with its live group count."""
+    return replace(
+        setup,
+        cost_model=calibrate_cost_model(
+            setup.query.logical_plan().operators,
+            cpu_fractions=S2S_CPU_FRACTIONS,
+            input_records_per_second=setup.records_per_epoch,
+            count_relay_ratios=S2S_COUNT_RELAYS,
+            group_log_cost_fraction=0.2,
+        ),
+    )
+
+
+class TestSPRunEquivalence:
+    """Arena mode folds runs of SP backlog items in one columnar pass;
+    object mode processes them one by one.  Every epoch must still match
+    where a run is cut by the compute budget, where its batches are owned
+    copies that must be concatenated, and where the G+R's cost depends on
+    the rows folded before it."""
+
+    SHAPES = {
+        # The budget stops the SP partway through a run every epoch.
+        "budget_cut": (1000.0, 0.02, False),
+        # A tight link parks batches in the carryover, which owns them at
+        # the epoch boundary, so runs concatenate instead of viewing.
+        "owned_copies": (1.5, 0.02, False),
+        # Ample compute, but each G+R batch costs by the groups before it.
+        "state_cost": (1000.0, 1.0, True),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("strategy_name", ["All-SP", "Best-OP", "Jarvis"])
+    def test_epochs_match_object_mode(self, run_setup, shape, strategy_name):
+        ingress_mbps, sp_share, group_cost = self.SHAPES[shape]
+        setup = _group_cost_setup(run_setup) if group_cost else run_setup
+        epochs = {}
+        for mode in RECORD_MODES:
+            executor = MultiSourceExecutor(
+                plan=setup.plan,
+                cost_model=setup.cost_model,
+                sources=fleet(setup, 12, strategy_name),
+                cluster_config=MultiSourceConfig(
+                    config=setup.config,
+                    stream_processor=StreamProcessorNode(
+                        ingress_bandwidth_mbps=ingress_mbps
+                    ),
+                    sp_compute_share=sp_share,
+                    record_mode=mode,
+                ),
+            )
+            group_aggregate = executor.sp_pipeline.operators[-1]
+            # 14 epochs cross the 10-epoch window boundary.  The SP G+R's
+            # group count shows which rows it folded: only processed ones.
+            epochs[mode] = [
+                (executor.run_epoch(), group_aggregate.group_count())
+                for _ in range(14)
+            ]
+            assert executor.verify_record_conservation() == []
+            if shape == "budget_cut":
+                assert executor.sp_backlog_records() > 0
+        for index, (obj, arena) in enumerate(zip(epochs["object"], epochs["arena"])):
+            assert obj == arena, (shape, strategy_name, index)
+
+
+class TestFilterRowMask:
+    def batch(self, setup):
+        batch = setup.workload_factory(3).batch_for_epoch(0)
+        columns = dict(batch.columns)
+        columns["err_code"] = np.arange(len(batch), dtype=np.int64) % 3
+        return RecordBatch(
+            batch.record_class, columns, uniform_size_bytes=batch.uniform_size_bytes
+        )
+
+    def filter_op(self, setup):
+        return next(op for op in setup.plan.operators if op.kind == "filter")
+
+    @pytest.mark.parametrize("columns", ["array", "list"])
+    def test_mask_is_the_predicate_and_process_batch_compresses_by_it(
+        self, setup, columns
+    ):
+        batch = self.batch(setup)
+        if columns == "list":
+            batch = RecordBatch.from_records(batch.to_records())
+            assert isinstance(batch.columns["err_code"], list)
+        op = self.filter_op(setup)
+        assert op.masks_rows
+        mask = op.row_mask(batch)
+        assert mask.dtype == bool
+        expected = [bool(op.predicate(record)) for record in batch.to_records()]
+        assert mask.tolist() == expected
+        assert 0 < sum(expected) < len(batch)
+        kept, compressed = op.process_batch(batch), batch.compress(mask)
+        assert len(kept) == len(compressed)
+        for name, column in compressed.columns.items():
+            assert list(kept.columns[name]) == list(column), name
+
+    def test_missing_column_keeps_no_row(self, setup):
+        batch = self.batch(setup)
+        op = FilterOperator("f", lambda record: False, column_equals=("tor", 1))
+        assert op.row_mask(batch).tolist() == [False] * len(batch)
+        assert len(op.process_batch(batch)) == 0
+
+    def test_only_row_filters_have_masks(self, setup):
+        window, filter_op, gr = setup.plan.operators
+        assert window.masks_rows and window.row_mask(self.batch(setup)).all()
+        assert not gr.masks_rows
+        opaque = FilterOperator("f", filter_op.predicate)
+        assert not opaque.masks_rows
+        with pytest.raises(NotImplementedError):
+            opaque.row_mask(self.batch(setup))
+
+
+class TestCoalesceBatches:
+    def arena_views(self, setup, sources=4):
+        arena = FleetArena()
+        arena.begin_epoch(0)
+        for source_id in range(sources):
+            batch = setup.workload_factory(20 + source_id).batch_for_epoch(0)
+            assert arena.append_batch(source_id, batch)
+        return arena, [arena.view(source_id) for source_id in range(sources)]
+
+    @staticmethod
+    def chained(batches):
+        total = batches[0]
+        for batch in batches[1:]:
+            total = total + batch
+        return total
+
+    @staticmethod
+    def assert_same_rows(left, right):
+        assert len(left) == len(right)
+        assert left.uniform_size_bytes == right.uniform_size_bytes
+        assert left.columns.keys() == right.columns.keys()
+        for name, column in left.columns.items():
+            assert list(column) == list(right.columns[name]), name
+
+    def test_adjacent_views_coalesce_into_one_view(self, setup):
+        arena, views = self.arena_views(setup)
+        # Consecutive sources, one of them split in two, as the link ships.
+        parts = [views[0], views[1][:50], views[1][50:], views[2]]
+        joined = coalesce_batches(parts)
+        self.assert_same_rows(joined, self.chained(parts))
+        assert arena.aliased_by(joined)
+        for name, column in joined.columns.items():
+            assert column.base is views[0].columns[name].base, name
+            assert np.shares_memory(column, views[2].columns[name]), name
+        # A view of the span coalesces further.
+        self.assert_same_rows(
+            coalesce_batches([joined, views[3]]), self.chained(views)
+        )
+
+    def test_owned_or_gapped_batches_are_concatenated(self, setup):
+        arena, views = self.arena_views(setup)
+        cases = [
+            [views[0], views[2]],
+            [arena.own(views[0]), arena.own(views[1])],
+            [views[0], arena.own(views[1])],
+            [views[1][::2], views[1][1::2]],
+        ]
+        for parts in cases:
+            joined = coalesce_batches(parts)
+            self.assert_same_rows(joined, self.chained(parts))
+            assert not arena.aliased_by(joined)
+
+    def test_list_columns_and_ragged_sizes_concatenate_like_plus(self, setup):
+        records = setup.workload_factory(5).records_for_epoch(0)
+        listed = RecordBatch.from_records(records)
+        ragged = RecordBatch(
+            listed.record_class,
+            {name: list(column) for name, column in listed.columns.items()},
+            sizes=[80 + index % 7 for index in range(len(listed))],
+        )
+        for parts in ([listed[:10], listed[10:]], [listed[:10], ragged[10:]]):
+            joined = coalesce_batches(parts)
+            self.assert_same_rows(joined, self.chained(parts))
+            assert joined.sizes == self.chained(parts).sizes
+
+    def test_a_single_batch_is_returned_as_is(self, setup):
+        _, views = self.arena_views(setup, sources=1)
+        assert coalesce_batches([views[0]]) is views[0]
+        assert coalesce_batches([views[0][:0], views[0]]) is views[0]
 
 
 class TestBuildingBlockEquivalence:
