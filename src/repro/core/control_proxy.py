@@ -75,7 +75,6 @@ class ControlProxy:
         self._processed = 0
         self._pending = 0
         self._idle_fraction = 0.0
-        self._last_observation: ProxyObservation | None = None
 
     # -- load factor ---------------------------------------------------------
 
@@ -175,14 +174,8 @@ class ControlProxy:
             pending_records=self._pending,
             idle_fraction=self._idle_fraction,
         )
-        self._last_observation = observation
         self._reset_epoch_counters()
         return observation
-
-    @property
-    def last_observation(self) -> ProxyObservation | None:
-        """The most recent epoch observation (None before the first epoch)."""
-        return self._last_observation
 
     def _reset_epoch_counters(self) -> None:
         self._incoming = 0

@@ -8,7 +8,6 @@ plan machinery (Section IV-B) that the Jarvis core builds upon.
 from .records import (
     Record,
     RecordBatch,
-    RecordRowView,
     PingmeshRecord,
     LogRecord,
     JobStatsRecord,
@@ -31,7 +30,6 @@ from .physical_plan import PhysicalPlan, PhysicalStage, OffloadRules
 __all__ = [
     "Record",
     "RecordBatch",
-    "RecordRowView",
     "PingmeshRecord",
     "LogRecord",
     "JobStatsRecord",

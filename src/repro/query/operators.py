@@ -275,10 +275,8 @@ class FilterOperator(Operator):
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
         if self.masks_rows:
             return batch.compress(self.row_mask(batch))
-        # No columnar hint: materialize and run the object path.  Evaluating
-        # an opaque predicate against row views would silently change its
-        # answer whenever it does more than attribute access (isinstance
-        # checks, Record methods), breaking the bit-identical contract.
+        # No columnar hint: materialize and run the object path, so an opaque
+        # predicate sees real records (isinstance checks, Record methods).
         return self.process(batch.to_records())
 
     @property

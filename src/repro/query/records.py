@@ -22,7 +22,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -70,8 +69,11 @@ PINGMESH_RECORD_BYTES = 86
 #: three RTT statistics + window metadata).
 AGGREGATE_ROW_BYTES = 48
 
-#: Overhead bytes added per record when shipping it over the drain path
-#: (operator identifier + watermark replication; Section V).
+#: Overhead bytes added per record when shipping it over the drain path: the
+#: paper's per-record drain header, which names the operator the record
+#: resumes at on the stream processor and carries the proxy's replicated
+#: watermark (Section V).  The simulator models neither field, but every
+#: drained record still pays these bytes on the link.
 DRAIN_HEADER_BYTES = 4
 
 
@@ -294,44 +296,6 @@ def _all_slots(record_class: type) -> Tuple[str, ...]:
     return tuple(names)
 
 
-class RecordRowView:
-    """A zero-copy view of one row of a :class:`RecordBatch`.
-
-    Behaves like a record for attribute access (columns resolve to attributes,
-    ``size_bytes`` to the row's serialized size) so arbitrary predicates,
-    key functions, and value functions written against record objects evaluate
-    unchanged — and bit-identically — on a columnar batch.  One view instance
-    is re-pointed row by row (:meth:`at`); callers must not retain it.
-    """
-
-    __slots__ = ("_batch", "_index")
-
-    def __init__(self, batch: "RecordBatch", index: int = 0) -> None:
-        object.__setattr__(self, "_batch", batch)
-        object.__setattr__(self, "_index", index)
-
-    def at(self, index: int) -> "RecordRowView":
-        """Re-point this view at ``index`` and return it (cursor style)."""
-        object.__setattr__(self, "_index", index)
-        return self
-
-    def __getattr__(self, name: str) -> Any:
-        batch = object.__getattribute__(self, "_batch")
-        if name == "size_bytes":
-            return batch.size_of(object.__getattribute__(self, "_index"))
-        try:
-            column = batch.columns[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return column[object.__getattribute__(self, "_index")]
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view of the row (mirrors :meth:`Record.as_dict`)."""
-        index = object.__getattribute__(self, "_index")
-        batch = object.__getattribute__(self, "_batch")
-        return {name: column[index] for name, column in batch.columns.items()}
-
-
 class RecordBatch:
     """Columnar batch of homogeneous records (parallel arrays).
 
@@ -341,9 +305,8 @@ class RecordBatch:
     count arithmetic.  Invariants the equivalence tests rely on:
 
     * every column holds the value exactly as the record constructor would
-      have coerced it (``int(src_ip)``, ``float(rtt_us)``, ...), so predicates
-      and key/value functions evaluated on a row view are bit-identical to the
-      object path;
+      have coerced it (``int(src_ip)``, ``float(rtt_us)``, ...), so columnar
+      operators and :meth:`to_records` are bit-identical to the object path;
     * ``event_time`` is always present as a column;
     * per-record sizes are plain ints — either one ``uniform_size_bytes`` for
       fixed-size record types or a ``sizes`` column — so byte totals are exact
@@ -467,34 +430,31 @@ class RecordBatch:
     def __bool__(self) -> bool:
         return self._length > 0
 
-    def __getitem__(self, item: "int | slice") -> "RecordBatch | RecordRowView":
+    def __getitem__(self, item: slice) -> "RecordBatch":
+        """Slice rows; a batch has no row-wise access (an integer index
+        raises), so records are read through :meth:`to_records` or the
+        columns."""
+        if not isinstance(item, slice):
+            raise SimulationError(
+                f"a RecordBatch takes slices, not {type(item).__name__} "
+                "indexes; read rows through to_records() or the columns"
+            )
         length = self._length
-        if isinstance(item, slice):
-            # Whole-batch slices are frequent in the pipeline's queue
-            # arithmetic (e.g. taking a zero-record prefix leaves the whole
-            # queue); batches are treated immutably, so aliasing is safe.
-            start, stop, step = item.indices(length)
-            if step == 1 and start == 0 and stop == length:
-                return self
-            base_row = self._base_row
-            return RecordBatch._derived(
-                self.record_class,
-                {name: column[item] for name, column in self.columns.items()},
-                len(range(start, stop, step)),
-                self.uniform_size_bytes,
-                self.sizes[item] if self.sizes is not None else None,
-                base_row + start if base_row is not None and step == 1 else None,
-            )
-        if not -length <= item < length:
-            raise IndexError(
-                f"row {item} is out of range for a batch of {length} rows"
-            )
-        return RecordRowView(self, item if item >= 0 else length + item)
-
-    def __iter__(self) -> Iterator["RecordRowView"]:
-        view_class = RecordRowView
-        for index in range(self._length):
-            yield view_class(self, index)
+        # Whole-batch slices are frequent in the pipeline's queue arithmetic
+        # (e.g. taking a zero-record prefix leaves the whole queue); batches
+        # are treated immutably, so aliasing is safe.
+        start, stop, step = item.indices(length)
+        if step == 1 and start == 0 and stop == length:
+            return self
+        base_row = self._base_row
+        return RecordBatch._derived(
+            self.record_class,
+            {name: column[item] for name, column in self.columns.items()},
+            len(range(start, stop, step)),
+            self.uniform_size_bytes,
+            self.sizes[item] if self.sizes is not None else None,
+            base_row + start if base_row is not None and step == 1 else None,
+        )
 
     def __add__(self, other: object) -> "RecordBatch | List[Record]":
         if isinstance(other, RecordBatch):
@@ -572,12 +532,6 @@ class RecordBatch:
         )
 
     # -- byte accounting ---------------------------------------------------------
-
-    def size_of(self, index: int) -> int:
-        """Serialized size of one row in bytes."""
-        if self.uniform_size_bytes is not None:
-            return self.uniform_size_bytes
-        return self.sizes[index]
 
     def _sizes_list(self) -> List[int]:
         if self.sizes is not None:
@@ -704,8 +658,8 @@ class FleetArena:
     """One block-level columnar batch stacking every source's epoch records.
 
     ``record_mode="arena"`` keeps a whole building block's epoch input in one
-    set of reusable column buffers — the :class:`RecordBatch` columns plus
-    ``source_ids``/``epochs`` columns and a per-source offset index.  Each
+    set of reusable column buffers — the schema's :class:`RecordBatch`
+    columns and nothing else — plus a per-source row-span index.  Each
     source's batch is then a zero-copy slice view of the block arrays, so in
     steady state epoch stepping allocates nothing: :meth:`begin_epoch` resets
     the write cursor and the next fleet fill overwrites the same memory.
@@ -734,11 +688,8 @@ class FleetArena:
         self._buffer_ids: frozenset = frozenset()
         self._capacity = 0
         self._cursor = 0
-        self._epoch = -1
         #: Per-source row span of the current epoch: source_id -> (start, stop).
         self._spans: Dict[int, Tuple[int, int]] = {}
-        self.source_ids = np.empty(0, dtype=np.int64)
-        self.epochs = np.empty(0, dtype=np.int64)
         self._allocator: Optional[Callable[[int, np.dtype], Optional[np.ndarray]]] = None
         #: The ``dtypes`` mapping of the last accepted reservation, as passed:
         #: a request equal to it (same record class and row size) skips the
@@ -773,18 +724,12 @@ class FleetArena:
         return np.empty(count, dtype=dtype)
 
     @property
-    def epoch(self) -> int:
-        """Epoch the current contents belong to (-1 before the first fill)."""
-        return self._epoch
-
-    @property
     def num_sources(self) -> int:
         """How many sources reserved rows in the current epoch."""
         return len(self._spans)
 
-    def begin_epoch(self, epoch: int) -> None:
+    def begin_epoch(self) -> None:
         """Recycle the buffers for a new epoch (no allocation)."""
-        self._epoch = int(epoch)
         self._cursor = 0
         self._spans.clear()
 
@@ -795,11 +740,6 @@ class FleetArena:
             fresh = self._alloc(capacity, buffer.dtype)
             fresh[:cursor] = buffer[:cursor]
             self._buffers[name] = fresh
-        for attr in ("source_ids", "epochs"):
-            buffer = getattr(self, attr)
-            fresh = self._alloc(capacity, np.int64)
-            fresh[:cursor] = buffer[:cursor]
-            setattr(self, attr, fresh)
         self._capacity = capacity
         self._buffer_ids = frozenset(id(buf) for buf in self._buffers.values())
 
@@ -830,8 +770,6 @@ class FleetArena:
         stop = start + count
         if stop > self._capacity:
             self._grow(stop)
-        self.source_ids[start:stop] = source_id
-        self.epochs[start:stop] = self._epoch
         self._spans[source_id] = (start, stop)
         self._cursor = stop
         return {name: buffer[start:stop] for name, buffer in self._buffers.items()}
@@ -868,8 +806,6 @@ class FleetArena:
                 name: self._alloc(capacity, dtype)
                 for name, dtype in normalised.items()
             }
-            self.source_ids = self._alloc(capacity, np.int64)
-            self.epochs = self._alloc(capacity, np.int64)
             self._capacity = capacity
             self._buffer_ids = frozenset(id(buf) for buf in self._buffers.values())
         self._accepted_dtypes = dict(dtypes)
@@ -977,8 +913,8 @@ def record_size_bytes(
     Args:
         records: Any iterable of records, or a :class:`RecordBatch` (counted
             via exact integer column arithmetic, no per-record iteration).
-        drain: When true, adds the per-record drain-path header overhead
-            (operator identifier + replicated watermark marker).
+        drain: When true, adds the per-record drain header
+            (:data:`DRAIN_HEADER_BYTES`).
     """
     if isinstance(records, RecordBatch):
         return records.total_size_bytes(drain=drain)

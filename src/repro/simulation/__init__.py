@@ -61,9 +61,9 @@ Every executor runs in one of two **record modes** (the ``record_mode``
 knob on :class:`ExecutorConfig` / :class:`MultiSourceConfig`): ``"object"``
 flows one Python object per record and is the reference; ``"arena"`` is the
 one columnar path.  It stacks *every source in a block* into one
-:class:`~repro.query.records.FleetArena` — the
-:class:`~repro.query.records.RecordBatch` columns plus
-``source_ids``/``epochs`` columns and a per-source offset index.  In the
+:class:`~repro.query.records.FleetArena` — the schema's
+:class:`~repro.query.records.RecordBatch` columns and nothing else, plus a
+per-source row-span index.  In the
 fill phase each workload reserves its rows (the arena checks a schema once,
 then admits equal ones unchecked) and its generation kernel writes the
 epoch — one random draw, a handful of array writes — straight into the

@@ -10,9 +10,9 @@ bugfix had to land three times.
 This module is now the single home of that machinery:
 
 * :class:`EpochEngine` owns *source stepping*: fetching an epoch's records
-  (object or columnar arena mode), tracking measured record sizes and
-  watermarks, running each source's pipeline under its budget, accumulating
-  the record-conservation counters, and feeding the strategy its
+  (object or columnar arena mode), tracking measured record sizes, running
+  each source's pipeline under its budget, accumulating the
+  record-conservation counters, and feeding the strategy its
   :class:`~repro.core.runtime.EpochObservation` feedback (including applying
   the returned load factors).  It also provides the warmup/run-loop
   scaffolding (freshness guards and metric collectors).
@@ -108,20 +108,11 @@ def pad_load_factors(factors: Sequence[float], num_stages: int) -> List[float]:
     return padded
 
 
-def last_event_time(records: RecordContainer) -> Optional[float]:
-    """Event time of the last record in a container (None when empty)."""
-    if not records:
-        return None
-    if isinstance(records, RecordBatch):
-        return records.event_times[-1]
-    return records[-1].event_time
-
-
 class SourceState:
     """Engine-owned per-source simulation state.
 
     Holds everything the shared accounting needs: the source's pipeline and
-    strategy, measured record sizes, watermark, previous-epoch queue levels
+    strategy, measured record sizes, previous-epoch queue levels
     (for goodput debits), and the cumulative record-conservation counters.
     Executors subclass it to append their arbitration state (e.g. the
     multi-source carryover queue).
@@ -146,7 +137,6 @@ class SourceState:
         #: Measured mean record size; the Pingmesh probe-record size the
         #: paper reports (Section II-B) until a non-empty epoch measures one.
         self.avg_record_bytes = float(PINGMESH_RECORD_BYTES)
-        self.watermark: Optional[float] = None
         #: Previous-epoch byte level of the source operator backlog.
         self.prev_backlog_bytes = 0.0
         #: Previous-epoch byte levels of executor-named shared queues
@@ -167,17 +157,11 @@ class SourceState:
 
 @dataclass
 class SourceStepResult:
-    """Everything one source produced during one engine step.
-
-    ``epoch_watermark`` is the watermark observed *this* epoch (None on an
-    empty epoch); ``state.watermark`` keeps the sticky last-seen value the
-    multi-source watermark advancement uses.
-    """
+    """Everything one source produced during one engine step."""
 
     state: SourceState
     result: SourceEpochResult
     budget_fraction: float
-    epoch_watermark: Optional[float]
 
 
 class EpochEngine:
@@ -247,7 +231,21 @@ class EpochEngine:
         plan: PhysicalPlan,
         state_factory: type = SourceState,
     ) -> SourceState:
-        """Create a source: its pipeline, initial load factors, and state."""
+        """Create a source: its pipeline, initial load factors, and state.
+
+        A plan that keeps operators on the stream processor only (rules R-1
+        and R-2, or ``OffloadRules.pinned_to_sp``) is refused: the source
+        pipeline runs just the offloadable prefix, and every executor takes
+        its output as final, so the SP-only operators would never run.
+        """
+        remote_only = plan.remote_only_stages()
+        if remote_only:
+            names = ", ".join(stage.operator.name for stage in remote_only)
+            raise SimulationError(
+                f"plan {plan.query_name!r} keeps {names} on the stream "
+                "processor only; the executors cannot route a source's output "
+                "into SP-only operators yet"
+            )
         if name in self._by_name:
             raise SimulationError(f"source {name!r} already registered")
         pipeline = SourcePipeline(
@@ -359,7 +357,7 @@ class EpochEngine:
         sizes, non-numeric columns) keep their fetched container as-is.
         """
         arena = self.arena
-        arena.begin_epoch(epoch)
+        arena.begin_epoch()
         fetched: Dict[str, Optional[RecordContainer]] = {}
         pending: List[SourceState] = []
         for state in self._sources:
@@ -411,13 +409,10 @@ class EpochEngine:
         else:
             records = self.fetch_records(state.workload, epoch)
         state.records_injected += len(records)
-        epoch_watermark: Optional[float] = None
         if records:
             state.avg_record_bytes = max(
                 1.0, record_size_bytes(records) / len(records)
             )
-            epoch_watermark = last_event_time(records)
-            state.watermark = epoch_watermark
         budget_fraction = state.budget.budget_at(epoch)
         src = state.pipeline.run_epoch(
             records, budget_fraction, profile=state.strategy.wants_profile()
@@ -449,7 +444,7 @@ class EpochEngine:
             state.pipeline.set_load_factors(
                 pad_load_factors(new_factors, state.pipeline.num_stages)
             )
-        return SourceStepResult(state, src, budget_fraction, epoch_watermark)
+        return SourceStepResult(state, src, budget_fraction)
 
     # -- record conservation -----------------------------------------------------
 

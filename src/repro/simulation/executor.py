@@ -138,7 +138,6 @@ class BuildingBlockExecutor:
             drained=src.drained,
             partial_states=src.partial_states,
             emitted=src.emitted,
-            watermark=step.epoch_watermark,
         )
         sp_cpu = min(
             sp.cpu_used_seconds,

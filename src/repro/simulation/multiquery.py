@@ -287,8 +287,10 @@ class CoLocatedBlockExecutor:
                 if remaining >= leftover - 1e-12:
                     break  # nobody absorbed anything; the surplus is final
                 leftover = remaining
+        # Every query's SP ticks its epoch clock once, discarding the window
+        # outputs nobody reads (as a standalone block does).
         for engine in engines:
-            engine._advance_stream_processor()
+            engine.sp_pipeline.advance_epoch(collect_outputs=False)
 
         # Phase 4: per-query metrics.  Each query's capacity view is its
         # *static entitlement* — the weighted slice of the link and its

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..config import JarvisConfig
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
@@ -83,7 +81,7 @@ class SourceSpec:
     """One data source's identity and per-source knobs.
 
     Attributes:
-        name: Unique source identifier (also the watermark channel prefix).
+        name: Unique source identifier.
         workload: Produces this source's records per epoch.
         strategy: This source's own strategy instance.  Instances must not be
             shared between sources — adaptive strategies carry runtime state.
@@ -271,7 +269,6 @@ class MultiSourceExecutor:
             cost_model=cost_model,
             window_length_s=plan.window_length_s,
             epoch_duration_s=epoch_s,
-            source_name=sources[0].name if sources else "__idle__",
         )
         self.sp_compute_capacity_s = (
             sp_node.compute_capacity_per_epoch(epoch_s)
@@ -294,7 +291,6 @@ class MultiSourceExecutor:
                 plan=plan,
                 state_factory=_CarryoverSourceState,
             )
-            self.sp_pipeline.register_source(spec.name)
             self._sources.append(state)
             self._sources_by_name[spec.name] = state
 
@@ -395,7 +391,10 @@ class MultiSourceExecutor:
         transmit = self.link.transmit_epoch(max_bytes=sum(shipped_bytes))
         self._drain_sp_free()
         sp_cpu_by_source = self._drain_sp_pending(self.sp_compute_capacity_s)
-        self._advance_stream_processor()
+        # Phase 3c: tick the SP's epoch clock exactly once.  Final window
+        # outputs are not consumed by the scale executors, so the boundary
+        # discards them instead of materializing one row per group.
+        self.sp_pipeline.advance_epoch(collect_outputs=False)
         return self._finish_epoch(
             offered_bytes=offered_bytes_total,
             shipped_bytes=shipped_bytes,
@@ -479,9 +478,8 @@ class MultiSourceExecutor:
     def attach_source(self, migration: SourceMigrationState) -> None:
         """Adopt a source detached from another block (live migration).
 
-        Re-registers the source on this block's stream processor, re-queues
-        its in-flight SP items at the tail of this block's backlog, and
-        re-offers its withdrawn queued bytes on this block's shared link.
+        Re-queues its in-flight SP items at the tail of this block's backlog
+        and re-offers its withdrawn queued bytes on this block's shared link.
         Both blocks must be step-aligned (lockstep tiling) and run the same
         record mode; violating either would tear the source's timeline.
         """
@@ -510,7 +508,6 @@ class MultiSourceExecutor:
         self.epoch_engine.adopt_source(state)
         self._sources.append(state)
         self._sources_by_name[state.name] = state
-        self.sp_pipeline.register_source(state.name)
         self._sp_pending.extend((state.name, item) for item in migration.sp_pending)
         self._sp_free.extend((state.name, item) for item in migration.sp_free)
         self.link.offer(migration.requeue_bytes)
@@ -553,7 +550,7 @@ class MultiSourceExecutor:
         sources need.  Returns ``(bytes shipped per source, number of sources
         that contended)``.
         """
-        demands = self._fleet_demands()
+        demands = [self._remaining_demand(state) for state in self._sources]
         allocations = max_min_fair_share(demands, byte_budget)
         contending_sources = sum(1 for demand in demands if demand > 0.0)
         pending = len(self._sp_pending)
@@ -697,33 +694,6 @@ class MultiSourceExecutor:
             demand -= state.carryover[0].progress_bytes
         return max(0.0, demand)
 
-    def _fleet_demands(self) -> List[float]:
-        """Per-source remaining link demand for fair-share arbitration.
-
-        Arena mode settles the fleet's carryover debits as array ops: stack
-        the per-source totals and head-item progress, subtract, and clamp.
-        Element-wise float64 subtraction and ``np.maximum`` round exactly as
-        their scalar counterparts, so this is bit-identical to mapping
-        :meth:`_remaining_demand` over the fleet (which object mode, and
-        small arenas, still do).
-        """
-        sources = self._sources
-        if self.epoch_engine.arena is None or len(sources) < 8:
-            return [self._remaining_demand(state) for state in sources]
-        count = len(sources)
-        totals = np.fromiter(
-            (state.carryover_bytes for state in sources), np.float64, count=count
-        )
-        progress = np.fromiter(
-            (
-                state.carryover[0].progress_bytes if state.carryover else 0.0
-                for state in sources
-            ),
-            np.float64,
-            count=count,
-        )
-        return np.maximum(0.0, totals - progress).tolist()
-
     def _enqueue_transfers(
         self, state: _CarryoverSourceState, src: SourceEpochResult
     ) -> float:
@@ -813,9 +783,9 @@ class MultiSourceExecutor:
         Items whose remaining bytes are zero (e.g. a partial-state blob whose
         measured size rounded to nothing) are delivered unconditionally, even
         on a zero-byte allocation: they consume no link capacity, and leaving
-        one parked at the carryover head would block the queue — and with it
-        this source's watermark — forever, since a source with no byte demand
-        is never granted an allocation to ship it with.
+        one parked at the carryover head would block the queue forever, since
+        a source with no byte demand is never granted an allocation to ship
+        it with.
         """
         tolerance = 1e-9
         budget_bytes = allocation
@@ -869,23 +839,17 @@ class MultiSourceExecutor:
 
         Free items — partial-state merges and already-final emitted records —
         arrive on their own queue and drain completely every epoch, so window
-        merges and watermark advancement never stall behind record batches
-        parked at the compute cap (they keep their per-source FIFO order).
+        merges never stall behind record batches parked at the compute cap
+        (they keep their per-source FIFO order).  A state merge folds into
+        the SP's operator; emitted records are final query output, which the
+        scale executors do not collect, so they only leave the queue.
         """
         while self._sp_free:
-            name, item = self._sp_free.popleft()
+            _, item = self._sp_free.popleft()
             if item.stage_index == -2:
                 self.sp_pipeline.process_arrivals(
                     drained=[],
                     partial_states={item.state_stage: item.state},
-                    source_name=name,
-                    collect_outputs=False,
-                )
-            else:
-                self.sp_pipeline.process_arrivals(
-                    drained=[],
-                    emitted=item.records,
-                    source_name=name,
                     collect_outputs=False,
                 )
 
@@ -912,7 +876,7 @@ class MultiSourceExecutor:
         pending = self._sp_pending
         runs = self.epoch_engine.arena is not None
         while pending and cpu_used < compute_budget_s:
-            name, head = pending[0]
+            _, head = pending[0]
             drained = [(head.stage_index, head.records)]
             if runs:
                 rows = len(head.records)
@@ -923,7 +887,6 @@ class MultiSourceExecutor:
                     drained.append((item.stage_index, item.records))
             batch_cpu = self.sp_pipeline.process_arrivals(
                 drained=drained,
-                source_name=name,
                 collect_outputs=False,
                 compute_budget_s=compute_budget_s,
                 cpu_used_s=cpu_used,
@@ -934,30 +897,6 @@ class MultiSourceExecutor:
                 cpu_used += cpu
                 cpu_by_source[name] = cpu_by_source.get(name, 0.0) + cpu
         return cpu_by_source
-
-    def _advance_stream_processor(self) -> None:
-        """Phase 3c: advance watermarks and the SP's epoch clock, exactly once.
-
-        Watermarks advance only for sources with no data in flight — not in
-        the carryover queue and not parked in the SP compute backlog —
-        otherwise records older than the watermark would still be queued.
-        """
-        backlogged = {name for name, _ in self._sp_pending}
-        for state in self._sources:
-            if (
-                state.watermark is not None
-                and not state.carryover
-                and state.name not in backlogged
-            ):
-                self.sp_pipeline.process_arrivals(
-                    drained=[],
-                    watermark=state.watermark,
-                    source_name=state.name,
-                    collect_outputs=False,
-                )
-        # Final window outputs are not consumed by the scale executors, so the
-        # boundary discards them instead of materializing one row per group.
-        self.sp_pipeline.advance_epoch(collect_outputs=False)
 
     def _sp_pending_cost_seconds(self) -> float:
         """Lower-bound compute cost of the SP backlog (entry stage only)."""

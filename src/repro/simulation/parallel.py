@@ -84,7 +84,6 @@ from .multisource import (
     SourceMigrationState,
     SourceSpec,
 )
-from .node import StreamProcessorNode
 from .sharding import (
     MigrationEvent,
     MigrationPolicy,
@@ -281,7 +280,6 @@ class ParallelBlockController(ShardedClusterExecutor):
         num_blocks: int,
         placement: PlacementLike = "round_robin",
         cluster_config: Optional[MultiSourceConfig] = None,
-        stream_processors: Optional[Sequence[Optional[StreamProcessorNode]]] = None,
         migration: Optional[MigrationPolicy] = None,
         workers: int = 2,
     ) -> None:
@@ -294,7 +292,6 @@ class ParallelBlockController(ShardedClusterExecutor):
             num_blocks=num_blocks,
             placement=placement,
             cluster_config=cluster_config,
-            stream_processors=stream_processors,
             migration=migration,
         )
         self._num_workers = min(int(workers), self.num_blocks)

@@ -12,7 +12,11 @@ The data-source pipeline (Figure 5, left) is a chain of
 The stream-processor pipeline (Figure 5, right) replicates the full operator
 chain, processes drained records from whichever stage they were drained at,
 merges the partial aggregation state shipped by the data source, and emits the
-final query output at window boundaries.
+final query output at window boundaries.  It keeps no per-source state: it is
+arrivals (:meth:`StreamProcessorPipeline.process_arrivals`, from any number of
+sources) plus the epoch tick (:meth:`StreamProcessorPipeline.advance_epoch`).
+Windows close on that global epoch clock, not on a merged watermark as the
+paper's §V describes, so the simulator tracks no watermark.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from ..query.records import (
     half_up,
     record_size_bytes,
 )
-from ..query.watermarks import WatermarkTracker
 from .cost_model import CostModel
 
 #: Serialized size assumed for one group's partial aggregation state when it
@@ -70,8 +73,6 @@ class _SourceStage:
     queue: RecordContainer = field(default_factory=list)
     #: Bytes that entered the operator since the last window flush.
     window_input_bytes: float = 0.0
-    #: Records that entered the operator since the last window flush.
-    window_input_records: int = 0
     #: Most recent byte-level relay ratio measurement (None until measured).
     measured_relay: Optional[float] = None
 
@@ -304,7 +305,6 @@ class SourcePipeline:
 
             in_bytes = float(record_size_bytes(to_process))
             stage.window_input_bytes += in_bytes
-            stage.window_input_records += n_process
             output = process_records(stage.operator, to_process) if to_process else []
             out_bytes = float(record_size_bytes(output))
 
@@ -426,7 +426,6 @@ class SourcePipeline:
             operator = stage.operator
             if not operator.stateful:
                 stage.window_input_bytes = 0.0
-                stage.window_input_records = 0
                 continue
             # Snapshot the state before flushing: flush() discards the
             # operator's accumulated structures, and the partial state shipped
@@ -455,7 +454,6 @@ class SourcePipeline:
             # The flushed records themselves are not re-sent: the partial state
             # carries the same information and is what the SP merges.
             stage.window_input_bytes = 0.0
-            stage.window_input_records = 0
 
     def reset(self) -> None:
         """Clear all queues, operator state, and proxy counters."""
@@ -463,7 +461,6 @@ class SourcePipeline:
             stage.queue = []
             stage.operator.reset()
             stage.window_input_bytes = 0.0
-            stage.window_input_records = 0
             stage.measured_relay = None
         self._epoch_index = 0
 
@@ -501,7 +498,6 @@ class StreamProcessorPipeline:
         cost_model: CostModel,
         window_length_s: float = 10.0,
         epoch_duration_s: float = 1.0,
-        source_name: str = "source-0",
     ) -> None:
         if not operators:
             raise SimulationError("stream processor pipeline needs >= 1 operator")
@@ -511,31 +507,12 @@ class StreamProcessorPipeline:
         self.epoch_duration_s = float(epoch_duration_s)
         self.epochs_per_window = max(1, half_up(window_length_s / epoch_duration_s))
         self._epoch_index = 0
-        self.watermarks = WatermarkTracker()
-        self._source_names: List[str] = []
-        self._source_name = source_name
-        self.register_source(source_name)
-
-    def register_source(self, source_name: str) -> None:
-        """Register watermark channels for one upstream data source.
-
-        The stream processor merges arrivals from every data source it
-        parents (Figure 4b); each source contributes one forwarded channel
-        plus one drain channel per replicated operator.
-        """
-        if source_name in self._source_names:
-            return
-        self._source_names.append(source_name)
-        self.watermarks.register(f"{source_name}:forwarded")
-        for operator in self.operators:
-            self.watermarks.register(f"{source_name}:drain:{operator.name}")
 
     def process_epoch(
         self,
         drained: Sequence[Tuple[int, Sequence[Record]]],
         partial_states: Optional[Dict[int, object]] = None,
-        emitted: Sequence[Record] = (),
-        watermark: Optional[float] = None,
+        emitted: RecordContainer = (),
     ) -> StreamProcessorEpochResult:
         """Process one epoch's arrivals from a single data source.
 
@@ -546,19 +523,17 @@ class StreamProcessorPipeline:
                 a window boundary, keyed by stage index.
             emitted: Records emitted by the source's final stage (results of
                 stateless tails; merged into the output stream directly).
-            watermark: Event-time watermark reported by the source this epoch.
         """
-        arrivals = self.process_arrivals(
-            drained,
-            partial_states=partial_states,
-            emitted=emitted,
-            watermark=watermark,
+        outputs = (
+            emitted.to_records() if isinstance(emitted, RecordBatch) else list(emitted)
         )
+        arrivals = self.process_arrivals(drained, partial_states=partial_states)
+        outputs.extend(arrivals.outputs)
         result = StreamProcessorEpochResult(
             epoch=self._epoch_index,
             records_processed=arrivals.records_processed,
             cpu_used_seconds=arrivals.cpu_used_seconds,
-            final_outputs=arrivals.outputs,
+            final_outputs=outputs,
         )
         result.final_outputs.extend(self.advance_epoch())
         return result
@@ -567,9 +542,6 @@ class StreamProcessorPipeline:
         self,
         drained: Sequence[Tuple[int, RecordContainer]],
         partial_states: Optional[Dict[int, object]] = None,
-        emitted: RecordContainer = (),
-        watermark: Optional[float] = None,
-        source_name: Optional[str] = None,
         collect_outputs: bool = True,
         compute_budget_s: Optional[float] = None,
         cpu_used_s: float = 0.0,
@@ -601,22 +573,7 @@ class StreamProcessorPipeline:
         columnar arrivals are never materialized just to be thrown away —
         processing and state effects are identical either way.
         """
-        source = source_name or self._source_name
-        if source not in self._source_names:
-            raise SimulationError(f"unknown source {source!r}; register it first")
         outputs: List[Record] = []
-        if collect_outputs:
-            outputs = (
-                emitted.to_records()
-                if isinstance(emitted, RecordBatch)
-                else list(emitted)
-            )
-
-        if watermark is not None:
-            self.watermarks.advance(f"{source}:forwarded", watermark)
-            for operator in self.operators:
-                self.watermarks.advance(f"{source}:drain:{operator.name}", watermark)
-
         sink = outputs if collect_outputs else None
         if compute_budget_s is not None and self._foldable(drained):
             records_processed, cpu_used, batch_cpu = self._fold_run(

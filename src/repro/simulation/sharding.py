@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -56,7 +56,6 @@ from .multisource import (
     SourceMigrationState,
     SourceSpec,
 )
-from .node import StreamProcessorNode
 
 T = TypeVar("T")
 
@@ -97,18 +96,8 @@ class PlacementPolicy:
 
     name = "placement"
 
-    def assign(
-        self,
-        sources: Sequence[SourceSpec],
-        num_blocks: int,
-        block_weights: Optional[Sequence[float]] = None,
-    ) -> List[int]:
-        """Block index (``0 <= block < num_blocks``) per source, same order.
-
-        ``block_weights`` describes relative block capacity (e.g. per-block
-        ingress bandwidth) for heterogeneous deployments; policies may ignore
-        it.
-        """
+    def assign(self, sources: Sequence[SourceSpec], num_blocks: int) -> List[int]:
+        """Block index (``0 <= block < num_blocks``) per source, same order."""
         raise NotImplementedError
 
 
@@ -117,12 +106,7 @@ class RoundRobinPlacement(PlacementPolicy):
 
     name = "round-robin"
 
-    def assign(
-        self,
-        sources: Sequence[SourceSpec],
-        num_blocks: int,
-        block_weights: Optional[Sequence[float]] = None,
-    ) -> List[int]:
+    def assign(self, sources: Sequence[SourceSpec], num_blocks: int) -> List[int]:
         return [index % num_blocks for index in range(len(sources))]
 
 
@@ -134,10 +118,6 @@ class ByteRateBalancedPlacement(PlacementPolicy):
     offered load within one source's rate of optimal — the placement that
     delays each block's shared-link saturation knee the longest for a
     heterogeneous fleet.
-
-    With ``block_weights`` (relative block capacity, e.g. per-block ingress
-    bandwidth), "lightest" means lowest load *per unit of capacity*, so a
-    faster block absorbs proportionally more of the fleet's byte rate.
     """
 
     name = "byte-rate-balanced"
@@ -147,25 +127,8 @@ class ByteRateBalancedPlacement(PlacementPolicy):
     ) -> None:
         self._rate_fn = rate_fn or estimated_rate_mbps
 
-    def assign(
-        self,
-        sources: Sequence[SourceSpec],
-        num_blocks: int,
-        block_weights: Optional[Sequence[float]] = None,
-    ) -> List[int]:
+    def assign(self, sources: Sequence[SourceSpec], num_blocks: int) -> List[int]:
         rates = [self._rate_fn(spec) for spec in sources]
-        if block_weights is None:
-            weights = [1.0] * num_blocks
-        else:
-            if len(block_weights) != num_blocks:
-                raise SimulationError(
-                    f"got {len(block_weights)} block weights for "
-                    f"{num_blocks} blocks"
-                )
-            weights = [
-                weight if math.isfinite(weight) and weight > 0 else 1.0
-                for weight in block_weights
-            ]
         loads = [0.0] * num_blocks
         counts = [0] * num_blocks
         assignment = [0] * len(sources)
@@ -173,13 +136,10 @@ class ByteRateBalancedPlacement(PlacementPolicy):
             range(len(sources)), key=lambda index: (-rates[index], index)
         )
         for index in heaviest_first:
-            # Tie-break equal relative loads by source count so an
-            # all-zero-rate fleet degrades to count balancing instead of
-            # collapsing onto block 0.
-            block = min(
-                range(num_blocks),
-                key=lambda b: (loads[b] / weights[b], counts[b], b),
-            )
+            # Tie-break equal loads by source count so an all-zero-rate
+            # fleet degrades to count balancing instead of collapsing onto
+            # block 0.
+            block = min(range(num_blocks), key=lambda b: (loads[b], counts[b], b))
             assignment[index] = block
             loads[block] += rates[index]
             counts[block] += 1
@@ -194,12 +154,7 @@ class StaticPlacement(PlacementPolicy):
     def __init__(self, assignment: Mapping[str, int]) -> None:
         self._assignment = dict(assignment)
 
-    def assign(
-        self,
-        sources: Sequence[SourceSpec],
-        num_blocks: int,
-        block_weights: Optional[Sequence[float]] = None,
-    ) -> List[int]:
+    def assign(self, sources: Sequence[SourceSpec], num_blocks: int) -> List[int]:
         result: List[int] = []
         for spec in sources:
             if spec.name not in self._assignment:
@@ -224,18 +179,17 @@ def make_placement(placement: PlacementLike) -> PlacementPolicy:
     """Coerce a placement specification into a :class:`PlacementPolicy`.
 
     Accepts a policy instance, an explicit ``{source_name: block}`` mapping
-    (static placement), or a policy name (``"round_robin"`` /
-    ``"byte_rate_balanced"``; dashes and case are normalised).
+    (static placement), or a policy name, exactly ``"round_robin"`` or
+    ``"byte_rate_balanced"``.
     """
     if isinstance(placement, PlacementPolicy):
         return placement
     if isinstance(placement, Mapping):
         return StaticPlacement(placement)
     if isinstance(placement, str):
-        key = placement.replace("-", "_").lower()
-        if key in ("round_robin", "rr"):
+        if placement == "round_robin":
             return RoundRobinPlacement()
-        if key in ("byte_rate_balanced", "balanced", "bin_packed"):
+        if placement == "byte_rate_balanced":
             return ByteRateBalancedPlacement()
         raise SimulationError(
             f"unknown placement policy {placement!r}; expected 'round_robin' "
@@ -553,17 +507,9 @@ class ShardedClusterExecutor:
         num_blocks: int,
         placement: PlacementLike = "round_robin",
         cluster_config: Optional[MultiSourceConfig] = None,
-        stream_processors: Optional[Sequence[Optional[StreamProcessorNode]]] = None,
         migration: Optional[MigrationPolicy] = None,
     ) -> None:
-        """``stream_processors`` optionally overrides the template's SP node
-        per block (heterogeneous deployments: some blocks faster than
-        others).  ``None`` entries keep the ``cluster_config`` template; the
-        per-block ingress bandwidths are handed to capacity-aware placement
-        policies as block weights, so a faster block absorbs more of a
-        byte-rate-balanced fleet.
-
-        ``migration`` enables dynamic re-placement: the policy is consulted
+        """``migration`` enables dynamic re-placement: the policy is consulted
         after every epoch and its decisions are executed as live migrations
         (:meth:`migrate`).  Without a policy the placement is frozen at
         construction and the executor behaves exactly as before.
@@ -581,22 +527,7 @@ class ShardedClusterExecutor:
         self.cluster_config = cluster_config or MultiSourceConfig()
         self.placement = make_placement(placement)
 
-        if stream_processors is None:
-            stream_processors = [None] * num_blocks
-        if len(stream_processors) != num_blocks:
-            raise SimulationError(
-                f"got {len(stream_processors)} per-block stream processors "
-                f"for {num_blocks} blocks"
-            )
-        self._block_nodes: List[StreamProcessorNode] = [
-            node if node is not None else self.cluster_config.stream_processor
-            for node in stream_processors
-        ]
-        block_weights = [node.ingress_bandwidth_mbps for node in self._block_nodes]
-
-        assignment = list(
-            self.placement.assign(sources, num_blocks, block_weights=block_weights)
-        )
+        assignment = list(self.placement.assign(sources, num_blocks))
         if len(assignment) != len(sources):
             raise SimulationError(
                 f"placement {self.placement.name!r} returned {len(assignment)} "
@@ -625,14 +556,10 @@ class ShardedClusterExecutor:
                 plan=plan,
                 cost_model=cost_model,
                 sources=group,
-                cluster_config=(
-                    self.cluster_config
-                    if node is self.cluster_config.stream_processor
-                    else replace(self.cluster_config, stream_processor=node)
-                ),
+                cluster_config=self.cluster_config,
                 allow_empty_fleet=True,
             )
-            for group, node in zip(groups, self._block_nodes)
+            for group in groups
         ]
         self._epoch = 0
         self.migration = migration
@@ -701,9 +628,6 @@ class ShardedClusterExecutor:
             "policy": self.placement.name,
             "sources_per_block": [len(group) for group in self._groups],
             "estimated_block_rates_mbps": block_rates,
-            "block_ingress_mbps": [
-                node.ingress_bandwidth_mbps for node in self._block_nodes
-            ],
             "rate_imbalance_ratio": high / low if low > 0 else float("inf"),
             "rate_stdev_mbps": (
                 statistics.pstdev(block_rates) if len(block_rates) > 1 else 0.0

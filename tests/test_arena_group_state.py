@@ -121,14 +121,14 @@ class TestStoredRunsOwnTheirArrays:
         reference = group_aggregate(key_columns, field)
 
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         assert arena.append_batch(0, first)
         view = arena.view(0)
         assert arena.aliases(view.column(key_columns[0]))
         operator.process_batch(view)
         reference.process_batch(first)
 
-        arena.begin_epoch(1)
+        arena.begin_epoch()
         assert arena.append_batch(0, second)
         refilled = arena.view(0).column(key_columns[0])
         assert refilled.base is view.column(key_columns[0]).base

@@ -7,7 +7,9 @@ import pytest
 from repro.baselines import AllSPStrategy, StaticLoadFactorStrategy
 from repro.errors import SimulationError
 from repro.analysis.experiments import make_setup, make_strategy, run_single_source
+from repro.query.builder import Stream
 from repro.simulation.cluster import ClusterModel
+from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.metrics import ClusterEpochMetrics, ClusterMetrics, RunMetrics
 from repro.simulation.multisource import (
     MultiSourceConfig,
@@ -71,6 +73,58 @@ class TestConstruction:
     def test_sp_compute_share_validated(self, setup):
         with pytest.raises(SimulationError):
             MultiSourceConfig(sp_compute_share=0.0)
+
+    @pytest.mark.parametrize("record_mode", ["object", "arena"])
+    def test_rejects_stream_processor_only_operators(self, setup, record_mode):
+        """Rule R-1 keeps an exact-quantile G+R on the SP.  The source runs
+        only the Window and Filter, and every executor takes their output as
+        final, so the G+R would never run and never be charged CPU; building
+        an executor for such a plan must fail, naming the SP-only stage."""
+        plan = (
+            Stream("sp_only_tail")
+            .window(10.0)
+            .filter(lambda r: r.err_code == 0, column_equals=("err_code", 0))
+            .group_apply(
+                lambda r: (r.src_ip, r.dst_ip), key_columns=("src_ip", "dst_ip")
+            )
+            .aggregate("quantile:rtt")
+            .build()
+            .logical_plan()
+            .physical_plan()
+        )
+        assert [stage.operator.name for stage in plan.remote_only_stages()] == [
+            "group_aggregate"
+        ]
+        specs = [
+            SourceSpec(
+                name=f"s{i}",
+                workload=setup.workload_factory(i),
+                strategy=StaticLoadFactorStrategy([1.0, 1.0, 1.0]),
+            )
+            for i in range(2)
+        ]
+        with pytest.raises(SimulationError, match="group_aggregate"):
+            MultiSourceExecutor(
+                plan=plan,
+                cost_model=setup.cost_model,
+                sources=specs,
+                cluster_config=MultiSourceConfig(
+                    config=setup.config,
+                    stream_processor=StreamProcessorNode(
+                        ingress_bandwidth_mbps=1000.0
+                    ),
+                    record_mode=record_mode,
+                ),
+            )
+        with pytest.raises(SimulationError, match="group_aggregate"):
+            BuildingBlockExecutor(
+                plan,
+                setup.workload_factory(0),
+                setup.cost_model,
+                StaticLoadFactorStrategy([1.0, 1.0, 1.0]),
+                1.0,
+                ExecutorConfig(config=setup.config, record_mode=record_mode),
+            )
 
 
 class TestFairShareArbitration:
@@ -347,10 +401,7 @@ class TestZeroByteItems:
     def test_zero_byte_state_item_ships_without_allocation(self, setup):
         """Regression: a zero-byte transfer item at the carryover head of a
         source with no byte demand (fair share grants it 0 bytes) must still
-        be delivered — pre-fix it parked forever and froze the source's
-        watermark."""
-        import math
-
+        be delivered — pre-fix it parked forever and blocked the queue."""
         from repro.simulation.multisource import _TransferItem
 
         spec = SourceSpec(
@@ -366,15 +417,10 @@ class TestZeroByteItems:
         runtime.carryover.append(
             _TransferItem(stage_index=-2, state=None, state_stage=0, size_bytes=0.0)
         )
-        runtime.watermark = 42.0
         for _ in range(3):
             executor.run_epoch()
         assert not runtime.carryover
         assert len(executor._sp_free) == 0
-        # With the carryover finally empty, the watermark advances too.
-        merged = executor.sp_pipeline.watermarks._watermarks["quiet:forwarded"]
-        assert merged == pytest.approx(42.0)
-        assert not math.isinf(merged)
 
     def test_zero_byte_head_does_not_block_real_data(self, setup):
         """A zero-byte head item followed by a real batch: both ship in the

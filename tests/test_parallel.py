@@ -128,12 +128,9 @@ def _probe_arena_shm(index, block):
     arena = block.epoch_engine.arena
     if arena is None:
         return None
-    buffers = dict(arena._buffers)
-    buffers["source_ids"] = arena.source_ids
-    buffers["epochs"] = arena.epochs
     return {
         name: isinstance(buffer.base, memoryview)
-        for name, buffer in buffers.items()
+        for name, buffer in arena._buffers.items()
         if buffer.size
     }
 
@@ -451,7 +448,7 @@ class TestArenaOnSharedMemory:
         shm, arena = self.arena_with_shm()
         try:
             dtypes = {"event_time": np.float64, "value": np.int64}
-            arena.begin_epoch(0)
+            arena.begin_epoch()
             views = arena.reserve(0, 8, tuple, dtypes, 16)
             assert views is not None
             # Reserved slices are views into the shm segment...  (generator
@@ -465,14 +462,14 @@ class TestArenaOnSharedMemory:
             # ...recycling for a new epoch reuses the same buffers
             # (allocation-free steady state even on the shm path)...
             buffer_ids = {id(b) for b in arena._buffers.values()}
-            arena.begin_epoch(1)
+            arena.begin_epoch()
             views2 = arena.reserve(0, 8, tuple, dtypes, 16)
             assert {id(b) for b in arena._buffers.values()} == buffer_ids
             assert views2 is not None and arena.aliases(views2["value"])
             # ...and detaching the allocator sends future growth back to the
             # private heap without touching existing buffers.
             arena.set_buffer_allocator(None)
-            arena.begin_epoch(2)
+            arena.begin_epoch()
             grown = arena.reserve(0, 100_000, tuple, dtypes, 16)
             assert grown is not None
             assert grown["value"].base.base is None
@@ -486,7 +483,7 @@ class TestArenaOnSharedMemory:
     def test_exhausted_segment_falls_back_to_heap(self):
         shm, arena = self.arena_with_shm(size=128)
         try:
-            arena.begin_epoch(0)
+            arena.begin_epoch()
             views = arena.reserve(
                 0, 4096, tuple, {"event_time": np.float64}, 8
             )

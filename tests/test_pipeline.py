@@ -265,7 +265,7 @@ class TestStreamProcessorPipeline:
     def test_processes_drained_records_from_their_stage(self, cost_model, workload):
         sp = build_sp(cost_model)
         records = workload.records_for_epoch(0)
-        result = sp.process_epoch(drained=[(0, records)], watermark=1.0)
+        result = sp.process_epoch(drained=[(0, records)])
         assert result.records_processed > 0
         assert result.cpu_used_seconds > 0
 
@@ -278,9 +278,7 @@ class TestStreamProcessorPipeline:
         sp = build_sp(cost_model)
         outputs = []
         for epoch in range(10):
-            result = sp.process_epoch(
-                drained=[(0, workload.records_for_epoch(epoch))], watermark=float(epoch)
-            )
+            result = sp.process_epoch(drained=[(0, workload.records_for_epoch(epoch))])
             outputs.extend(result.final_outputs)
         assert outputs, "the closing window must emit aggregate rows"
         assert all(hasattr(row, "group_key") for row in outputs)
@@ -323,7 +321,7 @@ class TestStreamProcessorPipeline:
             for seed in range(6)
         ]
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         for source_id, source in enumerate(workloads):
             assert source.fill_arena(0, arena, source_id)
         views = [arena.view(source_id) for source_id in range(len(workloads))]

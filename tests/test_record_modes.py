@@ -38,7 +38,6 @@ from repro.query.records import (
     FleetArena,
     PingmeshRecord,
     RecordBatch,
-    RecordRowView,
     coalesce_batches,
     record_size_bytes,
 )
@@ -114,9 +113,9 @@ class TestRecordBatchContainer:
         batch = self.batch(16)
         records = batch.to_records()
         assert len(records) == len(batch) == 16
-        for view, record in zip(batch, records):
-            assert isinstance(record, PingmeshRecord)
-            assert view.as_dict() == record.as_dict()
+        assert all(isinstance(record, PingmeshRecord) for record in records)
+        for name, column in batch.columns.items():
+            assert [getattr(record, name) for record in records] == list(column), name
         assert record_size_bytes(batch) == record_size_bytes(records)
         assert record_size_bytes(batch, drain=True) == record_size_bytes(
             records, drain=True
@@ -127,10 +126,10 @@ class TestRecordBatchContainer:
         head, tail = batch[:5], batch[5:]
         assert len(head) == 5 and len(tail) == 7
         rejoined = head + tail
-        assert [v.event_time for v in rejoined] == [v.event_time for v in batch]
+        assert list(rejoined.event_times) == list(batch.event_times)
         assert batch[0:12] is batch  # whole-batch slices alias
         taken = batch.take([0, 3, 4])
-        assert [v.dst_ip for v in taken] == [
+        assert list(taken.columns["dst_ip"]) == [
             batch.columns["dst_ip"][i] for i in (0, 3, 4)
         ]
         mask = [i % 2 == 0 for i in range(12)]
@@ -143,25 +142,19 @@ class TestRecordBatchContainer:
         records = self.batch(8).to_records()
         rebuilt = RecordBatch.from_records(records)
         assert rebuilt.uniform_size_bytes == records[0].size_bytes
-        assert [v.as_dict() for v in rebuilt] == [r.as_dict() for r in records]
-
-    def test_row_view_attribute_access(self):
-        batch = self.batch(4)
-        view = RecordRowView(batch)
-        assert view.at(2).err_code == batch.columns["err_code"][2]
-        assert getattr(view, "no_such_field", "fallback") == "fallback"
-        assert view.size_bytes == batch.uniform_size_bytes
+        assert [r.as_dict() for r in rebuilt.to_records()] == [
+            r.as_dict() for r in records
+        ]
 
     def test_row_index_out_of_range_raises(self):
+        """A batch has no row-wise access: every integer index raises, in
+        range or not, and so does iterating it row by row."""
         batch = self.batch(10)
-        times = batch.columns["event_time"]
-        assert batch[-10].event_time == times[0]
-        assert batch[-1].event_time == times[9]
-        assert batch[9].event_time == times[9]
-        # A record list raises for these; the batch must not wrap around.
-        for index in (10, 11, -11, -20):
-            with pytest.raises(IndexError):
+        for index in (0, 9, -1, -10, 10, -11):
+            with pytest.raises(SimulationError):
                 batch[index]
+        with pytest.raises(SimulationError):
+            list(batch)
 
     def test_compress_gathers_every_column_by_mask(self):
         batch = self.batch(12)
@@ -427,7 +420,7 @@ class TestFilterRowMask:
 class TestCoalesceBatches:
     def arena_views(self, setup, sources=4):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         for source_id in range(sources):
             batch = setup.workload_factory(20 + source_id).batch_for_epoch(0)
             assert arena.append_batch(source_id, batch)
@@ -622,7 +615,7 @@ class TestFleetArenaContainer:
 
     def test_views_alias_block_buffers_and_spans_stack(self, setup):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         a, b = self.batch(setup, 7, seed=3), self.batch(setup, 5, seed=4)
         assert arena.append_batch(0, a)
         assert arena.append_batch(1, b)
@@ -632,16 +625,14 @@ class TestFleetArenaContainer:
         for name, column in view.columns.items():
             assert arena.aliases(column), name
             assert np.array_equal(column, np.asarray(a.columns[name])), name
-        assert arena.source_ids[:12].tolist() == [0] * 7 + [1] * 5
-        assert arena.epochs[:12].tolist() == [0] * 12
 
     def test_epoch_recycling_reuses_buffers(self, setup):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         assert arena.append_batch(0, self.batch(setup, 9))
         base = arena.view(0).columns["event_time"].base
         assert base is not None
-        arena.begin_epoch(1)
+        arena.begin_epoch()
         # The idle source keeps an (empty) view — the schema survives the
         # epoch boundary even though the rows were recycled.
         assert arena.span(0) == (0, 0)
@@ -652,7 +643,7 @@ class TestFleetArenaContainer:
 
     def test_growth_preserves_earlier_rows(self, setup):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         first = self.batch(setup, 3)
         assert arena.append_batch(0, first)
         big = self.batch(setup, 120, seed=6)
@@ -664,7 +655,7 @@ class TestFleetArenaContainer:
 
     def test_own_copies_only_aliasing_columns(self, setup):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         assert arena.append_batch(0, self.batch(setup, 6))
         view = arena.view(0)
         owned = arena.own(view)
@@ -682,7 +673,7 @@ class TestFleetArenaContainer:
 
     def test_schema_strictness_refuses_incompatible_batches(self, setup):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         good = self.batch(setup, 4)
         assert arena.append_batch(0, good)
         # One reservation per source per epoch.
@@ -726,7 +717,7 @@ class TestFleetArenaContainer:
 
     def test_fresh_arena_has_no_schema(self):
         arena = FleetArena()
-        arena.begin_epoch(0)
+        arena.begin_epoch()
         assert arena.view(0) is None
         assert arena.span(0) == (0, 0)
 
@@ -747,9 +738,9 @@ class TestEmptyInputEdgeCases:
         # Concat in both orders, on both sides of emptiness.
         assert len(empty + self.empty(setup)) == 0
         rejoined = empty + full
-        assert [v.event_time for v in rejoined] == [v.event_time for v in full]
+        assert list(rejoined.event_times) == list(full.event_times)
         rejoined = full + empty
-        assert [v.event_time for v in rejoined] == [v.event_time for v in full]
+        assert list(rejoined.event_times) == list(full.event_times)
         # take/compress on zero rows.
         assert len(empty.take([])) == 0
         assert len(empty.compress([])) == 0

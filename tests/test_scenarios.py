@@ -152,9 +152,17 @@ class TestSpecValidation:
                     "tiling": {"placement": "zigzag"},
                 }
             )
-        # Every name the sharded executors accept still loads.
-        for name in ("round_robin", "byte-rate-balanced", "rr"):
+        # The documented names load; undocumented spellings fail at load.
+        for name in ("round_robin", "byte_rate_balanced"):
             assert TilingSpec(placement=name).placement == name
+        for name in ("rr", "byte-rate-balanced"):
+            with pytest.raises(ConfigurationError, match=name):
+                spec_from_dict(
+                    {
+                        "scenario": {"name": "x", "kind": "sharded"},
+                        "tiling": {"placement": name},
+                    }
+                )
 
     def test_negative_placement_map_block_rejected_at_load(self):
         with pytest.raises(ConfigurationError, match="source-1"):

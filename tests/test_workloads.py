@@ -144,7 +144,7 @@ class TestPingmeshGeneration:
         arena = FleetArena()
         for epoch in range(15):
             expected = batched.batch_for_epoch(epoch)
-            arena.begin_epoch(epoch)
+            arena.begin_epoch()
             # Another source's rows first, so the slices start mid-buffer.
             assert arena.append_batch(0, expected)
             assert filled.fill_arena(epoch, arena, 1)
