@@ -35,7 +35,7 @@ def main() -> None:
     query = build_custom_query()
     print("query pipeline:", " -> ".join(query.operator_names()))
 
-    plan = query.logical_plan().physical_plan()
+    plan = query.physical_plan()
     print(plan.describe())
     print()
 

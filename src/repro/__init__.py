@@ -51,9 +51,7 @@ from .errors import (
 from .query import (
     Stream,
     Query,
-    LogicalPlan,
     PhysicalPlan,
-    OffloadRules,
     PingmeshRecord,
     LogRecord,
 )
@@ -75,7 +73,6 @@ from .simulation import (
     CostModel,
     NetworkLink,
     BudgetSchedule,
-    DataSourceNode,
     StreamProcessorNode,
     RunMetrics,
     ClusterModel,
@@ -128,9 +125,7 @@ __all__ = [
     # query layer
     "Stream",
     "Query",
-    "LogicalPlan",
     "PhysicalPlan",
-    "OffloadRules",
     "PingmeshRecord",
     "LogRecord",
     "s2s_probe_query",
@@ -152,7 +147,6 @@ __all__ = [
     "CostModel",
     "NetworkLink",
     "BudgetSchedule",
-    "DataSourceNode",
     "StreamProcessorNode",
     "RunMetrics",
     "ClusterModel",

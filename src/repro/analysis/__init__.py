@@ -12,7 +12,6 @@ from .experiments import (
     QuerySetup,
     make_setup,
     make_strategy,
-    measure_relays,
     run_single_source,
     throughput_sweep,
     convergence_run,
@@ -27,7 +26,6 @@ __all__ = [
     "QuerySetup",
     "make_setup",
     "make_strategy",
-    "measure_relays",
     "run_single_source",
     "throughput_sweep",
     "convergence_run",

@@ -44,7 +44,6 @@ from ..scenarios.setups import (  # noqa: F401
     ground_truth_profile,
     make_setup,
     make_strategy,
-    measure_relays,
     run_single_source,
 )
 

@@ -20,7 +20,7 @@ from ..config import JarvisConfig
 from ..errors import PartitioningError
 from .control_proxy import ProxyObservation
 from .profiler import PipelineProfile, Profiler
-from .state import OperatorState, QueryState, RuntimePhase, classify_query_state
+from .state import QueryState, RuntimePhase, classify_query_state
 from .stepwise_adapt import StepWiseAdapt
 
 

@@ -21,7 +21,7 @@ and only fine-tuning runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..config import AdaptationConfig

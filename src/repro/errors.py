@@ -28,14 +28,13 @@ class ConfigurationError(JarvisError):
 class QueryDefinitionError(JarvisError):
     """A declarative query is syntactically or semantically invalid.
 
-    Raised during query building or logical-plan construction, e.g. when an
-    aggregate is requested before a grouping operator, or when an unknown
-    aggregate function name is used.
+    Raised during query building, e.g. when an aggregate is requested before
+    a grouping operator, or when an unknown aggregate function name is used.
     """
 
 
 class PlanningError(JarvisError):
-    """Logical/physical plan generation failed.
+    """Physical plan generation failed.
 
     Covers invalid operator chains, cyclic dependencies, and violations of
     the offloadability rules (R-1 .. R-4) that cannot be recovered from.

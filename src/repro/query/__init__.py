@@ -1,8 +1,10 @@
 """Streaming-query substrate: records, operators, plans, and the query builder.
 
 This subpackage provides the declarative programming model described in
-Section II-A of the paper (Listing 1/2/3) together with the logical/physical
-plan machinery (Section IV-B) that the Jarvis core builds upon.
+Section II-A of the paper (Listing 1/2/3) and the physical plan it compiles
+to (Section IV-B), which the Jarvis core builds upon.  There is no logical
+plan: the builder already emits the deployed operator chain, and
+:meth:`Query.physical_plan` applies the offload rules to it.
 """
 
 from .records import (
@@ -20,12 +22,10 @@ from .operators import (
     FilterOperator,
     MapOperator,
     JoinOperator,
-    GroupApplyOperator,
     AggregateOperator,
     GroupAggregateOperator,
 )
-from .logical_plan import LogicalPlan, LogicalNode
-from .physical_plan import PhysicalPlan, PhysicalStage, OffloadRules
+from .physical_plan import PhysicalPlan, PhysicalStage
 
 __all__ = [
     "Record",
@@ -41,12 +41,8 @@ __all__ = [
     "FilterOperator",
     "MapOperator",
     "JoinOperator",
-    "GroupApplyOperator",
     "AggregateOperator",
     "GroupAggregateOperator",
-    "LogicalPlan",
-    "LogicalNode",
     "PhysicalPlan",
     "PhysicalStage",
-    "OffloadRules",
 ]

@@ -1,7 +1,7 @@
 """Declarative query builder.
 
 Reproduces the programming model from Listing 1/2/3 in the paper: queries are
-expressed as a fluent chain of stream operations that compiles to a logical
+expressed as a fluent chain of stream operations that compiles to a physical
 plan.  Example (the paper's S2SProbe query)::
 
     query = (
@@ -13,8 +13,9 @@ plan.  Example (the paper's S2SProbe query)::
         .build()
     )
 
-``build()`` returns a :class:`Query`, which holds the ordered operator chain
-and can produce a :class:`~repro.query.logical_plan.LogicalPlan`.
+``build()`` returns a :class:`Query`, which holds the deployed operator chain
+(``group_apply(...).aggregate(...)`` becomes one fused G+R operator) and
+compiles to a :class:`~repro.query.physical_plan.PhysicalPlan`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .aggregates import Aggregate, make_aggregate
 from .operators import (
     AggregateOperator,
     FilterOperator,
-    GroupApplyOperator,
     GroupAggregateOperator,
     JoinOperator,
     MapOperator,
@@ -34,6 +34,7 @@ from .operators import (
     WindowOperator,
     make_tor_join,
 )
+from .physical_plan import PhysicalPlan
 from .records import IpToTorTable, Record
 
 
@@ -79,11 +80,9 @@ class Query:
         """Names of operators in pipeline order."""
         return [op.name for op in self.operators]
 
-    def logical_plan(self):
-        """Build the (optimized) logical plan for this query."""
-        from .logical_plan import LogicalPlan
-
-        return LogicalPlan.from_query(self)
+    def physical_plan(self) -> PhysicalPlan:
+        """Compile this query to its deployable physical plan."""
+        return PhysicalPlan.from_query(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         chain = " -> ".join(self.operator_names())
@@ -93,7 +92,7 @@ class Query:
 class Stream:
     """Fluent builder for monitoring queries.
 
-    Each chained call appends one logical operator; :meth:`build` produces the
+    Each chained call appends one operator; :meth:`build` produces the
     immutable :class:`Query`.  The builder validates the chain as it grows so
     mistakes surface at definition time rather than at deployment time.
     """

@@ -6,11 +6,10 @@ These implement the stream primitives from Section II-A of the paper:
 * ``Filter`` (F)   — drops records failing a predicate; cheap per record.
 * ``Map`` (M)      — user-defined transformation (parsing, splitting, ...).
 * ``Join`` (J)     — joins the stream with a static table via key lookups.
-* ``GroupApply`` (G) — organizes records by key (hash-table lookups).
-* ``Aggregate`` (R)  — reduces each group with incremental aggregates.
-
-A fused ``GroupAggregate`` (G+R) operator is what the optimizer actually
-deploys, matching the paper's treatment of grouping+reduction as one unit.
+* ``Aggregate`` (R)  — reduces the window with incremental aggregates.
+* ``GroupAggregate`` (G+R) — groups records by key and reduces each group,
+  the paper's grouping+reduction unit; the query builder emits it for
+  ``group_apply(...).aggregate(...)``.
 
 Each operator is a pure function over a batch of records for a single epoch;
 stateful operators additionally expose ``partial_state`` / ``merge_partial``
@@ -391,53 +390,6 @@ class JoinOperator(Operator):
         return JoinOperator(
             self.name, self.table, self.key_fn, self.combine_fn, self.cost_hint
         )
-
-
-class GroupApplyOperator(Operator):
-    """Organizes records by key.
-
-    On its own it only re-keys records; the optimizer fuses it with the
-    following :class:`AggregateOperator` into a :class:`GroupAggregateOperator`
-    (the paper's G+R unit).
-    """
-
-    kind = "group"
-    stateful = True
-    #: The key function is an opaque per-record callable; arena mode
-    #: materializes records through the default path (simlint SL006).
-    process_batch_fallback = True
-
-    def __init__(
-        self,
-        name: str,
-        key_fn: Callable[[Record], Tuple[Any, ...]],
-        cost_hint: float = 1.0,
-    ) -> None:
-        super().__init__(name, cost_hint)
-        self.key_fn = key_fn
-        self._groups: Dict[Tuple[Any, ...], List[Record]] = {}
-
-    def process(self, records: Sequence[Record]) -> List[Record]:
-        for record in records:
-            self._groups.setdefault(self.key_fn(record), []).append(record)
-        return []
-
-    def flush(self) -> List[Record]:
-        out: List[Record] = []
-        for group in self._groups.values():
-            out.extend(group)
-        self._groups.clear()
-        return out
-
-    def reset(self) -> None:
-        self._groups.clear()
-
-    def group_count(self) -> int:
-        """Number of distinct keys currently held."""
-        return len(self._groups)
-
-    def clone(self) -> "GroupApplyOperator":
-        return GroupApplyOperator(self.name, self.key_fn, self.cost_hint)
 
 
 class AggregateOperator(Operator):

@@ -1,48 +1,41 @@
 """Physical plan generation: operator replication, control-proxy insertion,
 and the offloadability rules R-1 .. R-4 (Section IV-B).
 
+A :class:`~repro.query.builder.Query` compiles straight to its physical plan
+(:meth:`PhysicalPlan.from_query`): the builder already emits the deployed
+operator chain, with grouping and reduction fused into one G+R operator.
 The physical plan replicates every offloadable operator on both the data
 source and the stream processor (Figure 5).  A control proxy precedes each
 source-side operator; it forwards a ``load factor`` fraction of records to the
 local operator and drains the remainder to the proxy of the replicated
 operator on the stream processor.
+
+Two rules decide which operators may run on the data source:
+
+* **R-1** — aggregations that are not incrementally updatable (e.g. exact
+  quantiles) may not run on the data source.
+* **R-2** — operators downstream of a stateful operation whose final result
+  requires merging across data sources may not run on the data source (the
+  stateful operator itself may, because its partial state is mergeable).
+
+The other two hold by construction:
+
+* **R-3** — no stateful stream-stream join runs on the data source: the only
+  join is the stream-table :class:`~repro.query.operators.JoinOperator`.
+* **R-4** — no intra-operator parallelism on the data source: each stage
+  deploys one physical instance of its operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..errors import PlanningError
-from .logical_plan import LogicalPlan
-from .operators import JoinOperator, Operator
+from .operators import Operator, WindowOperator
 
-
-@dataclass(frozen=True)
-class OffloadRules:
-    """Configuration of the offloadability rules from Section IV-B.
-
-    Each rule can be toggled so ablation experiments can measure its effect.
-
-    * **R-1** — aggregations that are not incrementally updatable (e.g. exact
-      quantiles) may not run on the data source.
-    * **R-2** — operators downstream of a stateful operation whose final
-      result requires merging across data sources may not run on the data
-      source (the stateful operator itself may, because its partial state is
-      mergeable).
-    * **R-3** — stateful stream-stream joins may not run on the data source.
-      Static-table joins are allowed.
-    * **R-4** — no intra-operator parallelism on the data source (a single
-      physical instance per logical operator); intermediate stream processors
-      are exempt from this rule.
-    """
-
-    r1_incremental_only: bool = True
-    r2_no_post_stateful: bool = True
-    r3_no_stream_joins: bool = True
-    r4_single_instance: bool = True
-    #: Operator names explicitly pinned to the stream processor.
-    pinned_to_sp: frozenset = frozenset()
+if TYPE_CHECKING:
+    from .builder import Query
 
 
 @dataclass
@@ -54,8 +47,6 @@ class PhysicalStage:
     offloadable: bool
     #: Why the stage is not offloadable ("" when offloadable).
     reason: str = ""
-    #: Number of parallel instances on the stream processor (R-4 allows >1).
-    sp_parallelism: int = 1
 
 
 class PhysicalPlan:
@@ -76,62 +67,37 @@ class PhysicalPlan:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_logical(cls, plan: LogicalPlan, rules: OffloadRules) -> "PhysicalPlan":
-        """Apply offload rules to a logical plan and produce the physical plan."""
+    def from_query(cls, query: "Query") -> "PhysicalPlan":
+        """Compile a query's operator chain, applying rules R-1 and R-2."""
         stages: List[PhysicalStage] = []
         window_length = 10.0
-        blocked = False
         blocked_reason = ""
         seen_stateful = False
 
-        for node in plan.nodes:
-            op = node.operator
-            if op.kind == "window":
-                window_length = getattr(op, "length_s", window_length)
+        for index, op in enumerate(query.operators):
+            if isinstance(op, WindowOperator):
+                window_length = op.length_s
 
-            offloadable = True
-            reason = ""
-
-            if blocked:
-                offloadable = False
+            if blocked_reason:
                 reason = blocked_reason
-            elif op.name in rules.pinned_to_sp:
-                offloadable = False
-                reason = "pinned to stream processor"
-            elif rules.r1_incremental_only and not op.incremental:
-                offloadable = False
+            elif not op.incremental:
                 reason = "R-1: aggregate is not incrementally updatable"
-            elif (
-                rules.r3_no_stream_joins
-                and isinstance(op, JoinOperator)
-                and getattr(op, "stream_join", False)
-            ):
-                offloadable = False
-                reason = "R-3: stateful stream-stream join"
-            elif rules.r2_no_post_stateful and seen_stateful:
-                offloadable = False
+            elif seen_stateful:
                 reason = "R-2: downstream of a cross-source stateful operator"
+            else:
+                reason = ""
+                seen_stateful = op.stateful
 
-            if not offloadable and not blocked:
+            if reason and not blocked_reason:
                 # Everything after the first non-offloadable operator stays on
                 # the stream processor (the chain cannot resume at the source).
-                blocked = True
                 blocked_reason = f"downstream of non-offloadable stage ({reason})"
 
-            if op.stateful and offloadable:
-                seen_stateful = True
-
             stages.append(
-                PhysicalStage(
-                    operator=op,
-                    index=node.index,
-                    offloadable=offloadable,
-                    reason=reason,
-                    sp_parallelism=1,
-                )
+                PhysicalStage(op, index, offloadable=not reason, reason=reason)
             )
 
-        return cls(plan.query_name, stages, window_length)
+        return cls(query.name, stages, window_length)
 
     # -- accessors -----------------------------------------------------------
 

@@ -197,7 +197,7 @@ def make_setup(
                 query, reference_records_per_second=records_per_epoch
             )
 
-    plan = query.logical_plan().physical_plan()
+    plan = query.physical_plan()
     setup = QuerySetup(
         name=query_name,
         query=query,

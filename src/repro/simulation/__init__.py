@@ -34,9 +34,9 @@ thin executors**:
     neighbours (Figure 11 at cluster scale);
   - :class:`ShardedClusterExecutor` — the one sharded executor: a fleet
     tiled across K :class:`MultiSourceExecutor` building blocks by a
-    :class:`PlacementPolicy` (Figure 4b), with optional per-block
-    :class:`StreamProcessorNode` overrides for heterogeneous deployments and
-    capacity-aware byte-rate placement.  Blocks without sources are
+    :class:`PlacementPolicy` (Figure 4b), every block built from the one
+    ``cluster_config`` template, so each has the same
+    :class:`StreamProcessorNode` capacity.  Blocks without sources are
     legitimate idle blocks (they step zero-byte epochs with their capacity
     still counted).
 
@@ -187,7 +187,7 @@ from .network import (
     plan_fifo_transfer,
     weighted_max_min_fair_share,
 )
-from .node import DataSourceNode, StreamProcessorNode, BudgetSchedule
+from .node import StreamProcessorNode, BudgetSchedule
 from .pipeline import (
     RecordContainer,
     SourcePipeline,
@@ -239,7 +239,6 @@ __all__ = [
     "TransferPlan",
     "TransmitResult",
     "plan_fifo_transfer",
-    "DataSourceNode",
     "StreamProcessorNode",
     "BudgetSchedule",
     "RecordContainer",

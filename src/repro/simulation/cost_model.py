@@ -18,7 +18,7 @@ groups, reproducing the sensitivities discussed in Sections II-A and VI-C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -63,7 +63,6 @@ DEFAULT_KIND_SPECS: Dict[str, OperatorCostSpec] = {
     "filter": OperatorCostSpec(cpu_per_record=2e-6),
     "map": OperatorCostSpec(cpu_per_record=4e-6),
     "join": OperatorCostSpec(cpu_per_record=8e-6, table_scale_exp=0.2),
-    "group": OperatorCostSpec(cpu_per_record=6e-6, group_log_cost=2e-7),
     "group_aggregate": OperatorCostSpec(cpu_per_record=1e-5, group_log_cost=3e-7),
     "aggregate": OperatorCostSpec(cpu_per_record=4e-6),
     "operator": OperatorCostSpec(cpu_per_record=4e-6),

@@ -234,9 +234,9 @@ class EpochEngine:
         """Create a source: its pipeline, initial load factors, and state.
 
         A plan that keeps operators on the stream processor only (rules R-1
-        and R-2, or ``OffloadRules.pinned_to_sp``) is refused: the source
-        pipeline runs just the offloadable prefix, and every executor takes
-        its output as final, so the SP-only operators would never run.
+        and R-2) is refused: the source pipeline runs just the offloadable
+        prefix, and every executor takes its output as final, so the SP-only
+        operators would never run.
         """
         remote_only = plan.remote_only_stages()
         if remote_only:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..config import JarvisConfig
-from ..core.runtime import EpochObservation
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel

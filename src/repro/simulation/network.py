@@ -10,11 +10,10 @@ Section VI-A).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from ..errors import ConfigurationError, SimulationError, require_finite
+from ..errors import SimulationError, require_finite
 
 
 def max_min_fair_share(demands: Sequence[float], capacity: float) -> List[float]:

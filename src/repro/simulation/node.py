@@ -1,16 +1,18 @@
-"""Node abstractions: data sources, stream processors, and budget schedules.
+"""Node abstractions: the stream processor and data-source budget schedules.
 
-Data source nodes host foreground services; the CPU left over for monitoring
+Data sources host foreground services; the CPU left over for monitoring
 queries fluctuates over time (Section II-B).  A :class:`BudgetSchedule`
 describes that fluctuation as a function of the epoch index, which is how the
 convergence experiments of Figure 8 inject resource changes
-(e.g. 10% → 90% → 60% of a core).
+(e.g. 10% → 90% → 60% of a core).  A source's schedule travels with it
+(``SourceSpec.budget`` in :mod:`repro.simulation.multisource`);
+:class:`StreamProcessorNode` describes the shared stream processor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError, require_finite
 
@@ -67,29 +69,6 @@ class BudgetSchedule:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         parts = ", ".join(f"{s}:{b:.2f}" for s, b in self._breakpoints)
         return f"<BudgetSchedule {parts}>"
-
-
-@dataclass
-class DataSourceNode:
-    """A server node that generates monitoring data and hosts query operators.
-
-    Attributes:
-        name: Node identifier.
-        cores: Number of physical cores (the paper uses 1- and 2-core nodes).
-        budget: CPU budget schedule for the monitoring query (or queries).
-    """
-
-    name: str
-    cores: int = 1
-    budget: BudgetSchedule = field(default_factory=lambda: BudgetSchedule.constant(1.0))
-
-    def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ConfigurationError(f"cores must be >= 1, got {self.cores!r}")
-
-    def budget_at(self, epoch: int) -> float:
-        """Effective CPU budget at ``epoch``, capped by the core count."""
-        return min(float(self.cores), self.budget.budget_at(epoch))
 
 
 @dataclass

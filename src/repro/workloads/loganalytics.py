@@ -155,7 +155,7 @@ def log_analytics_cost_model(
 ) -> CostModel:
     """Cost model for the LogAnalytics query calibrated to the paper."""
     query = query or log_analytics_query()
-    operators = query.logical_plan().operators
+    operators = query.operators
     return calibrate_cost_model(
         operators,
         cpu_fractions=LOG_CPU_FRACTIONS,

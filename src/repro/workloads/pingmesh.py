@@ -337,7 +337,7 @@ def s2s_cost_model(
 ) -> CostModel:
     """Cost model for the S2SProbe query calibrated to the paper's numbers."""
     query = query or s2s_probe_query()
-    operators = query.logical_plan().operators
+    operators = query.operators
     return calibrate_cost_model(
         operators,
         cpu_fractions=S2S_CPU_FRACTIONS,
@@ -358,7 +358,7 @@ def t2t_cost_model(
     mid-run in Figure 8b to congest the join operator).
     """
     query = query or t2t_probe_query(table=table)
-    operators = query.logical_plan().operators
+    operators = query.operators
     return calibrate_cost_model(
         operators,
         cpu_fractions=T2T_CPU_FRACTIONS,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import WorkloadError
 from ..query.records import PingmeshRecord, Record, record_size_bytes

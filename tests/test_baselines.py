@@ -39,7 +39,7 @@ def observation(budget, epoch=0, states=(OperatorState.STABLE,) * 3):
 @pytest.fixture()
 def profile():
     query = s2s_probe_query()
-    operators = query.logical_plan().operators
+    operators = query.operators
     return static_profile(
         operators,
         s2s_cost_model(query, reference_records_per_second=1000),
@@ -60,14 +60,14 @@ class TestStaticStrategies:
         assert strategy.supports_drain is False
 
     def test_filter_src_keeps_window_and_filter_only(self):
-        operators = s2s_probe_query().logical_plan().operators
+        operators = s2s_probe_query().operators
         strategy = FilterSrcStrategy(operators)
         assert strategy.initial_load_factors(3) == [1.0, 1.0, 0.0]
 
     def test_filter_src_stops_at_first_non_filter(self):
         from repro.query.builder import log_analytics_query
 
-        operators = log_analytics_query().logical_plan().operators
+        operators = log_analytics_query().operators
         strategy = FilterSrcStrategy(operators)
         factors = strategy.initial_load_factors(len(operators))
         assert factors[0] == 1.0
@@ -196,7 +196,7 @@ class TestStrategyFactory:
 class TestStaticProfileHelper:
     def test_length_mismatch_rejected(self):
         query = s2s_probe_query()
-        operators = query.logical_plan().operators
+        operators = query.operators
         with pytest.raises(PartitioningError):
             static_profile(
                 operators,

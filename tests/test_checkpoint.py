@@ -32,7 +32,7 @@ class TestCheckpointPolicy:
 
 class TestCheckpointStore:
     def make_operators(self):
-        return [op.clone() for op in s2s_probe_query().logical_plan().operators]
+        return [op.clone() for op in s2s_probe_query().operators]
 
     def test_capture_snapshots_stateful_state(self):
         operators = self.make_operators()

@@ -68,7 +68,7 @@ class TestContextDependentCosts:
         big_table = IpToTorTable.dense(5000)
         query_small = t2t_probe_query(table=small_table)
         model = t2t_cost_model(query_small)
-        join = query_small.logical_plan().operators[2]
+        join = query_small.operators[2]
         cost_small = model.cost_per_record(join)
         join.table = big_table
         cost_big = model.cost_per_record(join)
@@ -86,7 +86,7 @@ class TestContextDependentCosts:
 
     def test_cost_depends_on_state_exactly_when_the_group_term_applies(self):
         query = s2s_probe_query()
-        window, filter_op, gr = query.logical_plan().operators
+        window, filter_op, gr = query.operators
         defaults = CostModel()
         assert defaults.cost_depends_on_state(gr)
         assert not defaults.cost_depends_on_state(filter_op)
@@ -111,7 +111,7 @@ class TestCalibration:
         rate = 1000.0
         query = s2s_probe_query()
         model = s2s_cost_model(query, reference_records_per_second=rate)
-        operators = query.logical_plan().operators
+        operators = query.operators
         window, filt, gr = operators
         assert model.cost_per_record(window) == 0.0
         # Filter: 13% of a core when processing the full input rate.
@@ -123,7 +123,7 @@ class TestCalibration:
         rate = 1000.0
         query = s2s_probe_query()
         model = s2s_cost_model(query, reference_records_per_second=rate)
-        operators = query.logical_plan().operators
+        operators = query.operators
         full = model.pipeline_full_cost_fraction(operators, rate, [1.0, 0.86, 0.3])
         assert full == pytest.approx(0.93, rel=0.02)
 
@@ -133,7 +133,7 @@ class TestCalibration:
         table = IpToTorTable.dense(500)
         query = t2t_probe_query(table=table)
         model = t2t_cost_model(query, reference_records_per_second=rate, table=table)
-        operators = query.logical_plan().operators
+        operators = query.operators
         full = model.pipeline_full_cost_fraction(
             operators, rate, [1.0, 0.86, 1.0, 1.0, 0.1]
         )
@@ -154,6 +154,6 @@ class TestCalibration:
         """Costs calibrate per record: halving the rate halves per-epoch cost."""
         query = s2s_probe_query()
         model = s2s_cost_model(query, reference_records_per_second=1000.0)
-        filt = query.logical_plan().operators[1]
+        filt = query.operators[1]
         per_record = model.cost_per_record(filt)
         assert per_record * 500.0 == pytest.approx(0.065, rel=0.01)

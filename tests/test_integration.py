@@ -27,7 +27,7 @@ class TestExactnessOfDataLevelPartitioning:
         from repro.config import ProxyThresholds
         from repro.simulation.pipeline import SourcePipeline, StreamProcessorPipeline
 
-        plan = s2s_probe_query().logical_plan().physical_plan()
+        plan = s2s_probe_query().physical_plan()
         source = SourcePipeline(
             plan.source_operators(), cost_model, ProxyThresholds(), 10.0, 1.0
         )

@@ -89,7 +89,6 @@ class TestConstruction:
             )
             .aggregate("quantile:rtt")
             .build()
-            .logical_plan()
             .physical_plan()
         )
         assert [stage.operator.name for stage in plan.remote_only_stages()] == [

@@ -1,4 +1,4 @@
-"""Unit tests for nodes and CPU budget schedules."""
+"""Unit tests for the stream-processor node and CPU budget schedules."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.simulation.node import (
     BudgetSchedule,
-    DataSourceNode,
     StreamProcessorNode,
     as_budget_schedule,
 )
@@ -94,16 +93,6 @@ class TestResourceDynamics:
 
 
 class TestNodes:
-    def test_data_source_budget_capped_by_cores(self):
-        node = DataSourceNode("n1", cores=1, budget=BudgetSchedule.constant(2.0))
-        assert node.budget_at(0) == 1.0
-        node2 = DataSourceNode("n2", cores=2, budget=BudgetSchedule.constant(1.5))
-        assert node2.budget_at(0) == 1.5
-
-    def test_data_source_rejects_zero_cores(self):
-        with pytest.raises(ConfigurationError):
-            DataSourceNode("bad", cores=0)
-
     def test_stream_processor_defaults(self):
         sp = StreamProcessorNode()
         assert sp.cores == 64

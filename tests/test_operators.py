@@ -9,7 +9,6 @@ from repro.query.aggregates import AvgAggregate, CountAggregate, MaxAggregate, M
 from repro.query.operators import (
     AggregateOperator,
     FilterOperator,
-    GroupApplyOperator,
     GroupAggregateOperator,
     JoinOperator,
     MapOperator,
@@ -134,22 +133,6 @@ class TestJoinOperator:
         table = IpToTorTable.dense(10)
         op = make_tor_join("j", table, side="src")
         assert op.clone().table is table
-
-
-class TestGroupApplyOperator:
-    def test_accumulates_and_flushes_groups(self):
-        op = GroupApplyOperator("g", lambda r: (r.dst_ip,))
-        op.process(probes(9))
-        assert op.group_count() == 3
-        flushed = op.flush()
-        assert len(flushed) == 9
-        assert op.group_count() == 0
-
-    def test_reset_clears_state(self):
-        op = GroupApplyOperator("g", lambda r: (r.dst_ip,))
-        op.process(probes(3))
-        op.reset()
-        assert op.group_count() == 0
 
 
 class TestAggregateOperator:

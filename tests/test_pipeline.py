@@ -29,7 +29,7 @@ def cost_model():
 
 
 def build_source(cost_model, thresholds=None):
-    operators = s2s_probe_query().logical_plan().physical_plan().source_operators()
+    operators = s2s_probe_query().physical_plan().source_operators()
     return SourcePipeline(
         operators,
         cost_model,
@@ -40,7 +40,7 @@ def build_source(cost_model, thresholds=None):
 
 
 def build_sp(cost_model):
-    operators = s2s_probe_query().logical_plan().physical_plan().stream_processor_operators()
+    operators = s2s_probe_query().physical_plan().stream_processor_operators()
     return StreamProcessorPipeline(operators, cost_model, window_length_s=10.0)
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for logical-plan optimisation and physical-plan offload rules."""
+"""Unit tests for query compilation and the physical-plan offload rules."""
 
 from __future__ import annotations
 
@@ -6,85 +6,36 @@ import pytest
 
 from repro.errors import PlanningError
 from repro.query.aggregates import AvgAggregate, ExactQuantileAggregate
-from repro.query.builder import Stream, s2s_probe_query, t2t_probe_query, log_analytics_query
-from repro.query.logical_plan import LogicalPlan
+from repro.query.builder import Query, log_analytics_query, s2s_probe_query, t2t_probe_query
 from repro.query.operators import (
     AggregateOperator,
     FilterOperator,
-    GroupApplyOperator,
     GroupAggregateOperator,
     MapOperator,
     WindowOperator,
 )
-from repro.query.builder import Query
-from repro.query.physical_plan import OffloadRules, PhysicalPlan
-
-
-class TestLogicalPlan:
-    def test_from_query_preserves_pipeline_order(self):
-        plan = s2s_probe_query().logical_plan()
-        assert plan.operator_names() == ["window", "filter", "group_aggregate"]
-        assert len(plan) == 3
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(PlanningError):
-            LogicalPlan("q", [])
-
-    def test_group_apply_followed_by_aggregate_is_fused(self):
-        ops = [
-            WindowOperator("w", 10.0),
-            GroupApplyOperator("g", lambda r: r.key()),
-            AggregateOperator("r", [AvgAggregate("rtt")]),
-        ]
-        plan = LogicalPlan.from_query(Query("q", ops))
-        assert len(plan) == 2
-        assert isinstance(plan.operators[-1], GroupAggregateOperator)
-        assert plan.operators[-1].name == "g+r"
-
-    def test_duplicate_windows_are_deduplicated(self):
-        ops = [WindowOperator("w", 10.0), WindowOperator("w2", 10.0), FilterOperator("f", lambda r: True)]
-        plan = LogicalPlan.from_query(Query("q", ops))
-        assert [op.kind for op in plan.operators] == ["window", "filter"]
-
-    def test_different_windows_are_kept(self):
-        ops = [WindowOperator("w", 10.0), WindowOperator("w2", 5.0)]
-        plan = LogicalPlan.from_query(Query("q", ops))
-        assert len(plan) == 2
-
-    def test_predicate_pushdown_requires_opt_in(self):
-        def predicate(record):
-            return True
-
-        ops = [
-            WindowOperator("w", 10.0),
-            MapOperator("m", lambda r: r),
-            FilterOperator("f", predicate),
-        ]
-        plan = LogicalPlan.from_query(Query("q", ops))
-        assert [op.kind for op in plan.operators] == ["window", "map", "filter"]
-
-        predicate.pushdown_safe = True  # type: ignore[attr-defined]
-        plan2 = LogicalPlan.from_query(Query("q", ops))
-        assert [op.kind for op in plan2.operators] == ["window", "filter", "map"]
-
-    def test_optimize_can_be_disabled(self):
-        ops = [
-            WindowOperator("w", 10.0),
-            GroupApplyOperator("g", lambda r: r.key()),
-            AggregateOperator("r", [AvgAggregate("rtt")]),
-        ]
-        plan = LogicalPlan.from_query(Query("q", ops), optimize=False)
-        assert len(plan) == 3
+from repro.query.physical_plan import PhysicalPlan
 
 
 class TestPhysicalPlan:
+    def test_from_query_preserves_pipeline_order(self):
+        query = s2s_probe_query()
+        plan = query.physical_plan()
+        assert [stage.operator.name for stage in plan.stages] == [
+            "window",
+            "filter",
+            "group_aggregate",
+        ]
+        assert [stage.index for stage in plan.stages] == [0, 1, 2]
+        assert all(a is b for a, b in zip(plan.operators, query.operators))
+
     def test_all_paper_queries_fully_offloadable(self):
         for query in (s2s_probe_query(), t2t_probe_query(table_size=50), log_analytics_query()):
-            plan = query.logical_plan().physical_plan()
+            plan = query.physical_plan()
             assert plan.offloadable_count == len(plan)
 
     def test_window_length_propagates(self):
-        plan = s2s_probe_query(window_s=30.0).logical_plan().physical_plan()
+        plan = s2s_probe_query(window_s=30.0).physical_plan()
         assert plan.window_length_s == 30.0
 
     def test_r1_blocks_non_incremental_aggregates(self):
@@ -93,18 +44,9 @@ class TestPhysicalPlan:
             FilterOperator("f", lambda r: True),
             AggregateOperator("q", [ExactQuantileAggregate("rtt")]),
         ]
-        plan = LogicalPlan.from_query(Query("q", ops)).physical_plan()
+        plan = Query("q", ops).physical_plan()
         assert plan.offloadable_count == 2
         assert "R-1" in plan.stages[2].reason
-
-    def test_r1_can_be_disabled(self):
-        ops = [
-            WindowOperator("w", 10.0),
-            AggregateOperator("q", [ExactQuantileAggregate("rtt")]),
-        ]
-        rules = OffloadRules(r1_incremental_only=False)
-        plan = PhysicalPlan.from_logical(LogicalPlan.from_query(Query("q", ops)), rules)
-        assert plan.offloadable_count == 2
 
     def test_r2_blocks_operators_after_stateful_stage(self):
         ops = [
@@ -112,7 +54,7 @@ class TestPhysicalPlan:
             GroupAggregateOperator("g+r", lambda r: r.key(), [AvgAggregate("rtt")]),
             MapOperator("post", lambda r: r),
         ]
-        plan = LogicalPlan.from_query(Query("q", ops)).physical_plan()
+        plan = Query("q", ops).physical_plan()
         assert plan.offloadable_count == 2
         assert "R-2" in plan.stages[2].reason
 
@@ -122,17 +64,12 @@ class TestPhysicalPlan:
             AggregateOperator("q", [ExactQuantileAggregate("rtt")]),
             FilterOperator("f", lambda r: True),
         ]
-        plan = LogicalPlan.from_query(Query("q", ops)).physical_plan()
+        plan = Query("q", ops).physical_plan()
         assert plan.offloadable_count == 1
         assert not plan.stages[2].offloadable
 
-    def test_pinned_operators_stay_on_sp(self):
-        rules = OffloadRules(pinned_to_sp=frozenset({"filter"}))
-        plan = PhysicalPlan.from_logical(s2s_probe_query().logical_plan(), rules)
-        assert plan.offloadable_count == 1
-
     def test_source_and_sp_operators_are_fresh_clones(self):
-        plan = s2s_probe_query().logical_plan().physical_plan()
+        plan = s2s_probe_query().physical_plan()
         source_ops = plan.source_operators()
         sp_ops = plan.stream_processor_operators()
         assert len(source_ops) == plan.offloadable_count
@@ -141,7 +78,7 @@ class TestPhysicalPlan:
         assert all(a is not b for a, b in zip(sp_ops, plan.operators))
 
     def test_describe_mentions_every_stage(self):
-        plan = s2s_probe_query().logical_plan().physical_plan()
+        plan = s2s_probe_query().physical_plan()
         description = plan.describe()
         for name in plan.operators:
             assert name.name in description
@@ -155,5 +92,5 @@ class TestPhysicalPlan:
             WindowOperator("w", 10.0),
             AggregateOperator("q", [ExactQuantileAggregate("rtt")]),
         ]
-        plan = LogicalPlan.from_query(Query("q", ops)).physical_plan()
+        plan = Query("q", ops).physical_plan()
         assert len(plan.offloadable_stages()) + len(plan.remote_only_stages()) == len(plan)

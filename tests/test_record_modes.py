@@ -309,7 +309,7 @@ def _group_cost_setup(setup):
     return replace(
         setup,
         cost_model=calibrate_cost_model(
-            setup.query.logical_plan().operators,
+            setup.query.operators,
             cpu_fractions=S2S_CPU_FRACTIONS,
             input_records_per_second=setup.records_per_epoch,
             count_relay_ratios=S2S_COUNT_RELAYS,
