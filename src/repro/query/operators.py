@@ -291,11 +291,7 @@ class FilterOperator(Operator):
         column = batch.column(name)
         if column is None:
             return np.zeros(len(batch), dtype=bool)
-        if isinstance(column, np.ndarray):
-            return column == target
-        return np.fromiter(
-            (value == target for value in column), dtype=bool, count=len(column)
-        )
+        return column == target
 
     def clone(self) -> "FilterOperator":
         return FilterOperator(
@@ -429,8 +425,7 @@ class AggregateOperator(Operator):
             # Opaque value_fn: materialize so it sees real records.
             return self.process(batch.to_records())
         self._state.add_many(fields, len(batch))
-        times = batch.event_times
-        latest = float(times.max()) if isinstance(times, np.ndarray) else max(times)
+        latest = float(batch.event_times.max())
         if latest > self._last_event_time:
             self._last_event_time = latest
         return []
@@ -821,7 +816,7 @@ class GroupAggregateOperator(Operator):
         columns = []
         for name in self.key_columns:
             column = batch.column(name)
-            if not isinstance(column, np.ndarray) or column.dtype != np.int64:
+            if column is None or column.dtype != np.int64:
                 return None
             columns.append(column)
         if len(columns) == 1:
@@ -846,16 +841,12 @@ class GroupAggregateOperator(Operator):
             return None
         if self._fused_field == "rtt":
             column = batch.column("rtt_us")
-            if isinstance(column, np.ndarray) and np.issubdtype(
-                column.dtype, np.floating
-            ):
+            if column is not None and np.issubdtype(column.dtype, np.floating):
                 return column / 1000.0
             return None
         if self._fused_field == "stat":
             column = batch.column("stat")
-            if isinstance(column, np.ndarray) and np.issubdtype(
-                column.dtype, np.floating
-            ):
+            if column is not None and np.issubdtype(column.dtype, np.floating):
                 return column.copy()
         return None
 
@@ -868,8 +859,7 @@ class GroupAggregateOperator(Operator):
         if values is None:
             return False
         self._vector_state.runs.append((packed, values))
-        times = batch.event_times
-        latest = float(times.max()) if isinstance(times, np.ndarray) else max(times)
+        latest = float(batch.event_times.max())
         if latest > self._last_event_time:
             self._last_event_time = latest
         return True
@@ -1138,18 +1128,16 @@ def _batch_field_values(
     per record — columns hold constructor-coerced floats, and IEEE division
     by 1000.0 is the same operation element-wise in numpy as in Python, so
     ``v / 1000.0`` equals ``float(data["rtt_us"]) / 1000.0`` exactly.
-    ndarray columns stay ndarrays so the caller can hand them to the
-    aggregates' vectorized ``add_many`` folds.  Returns ``None`` when the caller must fall back to per-record evaluation.
+    The values stay arrays so the caller can hand them to the aggregates'
+    vectorized ``add_many`` folds.  Returns ``None`` when the caller must
+    fall back to per-record evaluation.
     """
     if value_fn is not _default_value_fn:
         return None
     values: Dict[str, Sequence[float]] = {}
     rtt_us = batch.column("rtt_us")
     if rtt_us is not None:
-        if isinstance(rtt_us, np.ndarray):
-            values["rtt"] = rtt_us / 1000.0
-        else:
-            values["rtt"] = [value / 1000.0 for value in rtt_us]
+        values["rtt"] = rtt_us / 1000.0
     stat = batch.column("stat")
     if stat is not None:
         values["stat"] = stat

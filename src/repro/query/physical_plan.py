@@ -43,10 +43,13 @@ class PhysicalStage:
     """One stage of the deployed pipeline: a proxy slot plus its operator."""
 
     operator: Operator
-    index: int
-    offloadable: bool
     #: Why the stage is not offloadable ("" when offloadable).
-    reason: str = ""
+    reason: str
+
+    @property
+    def offloadable(self) -> bool:
+        """Whether the stage may also run on the data source."""
+        return not self.reason
 
 
 class PhysicalPlan:
@@ -74,7 +77,7 @@ class PhysicalPlan:
         blocked_reason = ""
         seen_stateful = False
 
-        for index, op in enumerate(query.operators):
+        for op in query.operators:
             if isinstance(op, WindowOperator):
                 window_length = op.length_s
 
@@ -93,9 +96,7 @@ class PhysicalPlan:
                 # the stream processor (the chain cannot resume at the source).
                 blocked_reason = f"downstream of non-offloadable stage ({reason})"
 
-            stages.append(
-                PhysicalStage(op, index, offloadable=not reason, reason=reason)
-            )
+            stages.append(PhysicalStage(op, reason))
 
         return cls(query.name, stages, window_length)
 
@@ -135,12 +136,10 @@ class PhysicalPlan:
     def describe(self) -> str:
         """Human-readable description of the plan (used by examples)."""
         lines = [f"physical plan for query {self.query_name!r}:"]
-        for stage in self.stages:
+        for index, stage in enumerate(self.stages):
             where = "source+SP" if stage.offloadable else "SP only"
             suffix = f" ({stage.reason})" if stage.reason else ""
-            lines.append(
-                f"  [{stage.index}] {stage.operator.name:<24s} {where}{suffix}"
-            )
+            lines.append(f"  [{index}] {stage.operator.name:<24s} {where}{suffix}")
         return "\n".join(lines)
 
     def __len__(self) -> int:

@@ -16,7 +16,6 @@ millions of them during a benchmark run.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress as _compress
 from typing import (
     Any,
     Callable,
@@ -33,32 +32,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 
-
-#: A column of a :class:`RecordBatch`: a plain list or a numpy array.
-ColumnData = Union[List[Any], np.ndarray]
-
-#: A boolean row-selection mask (list of bools or a numpy bool array).
-MaskLike = Union[Sequence[bool], np.ndarray]
-
-
-def _column_concat(parts: Sequence[ColumnData]) -> ColumnData:
-    """Concatenate columns (plain lists and/or numpy arrays)."""
-    if any(isinstance(part, np.ndarray) for part in parts):
-        return np.concatenate(parts)
-    return list(chain.from_iterable(parts))
-
-
-def _column_take(column: ColumnData, indices: Sequence[int]) -> ColumnData:
-    if isinstance(column, np.ndarray):
-        return column[indices]
-    return [column[i] for i in indices]
-
-
-def _column_list(column: ColumnData) -> List[Any]:
-    """A plain Python list view of a column (numpy converts in C)."""
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return column
 
 #: Wire size of a single Pingmesh probe record, from Section II-B:
 #: timestamp (8B) + src IP (4B) + src cluster (4B) + dst IP (4B) +
@@ -288,34 +261,27 @@ AnyRecord = Union[
 ]
 
 
-def _all_slots(record_class: type) -> Tuple[str, ...]:
-    """Every ``__slots__`` attribute of a record class, base-first."""
-    names: List[str] = []
-    for klass in reversed(record_class.__mro__):
-        names.extend(getattr(klass, "__slots__", ()))
-    return tuple(names)
-
-
 class RecordBatch:
-    """Columnar batch of homogeneous records (parallel arrays).
+    """Columnar batch of homogeneous, fixed-size records (parallel arrays).
 
     The arena fast path of the simulator keeps an epoch's records as
-    parallel arrays — one list per field — instead of one Python object per
-    record, so routing, queueing, draining, and shipping become slicing and
-    count arithmetic.  Invariants the equivalence tests rely on:
+    parallel 1-D numpy arrays — one per field — instead of one Python
+    object per record, so routing, queueing, draining, and shipping become
+    slicing and count arithmetic.  Invariants the equivalence tests rely on:
 
     * every column holds the value exactly as the record constructor would
       have coerced it (``int(src_ip)``, ``float(rtt_us)``, ...), so columnar
       operators and :meth:`to_records` are bit-identical to the object path;
     * ``event_time`` is always present as a column;
-    * per-record sizes are plain ints — either one ``uniform_size_bytes`` for
-      fixed-size record types or a ``sizes`` column — so byte totals are exact
-      integer sums in both execution modes.
+    * every row has the same serialized size, ``uniform_size_bytes``, so
+      byte totals are exact integer products in both execution modes.
 
-    Columns may be plain lists or numpy arrays; array-backed columns make
-    slicing, filtering, and concatenation C-speed (native workload generators
-    produce them), and :meth:`to_records` converts back to Python scalars so
-    object-mode records never carry numpy types.
+    Only fixed-size record types have a columnar form: the native workload
+    generators build these batches, and a variable-size stream (LogAnalytics
+    log lines) stays a list of record objects in both modes.  Slicing,
+    filtering, and concatenation run at C speed, and :meth:`to_records`
+    converts back to Python scalars so object-mode records never carry numpy
+    types.
 
     Batches are immutable once built and cache their row count.  The public
     constructor validates its columns; batches derived from validated ones
@@ -334,7 +300,6 @@ class RecordBatch:
         "record_class",
         "columns",
         "uniform_size_bytes",
-        "sizes",
         "_length",
         "_base_row",
     )
@@ -342,29 +307,25 @@ class RecordBatch:
     def __init__(
         self,
         record_class: type,
-        columns: Dict[str, List[Any]],
-        uniform_size_bytes: Optional[int] = None,
-        sizes: Optional[List[int]] = None,
+        columns: Dict[str, np.ndarray],
+        uniform_size_bytes: int,
     ) -> None:
-        try:
-            count = len(columns["event_time"])
-        except KeyError:
-            raise SimulationError(
-                "a RecordBatch needs an 'event_time' column"
-            ) from None
-        for column in columns.values():
+        if "event_time" not in columns:
+            raise SimulationError("a RecordBatch needs an 'event_time' column")
+        count = len(columns["event_time"])
+        for name, column in columns.items():
+            if not isinstance(column, np.ndarray) or column.ndim != 1:
+                raise SimulationError(
+                    f"column {name!r} must be a 1-D numpy array, "
+                    f"got {type(column).__name__}"
+                )
             if len(column) != count:
                 raise SimulationError(
                     f"ragged columns: expected length {count}, got {len(column)}"
                 )
-        if uniform_size_bytes is None and sizes is None:
-            raise SimulationError("need uniform_size_bytes or a sizes column")
-        if sizes is not None and len(sizes) != count:
-            raise SimulationError("sizes column length must match the batch")
         self.record_class = record_class
         self.columns = columns
         self.uniform_size_bytes = uniform_size_bytes
-        self.sizes = sizes
         self._length = count
         self._base_row: Optional[int] = None
 
@@ -372,55 +333,25 @@ class RecordBatch:
     def _derived(
         cls,
         record_class: type,
-        columns: Dict[str, Any],
+        columns: Dict[str, np.ndarray],
         length: int,
-        uniform_size_bytes: Optional[int],
-        sizes: Optional[List[int]],
+        uniform_size_bytes: int,
         base_row: Optional[int] = None,
     ) -> "RecordBatch":
         """A batch over columns derived from validated ones, unchecked.
 
         The caller guarantees what :meth:`__init__` would check: an
-        ``event_time`` column, every column (and ``sizes``) ``length`` long,
-        and a uniform size or a sizes column; and, with ``base_row``, that
-        every column is its buffer's rows ``base_row`` onwards.
+        ``event_time`` column and every column a 1-D array ``length`` long;
+        and, with ``base_row``, that every column is its buffer's rows
+        ``base_row`` onwards.
         """
         batch = cls.__new__(cls)
         batch.record_class = record_class
         batch.columns = columns
         batch.uniform_size_bytes = uniform_size_bytes
-        batch.sizes = sizes
         batch._length = length
         batch._base_row = base_row
         return batch
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Sequence[Record]) -> "RecordBatch":
-        """Columnar adapter for a homogeneous list of record objects.
-
-        Lets any workload run in arena mode without a native
-        ``batch_for_epoch``; generation still pays the per-object cost once,
-        but everything downstream runs on the columnar path.
-        """
-        if not records:
-            raise SimulationError("cannot infer a schema from an empty record list")
-        record_class = type(records[0])
-        if any(type(record) is not record_class for record in records):
-            raise SimulationError("from_records needs records of one single type")
-        names = _all_slots(record_class)
-        columns: Dict[str, List[Any]] = {
-            name: [getattr(record, name) for record in records] for name in names
-        }
-        sizes = [record.size_bytes for record in records]
-        uniform: Optional[int] = sizes[0] if len(set(sizes)) == 1 else None
-        return cls(
-            record_class,
-            columns,
-            uniform_size_bytes=uniform,
-            sizes=None if uniform is not None else sizes,
-        )
 
     # -- container protocol ----------------------------------------------------
 
@@ -452,7 +383,6 @@ class RecordBatch:
             {name: column[item] for name, column in self.columns.items()},
             len(range(start, stop, step)),
             self.uniform_size_bytes,
-            self.sizes[item] if self.sizes is not None else None,
             base_row + start if base_row is not None and step == 1 else None,
         )
 
@@ -481,7 +411,7 @@ class RecordBatch:
             return list(other) + self.to_records()
         return NotImplemented
 
-    def take(self, indices: Sequence[int]) -> "RecordBatch":
+    def take(self, indices: "Sequence[int] | np.ndarray") -> "RecordBatch":
         """Select a *subsequence* of rows (e.g. the survivors of a filter).
 
         ``indices`` must be strictly increasing — this is a selection, not a
@@ -492,21 +422,17 @@ class RecordBatch:
             return self
         return RecordBatch._derived(
             self.record_class,
-            {
-                name: _column_take(column, indices)
-                for name, column in self.columns.items()
-            },
+            {name: column[indices] for name, column in self.columns.items()},
             len(indices),
             self.uniform_size_bytes,
-            [self.sizes[i] for i in indices] if self.sizes is not None else None,
         )
 
-    def compress(self, mask: MaskLike) -> "RecordBatch":
+    def compress(self, mask: "Sequence[bool] | np.ndarray") -> "RecordBatch":
         """Select rows by boolean mask.
 
-        Array columns gather through one shared ``np.flatnonzero`` index;
-        list columns use ``itertools.compress``.  A mask whose length is not
-        the row count raises :class:`SimulationError`.
+        Every column gathers through one shared ``np.flatnonzero`` index.  A
+        mask whose length is not the row count raises
+        :class:`SimulationError`.
         """
         if len(mask) != self._length:
             raise SimulationError(
@@ -518,52 +444,36 @@ class RecordBatch:
             return self
         return RecordBatch._derived(
             self.record_class,
-            {
-                name: (
-                    column.take(index)
-                    if isinstance(column, np.ndarray)
-                    else list(_compress(column, mask))
-                )
-                for name, column in self.columns.items()
-            },
+            {name: column.take(index) for name, column in self.columns.items()},
             len(index),
             self.uniform_size_bytes,
-            list(_compress(self.sizes, mask)) if self.sizes is not None else None,
         )
 
     # -- byte accounting ---------------------------------------------------------
 
-    def _sizes_list(self) -> List[int]:
-        if self.sizes is not None:
-            return list(self.sizes)
-        return [self.uniform_size_bytes] * self._length
-
     def total_size_bytes(self, drain: bool = False) -> int:
         """Exact integer byte total (optionally with drain-path headers)."""
-        count = self._length
         overhead = DRAIN_HEADER_BYTES if drain else 0
-        if self.uniform_size_bytes is not None:
-            return (self.uniform_size_bytes + overhead) * count
-        return sum(self.sizes) + overhead * count
+        return (self.uniform_size_bytes + overhead) * self._length
 
     # -- materialization ---------------------------------------------------------
 
-    def column(self, name: str) -> Optional[List[Any]]:
+    def column(self, name: str) -> Optional[np.ndarray]:
         """The named column, or None when this schema does not carry it."""
         return self.columns.get(name)
 
     @property
-    def event_times(self) -> List[float]:
+    def event_times(self) -> np.ndarray:
         return self.columns["event_time"]
 
     def to_records(self) -> List[Record]:
         """Materialize the whole batch as record objects (slow path).
 
-        Array-backed columns convert to Python scalars first (in C), so
-        object-mode records never carry numpy types.
+        Columns convert to Python scalars first (in C), so object-mode
+        records never carry numpy types.
         """
         names = list(self.columns)
-        plain = [_column_list(self.columns[name]) for name in names]
+        plain = [self.columns[name].tolist() for name in names]
         record_class = self.record_class
         new = record_class.__new__
         records = []
@@ -599,26 +509,19 @@ def coalesce_batches(batches: Sequence[RecordBatch]) -> RecordBatch:
 
 
 def _concatenated(batches: Sequence[RecordBatch]) -> RecordBatch:
-    """Non-empty ``batches`` as one batch of fresh columns; a uniform row
-    size survives only when every batch has it."""
+    """Non-empty ``batches`` of one row size as one batch of fresh columns."""
     first = batches[0]
-    columns = {
-        name: _column_concat([batch.columns[name] for batch in batches])
-        for name in first.columns
-    }
-    uniform = first.uniform_size_bytes
-    sizes: Optional[List[int]] = None
-    if uniform is None or any(
-        batch.uniform_size_bytes != uniform for batch in batches
-    ):
-        uniform = None
-        sizes = [size for batch in batches for size in batch._sizes_list()]
+    size = first.uniform_size_bytes
+    if any(batch.uniform_size_bytes != size for batch in batches):
+        raise SimulationError("cannot concatenate batches of different row sizes")
     return RecordBatch._derived(
         first.record_class,
-        columns,
+        {
+            name: np.concatenate([batch.columns[name] for batch in batches])
+            for name in first.columns
+        },
         sum(batch._length for batch in batches),
-        uniform,
-        sizes,
+        size,
     )
 
 
@@ -629,19 +532,15 @@ def _span_view(batches: Sequence[RecordBatch]) -> Optional[RecordBatch]:
     start = first._base_row
     if start is None:
         return None
-    bases = {
-        name: getattr(column, "base", None) for name, column in first.columns.items()
+    bases: Dict[str, Any] = {
+        name: column.base for name, column in first.columns.items()
     }
     stop = start
     for batch in batches:
-        if (
-            batch._base_row != stop
-            or batch.uniform_size_bytes != first.uniform_size_bytes
-            or batch.columns.keys() != bases.keys()
-        ):
+        if batch._base_row != stop or batch.columns.keys() != bases.keys():
             return None
         for name, column in batch.columns.items():
-            if getattr(column, "base", None) is not bases[name]:
+            if column.base is not bases[name]:
                 return None
         stop += batch._length
     return RecordBatch._derived(
@@ -649,7 +548,6 @@ def _span_view(batches: Sequence[RecordBatch]) -> Optional[RecordBatch]:
         {name: base[start:stop] for name, base in bases.items()},
         stop - start,
         first.uniform_size_bytes,
-        None,
         start,
     )
 
@@ -666,10 +564,11 @@ class FleetArena:
 
     The arena is schema-strict on purpose: the first reservation fixes the
     record class, the uniform row size, and the column dtypes, and anything
-    that does not match (ragged sizes, non-numeric columns, a different
-    record type) is refused so the caller falls back to a plain per-source
-    batch.  Metrics depend only on row counts and exact integer byte sizes,
-    so views and fallback batches are interchangeable bit-identically.
+    that does not match (non-numeric columns, other dtypes, a different
+    record type or row size) is refused so the caller falls back to a plain
+    per-source batch.  Metrics depend only on row counts and exact integer
+    byte sizes, so views and fallback batches are interchangeable
+    bit-identically.
 
     Because buffers are recycled every epoch, any view that survives the
     epoch boundary has to be detached before the next fill: :meth:`own`
@@ -683,7 +582,7 @@ class FleetArena:
 
     def __init__(self) -> None:
         self._record_class: Optional[type] = None
-        self._uniform_size_bytes: Optional[int] = None
+        self._uniform_size_bytes = 0
         self._buffers: Dict[str, np.ndarray] = {}
         self._buffer_ids: frozenset = frozenset()
         self._capacity = 0
@@ -749,7 +648,7 @@ class FleetArena:
         count: int,
         record_class: type,
         dtypes: Dict[str, Any],
-        uniform_size_bytes: Optional[int],
+        uniform_size_bytes: int,
     ) -> Optional[Dict[str, np.ndarray]]:
         """Reserve ``count`` rows for ``source_id`` in the current epoch.
 
@@ -778,11 +677,11 @@ class FleetArena:
         self,
         record_class: type,
         dtypes: Dict[str, Any],
-        uniform_size_bytes: Optional[int],
+        uniform_size_bytes: int,
         count: int,
     ) -> bool:
         """Check a reservation's schema; the first accepted one fixes it."""
-        if uniform_size_bytes is None or "event_time" not in dtypes:
+        if "event_time" not in dtypes:
             return False
         normalised = {name: np.dtype(dtype) for name, dtype in dtypes.items()}
         if not all(np.issubdtype(dtype, np.number) for dtype in normalised.values()):
@@ -813,20 +712,17 @@ class FleetArena:
 
     def append_batch(self, source_id: int, batch: "RecordBatch") -> bool:
         """Copy a per-source batch into the arena; False when incompatible."""
-        if not isinstance(batch, RecordBatch) or batch.sizes is not None:
-            return False
-        arrays = {name: np.asarray(column) for name, column in batch.columns.items()}
         out = self.reserve(
             source_id,
             len(batch),
             batch.record_class,
-            {name: array.dtype for name, array in arrays.items()},
+            {name: column.dtype for name, column in batch.columns.items()},
             batch.uniform_size_bytes,
         )
         if out is None:
             return False
-        for name, array in arrays.items():
-            out[name][:] = array
+        for name, column in batch.columns.items():
+            out[name][:] = column
         return True
 
     def span(self, source_id: int) -> Tuple[int, int]:
@@ -848,19 +744,16 @@ class FleetArena:
             {name: buffer[start:stop] for name, buffer in self._buffers.items()},
             stop - start,
             self._uniform_size_bytes,
-            None,
             start,
         )
 
-    def aliases(self, column: Any) -> bool:
+    def aliases(self, column: np.ndarray) -> bool:
         """Whether ``column`` is a view of the arena's live buffers.
 
         numpy collapses view chains, so a slice-of-a-slice still reports the
         root buffer as its ``base``; fancy indexing, ``compress``, and
         concatenation all produce owned arrays and are never flagged.
         """
-        if not isinstance(column, np.ndarray):
-            return False
         return id(column) in self._buffer_ids or id(column.base) in self._buffer_ids
 
     def aliased_by(self, records: object) -> bool:
@@ -887,7 +780,7 @@ class FleetArena:
         """
         if not batch._length:
             return batch
-        columns: Dict[str, ColumnData] = {}
+        columns: Dict[str, np.ndarray] = {}
         copied = False
         for name, column in batch.columns.items():
             if self.aliases(column):
@@ -901,7 +794,6 @@ class FleetArena:
             columns,
             batch._length,
             batch.uniform_size_bytes,
-            batch.sizes,
         )
 
 
@@ -932,47 +824,6 @@ def half_up(value: float) -> int:
     count (the PR 5 bug, now simlint rule SL004).
     """
     return int(math.floor(value + 0.5))
-
-
-def bytes_to_mbps(total_bytes: float, duration_s: float) -> float:
-    """Convert a byte count over a duration into megabits per second."""
-    if duration_s <= 0:
-        raise ConfigurationError(f"duration_s must be positive, got {duration_s!r}")
-    return total_bytes * 8.0 / 1e6 / duration_s
-
-
-def mbps_to_bytes(rate_mbps: float, duration_s: float) -> float:
-    """Convert a rate in megabits per second into bytes over a duration."""
-    if duration_s < 0:
-        raise ConfigurationError(
-            f"duration_s must be non-negative, got {duration_s!r}"
-        )
-    return rate_mbps * 1e6 / 8.0 * duration_s
-
-
-def records_per_second(rate_mbps: float, record_bytes: int = PINGMESH_RECORD_BYTES) -> float:
-    """Number of records per second implied by a bit rate and a record size."""
-    if record_bytes <= 0:
-        raise ConfigurationError(
-            f"record_bytes must be positive, got {record_bytes!r}"
-        )
-    return rate_mbps * 1e6 / 8.0 / record_bytes
-
-
-def make_probe_record(
-    event_time: float,
-    src_ip: int,
-    dst_ip: int,
-    rtt_us: float,
-    err_code: int = 0,
-) -> PingmeshRecord:
-    """Convenience constructor used by workload generators and tests."""
-    return PingmeshRecord(event_time, src_ip, dst_ip, rtt_us, err_code)
-
-
-def make_log_record(event_time: float, line: str) -> LogRecord:
-    """Convenience constructor used by workload generators and tests."""
-    return LogRecord(event_time, line)
 
 
 class IpToTorTable:

@@ -23,9 +23,9 @@ thin executors**:
     experiments, Figures 3/7/8/9/11);
   - :class:`MultiSourceExecutor` — one *core building block*: N concurrently
     stepped sources, per-source carryover queues, max-min fair arbitration of
-    one shared ingress :class:`SharedLink` (count-based FIFO transfer
-    arithmetic, :func:`plan_fifo_transfer`), and a compute-capped stream
-    processor (Figure 10, §VI-E);
+    one shared ingress :class:`NetworkLink` (:func:`max_min_fair_share`,
+    count-based FIFO transfer arithmetic, :func:`plan_fifo_transfer`), and a
+    compute-capped stream processor (Figure 10, §VI-E);
   - :class:`CoLocatedBlockExecutor` — several independent queries
     (:class:`QuerySpec`) sharing ONE stream-processor node, the link split
     hierarchically (weighted max-min across queries, max-min across each
@@ -50,7 +50,7 @@ handoff — :meth:`MultiSourceExecutor.detach_source` /
 :meth:`~MultiSourceExecutor.attach_source` transfer the source's engine
 state, carryover queue (in-flight partial-transfer progress included), and
 SP backlog items, withdrawing its queued bytes from the old block's
-:class:`SharedLink` and re-offering them on the new one.  Record
+ingress :class:`NetworkLink` and re-offering them on the new one.  Record
 conservation and per-source metric timelines stay continuous across every
 move (property-tested over random migration schedules in every record
 mode), runs record migration events and per-epoch placement snapshots in
@@ -62,8 +62,11 @@ knob on :class:`ExecutorConfig` / :class:`MultiSourceConfig`): ``"object"``
 flows one Python object per record and is the reference; ``"arena"`` is the
 one columnar path.  It stacks *every source in a block* into one
 :class:`~repro.query.records.FleetArena` — the schema's
-:class:`~repro.query.records.RecordBatch` columns and nothing else, plus a
-per-source row-span index.  In the
+:class:`~repro.query.records.RecordBatch` columns (1-D numpy arrays of one
+fixed-size record type) and nothing else, plus a per-source row-span index.
+A workload without a columnar form — the variable-size LogAnalytics log
+lines — hands its record objects to the pipeline, which runs them on the
+object path in both modes.  In the
 fill phase each workload reserves its rows (the arena checks a schema once,
 then admits equal ones unchecked) and its generation kernel writes the
 epoch — one random draw, a handful of array writes — straight into the
@@ -180,7 +183,6 @@ from .engine import (
 )
 from .network import (
     NetworkLink,
-    SharedLink,
     TransferPlan,
     TransmitResult,
     max_min_fair_share,
@@ -235,7 +237,6 @@ __all__ = [
     "SourceState",
     "validate_record_mode",
     "NetworkLink",
-    "SharedLink",
     "TransferPlan",
     "TransmitResult",
     "plan_fifo_transfer",

@@ -308,19 +308,15 @@ class EpochEngine:
     def fetch_records(self, workload: WorkloadSource, epoch: int) -> RecordContainer:
         """One epoch's records in the engine's record representation.
 
-        Arena mode prefers a workload's native ``batch_for_epoch`` (columns
-        built directly, no record objects); workloads without one are adapted
-        via :meth:`RecordBatch.from_records`, which pays the object cost once
-        at generation but keeps everything downstream columnar.
+        Arena mode takes a workload's native ``batch_for_epoch`` (columns
+        built directly, no record objects).  A workload without one — the
+        variable-size LogAnalytics stream — hands over its record objects,
+        which run the object path in either mode.
         """
         if self.record_mode != "object":
             batch_fn = getattr(workload, "batch_for_epoch", None)
             if batch_fn is not None:
                 return batch_fn(epoch)
-            records = workload.records_for_epoch(epoch)
-            if not records:
-                return records
-            return RecordBatch.from_records(records)
         return workload.records_for_epoch(epoch)
 
     def step_sources(self) -> List[SourceStepResult]:
@@ -353,8 +349,9 @@ class EpochEngine:
         fetched normally and copied in when schema-compatible.  Views are
         built only after every source has reserved its rows, so buffer growth
         can never leave an earlier source's view pointing at stale memory.
-        Sources whose input cannot live in the arena (empty epochs, ragged
-        sizes, non-numeric columns) keep their fetched container as-is.
+        Sources whose input cannot live in the arena (empty epochs, record
+        objects, a schema the arena refuses) keep their fetched container
+        as-is.
         """
         arena = self.arena
         arena.begin_epoch()

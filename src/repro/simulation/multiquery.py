@@ -10,7 +10,7 @@ in lockstep against ONE :class:`~repro.simulation.node.StreamProcessorNode`.
 
 Two shared resources are arbitrated hierarchically per epoch:
 
-* **Ingress link** — a single :class:`~repro.simulation.network.SharedLink`
+* **Ingress link** — a single :class:`~repro.simulation.network.NetworkLink`
   over the node's ingress bandwidth is split in two tiers.  Tier 1 divides
   the epoch's capacity *across queries* by weighted max-min fairness
   (:func:`~repro.simulation.network.weighted_max_min_fair_share` on each
@@ -45,7 +45,7 @@ from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel
 from .metrics import ClusterMetrics, EpochMetrics, MultiQueryMetrics, RunMetrics
 from .multisource import MultiSourceConfig, MultiSourceExecutor, SourceSpec
-from .network import SharedLink, weighted_max_min_fair_share
+from .network import NetworkLink, weighted_max_min_fair_share
 from .node import StreamProcessorNode
 
 #: Tolerance for "the compute shares sum to at most one".
@@ -164,7 +164,7 @@ class CoLocatedBlockExecutor:
         self.epoch_duration_s = queries[0].config.epoch.duration_s
 
         self.stream_processor = stream_processor or StreamProcessorNode()
-        self.link: SharedLink = self.stream_processor.ingress_link(
+        self.link: NetworkLink = self.stream_processor.ingress_link(
             self.epoch_duration_s
         )
         self.sp_compute_capacity_s = self.stream_processor.compute_capacity_per_epoch(

@@ -11,7 +11,7 @@ instances concurrently per epoch:
 2. the bytes each source wants to ship (drained records, emitted results,
    partial aggregation state) enter a per-source FIFO carryover queue, and
    one epoch's worth of the shared link's capacity is divided among the
-   contending sources max-min fairly (:meth:`SharedLink.allocate_fair_share`);
+   contending sources max-min fairly (:func:`max_min_fair_share`);
 3. whatever crossed the link this epoch is handed to one shared
    :class:`StreamProcessorPipeline` whose compute is capped per epoch at the
    stream-processor node's capacity; arrivals that do not fit wait in an
@@ -59,7 +59,7 @@ from .engine import (
 )
 from .executor import Strategy, WorkloadSource
 from .metrics import ClusterEpochMetrics, ClusterMetrics, EpochMetrics, RunMetrics
-from .network import SharedLink, TransferPlan, max_min_fair_share, plan_fifo_transfer
+from .network import NetworkLink, TransferPlan, max_min_fair_share, plan_fifo_transfer
 from .node import BudgetSchedule, StreamProcessorNode, as_budget_schedule
 from .pipeline import RecordContainer, SourceEpochResult, StreamProcessorPipeline
 
@@ -193,8 +193,8 @@ class SourceMigrationState:
       at the destination SP so the drain-path conservation invariant
       (``drained == sp_processed + in-flight``) holds at every instant;
     * ``requeue_bytes`` is what the source still needed to move across the old
-      link (its queued demand); the detach withdrew it from the old
-      :class:`~repro.simulation.network.SharedLink` and the attach re-offers
+      link (its queued demand); the detach withdrew it from the old ingress
+      :class:`~repro.simulation.network.NetworkLink` and the attach re-offers
       it on the new one.
     """
 
@@ -263,7 +263,7 @@ class MultiSourceExecutor:
         epoch_s = self.config.epoch.duration_s
 
         sp_node = self.cluster_config.stream_processor
-        self.link: SharedLink = sp_node.ingress_link(epoch_s)
+        self.link: NetworkLink = sp_node.ingress_link(epoch_s)
         self.sp_pipeline = StreamProcessorPipeline(
             operators=plan.stream_processor_operators(),
             cost_model=cost_model,
@@ -742,27 +742,24 @@ class MultiSourceExecutor:
         tolerance: float,
     ) -> TransferPlan:
         """Fit a FIFO record run into ``budget`` via the shared count-based
-        arithmetic — one closed-form step for uniform-size batches, one
-        cumulative walk otherwise.  Both execution modes go through
-        :func:`~repro.simulation.network.plan_fifo_transfer`, which is what
-        keeps their byte accounting bit-identical.
+        arithmetic — one closed-form step for a batch, whose rows share one
+        size, one cumulative walk for record objects.  Both execution modes
+        go through :func:`~repro.simulation.network.plan_fifo_transfer`,
+        which is what keeps their byte accounting bit-identical.
         """
         overhead = DRAIN_HEADER_BYTES if drained else 0
         if isinstance(records, RecordBatch):
-            if records.uniform_size_bytes is not None:
-                return plan_fifo_transfer(
-                    len(records),
-                    budget,
-                    progress_bytes,
-                    uniform_size=records.uniform_size_bytes + overhead,
-                    tolerance=tolerance,
-                )
-            sizes = (size + overhead for size in records.sizes)
-        else:
-            # A lazy generator: the planner stops pulling sizes once the
-            # budget is exhausted, so a long queued item is never walked past
-            # the records that actually ship this epoch.
-            sizes = (record.size_bytes + overhead for record in records)
+            return plan_fifo_transfer(
+                len(records),
+                budget,
+                progress_bytes,
+                uniform_size=records.uniform_size_bytes + overhead,
+                tolerance=tolerance,
+            )
+        # A lazy generator: the planner stops pulling sizes once the budget
+        # is exhausted, so a long queued item is never walked past the
+        # records that actually ship this epoch.
+        sizes = (record.size_bytes + overhead for record in records)
         return plan_fifo_transfer(
             len(records), budget, progress_bytes, sizes=sizes, tolerance=tolerance
         )

@@ -1,8 +1,9 @@
 """Bandwidth-limited network links.
 
-Models the uplink from a data source to its parent stream processor.  Bytes
-offered to the link enter a FIFO byte queue; each epoch the link transmits up
-to ``bandwidth * epoch`` bytes.  The remaining queue length determines the
+Models the uplink from a data source to its parent stream processor, and the
+stream processor's ingress that many sources share.  Bytes offered to a link
+enter a FIFO byte queue; each epoch the link transmits up to
+``bandwidth * epoch`` bytes.  The remaining queue length determines the
 transfer delay experienced by newly offered data, which feeds the latency
 metric ("query processing throughput with a latency bound of 5 seconds",
 Section VI-A).
@@ -25,11 +26,10 @@ def max_min_fair_share(demands: Sequence[float], capacity: float) -> List[float]
     fits, each claimant simply gets its demand.  The returned allocations sum
     to at most ``capacity``.
 
-    This is the arbitration primitive of the shared ingress link
-    (:meth:`SharedLink.allocate_fair_share`); it is exposed at module level so
-    an external arbiter — the co-located multi-query executor — can run the
-    same split within an externally granted byte budget instead of a link's
-    own epoch capacity.
+    This is the arbitration primitive of the stream processor's shared
+    ingress link: the multi-source executor splits the link's epoch capacity
+    with it, and the co-located multi-query executor splits the byte budget
+    it granted a query.
     """
     if not demands:
         return []
@@ -213,17 +213,23 @@ class TransmitResult:
         sent_bytes: Bytes transmitted during the epoch.
         queued_bytes: Bytes still waiting after the epoch.
         queue_delay_s: Estimated delay a byte offered *now* would experience.
-        utilization: Fraction of the epoch's capacity that was used.
     """
 
     sent_bytes: float
     queued_bytes: float
     queue_delay_s: float
-    utilization: float
 
 
 class NetworkLink:
-    """A FIFO, fixed-bandwidth link between a data source and its parent SP."""
+    """A FIFO, fixed-bandwidth link.
+
+    Either the uplink from a data source to its parent SP, or the SP's
+    ingress shared by many sources (``StreamProcessorNode.ingress_link``):
+    each active source offers its drained bytes into the one queue, and the
+    executor splits each epoch's capacity among the contending sources
+    max-min fairly (:func:`max_min_fair_share`), so a source never benefits
+    from another source's unused share unless that share is genuinely idle.
+    """
 
     def __init__(self, bandwidth_mbps: float, epoch_duration_s: float = 1.0) -> None:
         # Queue-delay arithmetic divides by ``bytes_per_second``
@@ -235,8 +241,6 @@ class NetworkLink:
         self.bandwidth_mbps = float(bandwidth_mbps)
         self.epoch_duration_s = float(epoch_duration_s)
         self._queue_bytes = 0.0
-        self._total_sent_bytes = 0.0
-        self._total_offered_bytes = 0.0
 
     # -- properties ------------------------------------------------------------
 
@@ -255,16 +259,6 @@ class NetworkLink:
         """Bytes currently waiting in the queue."""
         return self._queue_bytes
 
-    @property
-    def total_sent_bytes(self) -> float:
-        """Cumulative bytes transmitted since construction (or reset)."""
-        return self._total_sent_bytes
-
-    @property
-    def total_offered_bytes(self) -> float:
-        """Cumulative bytes offered since construction (or reset)."""
-        return self._total_offered_bytes
-
     # -- operations --------------------------------------------------------------
 
     def offer(self, num_bytes: float) -> None:
@@ -272,18 +266,15 @@ class NetworkLink:
         if num_bytes < 0:
             raise SimulationError(f"cannot offer negative bytes ({num_bytes!r})")
         self._queue_bytes += float(num_bytes)
-        self._total_offered_bytes += float(num_bytes)
 
     def withdraw(self, num_bytes: float) -> float:
         """Remove ``num_bytes`` from the queue without transmitting them.
 
         The live-migration handoff uses this to take a departing source's
         still-queued bytes off its old block's shared link so they can be
-        re-offered on the new block's link: the bytes were never sent, so the
-        cumulative *offered* counter is rolled back too (the destination
-        link's :meth:`offer` will count them there instead).  Tiny float
-        residue from carryover arithmetic is clamped; withdrawing clearly
-        more than is queued is a bookkeeping bug and fails loudly.
+        re-offered on the new block's link.  Tiny float residue from
+        carryover arithmetic is clamped; withdrawing clearly more than is
+        queued is a bookkeeping bug and fails loudly.
         """
         if num_bytes < 0:
             raise SimulationError(f"cannot withdraw negative bytes ({num_bytes!r})")
@@ -295,7 +286,6 @@ class NetworkLink:
             )
         amount = min(amount, self._queue_bytes)
         self._queue_bytes -= amount
-        self._total_offered_bytes = max(0.0, self._total_offered_bytes - amount)
         return amount
 
     def transmit_epoch(self, max_bytes: float | None = None) -> TransmitResult:
@@ -308,83 +298,20 @@ class NetworkLink:
                 capacity unused), keeping the link's byte queue consistent with
                 the per-source carryover queues.
         """
-        capacity = self.capacity_bytes_per_epoch
-        sent = min(self._queue_bytes, capacity)
+        sent = min(self._queue_bytes, self.capacity_bytes_per_epoch)
         if max_bytes is not None:
             if max_bytes < 0:
                 raise SimulationError(f"max_bytes must be >= 0, got {max_bytes!r}")
             sent = min(sent, float(max_bytes))
         self._queue_bytes -= sent
-        self._total_sent_bytes += sent
-        delay = self._queue_bytes / self.bytes_per_second
-        utilization = 0.0 if capacity <= 0 else sent / capacity
         return TransmitResult(
             sent_bytes=sent,
             queued_bytes=self._queue_bytes,
-            queue_delay_s=delay,
-            utilization=utilization,
+            queue_delay_s=self._queue_bytes / self.bytes_per_second,
         )
-
-    def reset(self) -> None:
-        """Clear the queue and cumulative counters."""
-        self._queue_bytes = 0.0
-        self._total_sent_bytes = 0.0
-        self._total_offered_bytes = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<NetworkLink {self.bandwidth_mbps:.2f} Mbps "
             f"queued={self._queue_bytes:.0f}B>"
         )
-
-
-class SharedLink(NetworkLink):
-    """An aggregate link shared by many data sources (the SP's ingress).
-
-    Used by the multi-source executor (Figure 10): each active source offers
-    its drained bytes into the shared queue; the total capacity is the query's
-    share of the stream processor's 10 Gbps ingress link.  Per epoch the
-    capacity is divided among the contending sources max-min fairly
-    (:meth:`allocate_fair_share`), so a source never benefits from another
-    source's unused share unless that share is genuinely idle.
-    """
-
-    def __init__(
-        self,
-        total_bandwidth_mbps: float,
-        epoch_duration_s: float = 1.0,
-    ) -> None:
-        super().__init__(total_bandwidth_mbps, epoch_duration_s)
-
-    def fair_share_mbps(self, num_sources: int) -> float:
-        """Per-source fair share of the aggregate bandwidth."""
-        if num_sources <= 0:
-            raise SimulationError(
-                f"num_sources must be positive, got {num_sources!r}"
-            )
-        return self.bandwidth_mbps / num_sources
-
-    def allocate_fair_share(
-        self, demands: Sequence[float], capacity_bytes: Optional[float] = None
-    ) -> List[float]:
-        """Max-min fair split of one epoch's capacity across ``demands``.
-
-        Water-filling via :func:`max_min_fair_share`: every source is entitled
-        to an equal share; sources demanding less than their share are
-        satisfied in full and their unused entitlement is redistributed among
-        the still-unsatisfied sources.  When every demand fits, each source
-        simply gets its demand.
-
-        Args:
-            demands: Bytes each source wants to move this epoch (>= 0).
-            capacity_bytes: Byte budget to split instead of the link's own
-                epoch capacity — how a co-located query arbitrates its sources
-                within the slice of the link it was granted.
-
-        Returns:
-            Per-source byte allocations, same order as ``demands``; their sum
-            never exceeds the capacity being split.
-        """
-        if capacity_bytes is None:
-            capacity_bytes = self.capacity_bytes_per_epoch
-        return max_min_fair_share(demands, capacity_bytes)

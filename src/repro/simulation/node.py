@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError, require_finite
+from .network import NetworkLink
 
 
 class BudgetSchedule:
@@ -101,16 +102,11 @@ class StreamProcessorNode:
             )
         return self.cores * epoch_duration_s
 
-    def ingress_link(self, epoch_duration_s: float = 1.0):
-        """A :class:`~repro.simulation.network.SharedLink` over this node's
+    def ingress_link(self, epoch_duration_s: float = 1.0) -> NetworkLink:
+        """A :class:`~repro.simulation.network.NetworkLink` over this node's
         ingress bandwidth — the shared resource the multi-source executor
         arbitrates per epoch."""
-        from .network import SharedLink
-
-        return SharedLink(
-            total_bandwidth_mbps=self.ingress_bandwidth_mbps,
-            epoch_duration_s=epoch_duration_s,
-        )
+        return NetworkLink(self.ingress_bandwidth_mbps, epoch_duration_s)
 
 
 BudgetFunction = Callable[[int], float]

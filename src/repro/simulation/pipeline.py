@@ -465,16 +465,6 @@ class SourcePipeline:
         self._epoch_index = 0
 
 
-@dataclass
-class StreamProcessorEpochResult:
-    """What the stream processor did with one epoch's worth of arrivals."""
-
-    epoch: int
-    records_processed: int
-    cpu_used_seconds: float
-    final_outputs: List[Record] = field(default_factory=list)
-
-
 class SPArrivals(NamedTuple):
     """What one :meth:`StreamProcessorPipeline.process_arrivals` call did."""
 
@@ -507,36 +497,6 @@ class StreamProcessorPipeline:
         self.epoch_duration_s = float(epoch_duration_s)
         self.epochs_per_window = max(1, half_up(window_length_s / epoch_duration_s))
         self._epoch_index = 0
-
-    def process_epoch(
-        self,
-        drained: Sequence[Tuple[int, Sequence[Record]]],
-        partial_states: Optional[Dict[int, object]] = None,
-        emitted: RecordContainer = (),
-    ) -> StreamProcessorEpochResult:
-        """Process one epoch's arrivals from a single data source.
-
-        Args:
-            drained: ``(stage_index, records)`` batches drained by the source;
-                each batch resumes processing at ``stage_index``.
-            partial_states: Partial aggregation state flushed by the source at
-                a window boundary, keyed by stage index.
-            emitted: Records emitted by the source's final stage (results of
-                stateless tails; merged into the output stream directly).
-        """
-        outputs = (
-            emitted.to_records() if isinstance(emitted, RecordBatch) else list(emitted)
-        )
-        arrivals = self.process_arrivals(drained, partial_states=partial_states)
-        outputs.extend(arrivals.outputs)
-        result = StreamProcessorEpochResult(
-            epoch=self._epoch_index,
-            records_processed=arrivals.records_processed,
-            cpu_used_seconds=arrivals.cpu_used_seconds,
-            final_outputs=outputs,
-        )
-        result.final_outputs.extend(self.advance_epoch())
-        return result
 
     def process_arrivals(
         self,

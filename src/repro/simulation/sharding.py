@@ -15,8 +15,8 @@ single-block :class:`~repro.simulation.multisource.MultiSourceExecutor`:
    (round-robin, byte-rate-balanced greedy bin-packing, or an explicit static
    assignment);
 2. each block gets its own :class:`~repro.simulation.node.StreamProcessorNode`
-   capacity — its own :class:`~repro.simulation.network.SharedLink` and its
-   own compute-capped stream-processor pipeline — built from one shared
+   capacity — its own ingress :class:`~repro.simulation.network.NetworkLink`
+   and its own compute-capped stream-processor pipeline — built from one shared
    :class:`~repro.simulation.multisource.MultiSourceConfig` template;
 3. every epoch all blocks step in lockstep; per-source metrics merge into one
    fleet-wide view and the blocks' shared-resource measurements are summed

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError, require_finite
-from ..query.records import Record, RecordBatch
+from ..query.records import Record
 from ..simulation.node import BudgetSchedule
 
 
@@ -155,13 +155,10 @@ class WorkloadBurst:
         """Columnar view of the boosted epoch (same arithmetic as the object
         path: whole extra draws plus a truncated fractional prefix, so both
         execution modes consume identical data by construction).  A wrapped
-        workload without columnar generation is adapted record-by-record,
-        exactly as the engine would adapt the bare workload."""
+        workload without columnar generation hands over its boosted record
+        objects, exactly as the engine takes them from the bare workload."""
         if getattr(self._base, "batch_for_epoch", None) is None:
-            records = self.records_for_epoch(epoch)
-            if not records:
-                return records
-            return RecordBatch.from_records(records)
+            return self.records_for_epoch(epoch)
         batch = self._base.batch_for_epoch(epoch)
         multiplier = self._multiplier(epoch)
         if multiplier <= 1.0:

@@ -38,12 +38,11 @@ class TestExactnessOfDataLevelPartitioning:
         rows = []
         for epoch in range(10):
             result = source.run_epoch(trace.epochs[epoch], cpu_budget_fraction=4.0)
-            out = sp.process_epoch(
-                drained=result.drained,
-                partial_states=result.partial_states,
-                emitted=result.emitted,
+            rows.extend(result.emitted)
+            rows.extend(
+                sp.process_arrivals(result.drained, result.partial_states).outputs
             )
-            rows.extend(out.final_outputs)
+            rows.extend(sp.advance_epoch())
         return {row.group_key: row for row in rows if hasattr(row, "group_key")}
 
     def test_partitioned_results_match_centralized_results(self):

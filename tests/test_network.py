@@ -7,10 +7,10 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.network import (
     NetworkLink,
-    SharedLink,
     max_min_fair_share,
     weighted_max_min_fair_share,
 )
+from repro.simulation.node import StreamProcessorNode
 
 
 class TestNetworkLink:
@@ -26,7 +26,6 @@ class TestNetworkLink:
         assert result.sent_bytes == pytest.approx(500_000)
         assert result.queued_bytes == 0.0
         assert result.queue_delay_s == 0.0
-        assert result.utilization == pytest.approx(0.5)
 
     def test_over_capacity_queues_excess(self):
         link = NetworkLink(8.0, 1.0)
@@ -35,33 +34,24 @@ class TestNetworkLink:
         assert result.sent_bytes == pytest.approx(1e6)
         assert result.queued_bytes == pytest.approx(500_000)
         assert result.queue_delay_s == pytest.approx(0.5)
-        assert result.utilization == pytest.approx(1.0)
 
     def test_queue_drains_over_multiple_epochs(self):
         link = NetworkLink(8.0, 1.0)
         link.offer(2_500_000)
-        link.transmit_epoch()
-        link.transmit_epoch()
-        result = link.transmit_epoch()
-        assert result.queued_bytes == 0.0
-        assert link.total_sent_bytes == pytest.approx(2_500_000)
+        results = [link.transmit_epoch() for _ in range(3)]
+        assert results[-1].queued_bytes == 0.0
+        assert [result.sent_bytes for result in results] == pytest.approx(
+            [1e6, 1e6, 500_000]
+        )
 
     def test_cumulative_counters(self):
+        """Offers accumulate in the one queue until an epoch sends them."""
         link = NetworkLink(8.0, 1.0)
         link.offer(100.0)
         link.offer(200.0)
-        link.transmit_epoch()
-        assert link.total_offered_bytes == pytest.approx(300.0)
-        assert link.total_sent_bytes == pytest.approx(300.0)
-
-    def test_reset(self):
-        link = NetworkLink(8.0, 1.0)
-        link.offer(1e7)
-        link.transmit_epoch()
-        link.reset()
+        assert link.queued_bytes == pytest.approx(300.0)
+        assert link.transmit_epoch().sent_bytes == pytest.approx(300.0)
         assert link.queued_bytes == 0.0
-        assert link.total_sent_bytes == 0.0
-        assert link.total_offered_bytes == 0.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -74,13 +64,12 @@ class TestNetworkLink:
         so zero, negative, and non-finite bandwidths (and epoch durations)
         must raise a loud ConfigurationError at construction instead of a
         latent ZeroDivisionError or NaN-poisoned queue delay mid-run."""
-        for link_class in (NetworkLink, SharedLink):
-            for bad in (0.0, -1.0, float("nan"), float("inf")):
-                with pytest.raises(ConfigurationError):
-                    link_class(bad)
-            for bad in (0.0, -0.5, float("nan"), float("inf")):
-                with pytest.raises(ConfigurationError):
-                    link_class(1.0, epoch_duration_s=bad)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                NetworkLink(bad)
+        for bad in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                NetworkLink(1.0, epoch_duration_s=bad)
 
     def test_rejects_negative_offer(self):
         link = NetworkLink(1.0)
@@ -89,14 +78,13 @@ class TestNetworkLink:
 
     def test_withdraw_moves_queued_bytes_out(self):
         """Live migration pulls a departing source's queued bytes off the
-        link: the queue and the cumulative offered counter both roll back."""
+        link without sending them."""
         link = NetworkLink(1.0)
         link.offer(1000.0)
-        link.transmit_epoch(max_bytes=300.0)
+        assert link.transmit_epoch(max_bytes=300.0).sent_bytes == 300.0
         assert link.withdraw(500.0) == 500.0
         assert link.queued_bytes == pytest.approx(200.0)
-        assert link.total_offered_bytes == pytest.approx(500.0)
-        assert link.total_sent_bytes == pytest.approx(300.0)
+        assert link.transmit_epoch().sent_bytes == pytest.approx(200.0)
 
     def test_withdraw_validations(self):
         link = NetworkLink(1.0)
@@ -115,69 +103,76 @@ class TestNetworkLink:
 
 
 class TestSharedLink:
-    def test_fair_share(self):
-        link = SharedLink(total_bandwidth_mbps=100.0)
-        assert link.fair_share_mbps(4) == pytest.approx(25.0)
+    """The stream processor's ingress: one link every source offers into."""
 
-    def test_fair_share_requires_positive_sources(self):
-        with pytest.raises(SimulationError):
-            SharedLink(100.0).fair_share_mbps(0)
+    def test_fair_share(self):
+        link = StreamProcessorNode(ingress_bandwidth_mbps=100.0).ingress_link()
+        demands = [link.capacity_bytes_per_epoch] * 4
+        assert max_min_fair_share(demands, link.capacity_bytes_per_epoch) == (
+            pytest.approx([link.capacity_bytes_per_epoch / 4] * 4)
+        )
 
     def test_shared_link_is_a_network_link(self):
-        link = SharedLink(10.0)
+        link = StreamProcessorNode(ingress_bandwidth_mbps=10.0).ingress_link(0.5)
+        assert type(link) is NetworkLink
+        assert link.bandwidth_mbps == 10.0
+        assert link.epoch_duration_s == 0.5
         link.offer(1000.0)
         assert link.transmit_epoch().sent_bytes == pytest.approx(1000.0)
 
 
 class TestFairShareAllocation:
-    def link(self, mbps=8.0):
-        return SharedLink(total_bandwidth_mbps=mbps)  # 1e6 bytes/epoch at 8 Mbps
+    #: One epoch of an 8 Mbps link.
+    CAPACITY = 1e6
+
+    def split(self, demands):
+        return max_min_fair_share(demands, self.CAPACITY)
 
     def test_under_capacity_grants_every_demand(self):
-        allocations = self.link().allocate_fair_share([100.0, 200.0, 300.0])
+        allocations = self.split([100.0, 200.0, 300.0])
         assert allocations == pytest.approx([100.0, 200.0, 300.0])
 
     def test_saturated_equal_demands_split_evenly(self):
-        allocations = self.link().allocate_fair_share([2e6, 2e6, 2e6, 2e6])
+        allocations = self.split([2e6, 2e6, 2e6, 2e6])
         assert allocations == pytest.approx([250_000.0] * 4)
 
     def test_water_filling_redistributes_unused_share(self):
         # One light source (100K) and two heavy ones: the light source keeps
         # its demand, the remaining 900K splits evenly between the heavies.
-        allocations = self.link().allocate_fair_share([100_000.0, 2e6, 2e6])
+        allocations = self.split([100_000.0, 2e6, 2e6])
         assert allocations[0] == pytest.approx(100_000.0)
         assert allocations[1] == pytest.approx(450_000.0)
         assert allocations[2] == pytest.approx(450_000.0)
 
     def test_allocation_never_exceeds_capacity(self):
-        link = self.link()
-        allocations = link.allocate_fair_share([5e5, 9e5, 3e5, 7e5])
-        assert sum(allocations) <= link.capacity_bytes_per_epoch + 1e-6
+        allocations = self.split([5e5, 9e5, 3e5, 7e5])
+        assert sum(allocations) <= self.CAPACITY + 1e-6
 
     def test_zero_demands_get_nothing(self):
-        allocations = self.link().allocate_fair_share([0.0, 4e6])
+        allocations = self.split([0.0, 4e6])
         assert allocations[0] == 0.0
         assert allocations[1] == pytest.approx(1e6)
 
     def test_empty_demands(self):
-        assert self.link().allocate_fair_share([]) == []
+        assert self.split([]) == []
 
     def test_negative_demand_rejected(self):
         with pytest.raises(SimulationError):
-            self.link().allocate_fair_share([-1.0])
+            self.split([-1.0])
 
 
 class TestExplicitCapacityAllocation:
-    def test_module_function_matches_link_method(self):
-        link = SharedLink(total_bandwidth_mbps=8.0)  # 1e6 bytes per epoch
-        demands = [7e5, 2e5, 4e5]
-        assert link.allocate_fair_share(demands) == max_min_fair_share(
-            demands, link.capacity_bytes_per_epoch
-        )
+    def test_splits_a_links_epoch_capacity(self):
+        """The multi-source executor splits its ingress link's epoch capacity."""
+        link = NetworkLink(8.0)  # 1e6 bytes per epoch
+        assert max_min_fair_share(
+            [7e5, 2e5, 4e5], link.capacity_bytes_per_epoch
+        ) == pytest.approx([4e5, 2e5, 4e5])
 
-    def test_link_method_accepts_external_budget(self):
-        link = SharedLink(total_bandwidth_mbps=8.0)
-        assert link.allocate_fair_share([600.0, 600.0], capacity_bytes=300.0) == [
+    def test_splits_an_external_budget(self):
+        """A co-located query splits the budget it was granted, not the
+        link's whole epoch capacity."""
+        assert max_min_fair_share([600.0, 600.0], 300.0) == [
             pytest.approx(150.0),
             pytest.approx(150.0),
         ]

@@ -265,21 +265,22 @@ class TestStreamProcessorPipeline:
     def test_processes_drained_records_from_their_stage(self, cost_model, workload):
         sp = build_sp(cost_model)
         records = workload.records_for_epoch(0)
-        result = sp.process_epoch(drained=[(0, records)])
+        result = sp.process_arrivals([(0, records)])
         assert result.records_processed > 0
         assert result.cpu_used_seconds > 0
 
     def test_rejects_unknown_stage_index(self, cost_model, workload):
         sp = build_sp(cost_model)
         with pytest.raises(SimulationError):
-            sp.process_epoch(drained=[(9, workload.records_for_epoch(0))])
+            sp.process_arrivals([(9, workload.records_for_epoch(0))])
 
     def test_window_close_emits_final_rows(self, cost_model, workload):
         sp = build_sp(cost_model)
         outputs = []
         for epoch in range(10):
-            result = sp.process_epoch(drained=[(0, workload.records_for_epoch(epoch))])
-            outputs.extend(result.final_outputs)
+            result = sp.process_arrivals([(0, workload.records_for_epoch(epoch))])
+            outputs.extend(result.outputs)
+            outputs.extend(sp.advance_epoch())
         assert outputs, "the closing window must emit aggregate rows"
         assert all(hasattr(row, "group_key") for row in outputs)
 
@@ -296,17 +297,19 @@ class TestStreamProcessorPipeline:
         sp = build_sp(cost_model)
         merged_rows = []
         for epoch in range(10):
-            out = sp.process_epoch(
-                drained=[], partial_states=partials if epoch == 9 else None
+            out = sp.process_arrivals(
+                [], partial_states=partials if epoch == 9 else None
             )
-            merged_rows.extend(out.final_outputs)
+            merged_rows.extend(out.outputs)
+            merged_rows.extend(sp.advance_epoch())
         assert merged_rows, "merged partial state must produce final rows"
 
     def test_reset(self, cost_model, workload):
         sp = build_sp(cost_model)
-        sp.process_epoch(drained=[(0, workload.records_for_epoch(0))])
+        sp.process_arrivals([(0, workload.records_for_epoch(0))])
+        sp.advance_epoch()
         sp.reset()
-        result = sp.process_epoch(drained=[])
+        result = sp.process_arrivals([])
         assert result.records_processed == 0
 
     @pytest.mark.parametrize("stage", [0, 1, 2])

@@ -26,7 +26,11 @@ class TestPhysicalPlan:
             "filter",
             "group_aggregate",
         ]
-        assert [stage.index for stage in plan.stages] == [0, 1, 2]
+        assert [line.split()[:2] for line in plan.describe().splitlines()[1:]] == [
+            ["[0]", "window"],
+            ["[1]", "filter"],
+            ["[2]", "group_aggregate"],
+        ]
         assert all(a is b for a, b in zip(plan.operators, query.operators))
 
     def test_all_paper_queries_fully_offloadable(self):

@@ -6,8 +6,9 @@ The simulators select their hot-path record representation through the
 exists purely for speed; these tests pin down that it reproduces the object
 mode's metrics *bit-exactly* — not approximately — on the configurations
 the evaluation figures run (Fig. 10 multi-source/sharded, Fig. 11
-co-located), under a changing budget that re-profiles after window
-closes, and where the stream processor folds a run of batches in one pass
+co-located), with LogAnalytics' variable-size records (which run the
+object path in both modes), under a changing budget that re-profiles
+after window closes, and where the stream processor folds a run of batches in one pass
 (cut by its budget, concatenated, or with a state-dependent cost), that
 the :class:`~repro.query.records.FleetArena` container
 honours its aliasing/ownership contract, that the columnar containers
@@ -138,14 +139,6 @@ class TestRecordBatchContainer:
         assert ([] + batch) is batch
         assert (batch + []) is batch
 
-    def test_from_records_round_trip(self):
-        records = self.batch(8).to_records()
-        rebuilt = RecordBatch.from_records(records)
-        assert rebuilt.uniform_size_bytes == records[0].size_bytes
-        assert [r.as_dict() for r in rebuilt.to_records()] == [
-            r.as_dict() for r in records
-        ]
-
     def test_row_index_out_of_range_raises(self):
         """A batch has no row-wise access: every integer index raises, in
         range or not, and so does iterating it row by row."""
@@ -163,14 +156,6 @@ class TestRecordBatchContainer:
         assert len(kept) == int(mask.sum())
         for name, column in batch.columns.items():
             assert np.array_equal(kept.columns[name], column[mask]), name
-
-    def test_compress_rejects_a_short_mask_on_list_columns(self):
-        batch = RecordBatch.from_records(self.batch(6).to_records())
-        assert isinstance(batch.columns["event_time"], list)
-        with pytest.raises(SimulationError):
-            batch.compress([True, False, True])
-        with pytest.raises(SimulationError):
-            batch.compress([True] * 7)
 
     def test_compress_rejects_a_short_mask_on_array_columns(self):
         batch = self.batch(6)
@@ -263,8 +248,9 @@ class TestMultiSourceEquivalence:
         assert obj.aggregate_throughput_mbps() == arena.aggregate_throughput_mbps()
         assert_epochs_identical(obj, arena)
 
-    def test_generic_workload_falls_back_to_from_records(self, setup):
-        """A workload without ``batch_for_epoch`` still runs arena mode."""
+    def test_generic_workload_runs_the_object_path(self, setup):
+        """A workload without ``batch_for_epoch`` still runs arena mode: its
+        record objects go to the pipeline as they are."""
 
         class PlainWorkload:
             def __init__(self, inner):
@@ -297,6 +283,73 @@ class TestMultiSourceEquivalence:
             == runs["arena"].aggregate_throughput_mbps()
         )
         assert_epochs_identical(runs["object"], runs["arena"])
+
+
+@pytest.fixture(scope="module")
+def log_setup():
+    return make_setup("log_analytics", records_per_epoch=200)
+
+
+class TestVariableSizeFleetEquivalence:
+    """LogAnalytics' variable-size log lines through arena-mode fleets.
+
+    They have no columnar form, so in arena mode too each source's records
+    run the object path.  Every epoch of every source must still match
+    object mode, on one block and on two blocks with a live migration, and
+    every epoch must conserve records.
+    """
+
+    BUDGET = 0.3
+    EPOCHS = 12  # crosses the 10-epoch window boundary
+    MIGRATE_AT = 5
+
+    def executor(self, setup, strategy_name, mode, num_blocks):
+        sources = homogeneous_sources(
+            6,
+            workload_factory=lambda i: setup.workload_factory(30 + i),
+            strategy_factory=lambda i: make_strategy(
+                strategy_name, setup, self.BUDGET
+            ),
+            budget=self.BUDGET,
+        )
+        config = MultiSourceConfig(
+            config=setup.config,
+            stream_processor=StreamProcessorNode(
+                ingress_bandwidth_mbps=2 * setup.input_rate_mbps
+            ),
+            record_mode=mode,
+        )
+        if num_blocks == 1:
+            return MultiSourceExecutor(
+                plan=setup.plan,
+                cost_model=setup.cost_model,
+                sources=sources,
+                cluster_config=config,
+            )
+        return ShardedClusterExecutor(
+            plan=setup.plan,
+            cost_model=setup.cost_model,
+            sources=sources,
+            num_blocks=num_blocks,
+            cluster_config=config,
+        )
+
+    @pytest.mark.parametrize("num_blocks", [1, 2])
+    @pytest.mark.parametrize("strategy_name", ["All-SP", "Best-OP", "Jarvis"])
+    def test_epochs_match_object_mode(self, log_setup, strategy_name, num_blocks):
+        epochs = {}
+        for mode in RECORD_MODES:
+            executor = self.executor(log_setup, strategy_name, mode, num_blocks)
+            epochs[mode] = []
+            for epoch in range(self.EPOCHS):
+                if num_blocks > 1 and epoch == self.MIGRATE_AT:
+                    executor.migrate("source-0", to_block=1)
+                epochs[mode].append(executor.run_epoch())
+                assert executor.verify_record_conservation() == [], (mode, epoch)
+            if num_blocks > 1:
+                assert executor.block_of("source-0") == 1
+        for index, (obj, arena) in enumerate(zip(epochs["object"], epochs["arena"])):
+            assert obj == arena, (strategy_name, num_blocks, index)
 
 
 @pytest.fixture(scope="module")
@@ -381,14 +434,8 @@ class TestFilterRowMask:
     def filter_op(self, setup):
         return next(op for op in setup.plan.operators if op.kind == "filter")
 
-    @pytest.mark.parametrize("columns", ["array", "list"])
-    def test_mask_is_the_predicate_and_process_batch_compresses_by_it(
-        self, setup, columns
-    ):
+    def test_mask_is_the_predicate_and_process_batch_compresses_by_it(self, setup):
         batch = self.batch(setup)
-        if columns == "list":
-            batch = RecordBatch.from_records(batch.to_records())
-            assert isinstance(batch.columns["err_code"], list)
         op = self.filter_op(setup)
         assert op.masks_rows
         mask = op.row_mask(batch)
@@ -469,18 +516,19 @@ class TestCoalesceBatches:
             self.assert_same_rows(joined, self.chained(parts))
             assert not arena.aliased_by(joined)
 
-    def test_list_columns_and_ragged_sizes_concatenate_like_plus(self, setup):
-        records = setup.workload_factory(5).records_for_epoch(0)
-        listed = RecordBatch.from_records(records)
-        ragged = RecordBatch(
-            listed.record_class,
-            {name: list(column) for name, column in listed.columns.items()},
-            sizes=[80 + index % 7 for index in range(len(listed))],
+    def test_batches_of_different_row_sizes_refuse_to_concatenate(self, setup):
+        """Every row of a batch has one size, so two batches whose sizes
+        differ have no joint batch: joining them raises instead of
+        miscounting bytes."""
+        batch = setup.workload_factory(5).batch_for_epoch(0)
+        resized = RecordBatch(
+            batch.record_class, dict(batch.columns), uniform_size_bytes=90
         )
-        for parts in ([listed[:10], listed[10:]], [listed[:10], ragged[10:]]):
-            joined = coalesce_batches(parts)
-            self.assert_same_rows(joined, self.chained(parts))
-            assert joined.sizes == self.chained(parts).sizes
+        for parts in ([batch, resized], [batch[:10], batch[10:], resized]):
+            with pytest.raises(SimulationError):
+                coalesce_batches(parts)
+        with pytest.raises(SimulationError):
+            batch + resized
 
     def test_a_single_batch_is_returned_as_is(self, setup):
         _, views = self.arena_views(setup, sources=1)
@@ -681,13 +729,11 @@ class TestFleetArenaContainer:
         # A second reservation of the accepted schema takes the fast path
         # that skips the dtype checks; every refusal below runs after it.
         assert arena.append_batch(2, good)
-        # Ragged per-record sizes stay out of the arena.
-        ragged = RecordBatch(
-            good.record_class,
-            {k: np.asarray(v).copy() for k, v in good.columns.items()},
-            sizes=[86, 86, 86, 86],
+        # The same columns at another row size.
+        resized = RecordBatch(
+            good.record_class, dict(good.columns), uniform_size_bytes=90
         )
-        assert not arena.append_batch(1, ragged)
+        assert not arena.append_batch(1, resized)
         # One column cast to another dtype.
         for name, dtype in (("rtt_us", np.float32), ("err_code", np.int32)):
             cast = RecordBatch(

@@ -1,7 +1,8 @@
-"""Unit tests for record types and byte/rate conversion helpers."""
+"""Unit tests for record types, byte sizes and record-batch validation."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, JarvisError, SimulationError
@@ -15,13 +16,8 @@ from repro.query.records import (
     PingmeshRecord,
     Record,
     PINGMESH_RECORD_BYTES,
-    bytes_to_mbps,
-    make_log_record,
-    make_probe_record,
     half_up,
-    mbps_to_bytes,
     record_size_bytes,
-    records_per_second,
 )
 
 
@@ -119,34 +115,6 @@ class TestSizeAndRateHelpers:
         records = [PingmeshRecord(0.0, 1, 2, 1.0)]
         assert record_size_bytes(records, drain=True) > record_size_bytes(records)
 
-    def test_bytes_to_mbps_round_trip(self):
-        rate = bytes_to_mbps(mbps_to_bytes(26.2, 10.0), 10.0)
-        assert rate == pytest.approx(26.2)
-
-    def test_bytes_to_mbps_rejects_zero_duration(self):
-        with pytest.raises(ConfigurationError):
-            bytes_to_mbps(100.0, 0.0)
-
-    def test_mbps_to_bytes_rejects_negative_duration(self):
-        with pytest.raises(ConfigurationError):
-            mbps_to_bytes(1.0, -1.0)
-
-    def test_records_per_second_matches_paper_estimate(self):
-        # 26.2 Mbps of 86-byte records is roughly 38 thousand records/second.
-        rate = records_per_second(26.2, 86)
-        assert rate == pytest.approx(38081, rel=0.01)
-
-    def test_records_per_second_rejects_bad_record_size(self):
-        with pytest.raises(ConfigurationError):
-            records_per_second(1.0, 0)
-
-    def test_convenience_constructors(self):
-        probe = make_probe_record(0.0, 1, 2, 10.0, err_code=1)
-        log = make_log_record(0.0, "hello")
-        assert isinstance(probe, PingmeshRecord)
-        assert probe.err_code == 1
-        assert isinstance(log, LogRecord)
-
     def test_base_record_defaults(self):
         record = Record(3.0)
         assert record.key() == ()
@@ -204,37 +172,33 @@ class TestBatchedPathErrorsAreProjectErrors:
 
     def test_missing_event_time_column(self):
         with pytest.raises(SimulationError):
-            RecordBatch(PingmeshRecord, {"rtt_us": [1.0]}, uniform_size_bytes=86)
+            RecordBatch(PingmeshRecord, {"rtt_us": np.ones(1)}, uniform_size_bytes=86)
 
     def test_ragged_columns(self):
         with pytest.raises(SimulationError):
             RecordBatch(
                 PingmeshRecord,
-                {"event_time": [0.0, 1.0], "rtt_us": [1.0]},
+                {"event_time": np.zeros(2), "rtt_us": np.ones(1)},
                 uniform_size_bytes=86,
             )
 
-    def test_missing_size_information(self):
-        with pytest.raises(SimulationError):
-            RecordBatch(PingmeshRecord, {"event_time": [0.0]})
-
-    def test_sizes_length_mismatch(self):
+    def test_columns_must_be_one_dimensional_arrays(self):
+        """A batch's columns are 1-D numpy arrays: a list, a tuple or a 2-D
+        array is refused."""
+        for column in ([0.0, 1.0], (0.0, 1.0), np.zeros((2, 1))):
+            with pytest.raises(SimulationError):
+                RecordBatch(
+                    PingmeshRecord, {"event_time": column}, uniform_size_bytes=86
+                )
         with pytest.raises(SimulationError):
             RecordBatch(
-                PingmeshRecord, {"event_time": [0.0]}, sizes=[86, 86]
+                PingmeshRecord,
+                {"event_time": np.zeros(2), "rtt_us": [1.0, 2.0]},
+                uniform_size_bytes=86,
             )
-
-    def test_from_records_empty(self):
-        with pytest.raises(SimulationError):
-            RecordBatch.from_records([])
-
-    def test_from_records_mixed_types(self):
-        records = [PingmeshRecord(0.0, 1, 2, 1.0), LogRecord(0.0, "x")]
-        with pytest.raises(SimulationError):
-            RecordBatch.from_records(records)
 
     def test_all_catchable_as_jarvis_error(self):
         with pytest.raises(JarvisError):
-            RecordBatch.from_records([])
+            RecordBatch(PingmeshRecord, {"event_time": [0.0]}, uniform_size_bytes=86)
         with pytest.raises(JarvisError):
-            bytes_to_mbps(1.0, 0.0)
+            IpToTorTable.dense(10, servers_per_tor=0)

@@ -481,8 +481,8 @@ class TestHistoricalBugClasses:
     def test_bare_valueerror_in_records_fires_sl007(self):
         source = (REPO_ROOT / "src/repro/query/records.py").read_text()
         reverted = source.replace(
-            'raise ConfigurationError(f"duration_s must be positive',
-            'raise ValueError(f"duration_s must be positive',
+            'raise ConfigurationError(\n                f"servers_per_tor must',
+            'raise ValueError(\n                f"servers_per_tor must',
         )
         assert reverted != source
         violations = lint_source(reverted, "src/repro/query/records.py")

@@ -470,7 +470,6 @@ _SANITIZING_CALLS = {
     "deepcopy",
     "list",
     "tuple",
-    "from_records",
     "asarray",
     "array",
     "materialize",
