@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple
 
 from ..config import ProxyThresholds
 from ..errors import ConfigurationError
 from ..query.records import half_up
 from .state import OperatorState
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -96,8 +94,8 @@ class ControlProxy:
 
     # -- routing -------------------------------------------------------------
 
-    def route(self, records: Sequence[T]) -> Tuple[Sequence[T], Sequence[T]]:
-        """Split ``records`` into (forwarded, drained) per the load factor.
+    def route(self, n: int) -> Tuple[int, int]:
+        """Split ``n`` incoming records into (forwarded, drained) counts.
 
         Routing is deterministic: the first ``floor(p * n + 0.5)`` records
         (stable half-up rounding) are forwarded and the rest drained.
@@ -108,23 +106,15 @@ class ControlProxy:
         records within an epoch are exchangeable for the queries considered,
         this does not bias results.
 
-        Accepts any sliceable container — record lists or the columnar
-        ``RecordBatch`` of the arena execution mode — and splits it with two
-        slices, never materializing individual elements.
+        The proxy decides counts only: the caller cuts its record container
+        at the forwarded count, and only where rows actually leave the stage.
         """
-        try:
-            n = len(records)
-        except TypeError:  # a bare iterable (e.g. a generator)
-            records = list(records)
-            n = len(records)
         n_forward = half_up(self._load_factor * n)
         n_forward = min(n, max(0, n_forward))
-        forwarded = records[:n_forward]
-        drained = records[n_forward:]
         self._incoming += n
         self._forwarded += n_forward
         self._drained += n - n_forward
-        return forwarded, drained
+        return n_forward, n - n_forward
 
     # -- observation ---------------------------------------------------------
 

@@ -96,7 +96,9 @@ class Operator:
     @property
     def masks_rows(self) -> bool:
         """Whether :meth:`row_mask` answers: ``process_batch`` only drops
-        rows, and a columnar test says which."""
+        rows, and a columnar test says which.  On the arena path such a
+        stage runs one pass over many sources' rows, on the data source and
+        on the stream processor alike."""
         return False
 
     def row_mask(self, batch: RecordBatch) -> np.ndarray:
@@ -104,8 +106,13 @@ class Operator:
 
         Defined when :attr:`masks_rows` holds, and then
         ``process_batch(batch)`` equals ``batch.compress(row_mask(batch))``.
-        The stream processor uses it to run one operator over many sources'
-        batches at once and still count each batch's survivors.
+        Both sides of the partitioned pipeline use it to run one operator
+        over many sources' rows at once and still count each source's
+        survivors: the source stepper over a block's arena rows, the stream
+        processor over a run of drained batches
+        (:func:`~repro.simulation.pipeline.mask_rows`).  The mask is a
+        function of each row alone, so it does not matter which rows share
+        the pass.
         """
         raise NotImplementedError(f"operator {self.name!r} has no row mask")
 

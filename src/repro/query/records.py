@@ -24,6 +24,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -292,8 +293,8 @@ class RecordBatch:
     A :class:`FleetArena` view and its unit-step slices also know the row
     of the arena buffers they start at (``_base_row``, None for any other
     batch): every column is ``buffer[_base_row : _base_row + len]`` of its
-    buffer, which lets :func:`coalesce_batches` join adjacent views without
-    copying.
+    buffer, which lets :func:`covering_view` cover several views with one
+    and :func:`coalesce_batches` join adjacent views without copying.
     """
 
     __slots__ = (
@@ -504,8 +505,12 @@ def coalesce_batches(batches: Sequence[RecordBatch]) -> RecordBatch:
     batches = [batch for batch in batches if batch._length] or list(batches[:1])
     if len(batches) == 1:
         return batches[0]
-    span = _span_view(batches)
-    return span if span is not None else _concatenated(batches)
+    members, span, parts = covering_view(batches)
+    if span is not None and len(members) == len(batches) and all(
+        stop == start for (_, stop), (start, _) in zip(parts, parts[1:])
+    ):
+        return span
+    return _concatenated(batches)
 
 
 def _concatenated(batches: Sequence[RecordBatch]) -> RecordBatch:
@@ -525,31 +530,49 @@ def _concatenated(batches: Sequence[RecordBatch]) -> RecordBatch:
     )
 
 
-def _span_view(batches: Sequence[RecordBatch]) -> Optional[RecordBatch]:
-    """``batches`` as one view when each starts at the arena row where the
-    previous one ended, over the same buffers; else None."""
-    first = batches[0]
-    start = first._base_row
-    if start is None:
-        return None
+def covering_view(
+    batches: Sequence[object],
+) -> Tuple[List[int], Optional[RecordBatch], List[Tuple[int, int]]]:
+    """The rows some of ``batches`` view in one set of buffers, as one view.
+
+    The members are the non-empty batches that view the same buffers as
+    the first such batch: arena views and their unit-step slices, which
+    know their start row.  Returns ``(members, span, parts)``: the members'
+    indexes in ``batches``, one view from the lowest member row to the end
+    of the highest, and each member's ``(start, stop)`` rows in that view.
+    Rows between the members are part of the span.  ``span`` is None when
+    no batch views a buffer.
+    """
+    members: List[int] = []
+    rows: List[Tuple[int, int]] = []
+    first: Optional[RecordBatch] = None
+    for index, batch in enumerate(batches):
+        if not isinstance(batch, RecordBatch) or not batch._length:
+            continue
+        base_row = batch._base_row
+        if base_row is None:
+            continue
+        if first is None:
+            first = batch
+        elif batch.columns["event_time"].base is not first.columns["event_time"].base:
+            continue
+        members.append(index)
+        rows.append((base_row, base_row + batch._length))
+    if first is None:
+        return members, None, rows
+    start = min(row for row, _ in rows)
+    stop = max(row for _, row in rows)
     bases: Dict[str, Any] = {
         name: column.base for name, column in first.columns.items()
     }
-    stop = start
-    for batch in batches:
-        if batch._base_row != stop or batch.columns.keys() != bases.keys():
-            return None
-        for name, column in batch.columns.items():
-            if column.base is not bases[name]:
-                return None
-        stop += batch._length
-    return RecordBatch._derived(
+    span = RecordBatch._derived(
         first.record_class,
         {name: base[start:stop] for name, base in bases.items()},
         stop - start,
         first.uniform_size_bytes,
         start,
     )
+    return members, span, [(low - start, high - start) for low, high in rows]
 
 
 class FleetArena:
@@ -573,9 +596,11 @@ class FleetArena:
     Because buffers are recycled every epoch, any view that survives the
     epoch boundary has to be detached before the next fill: :meth:`own`
     copies exactly the columns that alias the live buffers and returns other
-    batches unchanged.  Operator stage queues are owned right after their
-    source steps; executor queues (carryover, SP backlog) may hold views for
-    the rest of the block epoch, and the executor owns whatever is still
+    batches unchanged.  Columns derived from many sources' rows at once can
+    be held with the epoch's rows (:meth:`hold`), so :meth:`own` detaches
+    their views the same way.  Operator stage queues are owned right after
+    the block steps; executor queues (carryover, SP backlog) may hold views
+    for the rest of the block epoch, and the executor owns whatever is still
     queued when the epoch ends.  Between epochs no executor-held batch
     aliases an arena.
     """
@@ -584,7 +609,10 @@ class FleetArena:
         self._record_class: Optional[type] = None
         self._uniform_size_bytes = 0
         self._buffers: Dict[str, np.ndarray] = {}
-        self._buffer_ids: frozenset = frozenset()
+        #: Columns held with this epoch's rows (:meth:`hold`).
+        self._held: List[np.ndarray] = []
+        #: Ids of the buffers and the held columns: what :meth:`aliases` flags.
+        self._buffer_ids: Set[int] = set()
         self._capacity = 0
         self._cursor = 0
         #: Per-source row span of the current epoch: source_id -> (start, stop).
@@ -628,9 +656,31 @@ class FleetArena:
         return len(self._spans)
 
     def begin_epoch(self) -> None:
-        """Recycle the buffers for a new epoch (no allocation)."""
+        """Recycle the buffers for a new epoch (no allocation) and release
+        the columns held for the last one."""
         self._cursor = 0
         self._spans.clear()
+        if self._held:
+            self._held.clear()
+            self._index_buffers()
+
+    def hold(self, batch: "RecordBatch") -> None:
+        """Treat ``batch``'s columns as this epoch's rows until the next
+        :meth:`begin_epoch`.
+
+        For a batch derived from many sources' rows at once, such as the
+        survivors of one block-wide row mask: :meth:`aliases` then flags
+        its views, so :meth:`own` gives whatever outlives the epoch its own
+        rows instead of pinning the whole block's.  The arena keeps the
+        columns alive until then, so their ids stay unique.
+        """
+        for column in batch.columns.values():
+            self._held.append(column)
+            self._buffer_ids.add(id(column))
+
+    def _index_buffers(self) -> None:
+        self._buffer_ids = {id(buf) for buf in self._buffers.values()}
+        self._buffer_ids.update(id(column) for column in self._held)
 
     def _grow(self, needed: int) -> None:
         capacity = max(needed, self._capacity * 2, 1024)
@@ -640,7 +690,7 @@ class FleetArena:
             fresh[:cursor] = buffer[:cursor]
             self._buffers[name] = fresh
         self._capacity = capacity
-        self._buffer_ids = frozenset(id(buf) for buf in self._buffers.values())
+        self._index_buffers()
 
     def reserve(
         self,
@@ -706,7 +756,7 @@ class FleetArena:
                 for name, dtype in normalised.items()
             }
             self._capacity = capacity
-            self._buffer_ids = frozenset(id(buf) for buf in self._buffers.values())
+            self._index_buffers()
         self._accepted_dtypes = dict(dtypes)
         return True
 
@@ -748,7 +798,8 @@ class FleetArena:
         )
 
     def aliases(self, column: np.ndarray) -> bool:
-        """Whether ``column`` is a view of the arena's live buffers.
+        """Whether ``column`` is a view of the arena's live buffers or of a
+        column held this epoch (:meth:`hold`).
 
         numpy collapses view chains, so a slice-of-a-slice still reports the
         root buffer as its ``base``; fancy indexing, ``compress``, and

@@ -10,11 +10,14 @@ bugfix had to land three times.
 This module is now the single home of that machinery:
 
 * :class:`EpochEngine` owns *source stepping*: fetching an epoch's records
-  (object or columnar arena mode), tracking measured record sizes, running
-  each source's pipeline under its budget, accumulating the
-  record-conservation counters, and feeding the strategy its
+  (object or columnar arena mode), stepping every source's pipeline under
+  its own budget, tracking measured record sizes, accumulating the
+  record-conservation counters, and feeding each strategy its
   :class:`~repro.core.runtime.EpochObservation` feedback (including applying
-  the returned load factors).  It also provides the warmup/run-loop
+  the returned load factors).  The pipelines of one engine run one plan and
+  step together, stage by stage, so a row-masking operator runs one pass
+  over the whole block's arena rows, while every per-source number stays
+  that source's own.  The engine also provides the warmup/run-loop
   scaffolding (freshness guards and metric collectors).
 * :class:`EpochAccountant` owns the *accounting arithmetic*: goodput (offered
   input debited by the growth of every queue a record can park in), the
@@ -48,11 +51,16 @@ from ..core.runtime import EpochObservation
 from ..core.state import RuntimePhase, classify_query_state
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
-from ..query.records import FleetArena, Record, RecordBatch, record_size_bytes
+from ..query.records import FleetArena, Record, RecordBatch
 from .cost_model import CostModel
 from .metrics import ClusterMetrics, EpochMetrics, RunMetrics
 from .node import BudgetSchedule, as_budget_schedule
-from .pipeline import RecordContainer, SourceEpochResult, SourcePipeline
+from .pipeline import (
+    RecordContainer,
+    SourceEpochResult,
+    SourcePipeline,
+    run_block_epoch,
+)
 
 #: Supported record representations for the simulation hot path: one
 #: Python object per record (the reference), or the block-level columnar
@@ -189,6 +197,8 @@ class EpochEngine:
             FleetArena() if self.record_mode == "arena" else None
         )
         self._next_arena_id = 0
+        #: The operator chain every source runs (:meth:`_check_plan`).
+        self._chain: Optional[List[Tuple[type, str]]] = None
         self._sources: List[SourceState] = []
         self._by_name: Dict[str, SourceState] = {}
         self._epoch = 0
@@ -236,7 +246,9 @@ class EpochEngine:
         A plan that keeps operators on the stream processor only (rules R-1
         and R-2) is refused: the source pipeline runs just the offloadable
         prefix, and every executor takes its output as final, so the SP-only
-        operators would never run.
+        operators would never run.  So is a second plan: the engine steps
+        its sources stage by stage, so they all run one plan
+        (:meth:`_check_plan`).
         """
         remote_only = plan.remote_only_stages()
         if remote_only:
@@ -256,6 +268,7 @@ class EpochEngine:
             epoch_duration_s=self.epoch_duration_s,
             allow_congestion_relief=getattr(strategy, "supports_drain", True),
         )
+        self._check_plan(name, pipeline)
         initial = strategy.initial_load_factors(pipeline.num_stages)
         pipeline.set_load_factors(pad_load_factors(initial, pipeline.num_stages))
         state = state_factory(name, workload, strategy, budget, pipeline)
@@ -263,6 +276,26 @@ class EpochEngine:
         self._sources.append(state)
         self._by_name[name] = state
         return state
+
+    def _check_plan(self, name: str, pipeline: SourcePipeline) -> None:
+        """Refuse a source whose pipeline runs another plan than the engine's.
+
+        The block stepper runs every pipeline's stage ``k`` together, and a
+        row-masking stage applies one pipeline's mask to all of them, so
+        every source must run the same operator chain: the same operator
+        classes and names, stage by stage.  The first source fixes it.
+        """
+        chain: List[Tuple[type, str]] = [
+            (type(stage.operator), stage.operator.name) for stage in pipeline.stages
+        ]
+        if self._chain is None:
+            self._chain = chain
+        elif chain != self._chain:
+            raise SimulationError(
+                f"source {name!r} runs the operators "
+                f"{[op for _, op in chain]}, but this engine steps "
+                f"{[op for _, op in self._chain]}; an engine serves one plan"
+            )
 
     def _register_arena_source(self, state: SourceState) -> None:
         """Arena mode: give the source a row-owner id in the fleet arena."""
@@ -294,10 +327,12 @@ class EpochEngine:
         of epochs run) so the source's pipeline epoch clock and per-epoch
         metrics stay on one continuous timeline, and must run the same record
         mode so the source keeps consuming the representation its pipeline
-        state was built with.
+        state was built with.  A source of another plan is refused, as in
+        :meth:`add_source`.
         """
         if state.name in self._by_name:
             raise SimulationError(f"source {state.name!r} already registered")
+        self._check_plan(state.name, state.pipeline)
         self._register_arena_source(state)
         self._sources.append(state)
         self._by_name[state.name] = state
@@ -324,44 +359,62 @@ class EpochEngine:
 
         Each source runs one epoch of its own pipeline under its own CPU
         budget, driven by its own decentralized strategy instance (sources
-        never coordinate, Section IV-A); the conservation counters and
-        strategy feedback are applied before returning.
+        never coordinate, Section IV-A).  The pipelines step together, stage
+        by stage (:func:`~repro.simulation.pipeline.run_block_epoch`): a
+        row-masking stage runs one pass over every source's arena rows, and
+        every other operator runs per source.  Each source's numbers are
+        exactly those of its own pipeline epoch.  The conservation counters
+        and strategy feedback are applied, per source, before returning.
 
         Arena mode runs a fleet-wide fill phase first: every source's epoch
-        input lands in one block-level :class:`FleetArena`, and the per-source
-        step consumes a zero-copy view of the block arrays.
+        input lands in one block-level :class:`FleetArena`, and each
+        pipeline consumes a zero-copy view of the block arrays.
         """
         epoch = self._epoch
         self._epoch += 1
-        fetched = self._fill_arena(epoch) if self.arena is not None else None
+        sources = self._sources
+        if self.arena is not None:
+            inputs = self._fill_arena(epoch)
+        else:
+            inputs = [self.fetch_records(state.workload, epoch) for state in sources]
+        budgets = [state.budget.budget_at(epoch) for state in sources]
+        results = run_block_epoch(
+            [state.pipeline for state in sources],
+            inputs,
+            budgets,
+            [state.strategy.wants_profile() for state in sources],
+            self.arena,
+        )
+        if self.arena is not None:
+            for state in sources:
+                self._own_escaping(state)
         return [
-            self._step_source(
-                state, epoch, None if fetched is None else fetched[state.name]
-            )
-            for state in self._sources
+            self._finish_step(state, epoch, budget, src)
+            for state, budget, src in zip(sources, budgets, results)
         ]
 
-    def _fill_arena(self, epoch: int) -> Dict[str, RecordContainer]:
+    def _fill_arena(self, epoch: int) -> List[RecordContainer]:
         """Arena fill phase: stack every source's epoch input into the block.
 
+        Returns each source's input, in source order, for the block stepper.
         Workloads with a native ``fill_arena`` write their columns straight
         into reserved buffer slices (allocation-free); anything else is
         fetched normally and copied in when schema-compatible.  Views are
         built only after every source has reserved its rows, so buffer growth
-        can never leave an earlier source's view pointing at stale memory.
-        Sources whose input cannot live in the arena (empty epochs, record
-        objects, a schema the arena refuses) keep their fetched container
-        as-is.
+        can never leave an earlier source's view pointing at stale memory,
+        and consecutive sources' views are consecutive row spans, which the
+        stepper's row-mask pass covers in one view.  Sources whose input
+        cannot live in the arena (empty epochs, record objects, a schema the
+        arena refuses) keep their fetched container as-is and step alone at
+        every stage.
         """
         arena = self.arena
         arena.begin_epoch()
-        fetched: Dict[str, Optional[RecordContainer]] = {}
-        pending: List[SourceState] = []
+        fetched: List[Optional[RecordContainer]] = []
         for state in self._sources:
             fill = getattr(state.workload, "fill_arena", None)
             if fill is not None and fill(epoch, arena, state.arena_id):
-                fetched[state.name] = None
-                pending.append(state)
+                fetched.append(None)
                 continue
             records = self.fetch_records(state.workload, epoch)
             if (
@@ -369,12 +422,12 @@ class EpochEngine:
                 and len(records)
                 and arena.append_batch(state.arena_id, records)
             ):
-                fetched[state.name] = None
-                pending.append(state)
+                fetched.append(None)
             else:
-                fetched[state.name] = records
-        for state in pending:
-            fetched[state.name] = arena.view(state.arena_id)
+                fetched.append(records)
+        for index, state in enumerate(self._sources):
+            if fetched[index] is None:
+                fetched[index] = arena.view(state.arena_id)
         return fetched
 
     def _own_escaping(self, state: SourceState) -> None:
@@ -382,40 +435,32 @@ class EpochEngine:
 
         The arena recycles its buffers at the next fill, and stage queues
         outlive the epoch by construction, so each one owns its columns right
-        after the source steps.  The epoch result's drained and emitted
-        containers stay views: the executor consumes them within the block
-        epoch and owns whatever it still queues when the epoch ends
+        after the block steps; a queue cut from a block-wide row-mask pass's
+        survivors, which the arena holds for the epoch, owns just its rows.
+        The epoch result's drained and emitted containers stay views: the
+        executor consumes them within the block epoch and owns whatever it
+        still queues when the epoch ends
         (:meth:`~repro.simulation.multisource.MultiSourceExecutor._finish_epoch`).
         :meth:`FleetArena.own` copies only columns that actually alias the
-        live buffers, so batches that were filtered, concatenated, or
-        re-fetched stay untouched.
+        live buffers, so batches that were filtered per source, concatenated,
+        or re-fetched stay untouched.
         """
         arena = self.arena
         for stage in state.pipeline.stages:
             if isinstance(stage.queue, RecordBatch):
                 stage.queue = arena.own(stage.queue)
 
-    def _step_source(
+    def _finish_step(
         self,
         state: SourceState,
         epoch: int,
-        prefetched: Optional[RecordContainer] = None,
+        budget_fraction: float,
+        src: SourceEpochResult,
     ) -> SourceStepResult:
-        if prefetched is not None:
-            records = prefetched
-        else:
-            records = self.fetch_records(state.workload, epoch)
-        state.records_injected += len(records)
-        if records:
-            state.avg_record_bytes = max(
-                1.0, record_size_bytes(records) / len(records)
-            )
-        budget_fraction = state.budget.budget_at(epoch)
-        src = state.pipeline.run_epoch(
-            records, budget_fraction, profile=state.strategy.wants_profile()
-        )
-        if self.arena is not None:
-            self._own_escaping(state)
+        """Fold one source's epoch into its counters and strategy."""
+        state.records_injected += src.records_in
+        if src.records_in:
+            state.avg_record_bytes = max(1.0, src.input_bytes / src.records_in)
         for stage, count in enumerate(src.processed_per_stage):
             state.processed_per_stage[stage] += count
         for stage, count in enumerate(src.forwarded_per_stage):

@@ -133,10 +133,8 @@ class BuildingBlockExecutor:
         transmit = self.link.transmit_epoch()
 
         # Stream processor consumes whatever crossed the network this epoch.
-        sp = self.sp_pipeline.process_arrivals(
-            src.drained, src.partial_states, collect_outputs=False
-        )
-        self.sp_pipeline.advance_epoch(collect_outputs=False)
+        sp = self.sp_pipeline.process_arrivals(src.drained, src.partial_states)
+        self.sp_pipeline.advance_epoch()
         sp_cpu = min(
             sp.cpu_used_seconds,
             self.exec_config.sp_cores_share * epoch_s,

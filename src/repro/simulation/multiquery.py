@@ -290,7 +290,7 @@ class CoLocatedBlockExecutor:
         # Every query's SP ticks its epoch clock once, discarding the window
         # outputs nobody reads (as a standalone block does).
         for engine in engines:
-            engine.sp_pipeline.advance_epoch(collect_outputs=False)
+            engine.sp_pipeline.advance_epoch()
 
         # Phase 4: per-query metrics.  Each query's capacity view is its
         # *static entitlement* — the weighted slice of the link and its

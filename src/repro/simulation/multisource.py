@@ -7,7 +7,10 @@ instances concurrently per epoch:
 
 1. every source runs one epoch of its own pipeline under its own CPU budget,
    driven by its own decentralized strategy instance (each source runs its
-   own Jarvis runtime, §IV-A — sources never coordinate);
+   own Jarvis runtime, §IV-A — sources never coordinate).  The engine steps
+   the block's pipelines together, stage by stage, so in arena mode a
+   row-masking operator runs one pass over every source's rows; every
+   source still gets exactly its own pipeline's epoch;
 2. the bytes each source wants to ship (drained records, emitted results,
    partial aggregation state) enter a per-source FIFO carryover queue, and
    one epoch's worth of the shared link's capacity is divided among the
@@ -394,7 +397,7 @@ class MultiSourceExecutor:
         # Phase 3c: tick the SP's epoch clock exactly once.  Final window
         # outputs are not consumed by the scale executors, so the boundary
         # discards them instead of materializing one row per group.
-        self.sp_pipeline.advance_epoch(collect_outputs=False)
+        self.sp_pipeline.advance_epoch()
         return self._finish_epoch(
             offered_bytes=offered_bytes_total,
             shipped_bytes=shipped_bytes,
@@ -847,7 +850,6 @@ class MultiSourceExecutor:
                 self.sp_pipeline.process_arrivals(
                     drained=[],
                     partial_states={item.state_stage: item.state},
-                    collect_outputs=False,
                 )
 
     def _drain_sp_pending(self, compute_budget_s: float) -> Dict[str, float]:
@@ -884,7 +886,6 @@ class MultiSourceExecutor:
                     drained.append((item.stage_index, item.records))
             batch_cpu = self.sp_pipeline.process_arrivals(
                 drained=drained,
-                collect_outputs=False,
                 compute_budget_s=compute_budget_s,
                 cpu_used_s=cpu_used,
             ).batch_cpu_seconds

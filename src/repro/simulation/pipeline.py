@@ -9,6 +9,14 @@ The data-source pipeline (Figure 5, left) is a chain of
    tolerance) to the stream processor,
 4. emits partial aggregate state at window boundaries.
 
+Routing, the budget, relief and backpressure are decided on record counts,
+and a record container is sliced only where rows leave a stage.  An epoch
+is a sequence of per-stage steps, so :func:`run_block_epoch` can move a
+whole building block's pipelines through it stage by stage: a row-masking
+operator then runs once over every source's arena rows (:func:`mask_rows`),
+while each source keeps its own queues, budget and numbers.
+:meth:`SourcePipeline.run_epoch` is the one-source form.
+
 The stream-processor pipeline (Figure 5, right) replicates the full operator
 chain, processes drained records from whichever stage they were drained at,
 merges the partial aggregation state shipped by the data source, and emits the
@@ -33,9 +41,11 @@ from ..core.control_proxy import ControlProxy, ProxyObservation
 from ..errors import SimulationError
 from ..query.operators import Operator
 from ..query.records import (
+    FleetArena,
     Record,
     RecordBatch,
     coalesce_batches,
+    covering_view,
     half_up,
     record_size_bytes,
 )
@@ -138,6 +148,18 @@ class SourceEpochResult:
         return sum(self.pending_per_stage)
 
 
+@dataclass
+class _SourceEpoch:
+    """One pipeline's epoch in flight, between its open and close steps."""
+
+    result: SourceEpochResult
+    profile: bool
+    #: What arrives at the next stage: the epoch's input, then each stage's
+    #: operator output.
+    current: RecordContainer
+    used_seconds: float = 0.0
+
+
 class SourcePipeline:
     """The query pipeline deployed on a single data source node."""
 
@@ -220,6 +242,9 @@ class SourcePipeline:
     ) -> SourceEpochResult:
         """Execute one epoch and return what happened.
 
+        The one-source form of :func:`run_block_epoch`, which an engine
+        uses to step all of its sources together.
+
         Args:
             records: Records arriving at the query during this epoch — a
                 record list (object mode) or a :class:`RecordBatch` (arena
@@ -232,21 +257,25 @@ class SourcePipeline:
                 allows, and per-operator cost / relay-ratio measurements are
                 returned alongside the normal results.
         """
+        (result,) = run_block_epoch([self], [records], [cpu_budget_fraction], [profile])
+        return result
+
+    def _begin_epoch(
+        self, records: RecordContainer, cpu_budget_fraction: float, profile: bool
+    ) -> _SourceEpoch:
+        """Open an epoch: its result, and the old plan's backlog drained."""
         if cpu_budget_fraction < 0:
             raise SimulationError(
                 f"cpu_budget_fraction must be >= 0, got {cpu_budget_fraction!r}"
             )
         epoch = self._epoch_index
         self._epoch_index += 1
-        budget_seconds = cpu_budget_fraction * self.epoch_duration_s
-        used_seconds = 0.0
-
         result = SourceEpochResult(
             epoch=epoch,
             records_in=len(records),
             input_bytes=float(record_size_bytes(records)),
             cpu_used_seconds=0.0,
-            cpu_budget_seconds=budget_seconds,
+            cpu_budget_seconds=cpu_budget_fraction * self.epoch_duration_s,
         )
         if profile:
             result.measured_costs = []
@@ -265,139 +294,185 @@ class SourcePipeline:
                     result.queue_drained_per_stage[index] += len(stage.queue)
                     stage.queue = []
 
-        current: RecordContainer = (
-            records if isinstance(records, RecordBatch) else list(records)
+        current = records if isinstance(records, RecordBatch) else list(records)
+        return _SourceEpoch(result, profile, current)
+
+    def _admit(self, run: _SourceEpoch, index: int) -> RecordContainer:
+        """Stage ``index``'s counts for this epoch; returns its operator input.
+
+        Routing, the CPU budget, congestion relief and backpressure
+        (:meth:`_keep_pending`) are all decided on counts.  The stage's
+        queue is its old queue followed by the forwarded records, and rows
+        are cut from it by position, so a container is sliced only where
+        rows leave the stage: a drained batch, the operator's input, or a
+        non-empty queue remainder.
+        """
+        stage = self.stages[index]
+        result = run.result
+        current = run.current
+        incoming = len(current)
+        cost = self.cost_model.cost_per_record(stage.operator)
+        available = max(0.0, result.cpu_budget_seconds - run.used_seconds)
+        if run.profile:
+            # Profiling ignores load factors: each operator is measured on
+            # as many records as the remaining budget allows ("executing an
+            # operator at a time"); the rest drains immediately so the
+            # profiling epoch does not build up artificial backlog.
+            forwarded = incoming if cost <= 1e-15 else min(incoming, int(available / cost))
+            result.measured_costs.append(cost)
+        else:
+            forwarded, _ = stage.proxy.route(incoming)
+        if forwarded < incoming:
+            result.drained.append((index, current[forwarded:]))
+        result.forwarded_per_stage.append(forwarded)
+
+        queue = stage.queue
+        total = len(queue) + forwarded
+        processed = total if cost <= 1e-15 else min(total, int(available / cost))
+        run.used_seconds += processed * cost
+        to_process = _rows(queue, current, 0, processed)
+        pending = total - processed
+        if pending:
+            self._keep_pending(run, index, queue, processed, total)
+        else:
+            stage.queue = []
+
+        result.processed_per_stage.append(processed)
+        result.pending_per_stage.append(len(stage.queue))
+        stage.proxy.record_processing(
+            processed=processed,
+            pending=pending,
+            idle_fraction=0.0,  # assigned after the whole pipeline ran
         )
-        congestion_floor_cache: List[int] = []
+        return to_process
 
-        for index, stage in enumerate(self.stages):
-            proxy = stage.proxy
-            if profile:
-                # Profiling ignores load factors: each operator is measured on
-                # as many records as the remaining budget allows ("executing an
-                # operator at a time"); the rest drains immediately so the
-                # profiling epoch does not build up artificial backlog.
-                cost_estimate = self.cost_model.cost_per_record(stage.operator)
-                available_now = max(0.0, budget_seconds - used_seconds)
-                if cost_estimate <= 1e-15:
-                    cap = len(current)
-                else:
-                    cap = min(len(current), int(available_now / cost_estimate))
-                forwarded, drained = current[:cap], current[cap:]
-                proxy.route([])  # keep the proxy's epoch counters consistent
-            else:
-                forwarded, drained = proxy.route(current)
-            if drained:
-                result.drained.append((index, drained))
-            result.forwarded_per_stage.append(len(forwarded))
+    def _keep_pending(
+        self,
+        run: _SourceEpoch,
+        index: int,
+        queue: RecordContainer,
+        processed: int,
+        total: int,
+    ) -> None:
+        """Queue what stage ``index`` left unprocessed.
 
-            queue = stage.queue + forwarded
-            cost_per_record = self.cost_model.cost_per_record(stage.operator)
-            available = max(0.0, budget_seconds - used_seconds)
-            if cost_per_record <= 1e-15:
-                n_process = len(queue)
-            else:
-                n_process = min(len(queue), int(math.floor(available / cost_per_record)))
-            to_process = queue[:n_process]
-            stage.queue = queue[n_process:]
-            step_cost = n_process * cost_per_record
-            used_seconds += step_cost
-
-            in_bytes = float(record_size_bytes(to_process))
-            stage.window_input_bytes += in_bytes
-            output = process_records(stage.operator, to_process) if to_process else []
-            out_bytes = float(record_size_bytes(output))
-
-            if profile:
-                measured_cost = cost_per_record
-                measured_relay = self._relay_estimate(stage, in_bytes, out_bytes)
-                result.measured_costs.append(measured_cost)
-                result.measured_relays.append(measured_relay)
-            elif not stage.operator.stateful and n_process > 0 and in_bytes > 0:
-                # Clamp exactly as the profiling path (`_relay_estimate`) and
-                # the window-flush measurement do: relay ratios feed the LP
-                # planner as reduction fractions, so an expanding operator is
-                # reported as 1.0 on every measurement path rather than giving
-                # the planner two different answers.
-                stage.measured_relay = min(1.0, out_bytes / in_bytes)
-
-            pending_before_relief = len(stage.queue)
-            congestion_floor = self._congestion_floor(len(current))
-            congestion_floor_cache.append(congestion_floor)
-            if self.allow_congestion_relief and pending_before_relief > congestion_floor:
-                # Congestion relief: the proxy may drain up to ``DrainedThres``
-                # of an epoch's records from its pending queue (Section IV-C),
-                # which absorbs transient overload without silently converting
-                # a congested plan into a different partitioning.  The proxy
-                # still reports the pre-relief pending count so congestion is
-                # detected and adaptation triggers.
-                relief_cap = int(
-                    math.ceil(self.thresholds.drained_thres * max(1, len(records)))
+        The stage's rows are ``queue`` followed by this epoch's forwarded
+        records, ``total`` of them, of which the first ``processed`` ran;
+        the rest stay queued, less congestion relief and backpressure.
+        """
+        stage = self.stages[index]
+        result = run.result
+        current = run.current
+        thresholds = self.thresholds
+        pending = total - processed
+        incoming = len(current)
+        congestion_floor = max(
+            thresholds.congestion_pending_records,
+            int(math.ceil(thresholds.drained_thres * max(1, incoming))),
+        )
+        relief_start = relief_stop = total
+        if self.allow_congestion_relief and pending > congestion_floor:
+            # Congestion relief: the proxy may drain up to ``DrainedThres``
+            # of an epoch's records from its pending queue (Section IV-C),
+            # which absorbs transient overload without silently converting
+            # a congested plan into a different partitioning.  The proxy
+            # still reports the pre-relief pending count so congestion is
+            # detected and adaptation triggers.  The drained window sits
+            # just past the congestion floor; the rows before and after it
+            # stay queued, so nothing is both drained and retained.
+            relief_start = processed + congestion_floor
+            relief_cap = int(
+                math.ceil(thresholds.drained_thres * max(1, result.records_in))
+            )
+            relief_stop = min(total, relief_start + relief_cap)
+            if relief_stop > relief_start:
+                result.drained.append(
+                    (index, _rows(queue, current, relief_start, relief_stop))
                 )
-                overflow = stage.queue[congestion_floor : congestion_floor + relief_cap]
-                if overflow:
-                    # Remove exactly the drained slice: keeping the records up
-                    # to the congestion floor plus everything beyond the relief
-                    # window preserves record conservation (nothing is both
-                    # drained and retained, and nothing else is dropped).
-                    stage.queue = (
-                        stage.queue[:congestion_floor]
-                        + stage.queue[congestion_floor + relief_cap :]
-                    )
-                    result.drained.append((index, overflow))
-                    result.queue_drained_per_stage[index] += len(overflow)
+                result.queue_drained_per_stage[index] += relief_stop - relief_start
+            else:
+                relief_start = relief_stop = total
 
-            # Connection backpressure: each queue holds at most a configurable
-            # number of epochs' worth of records; beyond that, newly forwarded
-            # records are not admitted and do not count towards throughput.
-            queue_capacity = max(
-                1,
-                int(math.ceil(self.thresholds.queue_capacity_epochs * max(1, len(records)))),
+        # Connection backpressure: each queue holds at most a configurable
+        # number of epochs' worth of records; beyond that, newly forwarded
+        # records are not admitted and do not count towards throughput.
+        # Only this epoch's records, the queue's tail, can be turned away:
+        # records admitted in earlier epochs stay queued.
+        head = relief_start - processed
+        tail = total - relief_stop
+        capacity = max(
+            1,
+            int(math.ceil(thresholds.queue_capacity_epochs * max(1, result.records_in))),
+        )
+        if head + tail > capacity:
+            queued = len(queue)
+            fresh = max(0, relief_start - max(processed, queued)) + max(
+                0, total - max(relief_stop, queued)
             )
-            if len(stage.queue) > queue_capacity:
-                rejected = len(stage.queue) - queue_capacity
-                result.rejected_records += rejected
-                result.rejected_per_stage[index] += rejected
-                stage.queue = stage.queue[:queue_capacity]
-
-            result.processed_per_stage.append(n_process)
-            result.pending_per_stage.append(len(stage.queue))
-            proxy.record_processing(
-                processed=n_process,
-                pending=pending_before_relief,
-                idle_fraction=0.0,  # assigned after the whole pipeline ran
+            rejected = min(head + tail - capacity, fresh)
+            result.rejected_records += rejected
+            result.rejected_per_stage[index] += rejected
+            from_tail = min(tail, rejected)
+            tail -= from_tail
+            head -= rejected - from_tail
+        stage.queue = _rows(queue, current, processed, processed + head)
+        if tail:
+            stage.queue = _joined(
+                [stage.queue, _rows(queue, current, relief_stop, relief_stop + tail)]
             )
-            current = output
 
+    def _settle(
+        self,
+        run: _SourceEpoch,
+        index: int,
+        to_process: RecordContainer,
+        output: RecordContainer,
+    ) -> None:
+        """Account stage ``index``'s operator output; it feeds the next stage."""
+        stage = self.stages[index]
+        in_bytes = float(record_size_bytes(to_process))
+        stage.window_input_bytes += in_bytes
+        out_bytes = float(record_size_bytes(output))
+        if run.profile:
+            run.result.measured_relays.append(
+                self._relay_estimate(stage, in_bytes, out_bytes)
+            )
+        elif not stage.operator.stateful and to_process and in_bytes > 0:
+            # Clamp exactly as the profiling path (`_relay_estimate`) and
+            # the window-flush measurement do: relay ratios feed the LP
+            # planner as reduction fractions, so an expanding operator is
+            # reported as 1.0 on every measurement path rather than giving
+            # the planner two different answers.
+            stage.measured_relay = min(1.0, out_bytes / in_bytes)
+        run.current = output
+
+    def _finish_epoch(self, run: _SourceEpoch) -> SourceEpochResult:
+        """Close the epoch: emitted records, window flush, idle accounting."""
+        result = run.result
         # Records emitted by the final stage during the epoch (stateless tail).
-        if current:
-            result.emitted = result.emitted + current
+        if run.current:
+            result.emitted = run.current
 
         # Window boundary: flush stateful operators and ship partial state.
-        if (epoch + 1) % self.epochs_per_window == 0:
+        if (result.epoch + 1) % self.epochs_per_window == 0:
             self._flush_windows(result)
 
         # Idle accounting: the pipeline is idle for whatever budget is unused.
         # Only the idle fraction is reported here; the pending count recorded
         # during processing must keep reflecting the pre-relief backlog.
+        budget_seconds = result.cpu_budget_seconds
         idle_fraction = 0.0
         if budget_seconds > 0:
-            idle_fraction = max(0.0, (budget_seconds - used_seconds) / budget_seconds)
+            idle_fraction = max(0.0, (budget_seconds - run.used_seconds) / budget_seconds)
         for stage in self.stages:
             stage_idle = idle_fraction if not stage.queue else 0.0
             stage.proxy.record_idle(stage_idle)
 
-        result.cpu_used_seconds = used_seconds
+        result.cpu_used_seconds = run.used_seconds
         result.observations = [stage.proxy.observe() for stage in self.stages]
         return result
 
     # -- helpers ------------------------------------------------------------------
-
-    def _congestion_floor(self, incoming: int) -> int:
-        return max(
-            self.thresholds.congestion_pending_records,
-            int(math.ceil(self.thresholds.drained_thres * max(1, incoming))),
-        )
 
     def _relay_estimate(
         self, stage: _SourceStage, in_bytes: float, out_bytes: float
@@ -465,6 +540,137 @@ class SourcePipeline:
         self._epoch_index = 0
 
 
+def run_block_epoch(
+    pipelines: Sequence[SourcePipeline],
+    records: Sequence[RecordContainer],
+    cpu_budget_fractions: Sequence[float],
+    profiles: Sequence[bool],
+    arena: Optional[FleetArena] = None,
+) -> List[SourceEpochResult]:
+    """Step pipelines of one plan through one epoch together, stage by stage.
+
+    Every pipeline opens its epoch; then, stage by stage, every pipeline
+    decides its counts (:meth:`SourcePipeline._admit`), the stage's
+    operators run over all of their inputs (:func:`_run_stage`), and every
+    pipeline accounts its output; then every pipeline closes its epoch.
+    Pipelines share no state, so each result is what the pipeline's own
+    :meth:`SourcePipeline.run_epoch` returns.  Stepping together lets a
+    row-masking stage run one pass over every input that views the same
+    buffers.  With ``arena``, that pass's survivors are held with the
+    arena's epoch rows (:meth:`FleetArena.hold`), so their owner detaches
+    whatever outlives the epoch exactly as it detaches arena views.
+
+    The pipelines must run one plan, the same operator chain stage by
+    stage: a masking stage applies the first pipeline's row mask to all.
+    """
+    runs = [
+        pipeline._begin_epoch(batch, fraction, profile)
+        for pipeline, batch, fraction, profile in zip(
+            pipelines, records, cpu_budget_fractions, profiles
+        )
+    ]
+    for index in range(pipelines[0].num_stages if pipelines else 0):
+        inputs = [pipeline._admit(run, index) for pipeline, run in zip(pipelines, runs)]
+        outputs = _run_stage(
+            [pipeline.stages[index].operator for pipeline in pipelines], inputs, arena
+        )
+        for pipeline, run, to_process, output in zip(pipelines, runs, inputs, outputs):
+            pipeline._settle(run, index, to_process, output)
+    return [pipeline._finish_epoch(run) for pipeline, run in zip(pipelines, runs)]
+
+
+def _run_stage(
+    operators: Sequence[Operator],
+    inputs: Sequence[RecordContainer],
+    arena: Optional[FleetArena],
+) -> List[RecordContainer]:
+    """Run one stage's operators, one per pipeline, over their inputs.
+
+    At a row-masking stage (:attr:`Operator.masks_rows`), the inputs that
+    view the same buffers (:func:`covering_view`) share one
+    :func:`mask_rows` pass over the rows they cover.  An input that keeps
+    all of its rows passes through uncopied, and any other gets a view of
+    its survivors.  Every other input runs through its own operator.
+    """
+    outputs: List[Optional[RecordContainer]] = [None] * len(inputs)
+    if operators and operators[0].masks_rows:
+        members, span, parts = covering_view(inputs)
+        if span is not None:
+            survivors, counts = mask_rows(operators[0], span, parts)
+            if survivors is not span and arena is not None:
+                arena.hold(survivors)
+            start = 0
+            for member, count in zip(members, counts):
+                batch = inputs[member]
+                outputs[member] = (
+                    batch if count == len(batch) else survivors[start : start + count]
+                )
+                start += count
+    results: List[RecordContainer] = []
+    for operator, records, output in zip(operators, inputs, outputs):
+        if output is None:
+            output = process_records(operator, records) if records else []
+        results.append(output)
+    return results
+
+
+def mask_rows(
+    operator: Operator, batch: RecordBatch, parts: Sequence[Tuple[int, int]]
+) -> Tuple[RecordBatch, List[int]]:
+    """One pass of a row-masking operator over parts of ``batch``.
+
+    ``parts`` are disjoint ``(start, stop)`` row ranges.  Returns the
+    parts' surviving rows, part after part, and each part's survivor
+    count; when every row of ``batch`` survives, the rows are ``batch``
+    itself.  One ``row_mask``, one ``searchsorted`` and one ``take`` serve
+    any number of parts, and rows between them are never copied.  That is
+    how the source stepper (:func:`_run_stage`) and the stream processor
+    (:meth:`StreamProcessorPipeline._fold_run`) run one operator over many
+    sources' rows and still count each source's survivors.
+    """
+    mask = operator.row_mask(batch)
+    if mask.all():  # e.g. the Window
+        return batch, [stop - start for start, stop in parts]
+    kept = np.flatnonzero(mask)
+    cuts = np.searchsorted(kept, [row for part in parts for row in part]).tolist()
+    lows, highs = cuts[::2], cuts[1::2]
+    if lows[0] > 0 or highs[-1] < len(kept) or lows[1:] != highs[:-1]:
+        kept = np.concatenate([kept[low:high] for low, high in zip(lows, highs)])
+    return batch.take(kept), [high - low for low, high in zip(lows, highs)]
+
+
+def _rows(
+    queue: RecordContainer, fresh: RecordContainer, start: int, stop: int
+) -> RecordContainer:
+    """Rows ``[start, stop)`` of ``queue`` followed by ``fresh``.
+
+    Only the rows asked for are sliced, and a whole container is returned
+    as it is; rows from both are joined.
+    """
+    queued = len(queue)
+    if start >= queued:
+        start -= queued
+        stop -= queued
+        queue = fresh
+    elif stop > queued:
+        return _joined([queue[start:], fresh[: stop - queued]])
+    if start >= stop:
+        return []
+    if start == 0 and stop == len(queue):
+        return queue
+    return queue[start:stop]
+
+
+def _joined(pieces: List[RecordContainer]) -> RecordContainer:
+    """Non-empty ``pieces`` as one container, in order."""
+    if all(isinstance(piece, RecordBatch) for piece in pieces):
+        return coalesce_batches(pieces)
+    joined = pieces[0]
+    for piece in pieces[1:]:
+        joined = joined + piece
+    return joined
+
+
 class SPArrivals(NamedTuple):
     """What one :meth:`StreamProcessorPipeline.process_arrivals` call did."""
 
@@ -502,7 +708,7 @@ class StreamProcessorPipeline:
         self,
         drained: Sequence[Tuple[int, RecordContainer]],
         partial_states: Optional[Dict[int, object]] = None,
-        collect_outputs: bool = True,
+        collect_outputs: bool = False,
         compute_budget_s: Optional[float] = None,
         cpu_used_s: float = 0.0,
     ) -> SPArrivals:
@@ -527,11 +733,11 @@ class StreamProcessorPipeline:
         (:meth:`_fold_run`); any other FIFO runs batch by batch.  Both give
         the same results.
 
-        Returns an :class:`SPArrivals`; outputs are materialized record
-        objects, even for columnar arrivals.  Callers that discard the output
-        stream (the scale executors) pass ``collect_outputs=False`` so
-        columnar arrivals are never materialized just to be thrown away —
-        processing and state effects are identical either way.
+        Returns an :class:`SPArrivals`.  With ``collect_outputs``, its
+        outputs are materialized record objects, even for columnar arrivals.
+        By default nothing is materialized: the executors never read the
+        output stream, and processing and state effects are identical
+        either way.
         """
         outputs: List[Record] = []
         sink = outputs if collect_outputs else None
@@ -625,13 +831,12 @@ class StreamProcessorPipeline:
 
         The batches coalesce into one (:func:`coalesce_batches`, a view of
         the arena when they are adjacent in it).  Each row filter runs once
-        over it, and one search of the kept rows for the batch offsets
-        splits the survivors by batch.  The per-batch counts give each batch
-        its exact CPU, summed in the per-batch order, and the budget walk
-        picks how many batches are processed.  The last operator then folds
-        the survivors of exactly those batches, in FIFO order, in one call.
-        Rows of the batches left unprocessed only went through row masks,
-        which change no state.
+        over it (:func:`mask_rows`), which counts each batch's survivors.
+        The per-batch counts give each batch its exact CPU, summed in the
+        per-batch order, and the budget walk picks how many batches are
+        processed.  The last operator then folds the survivors of exactly
+        those batches, in FIFO order, in one call.  Rows of the batches left
+        unprocessed only went through row masks, which change no state.
         """
         stage_index = drained[0][0]
         operators = self.operators[stage_index:]
@@ -639,18 +844,11 @@ class StreamProcessorPipeline:
         batches = [records for _, records in drained]
         current = coalesce_batches(batches)
         counts = [[len(batch) for batch in batches]]
-        # Row offsets of each batch in ``current``.
-        bounds = list(accumulate(counts[0], initial=0))
         for operator in operators[:-1]:
-            mask = operator.row_mask(current)
-            if np.count_nonzero(mask) == len(current):  # e.g. the Window
-                counts.append(counts[-1])
-                continue
-            kept = np.flatnonzero(mask)
-            # Survivors before each old offset: the new offsets.
-            bounds = np.searchsorted(kept, bounds).tolist()
-            current = current.take(kept)
-            counts.append([stop - start for start, stop in zip(bounds, bounds[1:])])
+            # Each batch's rows in ``current``.
+            offsets = list(accumulate(counts[-1], initial=0))
+            current, kept = mask_rows(operator, current, list(zip(offsets, offsets[1:])))
+            counts.append(kept)
 
         cpu_used = 0.0
         records_processed = 0
@@ -669,7 +867,7 @@ class StreamProcessorPipeline:
             cpu_used += cpu
             cpu_used_s += cpu
 
-        survivors = current[: bounds[len(batch_cpu)]]
+        survivors = current[: sum(counts[-1][: len(batch_cpu)])]
         if survivors:
             output = process_records(operators[-1], survivors)
             if output and outputs is not None:
@@ -678,13 +876,13 @@ class StreamProcessorPipeline:
                 )
         return records_processed, cpu_used, batch_cpu
 
-    def advance_epoch(self, collect_outputs: bool = True) -> List[Record]:
+    def advance_epoch(self, collect_outputs: bool = False) -> List[Record]:
         """Close the current epoch; flush operators at window boundaries.
 
-        ``collect_outputs=False`` discards the window's final rows instead of
-        materializing them — the multi-source executors never read them, and
-        building hundreds of thousands of output records per window dominated
-        flush cost at scale.
+        By default the window's final rows are discarded, not materialized:
+        the executors never read them, and building hundreds of thousands
+        of output records per window dominated flush cost at scale.
+        ``collect_outputs=True`` returns them.
         """
         epoch = self._epoch_index
         self._epoch_index += 1

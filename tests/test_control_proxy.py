@@ -34,32 +34,25 @@ class TestLoadFactor:
 class TestRouting:
     def test_full_forwarding(self):
         proxy = ControlProxy("op", load_factor=1.0)
-        forwarded, drained = proxy.route(list(range(10)))
-        assert forwarded == list(range(10))
-        assert drained == []
+        assert proxy.route(10) == (10, 0)
 
     def test_full_draining(self):
         proxy = ControlProxy("op", load_factor=0.0)
-        forwarded, drained = proxy.route(list(range(10)))
-        assert forwarded == []
-        assert len(drained) == 10
+        assert proxy.route(10) == (0, 10)
 
     def test_fractional_split_is_deterministic(self):
         proxy = ControlProxy("op", load_factor=0.3)
-        forwarded, drained = proxy.route(list(range(10)))
-        assert len(forwarded) == 3
-        assert len(drained) == 7
-        assert forwarded == [0, 1, 2]
+        assert proxy.route(10) == (3, 7)
+        assert proxy.route(10) == (3, 7)
 
     def test_split_conserves_records(self):
         proxy = ControlProxy("op", load_factor=0.61)
-        records = list(range(97))
-        forwarded, drained = proxy.route(records)
-        assert sorted(forwarded + drained) == records
+        forwarded, drained = proxy.route(97)
+        assert forwarded + drained == 97
 
     def test_empty_input(self):
         proxy = ControlProxy("op", load_factor=0.5)
-        assert proxy.route([]) == ([], [])
+        assert proxy.route(0) == (0, 0)
 
     def test_halfway_rounds_half_up(self):
         """Regression: round() rounds half to even, so p=0.5 forwarded 0 of
@@ -67,31 +60,14 @@ class TestRouting:
         (floor(p*n + 0.5)) must forward ceil(n/2) at every odd n."""
         proxy = ControlProxy("op", load_factor=0.5)
         for n, expected in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (7, 4)):
-            forwarded, drained = proxy.route(list(range(n)))
-            assert len(forwarded) == expected, n
-            assert len(forwarded) + len(drained) == n
-
-    def test_halfway_rounds_half_up_for_batches(self):
-        """The same half-way cases through the columnar batched container."""
-        import numpy as np
-
-        from repro.query.records import Record, RecordBatch
-
-        proxy = ControlProxy("op", load_factor=0.5)
-        for n, expected in ((1, 1), (3, 2), (5, 3)):
-            batch = RecordBatch(
-                Record,
-                {"event_time": np.arange(n, dtype=float)},
-                uniform_size_bytes=86,
-            )
-            forwarded, drained = proxy.route(batch)
-            assert len(forwarded) == expected, n
-            assert len(forwarded) + len(drained) == n
+            forwarded, drained = proxy.route(n)
+            assert forwarded == expected, n
+            assert forwarded + drained == n
 
     def test_halfway_split_is_monotone_in_n(self):
         """Half-up keeps the forwarded count non-decreasing as n grows."""
         proxy = ControlProxy("op", load_factor=0.5)
-        counts = [len(proxy.route(list(range(n)))[0]) for n in range(1, 20)]
+        counts = [proxy.route(n)[0] for n in range(1, 20)]
         assert counts == sorted(counts)
 
 
@@ -103,44 +79,44 @@ class TestStateDetection:
 
     def test_congested_when_pending_exceeds_floor(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=1.0)
-        proxy.route(list(range(100)))
+        proxy.route(100)
         proxy.record_processing(processed=80, pending=20, idle_fraction=0.0)
         assert proxy.observe().state is OperatorState.CONGESTED
 
     def test_small_backlog_tolerated_as_stable(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=1.0)
-        proxy.route(list(range(100)))
+        proxy.route(100)
         proxy.record_processing(processed=97, pending=3, idle_fraction=0.0)
         assert proxy.observe().state is OperatorState.STABLE
 
     def test_idle_when_queue_empty_and_operator_mostly_idle(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(list(range(100)))
+        proxy.route(100)
         proxy.record_processing(processed=50, pending=0, idle_fraction=0.8)
         assert proxy.observe().state is OperatorState.IDLE
 
     def test_not_idle_below_idle_threshold(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(list(range(100)))
+        proxy.route(100)
         proxy.record_processing(processed=50, pending=0, idle_fraction=0.05)
         assert proxy.observe().state is OperatorState.STABLE
 
     def test_pending_records_prevent_idle(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(list(range(100)))
+        proxy.route(100)
         proxy.record_processing(processed=50, pending=2, idle_fraction=0.9)
         assert proxy.observe().state is OperatorState.STABLE
 
     def test_record_idle_does_not_touch_pending(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=1.0)
-        proxy.route(list(range(100)))
+        proxy.route(100)
         proxy.record_processing(processed=50, pending=50, idle_fraction=0.0)
         proxy.record_idle(0.9)
         assert proxy.observe().state is OperatorState.CONGESTED
 
     def test_observation_counters(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(list(range(10)))
+        proxy.route(10)
         proxy.record_processing(processed=5, pending=0, idle_fraction=0.5)
         obs = proxy.observe()
         assert obs.incoming_records == 10
@@ -150,7 +126,7 @@ class TestStateDetection:
 
     def test_counters_reset_between_epochs(self):
         proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(list(range(10)))
+        proxy.route(10)
         proxy.record_processing(5, 0, 0.5)
         proxy.observe()
         obs = proxy.observe()

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import make_setup, run_single_source
-from repro.baselines import JarvisStrategy
 from repro.core.state import QueryState, RuntimePhase
 from repro.query.builder import s2s_probe_query
 from repro.simulation.node import BudgetSchedule
 from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload, s2s_cost_model
-from repro.workloads.traces import record_trace, replay_trace
+from repro.workloads.traces import record_trace
 
 
 class TestExactnessOfDataLevelPartitioning:
@@ -40,9 +39,11 @@ class TestExactnessOfDataLevelPartitioning:
             result = source.run_epoch(trace.epochs[epoch], cpu_budget_fraction=4.0)
             rows.extend(result.emitted)
             rows.extend(
-                sp.process_arrivals(result.drained, result.partial_states).outputs
+                sp.process_arrivals(
+                    result.drained, result.partial_states, collect_outputs=True
+                ).outputs
             )
-            rows.extend(sp.advance_epoch())
+            rows.extend(sp.advance_epoch(collect_outputs=True))
         return {row.group_key: row for row in rows if hasattr(row, "group_key")}
 
     def test_partitioned_results_match_centralized_results(self):

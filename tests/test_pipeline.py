@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import make_setup
 from repro.config import ProxyThresholds
 from repro.core.state import OperatorState
 from repro.errors import SimulationError
 from repro.query.builder import s2s_probe_query
-from repro.query.records import FleetArena, PingmeshRecord
+from repro.query.records import FleetArena
 from repro.simulation.pipeline import (
     SourcePipeline,
     StreamProcessorPipeline,
@@ -164,6 +165,37 @@ class TestCongestionReliefConservation:
         assert sum(queue_drained) > 0
 
 
+class TestBackpressure:
+    def test_an_empty_epoch_keeps_the_earlier_backlog(self):
+        """Regression: each queue's cap is sized from this epoch's input, and
+        backpressure used to truncate the whole queue to it, so an epoch
+        with no input dropped 306 of the 344 records admitted the epoch
+        before.  Only this epoch's forwarded records may be turned away."""
+        setup = make_setup("s2s_probe", records_per_epoch=400)
+        pipeline = SourcePipeline(
+            setup.plan.source_operators(),
+            setup.cost_model,
+            setup.config.thresholds,
+            setup.plan.window_length_s,
+            setup.config.epoch.duration_s,
+        )
+        pipeline.set_load_factors([1.0, 1.0, 1.0])
+        pipeline.run_epoch(setup.workload_factory(1).records_for_epoch(0), 0.05)
+        assert [len(stage.queue) for stage in pipeline.stages] == [0, 227, 117]
+
+        result = pipeline.run_epoch([], 0.05)
+        # The filter works 153 records off its backlog and relief drains one
+        # more at each congested stage; nothing arrived, so nothing fresh
+        # waits at the filter and none of its backlog is rejected.
+        assert result.processed_per_stage == [0, 153, 0]
+        assert result.queue_drained_per_stage == [0, 1, 1]
+        assert result.rejected_per_stage[:2] == [0, 0]
+        # The G+R queue turns away at most the filter output it was fed
+        # this epoch and keeps its old backlog.
+        assert result.rejected_per_stage[2] <= result.forwarded_per_stage[2]
+        assert [len(stage.queue) for stage in pipeline.stages] == [0, 73, 116]
+
+
 class TestSourcePipelineExecution:
     def test_zero_load_factors_drain_everything(self, cost_model, workload):
         pipeline = build_source(cost_model)
@@ -278,9 +310,11 @@ class TestStreamProcessorPipeline:
         sp = build_sp(cost_model)
         outputs = []
         for epoch in range(10):
-            result = sp.process_arrivals([(0, workload.records_for_epoch(epoch))])
+            result = sp.process_arrivals(
+                [(0, workload.records_for_epoch(epoch))], collect_outputs=True
+            )
             outputs.extend(result.outputs)
-            outputs.extend(sp.advance_epoch())
+            outputs.extend(sp.advance_epoch(collect_outputs=True))
         assert outputs, "the closing window must emit aggregate rows"
         assert all(hasattr(row, "group_key") for row in outputs)
 
@@ -298,10 +332,12 @@ class TestStreamProcessorPipeline:
         merged_rows = []
         for epoch in range(10):
             out = sp.process_arrivals(
-                [], partial_states=partials if epoch == 9 else None
+                [],
+                partial_states=partials if epoch == 9 else None,
+                collect_outputs=True,
             )
             merged_rows.extend(out.outputs)
-            merged_rows.extend(sp.advance_epoch())
+            merged_rows.extend(sp.advance_epoch(collect_outputs=True))
         assert merged_rows, "merged partial state must produce final rows"
 
     def test_reset(self, cost_model, workload):
@@ -331,7 +367,7 @@ class TestStreamProcessorPipeline:
         batches = views if layout == "arena_views" else [arena.own(v) for v in views]
         drained = [(stage, batch) for batch in batches]
         alone = [
-            build_sp(cost_model).process_arrivals([item], collect_outputs=False)
+            build_sp(cost_model).process_arrivals([item])
             for item in drained
         ]
         cpus = [result.cpu_used_seconds for result in alone]
@@ -342,14 +378,12 @@ class TestStreamProcessorPipeline:
             for item in drained:
                 if spent >= budget:
                     break
-                cpu = reference.process_arrivals(
-                    [item], collect_outputs=False
-                ).cpu_used_seconds
+                cpu = reference.process_arrivals([item]).cpu_used_seconds
                 spent += cpu
                 expected.append(cpu)
             run = build_sp(cost_model)
             result = run.process_arrivals(
-                drained, collect_outputs=False, compute_budget_s=budget, cpu_used_s=used
+                drained, compute_budget_s=budget, cpu_used_s=used
             )
             assert len(expected) == processed
             assert result.batch_cpu_seconds == expected

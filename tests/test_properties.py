@@ -78,13 +78,13 @@ class TestLoadFactorProperties:
             for a, b in zip(effective_load_factors(recovered), effective)
         )
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=100),
+    @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=0.0, max_value=1.0))
-    def test_proxy_routing_conserves_records(self, values, load_factor):
+    def test_proxy_routing_conserves_records(self, incoming, load_factor):
         proxy = ControlProxy("op", load_factor=load_factor)
-        forwarded, drained = proxy.route(values)
-        assert len(forwarded) + len(drained) == len(values)
-        assert forwarded + drained == values
+        forwarded, drained = proxy.route(incoming)
+        assert 0 <= forwarded <= incoming
+        assert forwarded + drained == incoming
 
 
 # ---------------------------------------------------------------------------
