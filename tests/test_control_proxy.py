@@ -64,6 +64,27 @@ class TestRouting:
             assert forwarded == expected, n
             assert forwarded + drained == n
 
+    def test_halfway_rounds_half_up_for_batches(self):
+        """The same half-way cases through the columnar batched container,
+        cut at the routed count as the pipeline cuts it."""
+        import numpy as np
+
+        from repro.query.records import Record, RecordBatch
+
+        proxy = ControlProxy("op", load_factor=0.5)
+        for n, expected in ((1, 1), (3, 2), (5, 3)):
+            batch = RecordBatch(
+                Record,
+                {"event_time": np.arange(n, dtype=float)},
+                uniform_size_bytes=86,
+            )
+            n_forward, n_drain = proxy.route(len(batch))
+            forwarded, drained = batch[:n_forward], batch[n_forward:]
+            assert len(forwarded) == expected, n
+            assert len(drained) == n_drain
+            assert len(forwarded) + len(drained) == n
+            assert forwarded.event_times.tolist() == list(range(expected))
+
     def test_halfway_split_is_monotone_in_n(self):
         """Half-up keeps the forwarded count non-decreasing as n grows."""
         proxy = ControlProxy("op", load_factor=0.5)
