@@ -33,6 +33,9 @@ class JarvisStrategy(PartitioningStrategy):
             config=self.config,
             stepwise=stepwise,
         )
+        #: The load factors last handed to the pipeline; None until the
+        #: first hand-out and after a manual reset.
+        self._handed_out: Optional[List[float]] = None
 
     @property
     def phase(self) -> RuntimePhase:
@@ -40,15 +43,25 @@ class JarvisStrategy(PartitioningStrategy):
         return self.runtime.phase
 
     def initial_load_factors(self, num_stages: int) -> List[float]:
-        factors = self.runtime.current_load_factors()[:num_stages]
+        self._handed_out = self.runtime.current_load_factors()
+        factors = self._handed_out[:num_stages]
         return factors + [0.0] * (num_stages - len(factors))
 
     def wants_profile(self) -> bool:
         return self.runtime.wants_profile
 
     def on_epoch_end(self, observation: EpochObservation) -> Optional[Sequence[float]]:
-        return self.runtime.on_epoch_end(observation)
+        """The runtime's load factors, or None when they are the ones last
+        handed out: the pipeline then keeps its plan without re-installing
+        it."""
+        factors = self.runtime.on_epoch_end(observation)
+        if factors == self._handed_out:
+            return None
+        self._handed_out = factors
+        return factors
 
     def reset_load_factors(self) -> None:
-        """Reset the runtime's plan (used between Figure 8b's two changes)."""
+        """Reset the runtime's plan (used between Figure 8b's two changes);
+        the next epoch hands its factors out whatever they are."""
         self.runtime.reset_load_factors()
+        self._handed_out = None

@@ -116,6 +116,14 @@ class Operator:
         """
         raise NotImplementedError(f"operator {self.name!r} has no row mask")
 
+    @property
+    def appends_runs(self) -> bool:
+        """Whether ``process_batch`` appends a batch to the operator's group
+        state as one raw run (:func:`append_runs`).  On the arena path the
+        source stepper then runs one pass over many sources' inputs, and
+        each source's operator appends its own rows."""
+        return False
+
     def reset(self) -> None:
         """Clear any per-window state (called at window boundaries)."""
 
@@ -550,6 +558,12 @@ def _consolidate_chunks(runs: Sequence[Run]) -> Chunk:
     return _segment_stats(keys, counts, sums, maxs, mins)
 
 
+#: Widest span of packed keys a :class:`ColumnarGroupState` keeps a presence
+#: bitmap over, one byte per key; a state whose keys spread wider counts its
+#: groups by sorting them.
+PRESENCE_SPAN_CAP = 1 << 16
+
+
 class ColumnarGroupState:
     """Arena-mode group state: a list of unfolded runs, folded on demand.
 
@@ -561,52 +575,120 @@ class ColumnarGroupState:
     fused ``("avg", "max", "min")`` layout.  Float sums therefore associate
     per key over the raw values; they never feed metrics.
 
-    ``len`` and ``group_count`` are the exact distinct-key count, found by
-    sorting keys only (memoized over the runs seen so far), so
+    ``len`` and ``group_count`` are the exact distinct-key count, so
     window-boundary byte accounting (``PARTIAL_STATE_ROW_BYTES`` per group)
-    matches the dict representation.  The same class is the operator's
-    pending state and the partial state it ships: the receiving operator
-    appends the shipped runs to its own (the arena fast path) or expands
-    them into its group dict when representations mix.  Runs are never
-    mutated in place, so shipped and receiving states may share arrays.
+    matches the dict representation.  While every key falls in one span of
+    at most :data:`PRESENCE_SPAN_CAP` packed keys, as in one data source's
+    Pingmesh window (its one ``src_ip`` beside a range of ``dst_ip``), the
+    state counts in a presence bitmap over that span: it marks each run's
+    keys and counts set bits.  :meth:`add_run` marks a run as it arrives,
+    from key bounds its caller knows, so the source stepper's window close
+    counts without sorting; runs appended to :attr:`runs` directly are
+    counted when the count is read.  Keys spread wider, such as a
+    many-source state on the stream processor, switch the state to a
+    sorted array of the distinct keys, into which later runs are sorted
+    when the count is read.
+
+    The same class is the operator's pending state and the partial state it
+    ships: the receiving operator appends the shipped runs to its own (the
+    arena fast path) or expands them into its group dict when
+    representations mix.  Runs are never mutated in place, so shipped and
+    receiving states may share arrays.
     """
 
-    __slots__ = ("runs", "num_key_columns", "_distinct", "_distinct_runs")
+    __slots__ = ("runs", "num_key_columns", "_counted", "_low", "_present", "_distinct")
 
     def __init__(self, num_key_columns: int) -> None:
         self.runs: List[Run] = []
         self.num_key_columns = num_key_columns
-        #: Sorted distinct keys of ``runs[:_distinct_runs]``.
+        #: ``runs[:_counted]`` are counted: in the bitmap, or in ``_distinct``.
+        self._counted = 0
+        #: Whether packed key ``_low + i`` is present; None once the keys
+        #: outgrew :data:`PRESENCE_SPAN_CAP` and the state sorts instead.
+        self._present: Optional[np.ndarray] = np.zeros(0, dtype=bool)
+        self._low = 0
+        #: Sorted distinct keys, when ``_present`` is None.
         self._distinct = np.empty(0, dtype=np.int64)
-        self._distinct_runs = 0
 
     def __len__(self) -> int:
         return self.group_count
 
+    def add_run(
+        self, keys: np.ndarray, values: np.ndarray, low: int, high: int
+    ) -> None:
+        """Append a raw run whose keys all lie in ``[low, high]`` and count
+        it now, with any run appended uncounted before it, while the state
+        counts in its bitmap; a sorting state counts when the count is read."""
+        if self._present is not None:
+            self._count_pending()
+        self.runs.append((keys, values))
+        if self._counted == len(self.runs) - 1 and self._mark(keys, low, high):
+            self._counted += 1
+
+    def _mark(self, keys: np.ndarray, low: int, high: int) -> bool:
+        """Mark ``keys``, all in ``[low, high]``, in the bitmap, widening it
+        as needed; False, changing nothing, when there is no bitmap or it
+        would outgrow :data:`PRESENCE_SPAN_CAP`."""
+        present = self._present
+        if present is None:
+            return False
+        if len(present):
+            low = min(low, self._low)
+            high = max(high, self._low + len(present) - 1)
+        if high - low >= PRESENCE_SPAN_CAP:
+            return False
+        if len(present) != high - low + 1:
+            grown = np.zeros(high - low + 1, dtype=bool)
+            offset = self._low - low if len(present) else 0
+            grown[offset : offset + len(present)] = present
+            self._present = present = grown
+            self._low = low
+        present[keys - low] = True
+        return True
+
     @property
     def group_count(self) -> int:
-        runs = self.runs
-        if self._distinct_runs < len(runs):
-            fresh = [run[0] for run in runs[self._distinct_runs :]]
-            keys = np.concatenate([self._distinct, *fresh])
-            # An in-place quicksort, several times faster than ``np.unique``
-            # or a stable sort on these sizes.
-            keys.sort()
-            first = np.empty(len(keys), dtype=bool)
-            first[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            self._distinct = keys[first]
-            self._distinct_runs = len(runs)
+        if not self.runs:
+            return 0
+        self._count_pending()
+        if self._present is not None:
+            return int(np.count_nonzero(self._present))
         return len(self._distinct)
+
+    def _count_pending(self) -> None:
+        """Count the runs appended since the last count."""
+        runs = self.runs
+        if self._counted < len(runs):
+            fresh = [run[0] for run in runs[self._counted :]]
+            keys = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
+            if len(keys) and not self._mark(keys, int(keys.min()), int(keys.max())):
+                self._sort_in(keys)
+            self._counted = len(runs)
+
+    def _sort_in(self, keys: np.ndarray) -> None:
+        """Count ``keys`` by sorting them into the distinct keys, leaving
+        the bitmap for good."""
+        if self._present is not None:
+            self._distinct = np.flatnonzero(self._present) + self._low
+            self._present = None
+        keys = np.concatenate([self._distinct, keys])
+        # An in-place quicksort, several times faster than ``np.unique`` or
+        # a stable sort on these sizes.
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self._distinct = keys[first]
 
     def fold(self) -> Chunk:
         """Fold every run into one chunk, in place, and return it."""
         chunk = _consolidate_chunks(self.runs)
         if not self.runs:
             return chunk
+        # The chunk holds the same keys, so a count taken now stands.
+        self._count_pending()
         self.runs = [chunk]
-        self._distinct = chunk[0]
-        self._distinct_runs = 1
+        self._counted = 1
         return chunk
 
     @property
@@ -679,16 +761,19 @@ class GroupAggregateOperator(Operator):
     bundled probe-query shape — fused ``("avg", "max", "min")`` with one or
     two int64 key columns.  A batch is not folded at all: it appends one
     owned raw run (packed int64 keys, float values) to a
-    :class:`ColumnarGroupState`, with no per-record Python.  The window
-    ships those runs unfolded, and the SP appends them to its own.
-    Distinct-group counts sort keys only.  Values fold only when something
-    reads them (``flush`` with outputs, an object-path input draining into
-    the dict, or the state's value accessors), so a scale run whose
-    executors discard window outputs never folds.  Group *sets* and record
-    *counts* — everything metrics read — are exactly the dict paths'.
-    Float sums associate per key over the raw values and may differ from
-    the dict paths' in the last bits; they never feed metrics.  Any other
-    batch materializes its records and takes the object path.
+    :class:`ColumnarGroupState`, with no per-record Python
+    (:func:`append_runs`, which also runs one pass for many sources'
+    operators on the source stepper).  The window ships those runs
+    unfolded, and the SP appends them to its own.  Distinct-group counts
+    are kept as runs arrive, from each run's key bounds, without reading
+    a value.  Values fold only when something reads them (``flush`` with
+    outputs, an object-path input draining into the dict, or the state's
+    value accessors), so a scale run whose executors discard window
+    outputs never folds.  Group *sets* and record *counts* — everything
+    metrics read — are exactly the dict paths'.  Float sums associate per
+    key over the raw values and may differ from the dict paths' in the
+    last bits; they never feed metrics.  Any other batch materializes its
+    records and takes the object path.
     """
 
     kind = "group_aggregate"
@@ -810,66 +895,30 @@ class GroupAggregateOperator(Operator):
     def _new_vector_state(self) -> ColumnarGroupState:
         return ColumnarGroupState(len(self.key_columns or ()))
 
-    def _vector_keys(self, batch: RecordBatch) -> Optional[np.ndarray]:
-        """Packed int64 per-row group keys the caller owns, or None to fall
-        back to the object path.
-
-        Two key columns pack as ``(k0 << 32) | k1``; with both columns in
-        ``[0, 2**31)`` the packing is injective, so the packed-key distinct
-        set corresponds one-to-one with the object path's key tuples.  A
-        single key column is copied: the batch may be a fleet-arena view
-        whose buffers the next epoch overwrites, and stored runs outlive it.
-        """
-        columns = []
-        for name in self.key_columns:
-            column = batch.column(name)
-            if column is None or column.dtype != np.int64:
-                return None
-            columns.append(column)
-        if len(columns) == 1:
-            return columns[0].copy()
-        for column in columns:
-            if len(column) and (
-                int(column.min()) < 0 or int(column.max()) >= _KEY_PACK_LIMIT
-            ):
-                return None
-        return (columns[0] << np.int64(32)) | columns[1]
-
-    def _vector_values(self, batch: RecordBatch) -> Optional[np.ndarray]:
-        """Per-row aggregate input as one float array the caller owns, or
-        None to fall back.
+    def _value_column(
+        self, batch: RecordBatch
+    ) -> Optional[Tuple[np.ndarray, Optional[float]]]:
+        """The float column the fused field reads and the divisor that
+        scales it (None: read as is), or None to fall back.
 
         Mirrors :func:`_batch_field_values` for the shared fused field, for
         float columns only (element-wise ``/ 1000.0`` is bit-identical to the
-        per-record division).  A ``stat`` column is copied for the same
-        reason as a single key column in :meth:`_vector_keys`.
+        per-record division).
         """
-        if self.value_fn is not _default_value_fn:
+        if (
+            self.value_fn is not _default_value_fn
+            or self._fused_field not in _VALUE_COLUMNS
+        ):
             return None
-        if self._fused_field == "rtt":
-            column = batch.column("rtt_us")
-            if column is not None and np.issubdtype(column.dtype, np.floating):
-                return column / 1000.0
+        name, divisor = _VALUE_COLUMNS[self._fused_field]
+        column = batch.column(name)
+        if column is None or not np.issubdtype(column.dtype, np.floating):
             return None
-        if self._fused_field == "stat":
-            column = batch.column("stat")
-            if column is not None and np.issubdtype(column.dtype, np.floating):
-                return column.copy()
-        return None
+        return column, divisor
 
-    def _process_batch_vector(self, batch: RecordBatch) -> bool:
-        """Append one batch as a raw run; False means fall back."""
-        packed = self._vector_keys(batch)
-        if packed is None:
-            return False
-        values = self._vector_values(batch)
-        if values is None:
-            return False
-        self._vector_state.runs.append((packed, values))
-        latest = float(batch.event_times.max())
-        if latest > self._last_event_time:
-            self._last_event_time = latest
-        return True
+    @property
+    def appends_runs(self) -> bool:
+        return self._vector_ready
 
     def _drain_vector_state(self) -> None:
         """Fold pending runs and expand them into the group dict.
@@ -893,7 +942,7 @@ class GroupAggregateOperator(Operator):
     def process_batch(self, batch: RecordBatch) -> List[Record]:
         if not batch:
             return []
-        if self._vector_ready and self._process_batch_vector(batch):
+        if self._vector_ready and append_runs([self], batch, [(0, len(batch))])[0]:
             return []
         return self.process(batch.to_records())
 
@@ -904,8 +953,9 @@ class GroupAggregateOperator(Operator):
 
         Exactness matters: the relay estimate feeds the cost model, and any
         divergence from the object path would change placement decisions.
-        On the arena path only the pending runs' keys are sorted and counted
-        (no fold, no dict expansion), memoized across calls.
+        On the arena path the pending runs' count is the one their
+        :class:`ColumnarGroupState` keeps as they arrive (no fold, no dict
+        expansion).
         """
         if self._vector_state.runs:
             if not self._groups:
@@ -1106,6 +1156,95 @@ class GroupAggregateOperator(Operator):
             self.cost_hint,
             key_columns=self.key_columns,
         )
+
+
+def append_runs(
+    operators: Sequence[GroupAggregateOperator],
+    batch: RecordBatch,
+    parts: Sequence[Tuple[int, int]],
+    count: bool = False,
+) -> List[bool]:
+    """One columnar G+R pass: part ``i`` of ``batch`` becomes a raw run of
+    ``operators[i]``.  Returns which parts were taken.
+
+    ``operators`` are replicas of one G+R that :attr:`~Operator.appends_runs`,
+    one per part, and ``parts`` are disjoint, non-empty ``(start, stop)``
+    row ranges, in any order.  One ``reduceat`` per key column and bound,
+    over the whole batch, gives every part its key bounds, which prove the
+    packing, and one more its latest event time.  Each operator then packs
+    its own rows' keys and scales their values into fresh arrays, so a run
+    holds only its own rows and never keeps ``batch`` alive.  With
+    ``count``, each run's groups are counted as it arrives, from its key
+    bounds (:meth:`ColumnarGroupState.add_run`); the source stepper counts,
+    so its window close has nothing left to count, while a state nobody
+    counts, such as the stream processor's, skips the work.  The one-part
+    form, which does not count, is
+    :meth:`GroupAggregateOperator.process_batch`.
+
+    Two key columns pack as ``(k0 << 32) | k1``; with both columns in
+    ``[0, 2**31)`` the packing is injective, so the packed-key distinct set
+    corresponds one-to-one with the object path's key tuples.  A part
+    outside that range is not taken, and neither is any part when the batch
+    lacks int64 key columns or a float value column; the caller runs those
+    through the object path.
+    """
+    first = operators[0]
+    columns = [batch.column(name) for name in first.key_columns]
+    source = first._value_column(batch)
+    if source is None or any(
+        column is None or column.dtype != np.int64 for column in columns
+    ):
+        return [False] * len(parts)
+    value_column, divisor = source
+    # With the parts in row order, a reduceat over every part's start and
+    # stop reduces each part's rows at every second entry.
+    order = sorted(range(len(parts)), key=parts.__getitem__)
+    cuts = [row for index in order for row in parts[index]]
+    if cuts[-1] == len(batch):
+        cuts.pop()
+    cuts = np.array(cuts)
+    lows = [np.minimum.reduceat(column, cuts)[::2].tolist() for column in columns]
+    highs = [np.maximum.reduceat(column, cuts)[::2].tolist() for column in columns]
+    latest = np.maximum.reduceat(batch.event_times, cuts)[::2].tolist()
+    if len(columns) == 1:
+        (key_lows,), (key_highs,) = lows, highs
+        proven = [True] * len(parts)
+    else:
+        key_lows = [(low0 << 32) | low1 for low0, low1 in zip(*lows)]
+        key_highs = [(high0 << 32) | high1 for high0, high1 in zip(*highs)]
+        proven = [
+            min(low0, low1) >= 0 and max(high0, high1) < _KEY_PACK_LIMIT
+            for low0, low1, high0, high1 in zip(*lows, *highs)
+        ]
+    taken = [False] * len(parts)
+    for index, ok, low, high, last in zip(order, proven, key_lows, key_highs, latest):
+        if not ok:
+            continue
+        taken[index] = True
+        operator = operators[index]
+        start, stop = parts[index]
+        if len(columns) == 1:
+            keys = columns[0][start:stop].copy()
+        else:
+            keys = np.left_shift(columns[0][start:stop], 32)
+            np.bitwise_or(keys, columns[1][start:stop], out=keys)
+        values = value_column[start:stop]
+        values = values / divisor if divisor else values.copy()
+        if count:
+            operator._vector_state.add_run(keys, values, low, high)
+        else:
+            operator._vector_state.runs.append((keys, values))
+        if last > operator._last_event_time:
+            operator._last_event_time = last
+    return taken
+
+
+#: The float column each fused value field reads, and the divisor that
+#: turns it into the field (:func:`_default_value_fn`); None reads it as is.
+_VALUE_COLUMNS: Dict[str, Tuple[str, Optional[float]]] = {
+    "rtt": ("rtt_us", 1000.0),
+    "stat": ("stat", None),
+}
 
 
 def _default_value_fn(record: Record) -> Dict[str, float]:

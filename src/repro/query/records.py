@@ -290,11 +290,12 @@ class RecordBatch:
     built by :meth:`_derived`, which skips the checks, so every batch
     operation costs per batch rather than per column.
 
-    A :class:`FleetArena` view and its unit-step slices also know the row
-    of the arena buffers they start at (``_base_row``, None for any other
-    batch): every column is ``buffer[_base_row : _base_row + len]`` of its
-    buffer, which lets :func:`covering_view` cover several views with one
-    and :func:`coalesce_batches` join adjacent views without copying.
+    A :class:`FleetArena` view, the rows an arena took
+    (:meth:`FleetArena.take`) and their unit-step slices also know the row
+    of the buffers they start at (``_base_row``, None for any other batch):
+    every column is ``buffer[_base_row : _base_row + len]`` of its buffer,
+    which lets :func:`covering_view` cover several views with one and
+    :func:`coalesce_batches` join adjacent views without copying.
     """
 
     __slots__ = (
@@ -536,8 +537,9 @@ def covering_view(
     """The rows some of ``batches`` view in one set of buffers, as one view.
 
     The members are the non-empty batches that view the same buffers as
-    the first such batch: arena views and their unit-step slices, which
-    know their start row.  Returns ``(members, span, parts)``: the members'
+    the first such batch: arena views, the rows an arena took
+    (:meth:`FleetArena.take`) and their unit-step slices, which know their
+    start row.  Returns ``(members, span, parts)``: the members'
     indexes in ``batches``, one view from the lowest member row to the end
     of the highest, and each member's ``(start, stop)`` rows in that view.
     Rows between the members are part of the span.  ``span`` is None when
@@ -596,22 +598,26 @@ class FleetArena:
     Because buffers are recycled every epoch, any view that survives the
     epoch boundary has to be detached before the next fill: :meth:`own`
     copies exactly the columns that alias the live buffers and returns other
-    batches unchanged.  Columns derived from many sources' rows at once can
-    be held with the epoch's rows (:meth:`hold`), so :meth:`own` detaches
-    their views the same way.  Operator stage queues are owned right after
-    the block steps; executor queues (carryover, SP backlog) may hold views
-    for the rest of the block epoch, and the executor owns whatever is still
-    queued when the epoch ends.  Between epochs no executor-held batch
-    aliases an arena.
+    batches unchanged.  Rows selected from many sources' rows at once, such
+    as the survivors of a block-wide row mask, are written into a second
+    set of buffers the arena recycles the same way (:meth:`take`), so
+    :meth:`own` detaches their views too.  Operator stage queues are owned
+    right after the block steps; executor queues (carryover, SP backlog)
+    may hold views for the rest of the block epoch, and the executor owns
+    whatever is still queued when the epoch ends.  Between epochs no
+    executor-held batch aliases an arena.
     """
 
     def __init__(self) -> None:
         self._record_class: Optional[type] = None
         self._uniform_size_bytes = 0
         self._buffers: Dict[str, np.ndarray] = {}
-        #: Columns held with this epoch's rows (:meth:`hold`).
-        self._held: List[np.ndarray] = []
-        #: Ids of the buffers and the held columns: what :meth:`aliases` flags.
+        #: Buffers of the rows :meth:`take` selects, and their next free row.
+        self._taken: Dict[str, np.ndarray] = {}
+        self._taken_cursor = 0
+        #: Taken buffers outgrown this epoch, which earlier views still read.
+        self._outgrown: List[np.ndarray] = []
+        #: Ids of every buffer above: what :meth:`aliases` flags.
         self._buffer_ids: Set[int] = set()
         self._capacity = 0
         self._cursor = 0
@@ -656,31 +662,67 @@ class FleetArena:
         return len(self._spans)
 
     def begin_epoch(self) -> None:
-        """Recycle the buffers for a new epoch (no allocation) and release
-        the columns held for the last one."""
+        """Recycle the buffers for a new epoch (no allocation)."""
         self._cursor = 0
+        self._taken_cursor = 0
         self._spans.clear()
-        if self._held:
-            self._held.clear()
+        if self._outgrown:
+            self._outgrown.clear()
             self._index_buffers()
 
-    def hold(self, batch: "RecordBatch") -> None:
-        """Treat ``batch``'s columns as this epoch's rows until the next
-        :meth:`begin_epoch`.
+    def take(self, batch: "RecordBatch", indices: np.ndarray) -> "RecordBatch":
+        """Rows ``indices`` (increasing) of ``batch``, written into buffers
+        the arena recycles each epoch, as a view of them.
 
-        For a batch derived from many sources' rows at once, such as the
-        survivors of one block-wide row mask: :meth:`aliases` then flags
-        its views, so :meth:`own` gives whatever outlives the epoch its own
-        rows instead of pinning the whole block's.  The arena keeps the
-        columns alive until then, so their ids stay unique.
+        For rows selected from many sources' rows at once, such as the
+        survivors of one block-wide row mask
+        (:func:`~repro.simulation.pipeline.mask_rows`).  They are this
+        epoch's rows like the arena's own: :meth:`aliases` flags their
+        views, so :meth:`own` gives whatever outlives the epoch its own rows
+        instead of pinning the whole block's, and a later stage's one pass
+        covers them as it covers arena views (:func:`covering_view`).  The
+        buffers grow to hold the largest selection and are then reused, so
+        a steady epoch allocates nothing here.
         """
-        for column in batch.columns.values():
-            self._held.append(column)
-            self._buffer_ids.add(id(column))
+        count = len(indices)
+        start = self._taken_cursor
+        taken = self._taken
+        if (
+            taken.keys() != batch.columns.keys()
+            or start + count > len(taken["event_time"])
+            or any(
+                taken[name].dtype != column.dtype
+                for name, column in batch.columns.items()
+            )
+        ):
+            if start:
+                # This epoch's earlier selections may still be read.
+                self._outgrown.extend(taken.values())
+            # Room for all of this epoch's selections, so the next epoch's
+            # fit unless they grow.
+            capacity = max(start + count, 1024)
+            taken = self._taken = {
+                name: np.empty(capacity, dtype=column.dtype)
+                for name, column in batch.columns.items()
+            }
+            self._index_buffers()
+            start = 0
+        stop = start + count
+        for name, column in batch.columns.items():
+            np.take(column, indices, out=taken[name][start:stop], mode="clip")
+        self._taken_cursor = stop
+        return RecordBatch._derived(
+            batch.record_class,
+            {name: buffer[start:stop] for name, buffer in taken.items()},
+            count,
+            batch.uniform_size_bytes,
+            start,
+        )
 
     def _index_buffers(self) -> None:
         self._buffer_ids = {id(buf) for buf in self._buffers.values()}
-        self._buffer_ids.update(id(column) for column in self._held)
+        self._buffer_ids.update(id(buf) for buf in self._taken.values())
+        self._buffer_ids.update(id(buf) for buf in self._outgrown)
 
     def _grow(self, needed: int) -> None:
         capacity = max(needed, self._capacity * 2, 1024)
@@ -798,8 +840,8 @@ class FleetArena:
         )
 
     def aliases(self, column: np.ndarray) -> bool:
-        """Whether ``column`` is a view of the arena's live buffers or of a
-        column held this epoch (:meth:`hold`).
+        """Whether ``column`` is a view of the arena's live buffers: this
+        epoch's input rows or the rows it took (:meth:`take`).
 
         numpy collapses view chains, so a slice-of-a-slice still reports the
         root buffer as its ``base``; fancy indexing, ``compress``, and

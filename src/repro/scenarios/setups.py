@@ -47,6 +47,7 @@ from ..simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from ..simulation.metrics import RunMetrics
 from ..simulation.multisource import MultiSourceConfig, homogeneous_sources
 from ..simulation.node import BudgetSchedule, StreamProcessorNode, as_budget_schedule
+from ..simulation.pipeline import process_records
 from ..workloads.dynamics import BurstSpec, WorkloadBurst
 from ..workloads.loganalytics import (
     LogAnalyticsConfig,
@@ -219,13 +220,20 @@ def measure_relays(setup: QuerySetup, num_windows: int = 1, seed: int = 987) -> 
 
     Runs one (or more) full windows of the workload through fresh operator
     clones, counting records and bytes entering/leaving every stage; stateful
-    operators contribute their flush output at the window boundary.
+    operators contribute their flush output at the window boundary.  Epochs
+    run columnar when the workload builds batches (``batch_for_epoch``), on
+    record objects otherwise, and a grouping operator's flush is counted
+    (``group_count``, ``flush_bytes``) rather than materialized; both give
+    the object path's numbers exactly.
     """
     operators = [op.clone() for op in setup.plan.operators]
     window_epochs = max(
         1, half_up(setup.plan.window_length_s / setup.config.epoch.duration_s)
     )
     workload = setup.workload_factory(seed)
+    epoch_input = (
+        getattr(workload, "batch_for_epoch", None) or workload.records_for_epoch
+    )
     n = len(operators)
     in_counts = [0] * n
     out_counts = [0] * n
@@ -233,15 +241,20 @@ def measure_relays(setup: QuerySetup, num_windows: int = 1, seed: int = 987) -> 
     out_bytes = [0.0] * n
 
     for epoch in range(num_windows * window_epochs):
-        current = workload.records_for_epoch(epoch)
+        current = epoch_input(epoch)
         for i, operator in enumerate(operators):
             in_counts[i] += len(current)
             in_bytes[i] += record_size_bytes(current)
-            current = operator.process(current)
+            current = process_records(operator, current) if current else []
             out_counts[i] += len(current)
             out_bytes[i] += record_size_bytes(current)
         if (epoch + 1) % window_epochs == 0:
             for i, operator in enumerate(operators):
+                group_count = getattr(operator, "group_count", None)
+                if group_count is not None:
+                    out_counts[i] += group_count()
+                    out_bytes[i] += operator.flush_bytes()
+                    continue
                 flushed = operator.flush()
                 out_counts[i] += len(flushed)
                 out_bytes[i] += record_size_bytes(flushed)

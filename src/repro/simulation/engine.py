@@ -16,8 +16,9 @@ This module is now the single home of that machinery:
   :class:`~repro.core.runtime.EpochObservation` feedback (including applying
   the returned load factors).  The pipelines of one engine run one plan and
   step together, stage by stage, so a row-masking operator runs one pass
-  over the whole block's arena rows, while every per-source number stays
-  that source's own.  The engine also provides the warmup/run-loop
+  over the whole block's arena rows and the G+R one pass over the rows that
+  reach it, while every per-source number and group state stays that
+  source's own.  The engine also provides the warmup/run-loop
   scaffolding (freshness guards and metric collectors).
 * :class:`EpochAccountant` owns the *accounting arithmetic*: goodput (offered
   input debited by the growth of every queue a record can park in), the
@@ -362,9 +363,13 @@ class EpochEngine:
         never coordinate, Section IV-A).  The pipelines step together, stage
         by stage (:func:`~repro.simulation.pipeline.run_block_epoch`): a
         row-masking stage runs one pass over every source's arena rows, and
-        every other operator runs per source.  Each source's numbers are
-        exactly those of its own pipeline epoch.  The conservation counters
-        and strategy feedback are applied, per source, before returning.
+        the G+R one pass over the survivors that reach it, each source
+        appending its own rows to its own group state; the joins, queue
+        concatenations and record objects run per source.  Each source's
+        numbers are exactly those of its own pipeline epoch.  The
+        conservation counters and strategy feedback are applied, per
+        source, before returning; a strategy whose plan did not change
+        returns None, and its pipeline keeps its load factors.
 
         Arena mode runs a fleet-wide fill phase first: every source's epoch
         input lands in one block-level :class:`FleetArena`, and each
@@ -436,7 +441,8 @@ class EpochEngine:
         The arena recycles its buffers at the next fill, and stage queues
         outlive the epoch by construction, so each one owns its columns right
         after the block steps; a queue cut from a block-wide row-mask pass's
-        survivors, which the arena holds for the epoch, owns just its rows.
+        survivors, which the arena took into buffers it recycles the same
+        way (:meth:`FleetArena.take`), owns just its rows.
         The epoch result's drained and emitted containers stay views: the
         executor consumes them within the block epoch and owns whatever it
         still queues when the epoch ends

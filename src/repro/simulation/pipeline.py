@@ -14,7 +14,9 @@ and a record container is sliced only where rows leave a stage.  An epoch
 is a sequence of per-stage steps, so :func:`run_block_epoch` can move a
 whole building block's pipelines through it stage by stage: a row-masking
 operator then runs once over every source's arena rows (:func:`mask_rows`),
-while each source keeps its own queues, budget and numbers.
+and the G+R once over the rows that reach it
+(:func:`~repro.query.operators.append_runs`), while each source keeps its
+own queues, budget, group state and numbers.
 :meth:`SourcePipeline.run_epoch` is the one-source form.
 
 The stream-processor pipeline (Figure 5, right) replicates the full operator
@@ -39,7 +41,7 @@ import numpy as np
 from ..config import ProxyThresholds
 from ..core.control_proxy import ControlProxy, ProxyObservation
 from ..errors import SimulationError
-from ..query.operators import Operator
+from ..query.operators import Operator, append_runs
 from ..query.records import (
     FleetArena,
     Record,
@@ -555,10 +557,12 @@ def run_block_epoch(
     pipeline accounts its output; then every pipeline closes its epoch.
     Pipelines share no state, so each result is what the pipeline's own
     :meth:`SourcePipeline.run_epoch` returns.  Stepping together lets a
-    row-masking stage run one pass over every input that views the same
-    buffers.  With ``arena``, that pass's survivors are held with the
-    arena's epoch rows (:meth:`FleetArena.hold`), so their owner detaches
-    whatever outlives the epoch exactly as it detaches arena views.
+    row-masking stage, and a G+R that appends raw runs, run one pass over
+    every input that views the same buffers (:func:`_run_stage`).  With
+    ``arena``, a masking pass's survivors are rows the arena takes into
+    its recycled buffers (:meth:`FleetArena.take`), so their owner detaches
+    whatever outlives the epoch exactly as it detaches arena views, and the
+    next stage's pass covers them.
 
     The pipelines must run one plan, the same operator chain stage by
     stage: a masking stage applies the first pipeline's row mask to all.
@@ -586,19 +590,29 @@ def _run_stage(
 ) -> List[RecordContainer]:
     """Run one stage's operators, one per pipeline, over their inputs.
 
-    At a row-masking stage (:attr:`Operator.masks_rows`), the inputs that
-    view the same buffers (:func:`covering_view`) share one
-    :func:`mask_rows` pass over the rows they cover.  An input that keeps
-    all of its rows passes through uncopied, and any other gets a view of
-    its survivors.  Every other input runs through its own operator.
+    The inputs that view the same buffers (:func:`covering_view`) share one
+    columnar pass over the rows they cover when the stage allows it:
+
+    * a row-masking stage (:attr:`Operator.masks_rows`) runs one
+      :func:`mask_rows`.  An input that keeps all of its rows passes
+      through uncopied, and any other gets a view of its survivors; with
+      ``arena``, they are rows the arena took (:meth:`FleetArena.take`),
+      so the next stage covers them in turn;
+    * a G+R that appends raw runs (:attr:`Operator.appends_runs`) runs one
+      :func:`append_runs`: each source's key bounds and latest event time
+      by one ``reduceat`` each.  Each source's operator appends its own
+      rows as one run, as its own ``process_batch`` would, and counts its
+      groups as the run arrives.
+
+    Every other input, and a G+R input whose keys the pass could not pack,
+    runs through its own operator.
     """
     outputs: List[Optional[RecordContainer]] = [None] * len(inputs)
-    if operators and operators[0].masks_rows:
+    first = operators[0] if operators else None
+    if first is not None and (first.masks_rows or first.appends_runs):
         members, span, parts = covering_view(inputs)
-        if span is not None:
-            survivors, counts = mask_rows(operators[0], span, parts)
-            if survivors is not span and arena is not None:
-                arena.hold(survivors)
+        if span is not None and first.masks_rows:
+            survivors, counts = mask_rows(first, span, parts, arena)
             start = 0
             for member, count in zip(members, counts):
                 batch = inputs[member]
@@ -606,6 +620,13 @@ def _run_stage(
                     batch if count == len(batch) else survivors[start : start + count]
                 )
                 start += count
+        elif span is not None:
+            taken = append_runs(
+                [operators[member] for member in members], span, parts, count=True
+            )
+            for member, done in zip(members, taken):
+                if done:
+                    outputs[member] = []
     results: List[RecordContainer] = []
     for operator, records, output in zip(operators, inputs, outputs):
         if output is None:
@@ -615,7 +636,10 @@ def _run_stage(
 
 
 def mask_rows(
-    operator: Operator, batch: RecordBatch, parts: Sequence[Tuple[int, int]]
+    operator: Operator,
+    batch: RecordBatch,
+    parts: Sequence[Tuple[int, int]],
+    arena: Optional[FleetArena] = None,
 ) -> Tuple[RecordBatch, List[int]]:
     """One pass of a row-masking operator over parts of ``batch``.
 
@@ -626,7 +650,9 @@ def mask_rows(
     any number of parts, and rows between them are never copied.  That is
     how the source stepper (:func:`_run_stage`) and the stream processor
     (:meth:`StreamProcessorPipeline._fold_run`) run one operator over many
-    sources' rows and still count each source's survivors.
+    sources' rows and still count each source's survivors.  With
+    ``arena``, the survivors are rows the arena takes into its recycled
+    buffers (:meth:`FleetArena.take`).
     """
     mask = operator.row_mask(batch)
     if mask.all():  # e.g. the Window
@@ -636,7 +662,8 @@ def mask_rows(
     lows, highs = cuts[::2], cuts[1::2]
     if lows[0] > 0 or highs[-1] < len(kept) or lows[1:] != highs[:-1]:
         kept = np.concatenate([kept[low:high] for low, high in zip(lows, highs)])
-    return batch.take(kept), [high - low for low, high in zip(lows, highs)]
+    survivors = batch.take(kept) if arena is None else arena.take(batch, kept)
+    return survivors, [high - low for low, high in zip(lows, highs)]
 
 
 def _rows(

@@ -7,21 +7,36 @@ these tests pin them to the object path, check that stored runs own their
 arrays even when the batch is a recycled fleet-arena view, that the shipped
 state counts exactly and survives pickling (migration handoffs pickle
 pending SP items across worker processes), and that closing the window
-after the handoff still measures the shipped groups.
+after the handoff still measures the shipped groups, and that the
+distinct-key count kept as runs arrive is exact however the runs' keys
+spread (hypothesis properties).
 """
 
 from __future__ import annotations
 
 import math
 import pickle
+from typing import List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import make_setup
 from repro.query.aggregates import AvgAggregate, MaxAggregate, MinAggregate
-from repro.query.operators import ColumnarGroupState, GroupAggregateOperator
-from repro.query.records import FleetArena, JobStatsRecord, RecordBatch
+from repro.query.operators import (
+    PRESENCE_SPAN_CAP,
+    ColumnarGroupState,
+    GroupAggregateOperator,
+    append_runs,
+)
+from repro.query.records import (
+    FleetArena,
+    JobStatsRecord,
+    PingmeshRecord,
+    RecordBatch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +96,7 @@ class TestValuesMatchObjectPath:
         for key, row in want.items():
             mine = got[key]
             assert mine.count == row.count, key
+            assert mine.event_time == row.event_time, key
             assert mine.values["max(rtt)"] == row.values["max(rtt)"], key
             assert mine.values["min(rtt)"] == row.values["min(rtt)"], key
             assert math.isclose(
@@ -201,3 +217,179 @@ class TestWindowCloseAfterHandoff:
         arena, _, _ = handed_off
         arena.discard_window()
         assert arena.group_count() == 0 and arena.flush_bytes() == 0
+
+
+# -- the distinct-key count kept as runs arrive ----------------------------------
+
+#: Where a run's second key column starts, and how far it spreads: together
+#: they make the state's key span grow on either side, and past the cap.
+LOWS = (0, 5, 1000, PRESENCE_SPAN_CAP - 3, 3 * PRESENCE_SPAN_CAP)
+WIDTHS = (1, 7, 300, PRESENCE_SPAN_CAP - 1, 2 * PRESENCE_SPAN_CAP)
+#: How a run reaches the state, or what the state does after it arrives.
+STEPS = ("add", "add_loose", "append", "count", "fold", "pickle")
+
+
+@st.composite
+def key_runs(
+    draw: st.DrawFn, one_column: bool = False
+) -> List[Tuple[np.ndarray, str]]:
+    """Runs of packed keys (or one-column keys, which may be negative), and
+    how each reaches the state."""
+    constant_first = draw(st.booleans())
+    first_key = draw(st.integers(0, 3))
+    runs = []
+    for _ in range(draw(st.integers(1, 7))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        size = draw(st.integers(1, 40))
+        low = draw(st.sampled_from(LOWS))
+        if one_column:
+            low *= draw(st.sampled_from((1, -1)))
+        keys = rng.integers(low, low + draw(st.sampled_from(WIDTHS)), size)
+        if not one_column:
+            firsts = (
+                np.full(size, first_key) if constant_first else rng.integers(0, 4, size)
+            )
+            keys = (firsts << 32) | keys
+        step = draw(st.sampled_from(STEPS))
+        runs.append((keys.astype(np.int64), step))
+    return runs
+
+
+def distinct(runs: List[Tuple[np.ndarray, str]]) -> int:
+    return len(np.unique(np.concatenate([keys for keys, _ in runs])))
+
+
+class TestGroupCountOnArrival:
+    @settings(max_examples=120, deadline=None)
+    @given(runs=key_runs(), one_column=st.booleans(), data=st.data())
+    def test_count_is_the_distinct_key_count(self, runs, one_column, data):
+        """Whatever the runs' spans: counted on arrival (exact or loose
+        bounds), appended for a later count, read mid-window, folded, or
+        pickled as a migration handoff pickles it."""
+        if one_column:
+            runs = data.draw(key_runs(one_column=True))
+        state = ColumnarGroupState(1 if one_column else 2)
+        for index, (keys, step) in enumerate(runs):
+            values = keys.astype(np.float64)
+            low, high = int(keys.min()), int(keys.max())
+            if step == "append":
+                state.runs.append((keys, values))
+            elif step == "add_loose":
+                state.add_run(keys, values, low - 11, high + 2)
+            else:
+                state.add_run(keys, values, low, high)
+            if step == "count":
+                assert state.group_count == distinct(runs[: index + 1])
+            elif step == "fold":
+                assert len(state.fold()[0]) == distinct(runs[: index + 1])
+                assert len(state.runs) == 1
+            elif step == "pickle":
+                state = pickle.loads(pickle.dumps(state))
+        assert state.group_count == len(state) == distinct(runs)
+        assert len(state.to_groups()) == distinct(runs)
+
+    def test_a_source_window_counts_as_runs_arrive(self, batches):
+        """One source's constant ``src_ip`` leaves its window's keys in one
+        dense span: the source stepper's pass counts each run in the bitmap
+        as it arrives, a run the object path appended uncounted included,
+        so the window close sorts nothing."""
+        operator = group_aggregate()
+        for index, batch in enumerate(batches):
+            if index == 2:
+                operator.process_batch(batch)  # appended, not counted
+                assert operator._vector_state._counted == index
+                continue
+            whole = [(0, len(batch))]
+            assert append_runs([operator], batch, whole, count=True) == [True]
+            state = operator._vector_state
+            assert state._counted == len(state.runs) == index + 1
+        assert state._present is not None
+        assert len(state._present) <= PRESENCE_SPAN_CAP
+        keys = np.concatenate([keys for keys, _ in state.runs])
+        assert state.group_count == len(np.unique(keys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(source_runs=key_runs(), sp_runs=key_runs(), prefold=st.booleans())
+    def test_merged_states_count_both_sides(self, source_runs, sp_runs, prefold):
+        """A shipped state's runs appended to a receiver's own: the
+        receiver counts their union exactly."""
+        source, sp = group_aggregate(), group_aggregate()
+        for operator, runs in ((source, source_runs), (sp, sp_runs)):
+            for keys, _ in runs:
+                operator.process_batch(pingmesh_batch(keys))
+        shipped = source.take_partial_state()
+        if prefold:
+            shipped.fold()
+        sp.merge_partial(shipped)
+        assert sp.group_count() == distinct(source_runs + sp_runs)
+
+
+def pingmesh_batch(packed: np.ndarray) -> RecordBatch:
+    """A Pingmesh batch whose ``(src_ip, dst_ip)`` pairs pack to ``packed``."""
+    count = len(packed)
+    return RecordBatch(
+        PingmeshRecord,
+        {
+            "event_time": np.arange(count, dtype=np.float64),
+            "src_ip": packed >> 32,
+            "dst_ip": packed & 0xFFFFFFFF,
+            "rtt_us": np.arange(count, dtype=np.float64) * 7.0,
+            "err_code": np.zeros(count, dtype=np.int64),
+        },
+        uniform_size_bytes=86,
+    )
+
+
+class TestOnePassOverManyParts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        gaps=st.lists(st.integers(0, 5), min_size=6, max_size=6),
+        bad=st.sets(st.integers(0, 5)),
+        order=st.permutations(range(6)),
+        count=st.booleans(),
+    )
+    def test_each_part_is_what_its_own_batch_appends(
+        self, sizes, gaps, bad, order, count
+    ):
+        """Parts in any order, with rows between them: each operator ends
+        with the run, bounds, event time and count its part alone gives,
+        and a part whose keys fail the 31-bit proof is left untaken."""
+        rng = np.random.default_rng(len(sizes) * 31 + sum(gaps))
+        parts, rows = [], 0
+        for size, gap in zip(sizes, gaps):
+            rows += gap
+            parts.append((rows, rows + size))
+            rows += size
+        dst = rng.integers(1000, 1300, rows + 3)
+        for index in bad & set(range(len(parts))):
+            dst[parts[index][0]] = -1
+        batch = RecordBatch(
+            PingmeshRecord,
+            {
+                "event_time": rng.random(rows + 3) * 10,
+                "src_ip": np.full(rows + 3, 2, dtype=np.int64),
+                "dst_ip": dst,
+                "rtt_us": rng.random(rows + 3) * 1000,
+                "err_code": np.zeros(rows + 3, dtype=np.int64),
+            },
+            uniform_size_bytes=86,
+        )
+        parts = [parts[index] for index in order if index < len(parts)]
+        shared = [group_aggregate() for _ in parts]
+        alone = [group_aggregate() for _ in parts]
+        taken = append_runs(shared, batch, parts, count=count)
+        for operator, ok, (start, stop) in zip(alone, taken, parts):
+            part = batch[start:stop]
+            assert ok == (int(part.column("dst_ip").min()) >= 0)
+            if ok:
+                assert append_runs([operator], part, [(0, len(part))]) == [True]
+        for mine, theirs, ok in zip(shared, alone, taken):
+            runs, expected_runs = mine._vector_state.runs, theirs._vector_state.runs
+            assert len(runs) == len(expected_runs) == int(ok)
+            for run, expected in zip(runs, expected_runs):
+                assert all(np.array_equal(a, b) for a, b in zip(run, expected))
+                assert all(column.base is None for column in run)
+            assert mine._last_event_time == theirs._last_event_time
+            assert mine._vector_state._counted == (int(ok) if count else 0)
+            assert mine.group_count() == theirs.group_count()

@@ -156,6 +156,21 @@ class TestJarvisAndAblations:
         strategy.reset_load_factors()
         assert strategy.runtime.current_load_factors() == [0.0, 0.0]
 
+    def test_jarvis_hands_out_only_changed_factors(self):
+        """A steady Probe epoch keeps the plan (None, so the pipeline does
+        not re-install it); a changed plan and a manual reset hand out."""
+        strategy = JarvisStrategy(["window", "filter", "group_aggregate"])
+        assert strategy.initial_load_factors(3) == [0.0, 0.0, 0.0]
+        assert strategy.on_epoch_end(observation(0.6)) is None  # startup
+        assert strategy.phase is RuntimePhase.PROBE
+        assert strategy.on_epoch_end(observation(0.6, epoch=1)) is None
+        strategy.runtime.load_factors = [1.0, 0.5, 0.0]
+        assert strategy.on_epoch_end(observation(0.6, epoch=2)) == [1.0, 0.5, 0.0]
+        assert strategy.on_epoch_end(observation(0.6, epoch=3)) is None
+        strategy.reset_load_factors()
+        assert strategy.on_epoch_end(observation(0.6, epoch=4)) == [0.0, 0.0, 0.0]
+        assert strategy.on_epoch_end(observation(0.6, epoch=5)) is None
+
     def test_lp_only_disables_finetune(self):
         strategy = LPOnlyStrategy(["a", "b"])
         assert strategy.config.adaptation.use_lp_init is True

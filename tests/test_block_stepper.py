@@ -1,8 +1,9 @@
 """The block stepper: a block of pipelines stepped stage by stage.
 
 Every source must get exactly the epoch its own pipeline gives it alone,
-whatever the row-mask pass shares across sources; what a source keeps past
-the epoch must hold only its own rows; and an engine serves one plan.
+whatever the row-mask and G+R passes share across sources, down to its G+R
+state; what a source keeps past the epoch must hold only its own rows; and
+an engine serves one plan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from repro.analysis.experiments import make_setup
 from repro.baselines import AllSPStrategy
 from repro.errors import SimulationError
+from repro.query.operators import append_runs
 from repro.query.records import FleetArena, RecordBatch
+from repro.simulation import pipeline as pipeline_module
 from repro.simulation.engine import EpochEngine
 from repro.simulation.pipeline import (
     SourceEpochResult,
@@ -69,6 +72,18 @@ def summary(result: SourceEpochResult, pipeline: SourcePipeline) -> tuple:
         result.measured_costs,
         result.measured_relays,
         [len(stage.queue) for stage in pipeline.stages],
+    )
+
+
+def group_state(pipeline: SourcePipeline) -> tuple:
+    """The G+R's state: its raw runs, latest event time, group counts."""
+    operator = pipeline.stages[-1].operator
+    state = operator._vector_state
+    return (
+        [tuple(column.tolist() for column in run) for run in state.runs],
+        operator._last_event_time,
+        state.group_count,
+        sorted(operator._groups),
     )
 
 
@@ -146,13 +161,73 @@ class TestBlockEqualsSourceBySource:
                 assert summary(results[index], block[index]) == summary(
                     expected, pipeline
                 ), f"source {index} at epoch {epoch}"
+                assert group_state(block[index]) == group_state(
+                    pipeline
+                ), f"source {index}'s G+R at epoch {epoch}"
+
+
+class TestKeysOutsideThePacking:
+    def test_only_the_failing_source_takes_its_object_path(self, setup, monkeypatch):
+        """One source's window holds a negative ``dst_ip``, which the G+R's
+        31-bit key packing cannot prove: that source alone folds into its
+        group dict, the others keep raw runs, and every source reads what it
+        reads stepped alone."""
+        passes = []
+
+        def counted(
+            operators: list, batch: RecordBatch, parts: list, count: bool
+        ) -> List[bool]:
+            passes.append(len(parts))
+            return append_runs(operators, batch, parts, count)
+
+        monkeypatch.setattr(pipeline_module, "append_runs", counted)
+        num_sources, bad = 4, 2
+        block = [build_pipeline(setup) for _ in range(num_sources)]
+        alone = [build_pipeline(setup) for _ in range(num_sources)]
+        for pipeline in block + alone:
+            pipeline.set_load_factors([1.0, 1.0, 1.0])
+        block_workloads = [setup.workload_factory(1 + i) for i in range(num_sources)]
+        alone_workloads = [setup.workload_factory(1 + i) for i in range(num_sources)]
+        arena = FleetArena()
+
+        def poison(batch: RecordBatch) -> None:
+            batch.column("dst_ip")[0] = -5
+            batch.column("err_code")[0] = 0
+
+        for epoch in range(12):
+            arena.begin_epoch()
+            for index, workload in enumerate(block_workloads):
+                assert workload.fill_arena(epoch, arena, index)
+            views = [arena.view(index) for index in range(num_sources)]
+            poison(views[bad])
+            results = run_block_epoch(
+                block, views, [1.0] * num_sources, [False] * num_sources, arena
+            )
+            for index, (pipeline, workload) in enumerate(zip(alone, alone_workloads)):
+                records = workload.batch_for_epoch(epoch)
+                if index == bad:
+                    poison(records)
+                expected = pipeline.run_epoch(records, 1.0, False)
+                assert summary(results[index], block[index]) == summary(
+                    expected, pipeline
+                )
+                assert group_state(block[index]) == group_state(pipeline)
+            if epoch % 10 == 9:
+                continue  # the window just closed
+            for index, pipeline in enumerate(block):
+                operator = pipeline.stages[-1].operator
+                assert bool(operator._groups) == (index == bad), (epoch, index)
+                runs = operator._vector_state.runs
+                assert bool(runs) == (index != bad), (epoch, index)
+        # The block's G+R inputs shared one pass each epoch.
+        assert max(passes) == num_sources
 
 
 class TestOwnRows:
     def test_queues_cut_from_the_shared_mask_pass_own_only_their_rows(self, setup):
         """The filter runs once over three sources' arena rows; each G+R
-        queue is a view of that pass's survivors, which the arena holds
-        for the epoch, so owning it copies just the source's rows."""
+        queue is a view of that pass's survivors, which the arena took into
+        buffers it recycles, so owning it copies just the source's rows."""
         arena = FleetArena()
         arena.begin_epoch()
         pipelines = [build_pipeline(setup) for _ in range(3)]
@@ -166,12 +241,15 @@ class TestOwnRows:
         queues = [pipeline.stages[2].queue for pipeline in pipelines]
         assert all(len(queue) for queue in queues)
         assert all(arena.aliased_by(queue) for queue in queues)
-        for queue in queues:
-            owned = arena.own(queue)
-            assert len(owned) == len(queue)
-            assert all(column.base is None for column in owned.columns.values())
+        owned = [arena.own(queue) for queue in queues]
+        for mine, queue in zip(owned, queues):
+            assert len(mine) == len(queue)
+            assert all(column.base is None for column in mine.columns.values())
         arena.begin_epoch()
-        assert not any(arena.aliased_by(queue) for queue in queues)
+        # The taken rows are recycled like the arena's own: a queue left a
+        # view would read the next epoch's rows, so it stays flagged.
+        assert all(arena.aliased_by(queue) for queue in queues)
+        assert not any(arena.aliased_by(mine) for mine in owned)
 
 
 class TestOnePlanPerEngine:

@@ -7,6 +7,8 @@ cluster figures (10 and 11) run as dict-shaped scenario specs through
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -30,15 +32,39 @@ from repro.core import lp_solver
 from repro.errors import ConfigurationError
 from repro.query.records import IpToTorTable
 from repro.scenarios import ScenarioRunner, spec_from_dict
+from repro.scenarios.setups import measure_relays
 from repro.simulation.node import BudgetSchedule
 
 RPE = 200  # records per epoch for fast integration runs
+
+
+class _RecordsOnly:
+    """A workload that hands out record objects only, never batches."""
+
+    def __init__(self, inner: object) -> None:
+        self.inner = inner
+
+    def records_for_epoch(self, epoch: int) -> list:
+        return self.inner.records_for_epoch(epoch)
 
 
 class TestSetups:
     def test_make_setup_rejects_unknown_query(self):
         with pytest.raises(ConfigurationError):
             make_setup("nope")
+
+    @pytest.mark.parametrize("records", [RPE, 800])
+    @pytest.mark.parametrize("query", ["s2s_probe", "t2t_probe", "log_analytics"])
+    def test_relays_measured_on_batches_equal_the_object_path(self, query, records):
+        """``measure_relays`` runs a workload's columnar batches and counts
+        the grouping operator's flush; record objects must read the same."""
+        setup = make_setup(query, records_per_epoch=records)
+        objects = replace(
+            setup,
+            workload_factory=lambda seed: _RecordsOnly(setup.workload_factory(seed)),
+        )
+        assert measure_relays(objects) == measure_relays(setup)
+        assert measure_relays(setup) == (setup.byte_relays, setup.count_relays)
 
     def test_setup_relays_measured(self, s2s_setup):
         assert len(s2s_setup.byte_relays) == 3

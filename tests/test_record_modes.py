@@ -40,6 +40,7 @@ from repro.query.records import (
     PingmeshRecord,
     RecordBatch,
     coalesce_batches,
+    covering_view,
     record_size_bytes,
 )
 from repro.scenarios import ScenarioRunner, spec_from_dict
@@ -760,6 +761,36 @@ class TestFleetArenaContainer:
         # once a schema exists (migration-drained sources hit this path).
         unknown = arena.view(99)
         assert unknown is not None and len(unknown) == 0
+
+    def test_taken_rows_are_recycled_and_outgrown_buffers_stay_readable(self, setup):
+        """``take`` writes selected rows into buffers reused every epoch;
+        outgrowing them mid-epoch leaves earlier views intact and flagged."""
+        arena = FleetArena()
+        arena.begin_epoch()
+        assert arena.append_batch(0, self.batch(setup, 120))
+        view = arena.view(0)
+        every_third = np.arange(0, 120, 3)
+        first = arena.take(view, every_third)
+        # A later stage's survivors, taken from the first's.
+        second = arena.take(first, np.arange(1, 40, 2))
+        assert second.columns["event_time"].base is first.columns["event_time"].base
+        members, _, parts = covering_view([first, second])
+        assert members == [0, 1] and parts == [(0, 40), (40, 60)]
+        expected = [view.take(every_third), view.take(every_third[1:40:2])]
+        for _ in range(9):  # outgrow the first buffers within the epoch
+            arena.take(view, np.arange(120))
+        for batch, want in zip((first, second), expected):
+            assert arena.aliased_by(batch)
+            for name, column in batch.columns.items():
+                assert np.array_equal(column, want.columns[name]), name
+        arena.begin_epoch()
+        assert arena.append_batch(0, self.batch(setup, 120, seed=4))
+        base = arena.take(arena.view(0), np.arange(10)).columns["event_time"].base
+        arena.begin_epoch()
+        assert arena.append_batch(0, self.batch(setup, 120, seed=5))
+        again = arena.take(arena.view(0), np.arange(10))
+        # Steady state: the next epoch writes into the same buffers.
+        assert again.columns["event_time"].base is base
 
     def test_fresh_arena_has_no_schema(self):
         arena = FleetArena()
