@@ -10,22 +10,31 @@ The proxy also observes its downstream operator during the epoch — pending
 queue length and idle time — and reports an :class:`OperatorState` at the
 epoch boundary, applying the ``DrainedThres`` / ``IdleThres`` hysteresis from
 Section IV-C so small workload variation does not trigger adaptation.
+
+A :class:`ControlProxy` holds one proxy's load factor.  The rules are array
+functions over many proxies at once — :func:`route_counts` for routing,
+:func:`congestion_floor_records` and :func:`operator_states` for the
+observation — so the block stepper
+(:func:`~repro.simulation.pipeline.run_block_epoch`) decides one stage of
+every source in one pass; one proxy is the one-element case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from ..config import ProxyThresholds
 from ..errors import ConfigurationError
-from ..query.records import half_up
-from .state import OperatorState
+from .state import CONGESTED, IDLE, STABLE, OperatorState
+
+#: A per-proxy quantity: one value, or one per proxy.
+Column = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class ProxyObservation:
+class ProxyObservation(NamedTuple):
     """Per-epoch observation reported by a control proxy.
 
     Attributes:
@@ -48,7 +57,7 @@ class ProxyObservation:
 
 
 class ControlProxy:
-    """Routing logic associated with one downstream operator.
+    """Routing state associated with one downstream operator.
 
     Attributes:
         operator_name: Name of the downstream operator this proxy feeds.
@@ -56,25 +65,10 @@ class ControlProxy:
             (``0 <= p <= 1``); the remainder is drained.
     """
 
-    def __init__(
-        self,
-        operator_name: str,
-        thresholds: ProxyThresholds | None = None,
-        load_factor: float = 0.0,
-    ) -> None:
+    def __init__(self, operator_name: str, load_factor: float = 0.0) -> None:
         self.operator_name = operator_name
-        self.thresholds = thresholds or ProxyThresholds()
         self._load_factor = 0.0
         self.set_load_factor(load_factor)
-        # Rolling counters for the current epoch.
-        self._incoming = 0
-        self._forwarded = 0
-        self._drained = 0
-        self._processed = 0
-        self._pending = 0
-        self._idle_fraction = 0.0
-
-    # -- load factor ---------------------------------------------------------
 
     @property
     def load_factor(self) -> float:
@@ -92,94 +86,91 @@ class ControlProxy:
             )
         self._load_factor = min(1.0, max(0.0, value))
 
-    # -- routing -------------------------------------------------------------
-
-    def route(self, n: int) -> Tuple[int, int]:
-        """Split ``n`` incoming records into (forwarded, drained) counts.
-
-        Routing is deterministic: the first ``floor(p * n + 0.5)`` records
-        (stable half-up rounding) are forwarded and the rest drained.
-        Python's ``round()`` rounds half to even, which made the forwarded
-        count non-monotone in ``n`` at exact halves — ``p = 0.5`` forwarded
-        0 of 1 records but 2 of 3 — silently skewing half-way load factors.
-        Determinism keeps simulation runs and tests reproducible; because
-        records within an epoch are exchangeable for the queries considered,
-        this does not bias results.
-
-        The proxy decides counts only: the caller cuts its record container
-        at the forwarded count, and only where rows actually leave the stage.
-        """
-        n_forward = half_up(self._load_factor * n)
-        n_forward = min(n, max(0, n_forward))
-        self._incoming += n
-        self._forwarded += n_forward
-        self._drained += n - n_forward
-        return n_forward, n - n_forward
-
-    # -- observation ---------------------------------------------------------
-
-    def record_processing(
-        self, processed: int, pending: int, idle_fraction: float
-    ) -> None:
-        """Report what the downstream operator did with forwarded records."""
-        self._processed += int(processed)
-        self._pending = int(pending)
-        self._idle_fraction = float(min(1.0, max(0.0, idle_fraction)))
-
-    def record_idle(self, idle_fraction: float) -> None:
-        """Report the downstream operator's idle time without touching the
-        pending count (which must reflect the pre-relief backlog)."""
-        self._idle_fraction = float(min(1.0, max(0.0, idle_fraction)))
-
-    def observe(self) -> ProxyObservation:
-        """Classify the downstream operator state and reset epoch counters.
-
-        Congestion requires the pending backlog to exceed both the absolute
-        floor (``congestion_pending_records``) and ``DrainedThres`` of this
-        epoch's incoming records.  Idleness requires the downstream operator
-        to have an empty queue while staying idle for longer than
-        ``IdleThres`` of the epoch (the operator "stays empty for longer than
-        a predefined time duration" in the paper's terms).
-        """
-        thresholds = self.thresholds
-        incoming = self._incoming
-        congestion_floor = max(
-            thresholds.congestion_pending_records,
-            int(math.ceil(thresholds.drained_thres * max(1, incoming))),
-        )
-
-        if self._pending > congestion_floor:
-            state = OperatorState.CONGESTED
-        elif self._idle_fraction > thresholds.idle_thres and self._pending == 0:
-            state = OperatorState.IDLE
-        else:
-            state = OperatorState.STABLE
-
-        observation = ProxyObservation(
-            state=state,
-            incoming_records=self._incoming,
-            forwarded_records=self._forwarded,
-            drained_records=self._drained,
-            processed_records=self._processed,
-            pending_records=self._pending,
-            idle_fraction=self._idle_fraction,
-        )
-        self._reset_epoch_counters()
-        return observation
-
-    def _reset_epoch_counters(self) -> None:
-        self._incoming = 0
-        self._forwarded = 0
-        self._drained = 0
-        self._processed = 0
-        # Pending persists across epochs: it reflects queue state, not a rate.
-        self._idle_fraction = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<ControlProxy {self.operator_name!r} p={self._load_factor:.3f} "
-            f"pending={self._pending}>"
-        )
+        return f"<ControlProxy {self.operator_name!r} p={self._load_factor:.3f}>"
+
+
+def route_counts(load_factors: Column, incoming_records: np.ndarray) -> np.ndarray:
+    """Forwarded record counts of proxies with ``incoming_records`` each.
+
+    Routing is deterministic: a proxy forwards the first
+    ``floor(p * n + 0.5)`` of its ``n`` records (stable half-up rounding,
+    clamped to ``[0, n]``) and drains the rest.  Half-to-even rounding —
+    builtin ``round()``, ``np.round``, ``np.rint`` — made the forwarded
+    count non-monotone in ``n`` at exact halves: ``p = 0.5`` forwarded 0 of
+    1 records but 2 of 3, silently skewing half-way load factors (simlint
+    SL004).  Determinism keeps simulation runs and tests reproducible;
+    because records within an epoch are exchangeable for the queries
+    considered, this does not bias results.
+
+    The proxies decide counts only: the caller cuts each record container
+    at its forwarded count, and only where rows actually leave the stage.
+    """
+    forwarded = np.floor(load_factors * incoming_records + 0.5).astype(np.int64)
+    return np.minimum(incoming_records, np.maximum(0, forwarded))
+
+
+def congestion_floor_records(
+    thresholds: "ProxyThresholds | ThresholdColumns", incoming_records: np.ndarray
+) -> np.ndarray:
+    """The pending count above which a proxy's queue is congested.
+
+    Congestion requires the backlog to exceed both the absolute floor
+    (``congestion_pending_records``) and ``DrainedThres`` of the epoch's
+    incoming records; the same floor bounds where congestion relief starts
+    draining a queue (:func:`~repro.simulation.pipeline.run_block_epoch`).
+    """
+    return np.maximum(
+        thresholds.congestion_pending_records,
+        np.ceil(thresholds.drained_thres * np.maximum(1, incoming_records)).astype(
+            np.int64
+        ),
+    )
+
+
+def operator_states(
+    thresholds: "ProxyThresholds | ThresholdColumns",
+    incoming_records: np.ndarray,
+    pending_records: np.ndarray,
+    idle_fractions: np.ndarray,
+) -> np.ndarray:
+    """Each proxy's operator state, as a code into :data:`OPERATOR_STATES`.
+
+    A queue is congested when its pending backlog exceeds
+    :func:`congestion_floor_records`.  It is idle when the downstream
+    operator has an empty queue while staying idle for longer than
+    ``IdleThres`` of the epoch (the operator "stays empty for longer than a
+    predefined time duration" in the paper's terms).  Otherwise it is
+    stable.
+    """
+    congested = pending_records > congestion_floor_records(thresholds, incoming_records)
+    idle = (idle_fractions > thresholds.idle_thres) & (pending_records == 0)
+    return np.where(congested, CONGESTED, np.where(idle, IDLE, STABLE))
+
+
+class ThresholdColumns(NamedTuple):
+    """:class:`ProxyThresholds` fields as one value per proxy."""
+
+    drained_thres: np.ndarray
+    idle_thres: np.ndarray
+    congestion_pending_records: np.ndarray
+    queue_capacity_epochs: np.ndarray
+
+
+def threshold_columns(
+    thresholds: Sequence[ProxyThresholds],
+) -> "ProxyThresholds | ThresholdColumns":
+    """Many proxies' thresholds for the array rules: the shared one when all
+    proxies share it (the usual case), else one array per field."""
+    first = thresholds[0]
+    if thresholds.count(first) == len(thresholds):
+        return first
+    return ThresholdColumns(
+        np.array([t.drained_thres for t in thresholds]),
+        np.array([t.idle_thres for t in thresholds]),
+        np.array([t.congestion_pending_records for t in thresholds]),
+        np.array([t.queue_capacity_epochs for t in thresholds]),
+    )
 
 
 def effective_load_factors(load_factors: Sequence[float]) -> List[float]:

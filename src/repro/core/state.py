@@ -8,7 +8,9 @@ operational phases of the runtime state machine (Figure 6).
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Iterable, List
+
+import numpy as np
 
 
 class OperatorState(enum.Enum):
@@ -20,6 +22,12 @@ class OperatorState(enum.Enum):
     IDLE = "idle"
     #: Neither congested nor idle.
     STABLE = "stable"
+
+
+#: Operator states by code: what the array rules
+#: (:func:`~repro.core.control_proxy.operator_states`) return.
+OPERATOR_STATES = (OperatorState.CONGESTED, OperatorState.IDLE, OperatorState.STABLE)
+CONGESTED, IDLE, STABLE = range(3)
 
 
 class QueryState(enum.Enum):
@@ -58,6 +66,23 @@ def classify_query_state(operator_states: Iterable[OperatorState]) -> QueryState
     if all(state is OperatorState.IDLE for state in states):
         return QueryState.IDLE
     return QueryState.STABLE
+
+
+def classify_query_states(operator_codes: np.ndarray) -> List[QueryState]:
+    """:func:`classify_query_state` of many sources at once.
+
+    ``operator_codes`` holds :data:`OPERATOR_STATES` codes, stages by
+    sources; returns each source's query state.
+    """
+    codes = np.where(
+        (operator_codes == CONGESTED).any(axis=0),
+        CONGESTED,
+        np.where((operator_codes == IDLE).all(axis=0), IDLE, STABLE),
+    )
+    return [_QUERY_STATES[code] for code in codes.tolist()]
+
+
+_QUERY_STATES = (QueryState.CONGESTED, QueryState.IDLE, QueryState.STABLE)
 
 
 def is_stable(state: QueryState) -> bool:

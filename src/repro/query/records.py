@@ -911,10 +911,12 @@ def half_up(value: float) -> int:
     """Round ``value`` to the nearest integer with ties going up.
 
     Record and byte counts must use this instead of builtin ``round()``:
-    Python rounds half to even ("banker's rounding"), which made
-    ``ControlProxy.route`` forward 0 of 1 record at a 0.5 load factor but
-    2 of 3 — per-epoch throughput depended on the parity of the record
-    count (the PR 5 bug, now simlint rule SL004).
+    Python rounds half to even ("banker's rounding"), which made a control
+    proxy forward 0 of 1 record at a 0.5 load factor but 2 of 3 — per-epoch
+    throughput depended on the parity of the record count (the PR 5 bug,
+    now simlint rule SL004).  Arrays round the same way with
+    ``np.floor(x + 0.5)``, as :func:`~repro.core.control_proxy.route_counts`
+    does; ``np.round`` and ``np.rint`` round half to even too.
     """
     return int(math.floor(value + 0.5))
 

@@ -15,7 +15,13 @@ thin executors**:
   pipeline execution, strategy observation/feedback, record-conservation
   counters, warmup/run-loop scaffolding); :class:`EpochAccountant` owns the
   goodput/latency arithmetic and :class:`EpochMetrics` assembly.  Accounting
-  fixes land here exactly once.
+  fixes land here exactly once.  A block epoch's control plane and
+  accounting are array passes over the block's sources: one per stage for
+  every source's routing, budget, relief, backpressure and proxy state
+  (:func:`~repro.simulation.pipeline.stage_counts`), one per block for the
+  conservation counters and for goodput, latency and query state
+  (:meth:`EpochAccountant.finish_block_epoch`); only strategy feedback,
+  container cuts and the returned objects run per source.
 * Executors contribute only their network/SP arbitration terms:
 
   - :class:`BuildingBlockExecutor` — one data source and its parent stream
@@ -79,7 +85,7 @@ backlog for the rest of the block epoch, whose last phase owns whatever is
 still queued — only this epoch's items, at each FIFO's tail — so between
 epochs no executor-held batch aliases an arena, and the conservation check
 reports one that does.  Routing, queueing, draining and shipping are count
-arithmetic on those views.  Group aggregation of the
+arithmetic on those views, decided for every source of a block at once.  Group aggregation of the
 bundled probe queries stays columnar on the source and SP pipelines: each
 batch is stored as a raw run of packed int64 keys and float values,
 distinct-group counts sort keys only, and values fold
@@ -175,6 +181,7 @@ with ``# simlint: unit[bytes]``.
 
 from .cost_model import CostModel, OperatorCostSpec
 from .engine import (
+    BlockStep,
     EpochAccountant,
     EpochEngine,
     RECORD_MODES,
@@ -191,6 +198,7 @@ from .network import (
 )
 from .node import StreamProcessorNode, BudgetSchedule
 from .pipeline import (
+    BlockEpoch,
     RecordContainer,
     SourcePipeline,
     SourceEpochResult,
@@ -231,6 +239,7 @@ from .sharding import (
 __all__ = [
     "CostModel",
     "OperatorCostSpec",
+    "BlockStep",
     "EpochAccountant",
     "EpochEngine",
     "RECORD_MODES",
@@ -242,6 +251,7 @@ __all__ = [
     "plan_fifo_transfer",
     "StreamProcessorNode",
     "BudgetSchedule",
+    "BlockEpoch",
     "RecordContainer",
     "SourcePipeline",
     "SourceEpochResult",

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..query.operators import Operator
 
@@ -106,17 +108,42 @@ class CostModel:
     def cost_per_record(self, operator: Operator) -> float:
         """Core-seconds needed to process one record with ``operator``."""
         spec = self.spec_for(operator)
-        cost = spec.cpu_per_record * operator.cost_hint
+        cost = self._plan_cost(spec, operator)
+        if self._reads_group_count(spec, operator):
+            cost += spec.group_log_cost * self._group_log(operator)
+        return cost
 
+    def stage_costs(self, operators: Sequence[Operator]) -> "float | np.ndarray":
+        """:meth:`cost_per_record` of one plan stage's operators, one per
+        source: one value when it is the plan's, else one per operator.
+
+        The operators must be one plan's stage, alike in name, kind, cost
+        hint and table size, so the part of the cost that does not depend
+        on state is read once, off the first; the group term, when the
+        spec has one, reads each operator's own group count.
+        """
+        first = operators[0]
+        spec = self.spec_for(first)
+        cost = self._plan_cost(spec, first)
+        if not self._reads_group_count(spec, first):
+            return cost
+        return cost + spec.group_log_cost * np.array(
+            [self._group_log(operator) for operator in operators]
+        )
+
+    @staticmethod
+    def _plan_cost(spec: OperatorCostSpec, operator: Operator) -> float:
+        """The per-record cost before the group term: fixed by the plan."""
+        cost = spec.cpu_per_record * operator.cost_hint
         if spec.table_scale_exp and hasattr(operator, "table_size"):
             table_size = max(1, int(getattr(operator, "table_size")))
             cost *= (table_size / spec.ref_table_size) ** spec.table_scale_exp
-
-        if self._reads_group_count(spec, operator):
-            groups = max(1, int(operator.group_count()))
-            cost += spec.group_log_cost * math.log2(groups + 1)
-
         return cost
+
+    @staticmethod
+    def _group_log(operator: Operator) -> float:
+        groups = max(1, int(operator.group_count()))
+        return math.log2(groups + 1)
 
     @staticmethod
     def _reads_group_count(spec: OperatorCostSpec, operator: Operator) -> bool:

@@ -15,16 +15,23 @@ This module is now the single home of that machinery:
   record-conservation counters, and feeding each strategy its
   :class:`~repro.core.runtime.EpochObservation` feedback (including applying
   the returned load factors).  The pipelines of one engine run one plan and
-  step together, stage by stage, so a row-masking operator runs one pass
-  over the whole block's arena rows and the G+R one pass over the rows that
-  reach it, while every per-source number and group state stays that
-  source's own.  The engine also provides the warmup/run-loop
-  scaffolding (freshness guards and metric collectors).
+  step together, stage by stage: one array pass per stage decides every
+  source's counts, a row-masking operator runs one pass over the whole
+  block's arena rows and the G+R one pass over the rows that reach it,
+  while every per-source number and group state stays that source's own.
+  The counters and record sizes of the whole block are one array pass; the
+  strategy feedback stays per source (Section IV-A).  The engine also
+  provides the warmup/run-loop scaffolding (freshness guards and metric
+  collectors).
 * :class:`EpochAccountant` owns the *accounting arithmetic*: goodput (offered
   input debited by the growth of every queue a record can park in), the
   latency estimate (half-epoch batching + source backlog drain + network +
-  SP-compute delays), and :class:`~repro.simulation.metrics.EpochMetrics`
-  assembly.
+  SP-compute delays), the query state, and
+  :class:`~repro.simulation.metrics.EpochMetrics` assembly.  It computes
+  every source of a block in one pass over arrays
+  (:meth:`EpochAccountant.finish_block_epoch`), repeating each source's
+  IEEE operations in the same order;
+  :meth:`EpochAccountant.finish_source_epoch` is its one-source form.
 
 Executors contribute only their genuinely distinct parts: how bytes cross the
 network (a private uplink, a max-min-arbitrated shared link, a two-tier
@@ -36,6 +43,7 @@ bit-identical accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import (
     Dict,
     Iterable,
@@ -47,9 +55,11 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..config import JarvisConfig, PINGMESH_RECORD_BYTES
 from ..core.runtime import EpochObservation
-from ..core.state import RuntimePhase, classify_query_state
+from ..core.state import RuntimePhase, classify_query_states
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
 from ..query.records import FleetArena, Record, RecordBatch
@@ -57,6 +67,7 @@ from .cost_model import CostModel
 from .metrics import ClusterMetrics, EpochMetrics, RunMetrics
 from .node import BudgetSchedule, as_budget_schedule
 from .pipeline import (
+    BlockEpoch,
     RecordContainer,
     SourceEpochResult,
     SourcePipeline,
@@ -165,12 +176,17 @@ class SourceState:
 
 
 @dataclass
-class SourceStepResult:
-    """Everything one source produced during one engine step."""
+class BlockStep:
+    """One engine step: every source's epoch, in source order."""
 
-    state: SourceState
-    result: SourceEpochResult
-    budget_fraction: float
+    states: List[SourceState]
+    #: Each source's CPU budget this epoch, as its schedule gave it.
+    budget_fractions: List[float]
+    block: BlockEpoch
+
+    @property
+    def results(self) -> List[SourceEpochResult]:
+        return self.block.results
 
 
 class EpochEngine:
@@ -199,7 +215,7 @@ class EpochEngine:
         )
         self._next_arena_id = 0
         #: The operator chain every source runs (:meth:`_check_plan`).
-        self._chain: Optional[List[Tuple[type, str]]] = None
+        self._chain: Optional[List[Tuple[object, ...]]] = None
         self._sources: List[SourceState] = []
         self._by_name: Dict[str, SourceState] = {}
         self._epoch = 0
@@ -281,21 +297,29 @@ class EpochEngine:
     def _check_plan(self, name: str, pipeline: SourcePipeline) -> None:
         """Refuse a source whose pipeline runs another plan than the engine's.
 
-        The block stepper runs every pipeline's stage ``k`` together, and a
-        row-masking stage applies one pipeline's mask to all of them, so
-        every source must run the same operator chain: the same operator
-        classes and names, stage by stage.  The first source fixes it.
+        The block stepper runs every pipeline's stage ``k`` together, a
+        row-masking stage applies one pipeline's mask to all of them, and a
+        stage's per-record cost is read off one of them, so every source
+        must run the same operator chain: the same operator classes, names,
+        cost hints and table sizes, stage by stage.  The first source fixes
+        it.
         """
-        chain: List[Tuple[type, str]] = [
-            (type(stage.operator), stage.operator.name) for stage in pipeline.stages
+        chain: List[Tuple[object, ...]] = [
+            (
+                type(stage.operator),
+                stage.operator.name,
+                stage.operator.cost_hint,
+                getattr(stage.operator, "table_size", None),
+            )
+            for stage in pipeline.stages
         ]
         if self._chain is None:
             self._chain = chain
         elif chain != self._chain:
             raise SimulationError(
                 f"source {name!r} runs the operators "
-                f"{[op for _, op in chain]}, but this engine steps "
-                f"{[op for _, op in self._chain]}; an engine serves one plan"
+                f"{[link[1:] for link in chain]}, but this engine steps "
+                f"{[link[1:] for link in self._chain]}; an engine serves one plan"
             )
 
     def _register_arena_source(self, state: SourceState) -> None:
@@ -355,21 +379,22 @@ class EpochEngine:
                 return batch_fn(epoch)
         return workload.records_for_epoch(epoch)
 
-    def step_sources(self) -> List[SourceStepResult]:
-        """Step every source one epoch; returns per-source step results.
+    def step_sources(self) -> BlockStep:
+        """Step every source one epoch; returns the block's step.
 
         Each source runs one epoch of its own pipeline under its own CPU
         budget, driven by its own decentralized strategy instance (sources
         never coordinate, Section IV-A).  The pipelines step together, stage
-        by stage (:func:`~repro.simulation.pipeline.run_block_epoch`): a
-        row-masking stage runs one pass over every source's arena rows, and
-        the G+R one pass over the survivors that reach it, each source
-        appending its own rows to its own group state; the joins, queue
-        concatenations and record objects run per source.  Each source's
-        numbers are exactly those of its own pipeline epoch.  The
-        conservation counters and strategy feedback are applied, per
-        source, before returning; a strategy whose plan did not change
-        returns None, and its pipeline keeps its load factors.
+        by stage (:func:`~repro.simulation.pipeline.run_block_epoch`): one
+        array pass per stage decides every source's counts, a row-masking
+        stage runs one pass over every source's arena rows, and the G+R one
+        pass over the survivors that reach it, each source appending its
+        own rows to its own group state; the joins, queue concatenations
+        and record objects run per source.  Each source's numbers are
+        exactly those of its own pipeline epoch.  The conservation counters
+        are applied in one pass and the strategy feedback per source
+        (:meth:`_finish_step`) before returning; a strategy whose plan did
+        not change returns None, and its pipeline keeps its load factors.
 
         Arena mode runs a fleet-wide fill phase first: every source's epoch
         input lands in one block-level :class:`FleetArena`, and each
@@ -377,13 +402,13 @@ class EpochEngine:
         """
         epoch = self._epoch
         self._epoch += 1
-        sources = self._sources
+        sources = list(self._sources)
         if self.arena is not None:
             inputs = self._fill_arena(epoch)
         else:
             inputs = [self.fetch_records(state.workload, epoch) for state in sources]
         budgets = [state.budget.budget_at(epoch) for state in sources]
-        results = run_block_epoch(
+        block = run_block_epoch(
             [state.pipeline for state in sources],
             inputs,
             budgets,
@@ -391,12 +416,12 @@ class EpochEngine:
             self.arena,
         )
         if self.arena is not None:
-            for state in sources:
-                self._own_escaping(state)
-        return [
-            self._finish_step(state, epoch, budget, src)
-            for state, budget, src in zip(sources, budgets, results)
-        ]
+            # Only a source whose stage queues hold rows can hold a view.
+            for source in np.flatnonzero(block.backlog_records).tolist():
+                self._own_escaping(sources[source])
+        step = BlockStep(sources, budgets, block)
+        self._finish_step(step, epoch)
+        return step
 
     def _fill_arena(self, epoch: int) -> List[RecordContainer]:
         """Arena fill phase: stack every source's epoch input into the block.
@@ -456,43 +481,67 @@ class EpochEngine:
             if isinstance(stage.queue, RecordBatch):
                 stage.queue = arena.own(stage.queue)
 
-    def _finish_step(
-        self,
-        state: SourceState,
-        epoch: int,
-        budget_fraction: float,
-        src: SourceEpochResult,
-    ) -> SourceStepResult:
-        """Fold one source's epoch into its counters and strategy."""
-        state.records_injected += src.records_in
-        if src.records_in:
-            state.avg_record_bytes = max(1.0, src.input_bytes / src.records_in)
-        for stage, count in enumerate(src.processed_per_stage):
-            state.processed_per_stage[stage] += count
-        for stage, count in enumerate(src.forwarded_per_stage):
-            state.forwarded_per_stage[stage] += count
-        for stage, count in enumerate(src.queue_drained_per_stage):
-            state.queue_drained_per_stage[stage] += count
-        for stage, count in enumerate(src.rejected_per_stage):
-            state.rejected_per_stage[stage] += count
-        state.drained_records += src.drained_records
-        state.records_rejected += src.rejected_records
+    def _finish_step(self, step: BlockStep, epoch: int) -> None:
+        """Fold the block's epoch into every source's counters and strategy.
 
-        observation = EpochObservation(
-            epoch=epoch,
-            proxy_observations=src.observations,
-            compute_budget=budget_fraction,
-            records_injected=src.records_in,
-            measured_costs=src.measured_costs,
-            measured_relays=src.measured_relays,
-            records_processed=src.processed_per_stage,
+        One pass over the block: the measured record sizes come from its
+        arrays, each source's counters stay on its own state, and the
+        strategy feedback is each source's own (Section IV-A).
+        """
+        block = step.block
+        injected = block.injected_records
+        avg_record_bytes = np.maximum(
+            1.0, block.input_bytes / np.maximum(1, injected)
         )
-        new_factors = state.strategy.on_epoch_end(observation)
-        if new_factors is not None:
-            state.pipeline.set_load_factors(
-                pad_load_factors(new_factors, state.pipeline.num_stages)
+        for (
+            state,
+            src,
+            budget_fraction,
+            records_in,
+            record_bytes,
+            drained,
+            rejected,
+        ) in zip(
+            step.states,
+            block.results,
+            step.budget_fractions,
+            injected.tolist(),
+            avg_record_bytes.tolist(),
+            block.drained_records.tolist(),
+            block.rejected_records.tolist(),
+        ):
+            state.records_injected += records_in
+            if records_in:
+                state.avg_record_bytes = record_bytes
+            state.forwarded_per_stage[:] = map(
+                add, state.forwarded_per_stage, src.forwarded_per_stage
             )
-        return SourceStepResult(state, src, budget_fraction)
+            state.processed_per_stage[:] = map(
+                add, state.processed_per_stage, src.processed_per_stage
+            )
+            state.queue_drained_per_stage[:] = map(
+                add, state.queue_drained_per_stage, src.queue_drained_per_stage
+            )
+            state.rejected_per_stage[:] = map(
+                add, state.rejected_per_stage, src.rejected_per_stage
+            )
+            state.drained_records += drained
+            state.records_rejected += rejected
+
+            observation = EpochObservation(
+                epoch=epoch,
+                proxy_observations=src.observations,
+                compute_budget=budget_fraction,
+                records_injected=records_in,
+                measured_costs=src.measured_costs,
+                measured_relays=src.measured_relays,
+                records_processed=src.processed_per_stage,
+            )
+            new_factors = state.strategy.on_epoch_end(observation)
+            if new_factors is not None:
+                state.pipeline.set_load_factors(
+                    pad_load_factors(new_factors, state.pipeline.num_stages)
+                )
 
     # -- record conservation -----------------------------------------------------
 
@@ -630,50 +679,78 @@ class EpochAccountant:
     and get :class:`EpochMetrics` back.  Keeping the arithmetic in one place
     (and applying debits in the caller-given order) is what makes the K=1
     sharding, single-co-located-query, and arena/object equivalences exact.
+
+    The arithmetic runs on arrays over a block's sources
+    (:meth:`finish_block_epoch`), repeating each source's IEEE operations in
+    the same order; :meth:`finish_source_epoch` is its one-source form.
     """
 
     @staticmethod
-    def mean_positive_stage_cost(
-        cost_model: CostModel, pipeline: SourcePipeline
-    ) -> float:
-        """Mean per-record cost over the pipeline's positive-cost stages."""
-        costs = [
-            cost_model.cost_per_record(stage.operator) for stage in pipeline.stages
-        ]
-        positive = [cost for cost in costs if cost > 0]
-        return sum(positive) / len(positive) if positive else 0.0
+    def mean_positive_stage_costs(
+        cost_model: CostModel, pipelines: Sequence[SourcePipeline]
+    ) -> np.ndarray:
+        """Each pipeline's mean per-record cost over its positive-cost stages.
+
+        The pipelines run one plan, so a stage's cost is read once unless it
+        depends on operator state (:meth:`CostModel.stage_costs`).
+        """
+        total_s = np.zeros(len(pipelines))
+        positive_stages = np.zeros(len(pipelines), dtype=np.int64)
+        for index in range(pipelines[0].num_stages if pipelines else 0):
+            cost_s = cost_model.stage_costs(
+                [pipeline.stages[index].operator for pipeline in pipelines]
+            )
+            positive = cost_s > 0
+            total_s = total_s + np.where(positive, cost_s, 0.0)
+            positive_stages = positive_stages + positive
+        return np.where(
+            positive_stages > 0, total_s / np.maximum(1, positive_stages), 0.0
+        )
 
     @staticmethod
     def backlog_drain_seconds(
-        backlog_records: int, mean_stage_cost: float, budget_fraction: float
-    ) -> float:
-        """Time to clear the source backlog at the current budget."""
-        if budget_fraction > 0:
-            return backlog_records * mean_stage_cost / budget_fraction
-        return 0.0 if backlog_records == 0 else float("inf")
+        backlog_records: np.ndarray,
+        mean_stage_cost: np.ndarray,
+        budget_fraction: np.ndarray,
+    ) -> np.ndarray:
+        """Time to clear each source's backlog at its current budget: never
+        with no budget and a backlog."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            drain_s = backlog_records * mean_stage_cost / budget_fraction
+        return np.where(
+            budget_fraction > 0,
+            drain_s,
+            np.where(backlog_records == 0, 0.0, np.inf),
+        )
 
     @staticmethod
-    def goodput_bytes(input_bytes: float, debits: Iterable[float]) -> float:
+    def goodput_bytes(
+        input_bytes: np.ndarray, debits: Iterable[np.ndarray]
+    ) -> np.ndarray:
         """Offered input minus queue growth and rejections, clamped to [0, input].
 
         Goodput debits growth in *every* queue a record can park in (source
         operator queues, network queues, SP compute backlog) plus rejected
-        bytes; shrinking queues are credited back, so transient build-up
-        followed by catch-up nets out and goodput measures the sustainable
-        service rate.
+        bytes, in the caller's order; a shrinking queue credits its drop
+        back.  Each epoch is clamped on its own, though: a build-up epoch
+        reads at least 0, and the epoch that drains the queue is capped at
+        its own input.  So a queue that builds up and then drains costs its
+        size in goodput, up to one epoch of input per burst, rather than
+        netting out (ROADMAP.md, item 1: goodput that nets out a drained
+        burst).
         """
         total = input_bytes
         for debit in debits:
-            total -= debit
-        return max(0.0, min(input_bytes, total))
+            total = total - debit
+        return np.maximum(0.0, np.minimum(input_bytes, total))
 
     @staticmethod
     def latency_s(
         epoch_duration_s: float,
-        backlog_seconds: float,
-        network_delay_s: float,
-        sp_delay_s: float = 0.0,
-    ) -> float:
+        backlog_seconds: np.ndarray,
+        network_delay_s: np.ndarray,
+        sp_delay_s: "float | np.ndarray" = 0.0,
+    ) -> np.ndarray:
         """Half an epoch of batching plus backlog, network, and SP delays."""
         return 0.5 * epoch_duration_s + backlog_seconds + network_delay_s + sp_delay_s
 
@@ -684,6 +761,114 @@ class EpochAccountant:
         if phase is not None and not isinstance(phase, RuntimePhase):
             return None
         return phase
+
+    @classmethod
+    def finish_block_epoch(
+        cls,
+        step: BlockStep,
+        cost_model: CostModel,
+        epoch_duration_s: float,
+        *,
+        shared_queue_bytes: Sequence[Tuple[str, Sequence[float]]] = (),
+        sent_bytes: Sequence[float],
+        reported_queue_bytes: Sequence[float],
+        network_delay_s: Sequence[float],
+        sp_cpu_seconds: Sequence[float],
+        sp_delay_s: float = 0.0,
+    ) -> List[EpochMetrics]:
+        """Assemble every source's epoch metrics from its executor's terms.
+
+        One pass over the block computes the goodput debits (source
+        backlog, then the shared queues in the given order, then
+        rejections), the backlog-drain time, the latency and the query
+        state; each per-source term is a sequence in source order.
+
+        Args:
+            shared_queue_bytes: ``(queue name, current byte levels)`` pairs for
+                every executor-owned queue whose growth debits goodput, in
+                debit order; the previous levels live on each source's state
+                so the growth accounting survives across epochs.
+            sent_bytes: Bytes each source moved across its link this epoch.
+            reported_queue_bytes: The queue level reported as
+                ``network_queue_bytes`` (uplink queue or carryover backlog).
+            network_delay_s: The latency estimate's network term.
+            sp_cpu_seconds: SP compute attributed to each source this epoch.
+            sp_delay_s: The latency estimate's SP-compute-backlog term.
+        """
+        states = step.states
+        block = step.block
+        record_bytes = np.array([state.avg_record_bytes for state in states])
+        backlog_bytes = block.backlog_records * record_bytes
+        debits = [
+            backlog_bytes - np.array([state.prev_backlog_bytes for state in states])
+        ]
+        for queue_name, queue_bytes in shared_queue_bytes:
+            debits.append(
+                np.asarray(queue_bytes, dtype=float)
+                - np.array(
+                    [state.prev_queue_bytes.get(queue_name, 0.0) for state in states]
+                )
+            )
+        debits.append(block.rejected_records * record_bytes)
+        goodput = cls.goodput_bytes(block.input_bytes, debits)
+        for state, level_bytes in zip(states, backlog_bytes.tolist()):
+            state.prev_backlog_bytes = level_bytes
+        for queue_name, queue_bytes in shared_queue_bytes:
+            for state, level_bytes in zip(states, queue_bytes):
+                state.prev_queue_bytes[queue_name] = level_bytes
+
+        backlog_seconds = cls.backlog_drain_seconds(
+            block.backlog_records,
+            cls.mean_positive_stage_costs(
+                cost_model, [state.pipeline for state in states]
+            ),
+            np.array(step.budget_fractions, dtype=float),
+        )
+        latency = cls.latency_s(
+            epoch_duration_s,
+            backlog_seconds,
+            np.asarray(network_delay_s, dtype=float),
+            sp_delay_s,
+        )
+        return [
+            EpochMetrics(
+                epoch=src.epoch,
+                input_bytes=src.input_bytes,
+                goodput_bytes=goodput_n,
+                network_bytes_offered=src.network_bytes,
+                network_bytes_sent=sent,
+                network_queue_bytes=queued,
+                cpu_used_seconds=src.cpu_used_seconds,
+                cpu_budget_seconds=src.cpu_budget_seconds,
+                sp_cpu_seconds=sp_cpu,
+                source_backlog_records=backlog_n,
+                latency_s=latency_n,
+                query_state=query_state,
+                runtime_phase=cls.strategy_phase(state.strategy),
+                load_factors=tuple(state.pipeline.load_factors()),
+            )
+            for (
+                state,
+                src,
+                goodput_n,
+                sent,
+                queued,
+                sp_cpu,
+                backlog_n,
+                latency_n,
+                query_state,
+            ) in zip(
+                states,
+                block.results,
+                goodput.tolist(),
+                sent_bytes,
+                reported_queue_bytes,
+                sp_cpu_seconds,
+                block.backlog_records.tolist(),
+                latency.tolist(),
+                classify_query_states(block.operator_codes),
+            )
+        ]
 
     @classmethod
     def finish_source_epoch(
@@ -701,51 +886,25 @@ class EpochAccountant:
         sp_cpu_seconds: float,
         sp_delay_s: float = 0.0,
     ) -> EpochMetrics:
-        """Assemble one source's epoch metrics from its executor's terms.
-
-        Args:
-            shared_queue_bytes: ``(queue name, current byte level)`` pairs for
-                every executor-owned queue whose growth debits goodput, in
-                debit order; the previous levels live on ``state`` so the
-                growth accounting survives across epochs.
-            sent_bytes: Bytes this source moved across its link this epoch.
-            reported_queue_bytes: The queue level reported as
-                ``network_queue_bytes`` (uplink queue or carryover backlog).
-            network_delay_s: The latency estimate's network term.
-            sp_cpu_seconds: SP compute attributed to this source this epoch.
-            sp_delay_s: The latency estimate's SP-compute-backlog term.
-        """
-        backlog_bytes = src.backlog_records * state.avg_record_bytes
-        debits = [backlog_bytes - state.prev_backlog_bytes]
-        state.prev_backlog_bytes = backlog_bytes
-        for queue_name, queue_bytes in shared_queue_bytes:
-            debits.append(queue_bytes - state.prev_queue_bytes.get(queue_name, 0.0))
-            state.prev_queue_bytes[queue_name] = queue_bytes
-        debits.append(src.rejected_records * state.avg_record_bytes)
-        goodput = cls.goodput_bytes(src.input_bytes, debits)
-
-        backlog_seconds = cls.backlog_drain_seconds(
-            src.backlog_records,
-            cls.mean_positive_stage_cost(cost_model, state.pipeline),
-            budget_fraction,
+        """One source's epoch metrics: the one-source form of
+        :meth:`finish_block_epoch`, whose arguments it takes per source."""
+        step = BlockStep(
+            [state],
+            [budget_fraction],
+            BlockEpoch.from_results([src], state.pipeline.num_stages),
         )
-        latency = cls.latency_s(
-            epoch_duration_s, backlog_seconds, network_delay_s, sp_delay_s
+        (metrics,) = cls.finish_block_epoch(
+            step,
+            cost_model,
+            epoch_duration_s,
+            shared_queue_bytes=[
+                (queue_name, [queue_bytes])
+                for queue_name, queue_bytes in shared_queue_bytes
+            ],
+            sent_bytes=[sent_bytes],
+            reported_queue_bytes=[reported_queue_bytes],
+            network_delay_s=[network_delay_s],
+            sp_cpu_seconds=[sp_cpu_seconds],
+            sp_delay_s=sp_delay_s,
         )
-
-        return EpochMetrics(
-            epoch=src.epoch,
-            input_bytes=src.input_bytes,
-            goodput_bytes=goodput,
-            network_bytes_offered=src.network_bytes,
-            network_bytes_sent=sent_bytes,
-            network_queue_bytes=reported_queue_bytes,
-            cpu_used_seconds=src.cpu_used_seconds,
-            cpu_budget_seconds=src.cpu_budget_seconds,
-            sp_cpu_seconds=sp_cpu_seconds,
-            source_backlog_records=src.backlog_records,
-            latency_s=latency,
-            query_state=classify_query_state(obs.state for obs in src.observations),
-            runtime_phase=cls.strategy_phase(state.strategy),
-            load_factors=tuple(state.pipeline.load_factors()),
-        )
+        return metrics

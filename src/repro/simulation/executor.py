@@ -125,8 +125,9 @@ class BuildingBlockExecutor:
     def run_epoch(self) -> EpochMetrics:
         """Execute one epoch and return its metrics."""
         epoch_s = self.config.epoch.duration_s
-        (step,) = self.epoch_engine.step_sources()
-        src = step.result
+        step = self.epoch_engine.step_sources()
+        (state,) = step.states
+        (src,) = step.results
 
         # Network: drained records + emitted results + shipped partial state.
         self.link.offer(src.network_bytes)
@@ -141,9 +142,9 @@ class BuildingBlockExecutor:
         )
 
         return EpochAccountant.finish_source_epoch(
-            step.state,
+            state,
             src,
-            step.budget_fraction,
+            step.budget_fractions[0],
             self.cost_model,
             epoch_s,
             shared_queue_bytes=(("uplink", transmit.queued_bytes),),

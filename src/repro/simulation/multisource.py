@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..config import JarvisConfig
 from ..errors import SimulationError, require_finite
 from ..query.physical_plan import PhysicalPlan
@@ -55,6 +57,7 @@ from ..query.records import (
 )
 from .cost_model import CostModel
 from .engine import (
+    BlockStep,
     EpochAccountant,
     EpochEngine,
     SourceState,
@@ -306,7 +309,9 @@ class MultiSourceExecutor:
         #: How many items at the SP backlog's tail this epoch's shipping added.
         self._fresh_sp_pending = 0
         self._epoch_index = 0
-        self._epoch_results: List[Tuple[_CarryoverSourceState, object, float]] = []
+        #: The engine's step this epoch, between the source and accounting
+        #: phases (None between epochs).
+        self._epoch_step: Optional[BlockStep] = None
 
     # -- introspection -----------------------------------------------------------
 
@@ -447,7 +452,7 @@ class MultiSourceExecutor:
         the carryover queue itself, including the head item's
         partial-transfer progress, travels inside the returned state.
         """
-        if self._epoch_results:
+        if self._epoch_step is not None:
             raise SimulationError(
                 "detach_source must run between epochs, not mid-epoch"
             )
@@ -486,7 +491,7 @@ class MultiSourceExecutor:
         Both blocks must be step-aligned (lockstep tiling) and run the same
         record mode; violating either would tear the source's timeline.
         """
-        if self._epoch_results:
+        if self._epoch_step is not None:
             raise SimulationError(
                 "attach_source must run between epochs, not mid-epoch"
             )
@@ -529,14 +534,12 @@ class MultiSourceExecutor:
         shared link this epoch.
         """
         epoch = self.epoch_engine.epochs_run
-        steps = self.epoch_engine.step_sources()
-        source_results = []
+        step = self.epoch_engine.step_sources()
         offered_bytes_total = 0.0
-        for step in steps:
-            offered_bytes_total += self._enqueue_transfers(step.state, step.result)
-            source_results.append((step.state, step.result, step.budget_fraction))
+        for state, result in zip(step.states, step.results):
+            offered_bytes_total += self._enqueue_transfers(state, result)
         self._epoch_index = epoch
-        self._epoch_results = source_results
+        self._epoch_step = step
         return offered_bytes_total
 
     def total_remaining_demand(self) -> float:
@@ -584,12 +587,15 @@ class MultiSourceExecutor:
         anybody down, so they must not inflate the estimate.
 
         Goodput debits growth in *every* queue a record can park in (source
-        operator queues, carryover, SP compute backlog); the arithmetic lives
-        in :meth:`EpochAccountant.finish_source_epoch`.
+        operator queues, carryover, SP compute backlog); the arithmetic is
+        one pass over the block
+        (:meth:`EpochAccountant.finish_block_epoch`).
 
         Every driver ends its block epoch here, so this is where arena views
         still queued are owned (:meth:`_own_queued`).
         """
+        step = self._epoch_step
+        states = step.states
         epoch_s = self.config.epoch.duration_s
         sp_cpu_total = sum(sp_cpu_by_source.values())
         sp_backlog_cost_s = self._sp_pending_cost_seconds()
@@ -602,36 +608,34 @@ class MultiSourceExecutor:
             else 0.0
         )
 
-        metrics: Dict[str, EpochMetrics] = {}
+        # Latency: the network term counts only the bytes that still have to
+        # *cross* the link (the head item's partial progress has already
+        # crossed and stays in ``carryover_bytes`` purely for backlog
+        # accounting).
         fair_rate = link_rate_bytes_per_s / max(1, contending_sources)
-        for (state, src, budget_fraction), sent in zip(
-            self._epoch_results, shipped_bytes
-        ):
-            # Latency: the network term counts only the bytes that still have
-            # to *cross* the link (the head item's partial progress has
-            # already crossed and stays in ``carryover_bytes`` purely for
-            # backlog accounting).
-            network_delay = (
-                self._remaining_demand(state) / fair_rate
-                if fair_rate > 0
-                else 0.0
-            )
-            metrics[state.name] = EpochAccountant.finish_source_epoch(
-                state,
-                src,
-                budget_fraction,
-                self.cost_model,
-                epoch_s,
-                shared_queue_bytes=(
-                    ("carryover", state.carryover_bytes),
-                    ("sp_backlog", sp_backlog_bytes.get(state.name, 0.0)),
+        demand_bytes = np.array([self._remaining_demand(state) for state in states])
+        network_delay = (
+            demand_bytes / fair_rate if fair_rate > 0 else np.zeros(len(states))
+        )
+        carryover_bytes = [state.carryover_bytes for state in states]
+        accounted = EpochAccountant.finish_block_epoch(
+            step,
+            self.cost_model,
+            epoch_s,
+            shared_queue_bytes=(
+                ("carryover", carryover_bytes),
+                (
+                    "sp_backlog",
+                    [sp_backlog_bytes.get(state.name, 0.0) for state in states],
                 ),
-                sent_bytes=sent,
-                reported_queue_bytes=state.carryover_bytes,
-                network_delay_s=network_delay,
-                sp_cpu_seconds=sp_cpu_by_source.get(state.name, 0.0),
-                sp_delay_s=sp_delay,
-            )
+            ),
+            sent_bytes=shipped_bytes,
+            reported_queue_bytes=carryover_bytes,
+            network_delay_s=network_delay,
+            sp_cpu_seconds=[sp_cpu_by_source.get(state.name, 0.0) for state in states],
+            sp_delay_s=sp_delay,
+        )
+        metrics = {state.name: em for state, em in zip(states, accounted)}
 
         self._last_cluster_epoch = ClusterEpochMetrics(
             epoch=self._epoch_index,
@@ -643,7 +647,7 @@ class MultiSourceExecutor:
             sp_cpu_capacity_seconds=self.sp_compute_capacity_s,
             sp_backlog_records=self.sp_backlog_records(),
         )
-        self._epoch_results = []
+        self._epoch_step = None
         arena = self.epoch_engine.arena
         if arena is not None:
             self._own_queued(arena)

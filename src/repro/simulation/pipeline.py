@@ -11,13 +11,16 @@ The data-source pipeline (Figure 5, left) is a chain of
 
 Routing, the budget, relief and backpressure are decided on record counts,
 and a record container is sliced only where rows leave a stage.  An epoch
-is a sequence of per-stage steps, so :func:`run_block_epoch` can move a
-whole building block's pipelines through it stage by stage: a row-masking
-operator then runs once over every source's arena rows (:func:`mask_rows`),
-and the G+R once over the rows that reach it
-(:func:`~repro.query.operators.append_runs`), while each source keeps its
-own queues, budget, group state and numbers.
-:meth:`SourcePipeline.run_epoch` is the one-source form.
+is a sequence of per-stage steps, so :func:`run_block_epoch` moves a whole
+building block's pipelines through it stage by stage: one array pass per
+stage decides every source's counts (:func:`stage_counts`), one more at
+the close every proxy's observation (:func:`observe_stages`); a row-masking
+operator runs once over every source's arena rows (:func:`mask_rows`), and
+the G+R once over the rows that reach it
+(:func:`~repro.query.operators.append_runs`).  The arrays live for one
+block epoch; each source keeps its own queues, load factors, budget, group
+state and numbers.  :meth:`SourcePipeline.run_epoch` is the one-source
+form.
 
 The stream-processor pipeline (Figure 5, right) replicates the full operator
 chain, processes drained records from whichever stage they were drained at,
@@ -31,7 +34,6 @@ paper's §V describes, so the simulator tracks no watermark.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -39,7 +41,16 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import ProxyThresholds
-from ..core.control_proxy import ControlProxy, ProxyObservation
+from ..core.control_proxy import (
+    ControlProxy,
+    ProxyObservation,
+    ThresholdColumns,
+    congestion_floor_records,
+    operator_states,
+    route_counts,
+    threshold_columns,
+)
+from ..core.state import OPERATOR_STATES
 from ..errors import SimulationError
 from ..query.operators import Operator, append_runs
 from ..query.records import (
@@ -150,18 +161,6 @@ class SourceEpochResult:
         return sum(self.pending_per_stage)
 
 
-@dataclass
-class _SourceEpoch:
-    """One pipeline's epoch in flight, between its open and close steps."""
-
-    result: SourceEpochResult
-    profile: bool
-    #: What arrives at the next stage: the epoch's input, then each stage's
-    #: operator output.
-    current: RecordContainer
-    used_seconds: float = 0.0
-
-
 class SourcePipeline:
     """The query pipeline deployed on a single data source node."""
 
@@ -188,10 +187,7 @@ class SourcePipeline:
         self.epoch_duration_s = float(epoch_duration_s)
         self.epochs_per_window = max(1, half_up(window_length_s / epoch_duration_s))
         self.stages: List[_SourceStage] = [
-            _SourceStage(
-                proxy=ControlProxy(op.name, self.thresholds, load_factor=0.0),
-                operator=op,
-            )
+            _SourceStage(proxy=ControlProxy(op.name, load_factor=0.0), operator=op)
             for op in operators
         ]
         self._epoch_index = 0
@@ -231,9 +227,6 @@ class SourcePipeline:
         if changed and self.allow_congestion_relief:
             self._drain_backlog_next_epoch = True
 
-    def proxies(self) -> List[ControlProxy]:
-        return [stage.proxy for stage in self.stages]
-
     # -- execution ----------------------------------------------------------------
 
     def run_epoch(
@@ -259,186 +252,31 @@ class SourcePipeline:
                 allows, and per-operator cost / relay-ratio measurements are
                 returned alongside the normal results.
         """
-        (result,) = run_block_epoch([self], [records], [cpu_budget_fraction], [profile])
+        (result,) = run_block_epoch(
+            [self], [records], [cpu_budget_fraction], [profile]
+        ).results
         return result
 
-    def _begin_epoch(
-        self, records: RecordContainer, cpu_budget_fraction: float, profile: bool
-    ) -> _SourceEpoch:
-        """Open an epoch: its result, and the old plan's backlog drained."""
-        if cpu_budget_fraction < 0:
-            raise SimulationError(
-                f"cpu_budget_fraction must be >= 0, got {cpu_budget_fraction!r}"
-            )
-        epoch = self._epoch_index
-        self._epoch_index += 1
-        result = SourceEpochResult(
-            epoch=epoch,
-            records_in=len(records),
-            input_bytes=float(record_size_bytes(records)),
-            cpu_used_seconds=0.0,
-            cpu_budget_seconds=cpu_budget_fraction * self.epoch_duration_s,
-        )
-        if profile:
-            result.measured_costs = []
-            result.measured_relays = []
-
-        result.queue_drained_per_stage = [0] * len(self.stages)
-        result.rejected_per_stage = [0] * len(self.stages)
-
-        if self._drain_backlog_next_epoch:
-            # A new plan was installed: ship the old plan's pending records to
-            # the stream processor so they do not distort its evaluation.
-            self._drain_backlog_next_epoch = False
-            for index, stage in enumerate(self.stages):
-                if stage.queue:
-                    result.drained.append((index, stage.queue))
-                    result.queue_drained_per_stage[index] += len(stage.queue)
-                    stage.queue = []
-
-        current = records if isinstance(records, RecordBatch) else list(records)
-        return _SourceEpoch(result, profile, current)
-
-    def _admit(self, run: _SourceEpoch, index: int) -> RecordContainer:
-        """Stage ``index``'s counts for this epoch; returns its operator input.
-
-        Routing, the CPU budget, congestion relief and backpressure
-        (:meth:`_keep_pending`) are all decided on counts.  The stage's
-        queue is its old queue followed by the forwarded records, and rows
-        are cut from it by position, so a container is sliced only where
-        rows leave the stage: a drained batch, the operator's input, or a
-        non-empty queue remainder.
-        """
-        stage = self.stages[index]
-        result = run.result
-        current = run.current
-        incoming = len(current)
-        cost = self.cost_model.cost_per_record(stage.operator)
-        available = max(0.0, result.cpu_budget_seconds - run.used_seconds)
-        if run.profile:
-            # Profiling ignores load factors: each operator is measured on
-            # as many records as the remaining budget allows ("executing an
-            # operator at a time"); the rest drains immediately so the
-            # profiling epoch does not build up artificial backlog.
-            forwarded = incoming if cost <= 1e-15 else min(incoming, int(available / cost))
-            result.measured_costs.append(cost)
-        else:
-            forwarded, _ = stage.proxy.route(incoming)
-        if forwarded < incoming:
-            result.drained.append((index, current[forwarded:]))
-        result.forwarded_per_stage.append(forwarded)
-
-        queue = stage.queue
-        total = len(queue) + forwarded
-        processed = total if cost <= 1e-15 else min(total, int(available / cost))
-        run.used_seconds += processed * cost
-        to_process = _rows(queue, current, 0, processed)
-        pending = total - processed
-        if pending:
-            self._keep_pending(run, index, queue, processed, total)
-        else:
-            stage.queue = []
-
-        result.processed_per_stage.append(processed)
-        result.pending_per_stage.append(len(stage.queue))
-        stage.proxy.record_processing(
-            processed=processed,
-            pending=pending,
-            idle_fraction=0.0,  # assigned after the whole pipeline ran
-        )
-        return to_process
-
-    def _keep_pending(
-        self,
-        run: _SourceEpoch,
-        index: int,
-        queue: RecordContainer,
-        processed: int,
-        total: int,
-    ) -> None:
-        """Queue what stage ``index`` left unprocessed.
-
-        The stage's rows are ``queue`` followed by this epoch's forwarded
-        records, ``total`` of them, of which the first ``processed`` ran;
-        the rest stay queued, less congestion relief and backpressure.
-        """
-        stage = self.stages[index]
-        result = run.result
-        current = run.current
-        thresholds = self.thresholds
-        pending = total - processed
-        incoming = len(current)
-        congestion_floor = max(
-            thresholds.congestion_pending_records,
-            int(math.ceil(thresholds.drained_thres * max(1, incoming))),
-        )
-        relief_start = relief_stop = total
-        if self.allow_congestion_relief and pending > congestion_floor:
-            # Congestion relief: the proxy may drain up to ``DrainedThres``
-            # of an epoch's records from its pending queue (Section IV-C),
-            # which absorbs transient overload without silently converting
-            # a congested plan into a different partitioning.  The proxy
-            # still reports the pre-relief pending count so congestion is
-            # detected and adaptation triggers.  The drained window sits
-            # just past the congestion floor; the rows before and after it
-            # stay queued, so nothing is both drained and retained.
-            relief_start = processed + congestion_floor
-            relief_cap = int(
-                math.ceil(thresholds.drained_thres * max(1, result.records_in))
-            )
-            relief_stop = min(total, relief_start + relief_cap)
-            if relief_stop > relief_start:
-                result.drained.append(
-                    (index, _rows(queue, current, relief_start, relief_stop))
-                )
-                result.queue_drained_per_stage[index] += relief_stop - relief_start
-            else:
-                relief_start = relief_stop = total
-
-        # Connection backpressure: each queue holds at most a configurable
-        # number of epochs' worth of records; beyond that, newly forwarded
-        # records are not admitted and do not count towards throughput.
-        # Only this epoch's records, the queue's tail, can be turned away:
-        # records admitted in earlier epochs stay queued.
-        head = relief_start - processed
-        tail = total - relief_stop
-        capacity = max(
-            1,
-            int(math.ceil(thresholds.queue_capacity_epochs * max(1, result.records_in))),
-        )
-        if head + tail > capacity:
-            queued = len(queue)
-            fresh = max(0, relief_start - max(processed, queued)) + max(
-                0, total - max(relief_stop, queued)
-            )
-            rejected = min(head + tail - capacity, fresh)
-            result.rejected_records += rejected
-            result.rejected_per_stage[index] += rejected
-            from_tail = min(tail, rejected)
-            tail -= from_tail
-            head -= rejected - from_tail
-        stage.queue = _rows(queue, current, processed, processed + head)
-        if tail:
-            stage.queue = _joined(
-                [stage.queue, _rows(queue, current, relief_stop, relief_stop + tail)]
-            )
+    # -- helpers ------------------------------------------------------------------
 
     def _settle(
         self,
-        run: _SourceEpoch,
         index: int,
         to_process: RecordContainer,
         output: RecordContainer,
+        relays: Optional[List[float]],
     ) -> None:
-        """Account stage ``index``'s operator output; it feeds the next stage."""
+        """Account stage ``index``'s operator input and output bytes.
+
+        ``relays`` collects a profiling epoch's relay measurements (None
+        outside profiling).
+        """
         stage = self.stages[index]
         in_bytes = float(record_size_bytes(to_process))
         stage.window_input_bytes += in_bytes
         out_bytes = float(record_size_bytes(output))
-        if run.profile:
-            run.result.measured_relays.append(
-                self._relay_estimate(stage, in_bytes, out_bytes)
-            )
+        if relays is not None:
+            relays.append(self._relay_estimate(stage, in_bytes, out_bytes))
         elif not stage.operator.stateful and to_process and in_bytes > 0:
             # Clamp exactly as the profiling path (`_relay_estimate`) and
             # the window-flush measurement do: relay ratios feed the LP
@@ -446,35 +284,6 @@ class SourcePipeline:
             # reported as 1.0 on every measurement path rather than giving
             # the planner two different answers.
             stage.measured_relay = min(1.0, out_bytes / in_bytes)
-        run.current = output
-
-    def _finish_epoch(self, run: _SourceEpoch) -> SourceEpochResult:
-        """Close the epoch: emitted records, window flush, idle accounting."""
-        result = run.result
-        # Records emitted by the final stage during the epoch (stateless tail).
-        if run.current:
-            result.emitted = run.current
-
-        # Window boundary: flush stateful operators and ship partial state.
-        if (result.epoch + 1) % self.epochs_per_window == 0:
-            self._flush_windows(result)
-
-        # Idle accounting: the pipeline is idle for whatever budget is unused.
-        # Only the idle fraction is reported here; the pending count recorded
-        # during processing must keep reflecting the pre-relief backlog.
-        budget_seconds = result.cpu_budget_seconds
-        idle_fraction = 0.0
-        if budget_seconds > 0:
-            idle_fraction = max(0.0, (budget_seconds - run.used_seconds) / budget_seconds)
-        for stage in self.stages:
-            stage_idle = idle_fraction if not stage.queue else 0.0
-            stage.proxy.record_idle(stage_idle)
-
-        result.cpu_used_seconds = run.used_seconds
-        result.observations = [stage.proxy.observe() for stage in self.stages]
-        return result
-
-    # -- helpers ------------------------------------------------------------------
 
     def _relay_estimate(
         self, stage: _SourceStage, in_bytes: float, out_bytes: float
@@ -498,7 +307,11 @@ class SourcePipeline:
         estimate = groups * PARTIAL_STATE_ROW_BYTES / window_bytes
         return min(1.0, estimate)
 
-    def _flush_windows(self, result: SourceEpochResult) -> None:
+    def _flush_windows(self) -> Tuple[Dict[int, object], float]:
+        """Close the window: returns the partial states shipped, by stage,
+        and their serialized size in bytes."""
+        partial_states: Dict[int, object] = {}
+        partial_state_bytes = 0.0
         for index, stage in enumerate(self.stages):
             operator = stage.operator
             if not operator.stateful:
@@ -520,20 +333,21 @@ class SourcePipeline:
                     1.0, out_bytes / stage.window_input_bytes
                 ) if out_bytes else stage.measured_relay
             if shipped:
-                result.partial_states[index] = shipped
+                partial_states[index] = shipped
                 # Dict states and the arena's columnar states both expose one
                 # row per distinct group; opaque states ship as one row.
                 if isinstance(shipped, dict):
                     group_count = len(shipped)
                 else:
                     group_count = getattr(shipped, "group_count", 1)
-                result.partial_state_bytes += group_count * PARTIAL_STATE_ROW_BYTES
+                partial_state_bytes += group_count * PARTIAL_STATE_ROW_BYTES
             # The flushed records themselves are not re-sent: the partial state
             # carries the same information and is what the SP merges.
             stage.window_input_bytes = 0.0
+        return partial_states, partial_state_bytes
 
     def reset(self) -> None:
-        """Clear all queues, operator state, and proxy counters."""
+        """Clear all queues and operator state."""
         for stage in self.stages:
             stage.queue = []
             stage.operator.reset()
@@ -542,45 +356,531 @@ class SourcePipeline:
         self._epoch_index = 0
 
 
+@dataclass
+class BlockEpoch:
+    """One :func:`run_block_epoch`: every source's epoch, in source order,
+    with the counts the engine accounts as arrays over the sources.
+
+    Each array holds exactly what the sources' :class:`SourceEpochResult`
+    objects report (:meth:`from_results` gathers them back).
+    """
+
+    results: List[SourceEpochResult]
+    #: Records each source took in (``records_in``).
+    injected_records: np.ndarray
+    input_bytes: np.ndarray
+    #: Records left in each source's stage queues (``backlog_records``).
+    backlog_records: np.ndarray
+    #: Records each source turned away by backpressure (``rejected_records``).
+    rejected_records: np.ndarray
+    #: Records each source drained towards the SP (``drained_records``).
+    drained_records: np.ndarray
+    #: Each proxy's observed operator state, as an ``OPERATOR_STATES`` code
+    #: (stages by sources).
+    operator_codes: np.ndarray
+
+    @classmethod
+    def from_results(
+        cls, results: Sequence[SourceEpochResult], num_stages: int
+    ) -> "BlockEpoch":
+        """The block arrays of ``results``, each an epoch of a ``num_stages``
+        pipeline; the one-source accountant form reads its source this way."""
+
+        def column(name: str, dtype: type = np.int64) -> np.ndarray:
+            return np.array([getattr(result, name) for result in results], dtype=dtype)
+
+        codes = [
+            [OPERATOR_STATES.index(obs.state) for obs in result.observations]
+            for result in results
+        ]
+        return cls(
+            list(results),
+            column("records_in"),
+            column("input_bytes", float),
+            column("backlog_records"),
+            column("rejected_records"),
+            column("drained_records"),
+            np.array(codes, dtype=np.int64).reshape(len(results), num_stages).T,
+        )
+
+
 def run_block_epoch(
     pipelines: Sequence[SourcePipeline],
     records: Sequence[RecordContainer],
     cpu_budget_fractions: Sequence[float],
     profiles: Sequence[bool],
     arena: Optional[FleetArena] = None,
-) -> List[SourceEpochResult]:
+) -> BlockEpoch:
     """Step pipelines of one plan through one epoch together, stage by stage.
 
-    Every pipeline opens its epoch; then, stage by stage, every pipeline
-    decides its counts (:meth:`SourcePipeline._admit`), the stage's
-    operators run over all of their inputs (:func:`_run_stage`), and every
-    pipeline accounts its output; then every pipeline closes its epoch.
-    Pipelines share no state, so each result is what the pipeline's own
-    :meth:`SourcePipeline.run_epoch` returns.  Stepping together lets a
-    row-masking stage, and a G+R that appends raw runs, run one pass over
-    every input that views the same buffers (:func:`_run_stage`).  With
-    ``arena``, a masking pass's survivors are rows the arena takes into
-    its recycled buffers (:meth:`FleetArena.take`), so their owner detaches
-    whatever outlives the epoch exactly as it detaches arena views, and the
-    next stage's pass covers them.
+    Every pipeline opens its epoch; then, stage by stage, one array pass
+    decides every pipeline's counts — routing, the profiling and CPU-budget
+    cuts, congestion relief and backpressure (:meth:`_BlockRun.admit`) —
+    the stage's operators run over all of their inputs (:func:`_run_stage`),
+    and the pipelines whose rows moved account their bytes; then one more
+    pass closes every pipeline's epoch, the proxies' observations included.
+    The arrays live for this one epoch: queues, load factors and operator
+    state stay on each pipeline, so each result is what the pipeline's own
+    :meth:`SourcePipeline.run_epoch` returns.  The arrays repeat each
+    pipeline's arithmetic in the same order, so every number is the same
+    bit for bit.
+
+    Stepping together also lets a row-masking stage, and a G+R that appends
+    raw runs, run one pass over every input that views the same buffers
+    (:func:`_run_stage`).  With ``arena``, a masking pass's survivors are
+    rows the arena takes into its recycled buffers
+    (:meth:`FleetArena.take`), so their owner detaches whatever outlives the
+    epoch exactly as it detaches arena views, and the next stage's pass
+    covers them.
 
     The pipelines must run one plan, the same operator chain stage by
-    stage: a masking stage applies the first pipeline's row mask to all.
+    stage: a masking stage applies the first pipeline's row mask to all,
+    and a stage's per-record cost is read once, off the first pipeline,
+    unless it depends on operator state
+    (:meth:`~repro.simulation.cost_model.CostModel.stage_costs`).
     """
-    runs = [
-        pipeline._begin_epoch(batch, fraction, profile)
-        for pipeline, batch, fraction, profile in zip(
-            pipelines, records, cpu_budget_fractions, profiles
-        )
-    ]
-    for index in range(pipelines[0].num_stages if pipelines else 0):
-        inputs = [pipeline._admit(run, index) for pipeline, run in zip(pipelines, runs)]
+    if not pipelines:
+        return BlockEpoch.from_results([], 0)
+    run = _BlockRun(pipelines, records, cpu_budget_fractions, profiles)
+    for index in range(run.num_stages):
+        inputs = run.admit(index)
+        moving = [source for source, batch in enumerate(inputs) if batch]
         outputs = _run_stage(
-            [pipeline.stages[index].operator for pipeline in pipelines], inputs, arena
+            [pipelines[source].stages[index].operator for source in moving],
+            [inputs[source] for source in moving],
+            arena,
         )
-        for pipeline, run, to_process, output in zip(pipelines, runs, inputs, outputs):
-            pipeline._settle(run, index, to_process, output)
-    return [pipeline._finish_epoch(run) for pipeline, run in zip(pipelines, runs)]
+        run.settle(index, inputs, dict(zip(moving, outputs)))
+    return run.close()
+
+
+class _BlockRun:
+    """A block epoch in flight: each source's containers, and the counts of
+    every source as arrays (per-stage ones are stages by sources)."""
+
+    def __init__(
+        self,
+        pipelines: Sequence[SourcePipeline],
+        records: Sequence[RecordContainer],
+        cpu_budget_fractions: Sequence[float],
+        profiles: Sequence[bool],
+    ) -> None:
+        budget_fractions = np.array(cpu_budget_fractions, dtype=float)
+        valid = np.isfinite(budget_fractions) & (budget_fractions >= 0)
+        invalid = np.flatnonzero(~valid)
+        if invalid.size:
+            raise SimulationError(
+                "cpu_budget_fraction must be finite and >= 0, got "
+                f"{cpu_budget_fractions[int(invalid[0])]!r}"
+            )
+        count = len(pipelines)
+        self.pipelines = pipelines
+        self.num_stages = num_stages = pipelines[0].num_stages
+        self.epochs = [pipeline._epoch_index for pipeline in pipelines]
+        for pipeline in pipelines:
+            pipeline._epoch_index += 1
+        self.thresholds = threshold_columns(
+            [pipeline.thresholds for pipeline in pipelines]
+        )
+        self.relief = np.array(
+            [pipeline.allow_congestion_relief for pipeline in pipelines], dtype=bool
+        )
+        self.load_factors = np.array(
+            [pipeline.load_factors() for pipeline in pipelines]
+        ).T
+        self.profiles = np.array(profiles, dtype=bool)
+        self.profiling = np.flatnonzero(self.profiles).tolist()
+        self.measured_costs: Dict[int, List[float]] = {i: [] for i in self.profiling}
+        self.measured_relays: Dict[int, List[float]] = {i: [] for i in self.profiling}
+
+        self.injected_records = np.fromiter(map(len, records), np.int64, count)
+        self.input_bytes = np.array(
+            [float(record_size_bytes(batch)) for batch in records]
+        )
+        self.cpu_budget_s = budget_fractions * np.array(
+            [pipeline.epoch_duration_s for pipeline in pipelines]
+        )
+        self.cpu_used_s = np.zeros(count)
+        self.current: List[RecordContainer] = [
+            batch if isinstance(batch, RecordBatch) else list(batch)
+            for batch in records
+        ]
+        self.drained: List[List[Tuple[int, RecordContainer]]] = [
+            [] for _ in range(count)
+        ]
+
+        shape = (num_stages, count)
+        self.incoming_records = np.zeros(shape, dtype=np.int64)
+        self.forwarded_records = np.zeros(shape, dtype=np.int64)
+        self.processed_records = np.zeros(shape, dtype=np.int64)
+        #: Pending records before congestion relief (what a proxy reports).
+        self.pending_records = np.zeros(shape, dtype=np.int64)
+        #: Queue lengths at the end of the epoch.
+        self.queued_records = np.zeros(shape, dtype=np.int64)
+        self.queue_drained_records = np.zeros(shape, dtype=np.int64)
+        self.rejected_records = np.zeros(shape, dtype=np.int64)
+
+        for source, pipeline in enumerate(pipelines):
+            if pipeline._drain_backlog_next_epoch:
+                # A new plan was installed: ship the old plan's pending
+                # records to the stream processor so they do not distort
+                # its evaluation.
+                pipeline._drain_backlog_next_epoch = False
+                for index, stage in enumerate(pipeline.stages):
+                    if stage.queue:
+                        self.drained[source].append((index, stage.queue))
+                        self.queue_drained_records[index, source] = len(stage.queue)
+                        stage.queue = []
+
+    def admit(self, index: int) -> List[RecordContainer]:
+        """Decide stage ``index``'s counts; returns each operator's input.
+
+        :func:`stage_counts` decides every source's counts at once.  A
+        source's stage rows are its old queue followed by the forwarded
+        records, and rows are cut from them by position, so a container is
+        sliced only where rows leave the stage: a drained batch, the
+        operator's input, or a non-empty queue remainder.
+        """
+        stages = [pipeline.stages[index] for pipeline in self.pipelines]
+        current = self.current
+        count = len(stages)
+        incoming = np.fromiter(map(len, current), np.int64, count)
+        queued = np.fromiter((len(stage.queue) for stage in stages), np.int64, count)
+        cost_s = self.pipelines[0].cost_model.stage_costs(
+            [stage.operator for stage in stages]
+        )
+        counts = stage_counts(
+            self.thresholds,
+            incoming,
+            queued,
+            self.injected_records,
+            self.load_factors[index],
+            self.profiles,
+            self.relief,
+            cost_s,
+            np.maximum(0.0, self.cpu_budget_s - self.cpu_used_s),
+        )
+        if self.profiling:
+            costs = np.broadcast_to(cost_s, (count,)).tolist()
+            for source in self.profiling:
+                self.measured_costs[source].append(costs[source])
+        forwarded = counts.forwarded_records
+        processed = counts.processed_records
+        self.cpu_used_s = self.cpu_used_s + processed * cost_s
+        self.incoming_records[index] = incoming
+        self.forwarded_records[index] = forwarded
+        self.processed_records[index] = processed
+        self.pending_records[index] = counts.pending_records
+        self.queued_records[index] = counts.head_records + counts.tail_records
+        self.queue_drained_records[index] += counts.relief_stop - counts.relief_start
+        self.rejected_records[index] = counts.rejected_records
+
+        inputs: List[RecordContainer] = [[] for _ in range(count)]
+        cuts = forwarded.tolist()
+        for source in np.flatnonzero(forwarded < incoming).tolist():
+            rows = current[source]
+            cut = cuts[source]
+            self.drained[source].append((index, rows[cut:] if cut else rows))
+        moving = np.flatnonzero(queued + forwarded).tolist()
+        if not moving:
+            return inputs
+        processed_n = processed.tolist()
+        starts = counts.relief_start.tolist()
+        stops = counts.relief_stop.tolist()
+        heads = counts.head_records.tolist()
+        tails = counts.tail_records.tolist()
+        for source in moving:
+            stage = stages[source]
+            queue = stage.queue
+            fresh_rows = current[source]
+            done, start, stop = processed_n[source], starts[source], stops[source]
+            if stop > start:
+                self.drained[source].append(
+                    (index, _rows(queue, fresh_rows, start, stop))
+                )
+            inputs[source] = _rows(queue, fresh_rows, 0, done)
+            stage.queue = _rows(queue, fresh_rows, done, done + heads[source])
+            if tails[source]:
+                stage.queue = _joined(
+                    [stage.queue, _rows(queue, fresh_rows, stop, stop + tails[source])]
+                )
+        return inputs
+
+    def settle(
+        self,
+        index: int,
+        inputs: List[RecordContainer],
+        outputs: Dict[int, RecordContainer],
+    ) -> None:
+        """Account stage ``index``'s operator bytes where rows moved (and on
+        every profiling source); the outputs feed the next stage."""
+        for source in sorted(set(outputs).union(self.profiling)):
+            self.pipelines[source]._settle(
+                index,
+                inputs[source],
+                outputs.get(source, []),
+                self.measured_relays.get(source),
+            )
+        self.current = [outputs.get(source, []) for source in range(len(inputs))]
+
+    def close(self) -> BlockEpoch:
+        """Close every source's epoch: emitted records, window flushes, the
+        proxies' observations, and the results."""
+        pipelines = self.pipelines
+        budget_s = self.cpu_budget_s
+        used_s = self.cpu_used_s
+        # A profiling epoch measures operators without routing, so its
+        # proxies report no incoming, forwarded or drained records.
+        routed = ~self.profiles
+        incoming = self.incoming_records * routed
+        forwarded = self.forwarded_records * routed
+        codes, idle_fractions = observe_stages(
+            self.thresholds,
+            budget_s,
+            used_s,
+            incoming,
+            self.pending_records,
+            self.queued_records,
+        )
+        # Every drained record left a queue (the plan-change backlog,
+        # relief) or was routed past the operator (incoming - forwarded).
+        drained = (
+            self.queue_drained_records + self.incoming_records - self.forwarded_records
+        ).sum(axis=0)
+        backlog = self.queued_records.sum(axis=0)
+        rejected = self.rejected_records.sum(axis=0)
+
+        # Every proxy's observation, source after source.
+        stages = self.num_stages
+        observed = list(
+            map(
+                ProxyObservation,
+                [OPERATOR_STATES[code] for code in _by_source(codes)],
+                _by_source(incoming),
+                _by_source(forwarded),
+                _by_source(incoming - forwarded),
+                _by_source(self.processed_records),
+                _by_source(self.pending_records),
+                _by_source(idle_fractions),
+            )
+        )
+        records_in = self.injected_records.tolist()
+        input_bytes = self.input_bytes.tolist()
+        used = used_s.tolist()
+        budget = budget_s.tolist()
+        rejected_n = rejected.tolist()
+        processed_rows = self.processed_records.T.tolist()
+        queued_rows = self.queued_records.T.tolist()
+        forwarded_rows = self.forwarded_records.T.tolist()
+        queue_drained_rows = self.queue_drained_records.T.tolist()
+        rejected_rows = self.rejected_records.T.tolist()
+        results: List[SourceEpochResult] = []
+        for source, (pipeline, epoch, current) in enumerate(
+            zip(pipelines, self.epochs, self.current)
+        ):
+            # Window boundary: flush stateful operators and ship partial state.
+            if (epoch + 1) % pipeline.epochs_per_window == 0:
+                partial_states, partial_state_bytes = pipeline._flush_windows()
+            else:
+                partial_states, partial_state_bytes = {}, 0.0
+            results.append(
+                SourceEpochResult(
+                    epoch=epoch,
+                    records_in=records_in[source],
+                    input_bytes=input_bytes[source],
+                    cpu_used_seconds=used[source],
+                    cpu_budget_seconds=budget[source],
+                    drained=self.drained[source],
+                    # Records emitted by the final stage (stateless tail).
+                    emitted=current if current else [],
+                    partial_states=partial_states,
+                    partial_state_bytes=partial_state_bytes,
+                    rejected_records=rejected_n[source],
+                    processed_per_stage=processed_rows[source],
+                    pending_per_stage=queued_rows[source],
+                    forwarded_per_stage=forwarded_rows[source],
+                    queue_drained_per_stage=queue_drained_rows[source],
+                    rejected_per_stage=rejected_rows[source],
+                    observations=observed[source * stages : (source + 1) * stages],
+                    measured_costs=self.measured_costs.get(source),
+                    measured_relays=self.measured_relays.get(source),
+                )
+            )
+        return BlockEpoch(
+            results=results,
+            injected_records=self.injected_records,
+            input_bytes=self.input_bytes,
+            backlog_records=backlog,
+            rejected_records=rejected,
+            drained_records=drained,
+            operator_codes=codes,
+        )
+
+
+class StageCounts(NamedTuple):
+    """One stage's counts for every source of a block epoch.
+
+    A source's stage rows are its old queue followed by the records its
+    proxy forwarded, ``queued + forwarded`` of them; the first ``processed``
+    run through the operator.  Rows ``[relief_start, relief_stop)`` drain
+    to the stream processor by congestion relief (an empty range where
+    none do), and the queue keeps ``head`` rows from ``processed`` and
+    ``tail`` rows from ``relief_stop``.
+    """
+
+    forwarded_records: np.ndarray
+    processed_records: np.ndarray
+    #: Rows left unprocessed, before relief: what a proxy reports.
+    pending_records: np.ndarray
+    relief_start: np.ndarray
+    relief_stop: np.ndarray
+    head_records: np.ndarray
+    tail_records: np.ndarray
+    #: Fresh records backpressure turned away.
+    rejected_records: np.ndarray
+
+
+def stage_counts(
+    thresholds: "ProxyThresholds | ThresholdColumns",
+    incoming_records: np.ndarray,
+    queued_records: np.ndarray,
+    injected_records: np.ndarray,
+    load_factors: np.ndarray,
+    profiles: np.ndarray,
+    relief: np.ndarray,
+    cost_s: "float | np.ndarray",
+    available_s: np.ndarray,
+) -> StageCounts:
+    """Decide one stage's counts for every source at once.
+
+    Each argument holds one value per source (``cost_s`` may be one for
+    all): the records arriving at the stage and already queued there, the
+    records the source took in this epoch, its proxy's load factor,
+    whether it profiles, whether it may relieve congestion, the stage's
+    per-record cost and the CPU seconds left of its budget.
+    """
+    # Profiling ignores load factors: each operator is measured on as many
+    # records as the remaining budget allows ("executing an operator at a
+    # time"); the rest drains immediately so the profiling epoch does not
+    # build up artificial backlog.
+    forwarded = route_counts(load_factors, incoming_records)
+    if profiles.any():
+        forwarded = np.where(
+            profiles, _budget_cut(incoming_records, available_s, cost_s), forwarded
+        )
+    total = queued_records + forwarded
+    processed = _budget_cut(total, available_s, cost_s)
+    pending = total - processed
+    if not pending.any():
+        # Every stage row ran: nothing is relieved, kept or turned away.
+        return StageCounts(
+            forwarded, processed, pending, total, total, pending, pending, pending
+        )
+
+    # Congestion relief: the proxy may drain up to ``DrainedThres`` of an
+    # epoch's records from its pending queue (Section IV-C), which absorbs
+    # transient overload without silently converting a congested plan into
+    # a different partitioning.  The proxy still reports the pre-relief
+    # pending count so congestion is detected and adaptation triggers.  The
+    # drained window sits just past the congestion floor; the rows before
+    # and after it stay queued, so nothing is both drained and retained.
+    floor_records = congestion_floor_records(thresholds, incoming_records)
+    epoch_records = np.maximum(1, injected_records)
+    relief_start = processed + floor_records
+    relief_stop = np.minimum(
+        total,
+        relief_start
+        + np.ceil(thresholds.drained_thres * epoch_records).astype(np.int64),
+    )
+    relieving = relief & (pending > floor_records) & (relief_stop > relief_start)
+    relief_start = np.where(relieving, relief_start, total)
+    relief_stop = np.where(relieving, relief_stop, total)
+
+    # Connection backpressure: each queue holds at most a configurable
+    # number of epochs' worth of records; beyond that, newly forwarded
+    # records are not admitted and do not count towards throughput.  Only
+    # this epoch's records, the queue's tail, can be turned away: records
+    # admitted in earlier epochs stay queued.
+    head = relief_start - processed
+    tail = total - relief_stop
+    capacity = np.maximum(
+        1, np.ceil(thresholds.queue_capacity_epochs * epoch_records).astype(np.int64)
+    )
+    fresh = np.maximum(
+        0, relief_start - np.maximum(processed, queued_records)
+    ) + np.maximum(0, total - np.maximum(relief_stop, queued_records))
+    rejected = np.where(
+        head + tail > capacity, np.minimum(head + tail - capacity, fresh), 0
+    )
+    from_tail = np.minimum(tail, rejected)
+    return StageCounts(
+        forwarded,
+        processed,
+        pending,
+        relief_start,
+        relief_stop,
+        head - (rejected - from_tail),
+        tail - from_tail,
+        rejected,
+    )
+
+
+def observe_stages(
+    thresholds: "ProxyThresholds | ThresholdColumns",
+    cpu_budget_s: np.ndarray,
+    cpu_used_s: np.ndarray,
+    incoming_records: np.ndarray,
+    pending_records: np.ndarray,
+    queued_records: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every proxy's operator-state code and idle fraction at an epoch's
+    close; the per-stage arguments are stages by sources.
+
+    A stage is idle for whatever CPU budget its source left unused, unless
+    its queue (``queued_records``) holds records.  A proxy reports the
+    pending count recorded during processing, the pre-relief backlog, and
+    the records its proxy routed (:func:`operator_states`).
+    """
+    idle_fraction = np.zeros(len(cpu_budget_s))
+    np.divide(
+        cpu_budget_s - cpu_used_s,
+        cpu_budget_s,
+        out=idle_fraction,
+        where=cpu_budget_s > 0,
+    )
+    idle_fractions = np.minimum(
+        1.0,
+        np.maximum(
+            0.0, np.where(queued_records == 0, np.maximum(0.0, idle_fraction), 0.0)
+        ),
+    )
+    codes = operator_states(
+        thresholds, incoming_records, pending_records, idle_fractions
+    )
+    return codes, idle_fractions
+
+
+def _by_source(per_stage: np.ndarray) -> list:
+    """A stages-by-sources array as one flat list, source after source."""
+    return per_stage.T.ravel().tolist()
+
+
+def _budget_cut(
+    records: np.ndarray, available_s: np.ndarray, cost_s: "float | np.ndarray"
+) -> np.ndarray:
+    """How many of ``records`` fit in ``available_s`` at ``cost_s`` each:
+    ``min(records, int(available_s / cost_s))``, all of them when the cost
+    is zero (``<= 1e-15``)."""
+    # ``records`` is exact as a float, so the minimum taken before
+    # truncating equals ``min(records, int(available_s / cost_s))``.
+    if np.ndim(cost_s) == 0:  # the plan's cost, one for every source
+        if cost_s <= 1e-15:
+            return records
+        return np.minimum(records, available_s / cost_s).astype(np.int64)
+    free = cost_s <= 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        affordable = available_s / np.where(free, 1.0, cost_s)
+    return np.where(free, records, np.minimum(records, affordable).astype(np.int64))
 
 
 def _run_stage(

@@ -22,6 +22,7 @@ from repro.query.records import FleetArena, RecordBatch
 from repro.simulation import pipeline as pipeline_module
 from repro.simulation.engine import EpochEngine
 from repro.simulation.pipeline import (
+    BlockEpoch,
     SourceEpochResult,
     SourcePipeline,
     run_block_epoch,
@@ -148,7 +149,15 @@ class TestBlockEqualsSourceBySource:
                 arena.view(index) if records is None else records
                 for index, records in enumerate(inputs)
             ]
-            results = run_block_epoch(block, views, budgets, profiles, arena)
+            stepped = run_block_epoch(block, views, budgets, profiles, arena)
+            results = stepped.results
+            # The block's arrays hold what its results report.
+            gathered = BlockEpoch.from_results(results, 3)
+            for name in vars(gathered):
+                if name != "results":
+                    assert getattr(stepped, name).tolist() == getattr(
+                        gathered, name
+                    ).tolist(), name
             for pipeline in block:
                 for stage in pipeline.stages:
                     if isinstance(stage.queue, RecordBatch):
@@ -202,7 +211,7 @@ class TestKeysOutsideThePacking:
             poison(views[bad])
             results = run_block_epoch(
                 block, views, [1.0] * num_sources, [False] * num_sources, arena
-            )
+            ).results
             for index, (pipeline, workload) in enumerate(zip(alone, alone_workloads)):
                 records = workload.batch_for_epoch(epoch)
                 if index == bad:
@@ -221,6 +230,19 @@ class TestKeysOutsideThePacking:
                 assert bool(runs) == (index != bad), (epoch, index)
         # The block's G+R inputs shared one pass each epoch.
         assert max(passes) == num_sources
+
+
+class TestBudgetsAreCheckedFirst:
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_a_bad_budget_leaves_every_pipeline_untouched(self, setup, bad):
+        """A negative, NaN or infinite budget is refused before any
+        pipeline of the block opens its epoch."""
+        pipelines = [build_pipeline(setup) for _ in range(3)]
+        workload = setup.workload_factory(1)
+        records = [workload.batch_for_epoch(0) for _ in pipelines]
+        with pytest.raises(SimulationError, match="cpu_budget_fraction"):
+            run_block_epoch(pipelines, records, [0.5, bad, 0.5], [False] * 3)
+        assert [pipeline._epoch_index for pipeline in pipelines] == [0, 0, 0]
 
 
 class TestOwnRows:
@@ -287,7 +309,7 @@ class TestOnePlanPerEngine:
             budget=1.0,
             plan=again.plan,
         )
-        assert [step.state.name for step in engine.step_sources()] == ["s2s", "again"]
+        assert [state.name for state in engine.step_sources().states] == ["s2s", "again"]
 
     def test_adopt_source_refuses_a_second_plan(self, setup):
         engine = self.engine(setup)

@@ -1,7 +1,15 @@
-"""Unit tests for control proxies and load-factor arithmetic."""
+"""Unit tests for control proxies and load-factor arithmetic.
+
+A proxy's routing and observation rules are array functions over many
+proxies (:func:`route_counts`, :func:`operator_states`); one proxy is the
+one-element case, which is what most cases below exercise.
+"""
 
 from __future__ import annotations
 
+from typing import Tuple
+
+import numpy as np
 import pytest
 
 from repro.config import ProxyThresholds
@@ -9,9 +17,31 @@ from repro.core.control_proxy import (
     ControlProxy,
     effective_load_factors,
     load_factors_from_effective,
+    operator_states,
+    route_counts,
 )
-from repro.core.state import OperatorState
+from repro.core.state import OPERATOR_STATES, OperatorState
 from repro.errors import ConfigurationError
+from repro.query.operators import WindowOperator
+from repro.query.records import Record
+from repro.simulation.cost_model import CostModel
+from repro.simulation.pipeline import SourcePipeline
+
+
+def route(load_factor: float, n: int) -> Tuple[int, int]:
+    """One proxy's ``(forwarded, drained)`` split of ``n`` records."""
+    (forwarded,) = route_counts(np.array([load_factor]), np.array([n])).tolist()
+    return forwarded, n - forwarded
+
+
+def observe(
+    thresholds: ProxyThresholds, incoming: int, pending: int, idle_fraction: float
+) -> OperatorState:
+    """One proxy's operator state."""
+    (code,) = operator_states(
+        thresholds, np.array([incoming]), np.array([pending]), np.array([idle_fraction])
+    ).tolist()
+    return OPERATOR_STATES[code]
 
 
 class TestLoadFactor:
@@ -33,52 +63,48 @@ class TestLoadFactor:
 
 class TestRouting:
     def test_full_forwarding(self):
-        proxy = ControlProxy("op", load_factor=1.0)
-        assert proxy.route(10) == (10, 0)
+        assert route(1.0, 10) == (10, 0)
 
     def test_full_draining(self):
-        proxy = ControlProxy("op", load_factor=0.0)
-        assert proxy.route(10) == (0, 10)
+        assert route(0.0, 10) == (0, 10)
 
     def test_fractional_split_is_deterministic(self):
-        proxy = ControlProxy("op", load_factor=0.3)
-        assert proxy.route(10) == (3, 7)
-        assert proxy.route(10) == (3, 7)
+        assert route(0.3, 10) == (3, 7)
+        assert route(0.3, 10) == (3, 7)
 
     def test_split_conserves_records(self):
-        proxy = ControlProxy("op", load_factor=0.61)
-        forwarded, drained = proxy.route(97)
+        forwarded, drained = route(0.61, 97)
         assert forwarded + drained == 97
+        assert 0 <= forwarded <= 97
 
     def test_empty_input(self):
-        proxy = ControlProxy("op", load_factor=0.5)
-        assert proxy.route(0) == (0, 0)
+        assert route(0.5, 0) == (0, 0)
 
     def test_halfway_rounds_half_up(self):
         """Regression: round() rounds half to even, so p=0.5 forwarded 0 of
         1 records but 2 of 3 — non-monotone in n.  Stable half-up forwarding
-        (floor(p*n + 0.5)) must forward ceil(n/2) at every odd n."""
-        proxy = ControlProxy("op", load_factor=0.5)
-        for n, expected in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (7, 4)):
-            forwarded, drained = proxy.route(n)
+        (floor(p*n + 0.5)) must forward ceil(n/2) at every odd n, one proxy
+        at a time and many at once."""
+        cases = ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (7, 4))
+        for n, expected in cases:
+            forwarded, drained = route(0.5, n)
             assert forwarded == expected, n
             assert forwarded + drained == n
+        counts = np.array([n for n, _ in cases])
+        assert route_counts(0.5, counts).tolist() == [e for _, e in cases]
 
     def test_halfway_rounds_half_up_for_batches(self):
         """The same half-way cases through the columnar batched container,
         cut at the routed count as the pipeline cuts it."""
-        import numpy as np
+        from repro.query.records import RecordBatch
 
-        from repro.query.records import Record, RecordBatch
-
-        proxy = ControlProxy("op", load_factor=0.5)
         for n, expected in ((1, 1), (3, 2), (5, 3)):
             batch = RecordBatch(
                 Record,
                 {"event_time": np.arange(n, dtype=float)},
                 uniform_size_bytes=86,
             )
-            n_forward, n_drain = proxy.route(len(batch))
+            n_forward, n_drain = route(0.5, len(batch))
             forwarded, drained = batch[:n_forward], batch[n_forward:]
             assert len(forwarded) == expected, n
             assert len(drained) == n_drain
@@ -87,8 +113,7 @@ class TestRouting:
 
     def test_halfway_split_is_monotone_in_n(self):
         """Half-up keeps the forwarded count non-decreasing as n grows."""
-        proxy = ControlProxy("op", load_factor=0.5)
-        counts = [proxy.route(n)[0] for n in range(1, 20)]
+        counts = route_counts(0.5, np.arange(1, 20)).tolist()
         assert counts == sorted(counts)
 
 
@@ -99,58 +124,48 @@ class TestStateDetection:
         )
 
     def test_congested_when_pending_exceeds_floor(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=1.0)
-        proxy.route(100)
-        proxy.record_processing(processed=80, pending=20, idle_fraction=0.0)
-        assert proxy.observe().state is OperatorState.CONGESTED
+        assert observe(self.thresholds(), 100, 20, 0.0) is OperatorState.CONGESTED
 
     def test_small_backlog_tolerated_as_stable(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=1.0)
-        proxy.route(100)
-        proxy.record_processing(processed=97, pending=3, idle_fraction=0.0)
-        assert proxy.observe().state is OperatorState.STABLE
+        assert observe(self.thresholds(), 100, 3, 0.0) is OperatorState.STABLE
 
     def test_idle_when_queue_empty_and_operator_mostly_idle(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(100)
-        proxy.record_processing(processed=50, pending=0, idle_fraction=0.8)
-        assert proxy.observe().state is OperatorState.IDLE
+        assert observe(self.thresholds(), 100, 0, 0.8) is OperatorState.IDLE
 
     def test_not_idle_below_idle_threshold(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(100)
-        proxy.record_processing(processed=50, pending=0, idle_fraction=0.05)
-        assert proxy.observe().state is OperatorState.STABLE
+        assert observe(self.thresholds(), 100, 0, 0.05) is OperatorState.STABLE
 
     def test_pending_records_prevent_idle(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(100)
-        proxy.record_processing(processed=50, pending=2, idle_fraction=0.9)
-        assert proxy.observe().state is OperatorState.STABLE
+        assert observe(self.thresholds(), 100, 2, 0.9) is OperatorState.STABLE
 
     def test_record_idle_does_not_touch_pending(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=1.0)
-        proxy.route(100)
-        proxy.record_processing(processed=50, pending=50, idle_fraction=0.0)
-        proxy.record_idle(0.9)
-        assert proxy.observe().state is OperatorState.CONGESTED
+        """An idle fraction does not mask a pending backlog: the stage
+        still reads congested."""
+        assert observe(self.thresholds(), 100, 50, 0.9) is OperatorState.CONGESTED
 
     def test_observation_counters(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(10)
-        proxy.record_processing(processed=5, pending=0, idle_fraction=0.5)
-        obs = proxy.observe()
+        """A pipeline epoch reports its proxy's counts: half of ten records
+        forwarded and processed, half drained."""
+        pipeline = SourcePipeline(
+            [WindowOperator("window", 10.0)], CostModel(), self.thresholds()
+        )
+        pipeline.set_load_factors([0.5])
+        records = [Record(float(i)) for i in range(10)]
+        (obs,) = pipeline.run_epoch(records, cpu_budget_fraction=1.0).observations
         assert obs.incoming_records == 10
         assert obs.forwarded_records == 5
         assert obs.drained_records == 5
         assert obs.processed_records == 5
 
     def test_counters_reset_between_epochs(self):
-        proxy = ControlProxy("op", self.thresholds(), load_factor=0.5)
-        proxy.route(10)
-        proxy.record_processing(5, 0, 0.5)
-        proxy.observe()
-        obs = proxy.observe()
+        """Each epoch reports its own counts: an empty epoch after a busy
+        one reads zero."""
+        pipeline = SourcePipeline(
+            [WindowOperator("window", 10.0)], CostModel(), self.thresholds()
+        )
+        pipeline.set_load_factors([0.5])
+        pipeline.run_epoch([Record(float(i)) for i in range(10)], 1.0)
+        (obs,) = pipeline.run_epoch([], 1.0).observations
         assert obs.incoming_records == 0
         assert obs.forwarded_records == 0
 

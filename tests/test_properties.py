@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.control_proxy import (
-    ControlProxy,
     effective_load_factors,
     load_factors_from_effective,
+    route_counts,
 )
 from repro.core.lp_solver import (
     cumulative_relay,
@@ -19,7 +20,13 @@ from repro.core.lp_solver import (
 )
 from repro.core.partitioner import boundary_to_load_factors, operator_level_boundary
 from repro.core.profiler import OperatorProfile, PipelineProfile
-from repro.core.state import OperatorState, QueryState, classify_query_state
+from repro.core.state import (
+    OPERATOR_STATES,
+    OperatorState,
+    QueryState,
+    classify_query_state,
+    classify_query_states,
+)
 from repro.query.aggregates import AvgAggregate, MaxAggregate, MinAggregate, SumAggregate
 from repro.simulation.network import NetworkLink
 
@@ -81,10 +88,10 @@ class TestLoadFactorProperties:
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=0.0, max_value=1.0))
     def test_proxy_routing_conserves_records(self, incoming, load_factor):
-        proxy = ControlProxy("op", load_factor=load_factor)
-        forwarded, drained = proxy.route(incoming)
+        (forwarded,) = route_counts(
+            np.array([load_factor]), np.array([incoming])
+        ).tolist()
         assert 0 <= forwarded <= incoming
-        assert forwarded + drained == incoming
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +225,23 @@ class TestMiscProperties:
             assert result is QueryState.IDLE
         else:
             assert result is QueryState.STABLE
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(list(OperatorState)), min_size=3, max_size=3),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_block_classification_matches_the_one_source_rule(self, sources):
+        """The accountant's block form classifies every source as the
+        runtime's one-source rule does."""
+        codes = np.array(
+            [[OPERATOR_STATES.index(state) for state in states] for states in sources]
+        ).T
+        assert classify_query_states(codes) == [
+            classify_query_state(states) for states in sources
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -866,9 +866,10 @@ class TestEmptyInputEdgeCases:
             plan=setup.plan,
         )
         for _ in range(3):
-            steps = {step.state.name: step for step in engine.step_sources()}
-            assert steps["busy"].result.records_in == 120
-            assert steps["idle"].result.records_in == 0
+            step = engine.step_sources()
+            results = {state.name: src for state, src in zip(step.states, step.results)}
+            assert results["busy"].records_in == 120
+            assert results["idle"].records_in == 0
 
 
 class TestFastModeConservationProperty:
@@ -1123,8 +1124,8 @@ class TestEngineSingleHome:
             budget=1.0,
             plan=setup.plan,
         )
-        (step,) = engine.step_sources()
-        assert step.result.records_in == 120
+        (src,) = engine.step_sources().results
+        assert src.records_in == 120
         assert engine.epochs_run == 1
         with pytest.raises(SimulationError):
             engine.ensure_fresh()

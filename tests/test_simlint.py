@@ -461,8 +461,8 @@ class TestHistoricalBugClasses:
     def test_banker_round_in_route_fires_sl004(self):
         source = (REPO_ROOT / "src/repro/core/control_proxy.py").read_text()
         reverted = source.replace(
-            "n_forward = half_up(self._load_factor * n)",
-            "n_forward = round(self._load_factor * n)",
+            "np.floor(load_factors * incoming_records + 0.5)",
+            "np.round(load_factors * incoming_records)",
         )
         assert reverted != source
         violations = lint_source(reverted, "src/repro/core/control_proxy.py")

@@ -28,8 +28,9 @@ class AccountingSingleHomeRule(Rule):
 
     Replaces the grep-based test: no other ``simulation/`` module may construct
     :class:`EpochMetrics`/:class:`EpochObservation`, call
-    ``classify_query_state``, re-derive the half-epoch batching-delay term
-    (``0.5 * ...``), or redefine the accountant's arithmetic helpers.
+    ``classify_query_state`` or its block form ``classify_query_states``,
+    re-derive the half-epoch batching-delay term (``0.5 * ...``), or
+    redefine the accountant's arithmetic helpers.
     """
 
     id = "SL001"
@@ -38,7 +39,12 @@ class AccountingSingleHomeRule(Rule):
         "allowed in simulation/engine.py"
     )
 
-    BANNED_CONSTRUCTIONS = {"EpochMetrics", "EpochObservation", "classify_query_state"}
+    BANNED_CONSTRUCTIONS = {
+        "EpochMetrics",
+        "EpochObservation",
+        "classify_query_state",
+        "classify_query_states",
+    }
     BANNED_HELPER_DEFS = {
         "goodput_bytes",
         "latency_s",
@@ -249,30 +255,70 @@ class DeterminismRule(Rule):
 
 class BannedRoundingRule(Rule):
     """SL004: builtin ``round()`` rounds half to even, which silently skews
-    record/byte counts (the PR 5 ``ControlProxy.route`` bug).  Use the
-    half-up helper ``repro.query.records.half_up`` instead."""
+    record/byte counts (the PR 5 ``ControlProxy.route`` bug).  So do numpy's
+    ``np.round``/``np.around``/``np.round_``/``np.rint`` and an array's
+    ``.round()``, the natural way to reintroduce the bug in array code.
+    Use the half-up helper ``repro.query.records.half_up``, or
+    ``np.floor(x + 0.5)`` on arrays, instead."""
 
     id = "SL004"
     summary = (
-        "no single-argument builtin round() on record/byte quantities; use "
-        "repro.query.records.half_up"
+        "no half-to-even rounding to an integer (builtin round(x), np.round, "
+        "np.around, np.rint, .round()) on record/byte quantities; use "
+        "repro.query.records.half_up or np.floor(x + 0.5)"
     )
+
+    #: numpy functions that round half to even; ``rint`` takes no decimals.
+    NUMPY_ROUNDING = {"numpy.round", "numpy.around", "numpy.round_", "numpy.rint"}
+
+    @staticmethod
+    def _to_integer(node: ast.Call, positional_decimals: int) -> bool:
+        """Whether a rounding call rounds to an integer: no ``decimals``
+        given (as the ``positional_decimals``-th argument or by keyword),
+        or a literal 0."""
+        decimals: Optional[ast.AST] = None
+        if len(node.args) > positional_decimals:
+            decimals = node.args[positional_decimals]
+        for keyword in node.keywords:
+            if keyword.arg in ("ndigits", "decimals"):
+                decimals = keyword.value
+        return decimals is None or (
+            isinstance(decimals, ast.Constant) and decimals.value == 0
+        )
 
     def check(self, ctx: FileContext) -> None:
         for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = _call_name(node, ctx)
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "round"
+                isinstance(func, ast.Name)
+                and func.id == "round"
                 and len(node.args) == 1
                 and not node.keywords
             ):
-                ctx.report(
-                    node,
-                    self.id,
-                    "builtin round() uses banker's rounding (half-to-even); "
-                    "use repro.query.records.half_up for record/byte counts",
-                )
+                message = "builtin round()"
+            elif name in self.NUMPY_ROUNDING:
+                if name != "numpy.rint" and not self._to_integer(node, 1):
+                    continue
+                message = f"np.{_last_segment(name)}()"
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "round"
+                and not name.startswith("numpy.")
+                and self._to_integer(node, 0)
+            ):
+                message = ".round()"
+            else:
+                continue
+            ctx.report(
+                node,
+                self.id,
+                f"{message} uses banker's rounding (half-to-even); use "
+                "repro.query.records.half_up, or np.floor(x + 0.5) on arrays, "
+                "for record/byte counts",
+            )
 
 
 class FloatEqualityRule(Rule):
