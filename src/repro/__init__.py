@@ -17,11 +17,12 @@ Quickstart::
     metrics = run_single_source(setup, "Jarvis", budget=0.6, num_epochs=40)
     print(metrics.summary())
 
-The public API re-exports the most commonly used pieces; see the subpackages
-for the full surface:
+The package itself exports only the quickstart's names (plus
+:class:`JarvisConfig` and the :class:`Stream` query builder); everything
+else is imported from its subpackage:
 
 * :mod:`repro.query`       — declarative queries, operators, plans.
-* :mod:`repro.core`        — control proxies, StepWise-Adapt, the runtime.
+* :mod:`repro.core`        — control-proxy rules, StepWise-Adapt, the runtime.
 * :mod:`repro.simulation`  — the epoch-driven execution substrate.
 * :mod:`repro.baselines`   — Jarvis, its ablations, and the paper's baselines.
 * :mod:`repro.workloads`   — synthetic Pingmesh / LogAnalytics generators.
@@ -30,145 +31,16 @@ for the full surface:
 * :mod:`repro.scenarios`   — config-driven cluster experiments (Figs. 10-11).
 """
 
-from .config import (
-    AdaptationConfig,
-    EpochConfig,
-    JarvisConfig,
-    NetworkConfig,
-    ProxyThresholds,
-    DEFAULT_CONFIG,
-)
-from .errors import (
-    ConfigurationError,
-    JarvisError,
-    PartitioningError,
-    PlanningError,
-    QueryDefinitionError,
-    SimulationError,
-    SolverError,
-    WorkloadError,
-)
-from .query import (
-    Stream,
-    Query,
-    PhysicalPlan,
-    PingmeshRecord,
-    LogRecord,
-)
-from .query.builder import log_analytics_query, s2s_probe_query, t2t_probe_query
-from .core import (
-    ControlProxy,
-    JarvisRuntime,
-    EpochObservation,
-    StepWiseAdapt,
-    DataLevelPlan,
-    solve_data_level_lp,
-    OperatorState,
-    QueryState,
-    RuntimePhase,
-)
-from .simulation import (
-    BuildingBlockExecutor,
-    ExecutorConfig,
-    CostModel,
-    NetworkLink,
-    BudgetSchedule,
-    StreamProcessorNode,
-    RunMetrics,
-    ClusterModel,
-)
-from .baselines import (
-    JarvisStrategy,
-    AllSPStrategy,
-    AllSrcStrategy,
-    FilterSrcStrategy,
-    BestOPStrategy,
-    LoadBalanceDPStrategy,
-    LPOnlyStrategy,
-    NoLPInitStrategy,
-)
-from .workloads import (
-    PingmeshConfig,
-    PingmeshWorkload,
-    LogAnalyticsConfig,
-    LogAnalyticsWorkload,
-)
-from .analysis import (
-    make_setup,
-    make_strategy,
-    run_single_source,
-    throughput_sweep,
-    convergence_run,
-    synopsis_comparison,
-)
+from .analysis import make_setup, run_single_source
+from .config import JarvisConfig
+from .query import Stream
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # configuration
     "JarvisConfig",
-    "EpochConfig",
-    "ProxyThresholds",
-    "AdaptationConfig",
-    "NetworkConfig",
-    "DEFAULT_CONFIG",
-    # errors
-    "JarvisError",
-    "ConfigurationError",
-    "QueryDefinitionError",
-    "PlanningError",
-    "PartitioningError",
-    "SolverError",
-    "SimulationError",
-    "WorkloadError",
-    # query layer
     "Stream",
-    "Query",
-    "PhysicalPlan",
-    "PingmeshRecord",
-    "LogRecord",
-    "s2s_probe_query",
-    "t2t_probe_query",
-    "log_analytics_query",
-    # core
-    "ControlProxy",
-    "JarvisRuntime",
-    "EpochObservation",
-    "StepWiseAdapt",
-    "DataLevelPlan",
-    "solve_data_level_lp",
-    "OperatorState",
-    "QueryState",
-    "RuntimePhase",
-    # simulation
-    "BuildingBlockExecutor",
-    "ExecutorConfig",
-    "CostModel",
-    "NetworkLink",
-    "BudgetSchedule",
-    "StreamProcessorNode",
-    "RunMetrics",
-    "ClusterModel",
-    # strategies
-    "JarvisStrategy",
-    "AllSPStrategy",
-    "AllSrcStrategy",
-    "FilterSrcStrategy",
-    "BestOPStrategy",
-    "LoadBalanceDPStrategy",
-    "LPOnlyStrategy",
-    "NoLPInitStrategy",
-    # workloads
-    "PingmeshConfig",
-    "PingmeshWorkload",
-    "LogAnalyticsConfig",
-    "LogAnalyticsWorkload",
-    # experiments
     "make_setup",
-    "make_strategy",
     "run_single_source",
-    "throughput_sweep",
-    "convergence_run",
-    "synopsis_comparison",
 ]

@@ -10,7 +10,7 @@ self-contained HTML reports.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..errors import ConfigurationError
 
@@ -102,30 +102,6 @@ def ratio(numerator: float, denominator: float) -> float:
             return float("nan")
         return float("inf") if numerator > 0 else float("-inf")
     return numerator / denominator
-
-
-def speedup_table(
-    sweep: Mapping[str, Mapping[float, Mapping[str, float]]],
-    reference: str,
-    metric: str = "throughput_mbps",
-) -> str:
-    """Table of each strategy's metric relative to a reference strategy."""
-    if reference not in sweep:
-        raise ConfigurationError(f"reference strategy {reference!r} not in sweep")
-    series = summarize_sweep(sweep, metric)
-    ref = series[reference]
-    relative: Dict[str, Dict[object, float]] = {}
-    for strategy, values in series.items():
-        relative[strategy] = {
-            budget: ratio(value, ref.get(budget, float("nan")))
-            for budget, value in values.items()
-        }
-    return series_table(relative, x_label="cpu_budget")
-
-
-def flatten_rows(results: Iterable[Mapping[str, object]], columns: Sequence[str]) -> List[List[object]]:
-    """Project dict-shaped results onto a fixed column order."""
-    return [[row.get(col, "") for col in columns] for row in results]
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,3 @@ class LoadBalanceDPStrategy(PartitioningStrategy):
             self._recompute(budget)
             return list(self._factors)
         return None
-
-    @property
-    def local_fraction(self) -> float:
-        """Fraction of the input stream currently processed at the source."""
-        return self._factors[0] if self._factors else 0.0

@@ -17,7 +17,6 @@ The defaults mirror the parameters used in the paper's evaluation
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .errors import ConfigurationError, require_finite
 
@@ -192,7 +191,6 @@ class JarvisConfig:
     thresholds: ProxyThresholds = field(default_factory=ProxyThresholds)
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    seed: Optional[int] = 0
 
     def with_updates(self, **kwargs: object) -> "JarvisConfig":
         """Return a copy of this configuration with selected fields replaced."""

@@ -11,17 +11,17 @@ queue length and idle time — and reports an :class:`OperatorState` at the
 epoch boundary, applying the ``DrainedThres`` / ``IdleThres`` hysteresis from
 Section IV-C so small workload variation does not trigger adaptation.
 
-A :class:`ControlProxy` holds one proxy's load factor.  The rules are array
-functions over many proxies at once — :func:`route_counts` for routing,
-:func:`congestion_floor_records` and :func:`operator_states` for the
-observation — so the block stepper
+Each pipeline stage holds its proxy's load factor
+(:meth:`~repro.simulation.pipeline.SourcePipeline.set_load_factors` checks
+it).  The rules are array functions over many proxies at once —
+:func:`route_counts` for routing, :func:`congestion_floor_records` and
+:func:`operator_states` for the observation — so the block stepper
 (:func:`~repro.simulation.pipeline.run_block_epoch`) decides one stage of
 every source in one pass; one proxy is the one-element case.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -54,40 +54,6 @@ class ProxyObservation(NamedTuple):
     processed_records: int
     pending_records: int
     idle_fraction: float
-
-
-class ControlProxy:
-    """Routing state associated with one downstream operator.
-
-    Attributes:
-        operator_name: Name of the downstream operator this proxy feeds.
-        load_factor: Fraction ``p`` of incoming records forwarded locally
-            (``0 <= p <= 1``); the remainder is drained.
-    """
-
-    def __init__(self, operator_name: str, load_factor: float = 0.0) -> None:
-        self.operator_name = operator_name
-        self._load_factor = 0.0
-        self.set_load_factor(load_factor)
-
-    @property
-    def load_factor(self) -> float:
-        """Current load factor ``p`` of this proxy."""
-        return self._load_factor
-
-    def set_load_factor(self, value: float) -> None:
-        """Set the load factor, clamping tiny numerical error but rejecting
-        clearly out-of-range values."""
-        if math.isnan(value):
-            raise ConfigurationError("load factor must not be NaN")
-        if value < -1e-9 or value > 1.0 + 1e-9:
-            raise ConfigurationError(
-                f"load factor must be within [0, 1], got {value!r}"
-            )
-        self._load_factor = min(1.0, max(0.0, value))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<ControlProxy {self.operator_name!r} p={self._load_factor:.3f}>"
 
 
 def route_counts(load_factors: Column, incoming_records: np.ndarray) -> np.ndarray:

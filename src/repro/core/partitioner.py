@@ -14,7 +14,7 @@ boundary and 0 after), which lets every baseline run on the same executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import PartitioningError
 from .lp_solver import cumulative_relay
@@ -99,26 +99,10 @@ def boundary_to_load_factors(boundary: int, num_operators: int) -> List[float]:
 class OperatorLevelPartitioner:
     """Solver for the per-source operator-level partitioning problem.
 
-    ``remote_costs`` encodes the paper's ``rc_j`` weights (the cost of running
-    boundary operator ``j`` remotely); they must be strictly decreasing so the
-    objective incentivizes executing more operators at the source.  The
-    default is a simple strictly decreasing sequence.
+    Each source's boundary is the deepest prefix that fits its budget
+    (:func:`operator_level_boundary`), which minimizes the paper's Eq. 1
+    objective for any strictly decreasing remote costs ``rc_j``.
     """
-
-    def __init__(self, remote_costs: Optional[Sequence[float]] = None) -> None:
-        self.remote_costs = list(remote_costs) if remote_costs is not None else []
-        if self.remote_costs and any(
-            self.remote_costs[i] <= self.remote_costs[i + 1]
-            for i in range(len(self.remote_costs) - 1)
-        ):
-            raise PartitioningError("remote costs rc_j must be strictly decreasing")
-
-    def _remote_cost(self, boundary: int, num_operators: int) -> float:
-        if not self.remote_costs:
-            # Default: rc_j = M - j + 1, strictly decreasing in j.
-            return float(num_operators - boundary)
-        index = min(boundary, len(self.remote_costs) - 1)
-        return self.remote_costs[index]
 
     def solve(
         self,
@@ -134,30 +118,3 @@ class OperatorLevelPartitioner:
             load_factors=boundary_to_load_factors(boundary, len(profile)),
             local_cpu_fraction=fractions[boundary],
         )
-
-    def solve_many(
-        self,
-        profiles: Sequence[PipelineProfile],
-        budgets: Optional[Sequence[float]] = None,
-        offload_limit: Optional[int] = None,
-    ) -> List[OperatorLevelPlan]:
-        """Solve the per-source problem independently for many data sources.
-
-        The joint problem (shared stream-processor resources) is NP-hard
-        (Theorem 1); with an amply provisioned stream processor the per-source
-        decisions decouple, which is the greedy relaxation Best-OP uses.
-        """
-        if budgets is not None and len(budgets) != len(profiles):
-            raise PartitioningError(
-                "budgets must have the same length as profiles "
-                f"({len(budgets)} vs {len(profiles)})"
-            )
-        plans = []
-        for i, profile in enumerate(profiles):
-            budget = None if budgets is None else budgets[i]
-            plans.append(self.solve(profile, budget, offload_limit))
-        return plans
-
-    def total_remote_cost(self, plans: Sequence[OperatorLevelPlan], num_operators: int) -> float:
-        """The Eq. 1 objective value for a set of per-source plans."""
-        return sum(self._remote_cost(plan.boundary, num_operators) for plan in plans)

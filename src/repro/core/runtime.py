@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from ..config import JarvisConfig
 from ..errors import PartitioningError
 from .control_proxy import ProxyObservation
-from .profiler import PipelineProfile, Profiler
+from .profiler import Profiler
 from .state import QueryState, RuntimePhase, classify_query_state
 from .stepwise_adapt import StepWiseAdapt
 
@@ -118,7 +118,6 @@ class JarvisRuntime:
         self.load_factors: List[float] = [0.0] * len(self.operator_names)
         self.trace = RuntimeTrace()
         self._nonstable_streak = 0
-        self._profile: Optional[PipelineProfile] = None
 
     # -- public surface -------------------------------------------------------
 
@@ -192,7 +191,7 @@ class JarvisRuntime:
             # races with a workload change in a real deployment.
             return
         processed = observation.records_processed or [0] * len(self.operator_names)
-        self._profile = self.profiler.profile_pipeline(
+        profile = self.profiler.profile_pipeline(
             names=self.operator_names,
             records_processed=processed,
             costs_per_record=observation.measured_costs,
@@ -201,7 +200,7 @@ class JarvisRuntime:
             records_per_epoch=max(1, observation.records_injected),
             epoch_duration_s=self.config.epoch.duration_s,
         )
-        self.load_factors = self.stepwise.initial_load_factors(self._profile)
+        self.load_factors = self.stepwise.initial_load_factors(profile)
         self.phase = RuntimePhase.ADAPT
 
     def _handle_adapt(self, state: QueryState) -> None:
@@ -226,11 +225,6 @@ class JarvisRuntime:
         self.phase = RuntimePhase.PROBE
         self._nonstable_streak = 0
         self.stepwise.reset()
-
-    @property
-    def last_profile(self) -> Optional[PipelineProfile]:
-        """The pipeline profile gathered by the most recent Profile phase."""
-        return self._profile
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

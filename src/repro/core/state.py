@@ -83,8 +83,3 @@ def classify_query_states(operator_codes: np.ndarray) -> List[QueryState]:
 
 
 _QUERY_STATES = (QueryState.CONGESTED, QueryState.IDLE, QueryState.STABLE)
-
-
-def is_stable(state: QueryState) -> bool:
-    """True when no adaptation is required."""
-    return state is QueryState.STABLE

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import QueryDefinitionError
+from ..errors import QueryDefinitionError, require_finite
 from .aggregates import (
     Aggregate,
     AggregateState,
@@ -68,10 +68,9 @@ class Operator:
     def __init__(self, name: str, cost_hint: float = 1.0) -> None:
         if not name:
             raise QueryDefinitionError("operator name must be non-empty")
-        if cost_hint <= 0:
-            raise QueryDefinitionError(
-                f"cost_hint must be positive, got {cost_hint!r}"
-            )
+        require_finite(
+            "cost_hint", cost_hint, positive=True, error=QueryDefinitionError
+        )
         self.name = name
         self.cost_hint = cost_hint
 
@@ -123,9 +122,6 @@ class Operator:
         source stepper then runs one pass over many sources' inputs, and
         each source's operator appends its own rows."""
         return False
-
-    def reset(self) -> None:
-        """Clear any per-window state (called at window boundaries)."""
 
     def partial_state(self) -> Optional[object]:
         """Return the operator's mergeable partial state, if stateful."""
@@ -237,11 +233,6 @@ class WindowOperator(Operator):
                 f"window length must be positive, got {length_s!r}"
             )
         self.length_s = float(length_s)
-
-    def window_of(self, event_time: float) -> Tuple[float, float]:
-        """Return the [start, end) window containing ``event_time``."""
-        start = (event_time // self.length_s) * self.length_s
-        return (start, start + self.length_s)
 
     def process(self, records: Sequence[Record]) -> List[Record]:
         return list(records)
@@ -475,9 +466,6 @@ class AggregateOperator(Operator):
         )
         self._state = AggregateState(self.aggregates)
         return [record]
-
-    def reset(self) -> None:
-        self._state = AggregateState(self.aggregates)
 
     def clone(self) -> "AggregateOperator":
         return AggregateOperator(
@@ -736,10 +724,7 @@ class ColumnarGroupState:
 class GroupAggregateOperator(Operator):
     """Fused grouping + reduction (the paper's ``G+R`` operator).
 
-    Keeps one accumulator per group key.  The per-record cost seen by the
-    cost model grows mildly with the number of live groups (hash-table
-    pressure), mirroring the paper's observation that grouping cost depends on
-    the group count.
+    Keeps one accumulator per group key.
 
     Two dict representations, chosen once at construction:
 
@@ -1140,10 +1125,6 @@ class GroupAggregateOperator(Operator):
 
     def discard_window(self) -> None:
         # ``flush`` only reads the states and clears the dict.
-        self._groups.clear()
-        self._vector_state = self._new_vector_state()
-
-    def reset(self) -> None:
         self._groups.clear()
         self._vector_state = self._new_vector_state()
 

@@ -11,19 +11,17 @@ calibration preserves the paper's behaviour even though the absolute record
 rates in the simulator are scaled down for speed.
 
 Join cost additionally grows with the static table size (hash-table lookups
-over a larger table), and grouping cost grows mildly with the number of live
-groups, reproducing the sensitivities discussed in Sections II-A and VI-C.
+over a larger table), reproducing the sensitivity discussed in Sections II-A
+and VI-C.  A model gives each operator one per-record cost, the ``c_i`` of
+the Eq. 3 LP.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
-import numpy as np
-
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, require_finite
 from ..query.operators import Operator
 
 
@@ -33,28 +31,20 @@ class OperatorCostSpec:
 
     Attributes:
         cpu_per_record: Core-seconds consumed per input record at reference
-            conditions (reference table size, small group count).
+            conditions (reference table size).
         table_scale_exp: For joins — cost is multiplied by
             ``(table_size / ref_table_size) ** table_scale_exp``.
         ref_table_size: Reference table size for the join scaling term.
-        group_log_cost: Extra core-seconds per record per ``log2(group_count)``
-            for grouping operators (hash-table pressure).
     """
 
     cpu_per_record: float
     table_scale_exp: float = 0.0
     ref_table_size: int = 500
-    group_log_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cpu_per_record < 0:
-            raise ConfigurationError(
-                f"cpu_per_record must be >= 0, got {self.cpu_per_record!r}"
-            )
-        if self.ref_table_size <= 0:
-            raise ConfigurationError(
-                f"ref_table_size must be positive, got {self.ref_table_size!r}"
-            )
+        require_finite("cpu_per_record", self.cpu_per_record, non_negative=True)
+        require_finite("table_scale_exp", self.table_scale_exp)
+        require_finite("ref_table_size", self.ref_table_size, positive=True)
 
 
 #: Reasonable default per-kind costs (core-seconds per record), used when an
@@ -65,7 +55,7 @@ DEFAULT_KIND_SPECS: Dict[str, OperatorCostSpec] = {
     "filter": OperatorCostSpec(cpu_per_record=2e-6),
     "map": OperatorCostSpec(cpu_per_record=4e-6),
     "join": OperatorCostSpec(cpu_per_record=8e-6, table_scale_exp=0.2),
-    "group_aggregate": OperatorCostSpec(cpu_per_record=1e-5, group_log_cost=3e-7),
+    "group_aggregate": OperatorCostSpec(cpu_per_record=1e-5),
     "aggregate": OperatorCostSpec(cpu_per_record=4e-6),
     "operator": OperatorCostSpec(cpu_per_record=4e-6),
 }
@@ -75,8 +65,7 @@ class CostModel:
     """Maps operators to per-record CPU costs.
 
     Lookup order: per-operator-name spec, then per-kind spec, then the
-    built-in defaults.  The model also evaluates context-dependent terms
-    (join table size, live group count) at query time.
+    built-in defaults.  The join table size is read at query time.
     """
 
     def __init__(
@@ -108,55 +97,11 @@ class CostModel:
     def cost_per_record(self, operator: Operator) -> float:
         """Core-seconds needed to process one record with ``operator``."""
         spec = self.spec_for(operator)
-        cost = self._plan_cost(spec, operator)
-        if self._reads_group_count(spec, operator):
-            cost += spec.group_log_cost * self._group_log(operator)
-        return cost
-
-    def stage_costs(self, operators: Sequence[Operator]) -> "float | np.ndarray":
-        """:meth:`cost_per_record` of one plan stage's operators, one per
-        source: one value when it is the plan's, else one per operator.
-
-        The operators must be one plan's stage, alike in name, kind, cost
-        hint and table size, so the part of the cost that does not depend
-        on state is read once, off the first; the group term, when the
-        spec has one, reads each operator's own group count.
-        """
-        first = operators[0]
-        spec = self.spec_for(first)
-        cost = self._plan_cost(spec, first)
-        if not self._reads_group_count(spec, first):
-            return cost
-        return cost + spec.group_log_cost * np.array(
-            [self._group_log(operator) for operator in operators]
-        )
-
-    @staticmethod
-    def _plan_cost(spec: OperatorCostSpec, operator: Operator) -> float:
-        """The per-record cost before the group term: fixed by the plan."""
         cost = spec.cpu_per_record * operator.cost_hint
         if spec.table_scale_exp and hasattr(operator, "table_size"):
             table_size = max(1, int(getattr(operator, "table_size")))
             cost *= (table_size / spec.ref_table_size) ** spec.table_scale_exp
         return cost
-
-    @staticmethod
-    def _group_log(operator: Operator) -> float:
-        groups = max(1, int(operator.group_count()))
-        return math.log2(groups + 1)
-
-    @staticmethod
-    def _reads_group_count(spec: OperatorCostSpec, operator: Operator) -> bool:
-        return bool(spec.group_log_cost) and hasattr(operator, "group_count")
-
-    def cost_depends_on_state(self, operator: Operator) -> bool:
-        """Whether ``operator``'s per-record cost changes as it folds records.
-
-        The group term reads the live group count, so such an operator's
-        cost holds only for the next batch: batches cannot share one
-        evaluation of :meth:`cost_per_record`.
-        """
-        return self._reads_group_count(self.spec_for(operator), operator)
 
     def batch_cost(self, operator: Operator, num_records: int) -> float:
         """Core-seconds needed to process ``num_records`` records."""
@@ -166,30 +111,6 @@ class CostModel:
             )
         return self.cost_per_record(operator) * num_records
 
-    def pipeline_full_cost_fraction(
-        self,
-        operators: Sequence[Operator],
-        records_per_epoch: float,
-        relay_ratios: Sequence[float],
-        epoch_duration_s: float = 1.0,
-    ) -> float:
-        """CPU fraction for running the whole pipeline on all input records.
-
-        ``relay_ratios[i]`` is the count-relay ratio of operator ``i`` (the
-        fraction of its input records it emits); upstream reduction determines
-        how many records downstream operators see.
-        """
-        if len(operators) != len(relay_ratios):
-            raise ConfigurationError(
-                "operators and relay_ratios must have the same length"
-            )
-        surviving = float(records_per_epoch)
-        total = 0.0
-        for operator, relay in zip(operators, relay_ratios):
-            total += surviving * self.cost_per_record(operator)
-            surviving *= max(0.0, relay)
-        return total / max(epoch_duration_s, 1e-12)
-
 
 def calibrate_cost_model(
     operators: Sequence[Operator],
@@ -197,7 +118,6 @@ def calibrate_cost_model(
     input_records_per_second: float,
     count_relay_ratios: Optional[Mapping[str, float]] = None,
     table_scale_exp: float = 0.2,
-    group_log_cost_fraction: float = 0.0,
 ) -> CostModel:
     """Build a cost model from target per-operator CPU fractions.
 
@@ -212,17 +132,13 @@ def calibrate_cost_model(
             input" into per-record costs for downstream operators.  Operators
             not listed default to 1.0.
         table_scale_exp: Exponent for join-table cost scaling.
-        group_log_cost_fraction: Fraction of a grouping operator's calibrated
-            cost attributed to the group-count-dependent term.
 
     Returns:
         A :class:`CostModel` with one spec per operator name.
     """
-    if input_records_per_second <= 0:
-        raise ConfigurationError(
-            "input_records_per_second must be positive, "
-            f"got {input_records_per_second!r}"
-        )
+    require_finite(
+        "input_records_per_second", input_records_per_second, positive=True
+    )
     relays = dict(count_relay_ratios or {})
     model = CostModel()
     upstream_records = float(input_records_per_second)
@@ -230,15 +146,10 @@ def calibrate_cost_model(
         fraction = float(cpu_fractions.get(operator.name, 0.0))
         records_seen = max(upstream_records, 1e-9)
         per_record = fraction / records_seen
-        group_term = 0.0
-        if group_log_cost_fraction > 0 and hasattr(operator, "group_count"):
-            group_term = per_record * group_log_cost_fraction
-            per_record *= 1.0 - group_log_cost_fraction
         spec = OperatorCostSpec(
             cpu_per_record=per_record / max(operator.cost_hint, 1e-12),
             table_scale_exp=table_scale_exp if hasattr(operator, "table_size") else 0.0,
             ref_table_size=getattr(operator, "table_size", 500) or 500,
-            group_log_cost=group_term,
         )
         model.set_operator_spec(operator.name, spec)
         upstream_records *= float(relays.get(operator.name, 1.0))

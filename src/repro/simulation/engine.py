@@ -686,31 +686,26 @@ class EpochAccountant:
     """
 
     @staticmethod
-    def mean_positive_stage_costs(
-        cost_model: CostModel, pipelines: Sequence[SourcePipeline]
-    ) -> np.ndarray:
-        """Each pipeline's mean per-record cost over its positive-cost stages.
+    def mean_positive_stage_cost(
+        cost_model: CostModel, pipeline: SourcePipeline
+    ) -> float:
+        """The plan's mean per-record cost over its positive-cost stages.
 
-        The pipelines run one plan, so a stage's cost is read once unless it
-        depends on operator state (:meth:`CostModel.stage_costs`).
+        Every pipeline of an engine runs one plan, so one pipeline gives it.
         """
-        total_s = np.zeros(len(pipelines))
-        positive_stages = np.zeros(len(pipelines), dtype=np.int64)
-        for index in range(pipelines[0].num_stages if pipelines else 0):
-            cost_s = cost_model.stage_costs(
-                [pipeline.stages[index].operator for pipeline in pipelines]
-            )
-            positive = cost_s > 0
-            total_s = total_s + np.where(positive, cost_s, 0.0)
-            positive_stages = positive_stages + positive
-        return np.where(
-            positive_stages > 0, total_s / np.maximum(1, positive_stages), 0.0
-        )
+        total_s = 0.0
+        positive_stages = 0
+        for stage in pipeline.stages:
+            cost_s = cost_model.cost_per_record(stage.operator)
+            if cost_s > 0:
+                total_s += cost_s
+                positive_stages += 1
+        return total_s / positive_stages if positive_stages else 0.0
 
     @staticmethod
     def backlog_drain_seconds(
         backlog_records: np.ndarray,
-        mean_stage_cost: np.ndarray,
+        mean_stage_cost: float,
         budget_fraction: np.ndarray,
     ) -> np.ndarray:
         """Time to clear each source's backlog at its current budget: never
@@ -819,9 +814,9 @@ class EpochAccountant:
 
         backlog_seconds = cls.backlog_drain_seconds(
             block.backlog_records,
-            cls.mean_positive_stage_costs(
-                cost_model, [state.pipeline for state in states]
-            ),
+            cls.mean_positive_stage_cost(cost_model, states[0].pipeline)
+            if states
+            else 0.0,
             np.array(step.budget_fractions, dtype=float),
         )
         latency = cls.latency_s(

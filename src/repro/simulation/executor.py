@@ -36,6 +36,10 @@ from .network import NetworkLink
 from .node import BudgetSchedule, as_budget_schedule
 from .pipeline import StreamProcessorPipeline
 
+#: Stream-processor cores available to one source's share of the query: the
+#: 64-core SP divided by its tenant count.
+SP_CORES_SHARE = 4.0
+
 
 @dataclass
 class ExecutorConfig:
@@ -46,8 +50,6 @@ class ExecutorConfig:
         bandwidth_mbps: Uplink bandwidth override; defaults to the value in
             ``config.network`` (scaled).
         warmup_epochs: Epochs excluded from metric aggregation.
-        sp_cores_share: Stream-processor cores available to this source's
-            share of the query (the 64-core SP divided by its tenant count).
         record_mode: Record representation on the simulation hot path.
             ``"object"`` keeps one Python object per record (the reference);
             ``"arena"`` runs columnar
@@ -60,12 +62,10 @@ class ExecutorConfig:
     config: JarvisConfig = field(default_factory=JarvisConfig)
     bandwidth_mbps: Optional[float] = None
     warmup_epochs: int = 0
-    sp_cores_share: float = 4.0
     record_mode: str = "object"
 
     def __post_init__(self) -> None:
         require_finite("bandwidth_mbps", self.bandwidth_mbps, positive=True)
-        require_finite("sp_cores_share", self.sp_cores_share, positive=True)
         validate_record_mode(self.record_mode)
 
     @property
@@ -136,10 +136,7 @@ class BuildingBlockExecutor:
         # Stream processor consumes whatever crossed the network this epoch.
         sp = self.sp_pipeline.process_arrivals(src.drained, src.partial_states)
         self.sp_pipeline.advance_epoch()
-        sp_cpu = min(
-            sp.cpu_used_seconds,
-            self.exec_config.sp_cores_share * epoch_s,
-        )
+        sp_cpu = min(sp.cpu_used_seconds, SP_CORES_SHARE * epoch_s)
 
         return EpochAccountant.finish_source_epoch(
             state,

@@ -438,13 +438,6 @@ class ClusterMetrics:
         index = min(len(values) - 1, half_up(fraction * (len(values) - 1)))
         return values[index]
 
-    def per_source_latency_s(self) -> Dict[str, float]:
-        """Median epoch latency per source (the §VI-E distribution)."""
-        return {
-            name: metrics.median_latency_s()
-            for name, metrics in self.per_source.items()
-        }
-
     def summary(self) -> Dict[str, float]:
         """Compact cluster-level summary for experiments and benchmarks."""
         return {

@@ -34,6 +34,7 @@ paper's §V describes, so the simulator tracks no watermark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -42,7 +43,6 @@ import numpy as np
 
 from ..config import ProxyThresholds
 from ..core.control_proxy import (
-    ControlProxy,
     ProxyObservation,
     ThresholdColumns,
     congestion_floor_records,
@@ -51,7 +51,7 @@ from ..core.control_proxy import (
     threshold_columns,
 )
 from ..core.state import OPERATOR_STATES
-from ..errors import SimulationError
+from ..errors import ConfigurationError, SimulationError
 from ..query.operators import Operator, append_runs
 from ..query.records import (
     FleetArena,
@@ -86,13 +86,15 @@ def process_records(operator: Operator, records: RecordContainer) -> RecordConta
 class _SourceStage:
     """One proxy/operator pair on the data source, plus its pending queue.
 
-    ``queue`` is a :data:`RecordContainer`: a record list on the object path,
-    a :class:`RecordBatch` on the arena path (an empty list concatenates
-    into whichever container the epoch produces).
+    ``load_factor`` is the proxy's fraction ``p`` of incoming records
+    forwarded to the operator (Section IV-A); the rest drain.  ``queue`` is
+    a :data:`RecordContainer`: a record list on the object path, a
+    :class:`RecordBatch` on the arena path (an empty list concatenates into
+    whichever container the epoch produces).
     """
 
-    proxy: ControlProxy
     operator: Operator
+    load_factor: float = 0.0
     queue: RecordContainer = field(default_factory=list)
     #: Bytes that entered the operator since the last window flush.
     window_input_bytes: float = 0.0
@@ -186,10 +188,7 @@ class SourcePipeline:
         self.window_length_s = float(window_length_s)
         self.epoch_duration_s = float(epoch_duration_s)
         self.epochs_per_window = max(1, half_up(window_length_s / epoch_duration_s))
-        self.stages: List[_SourceStage] = [
-            _SourceStage(proxy=ControlProxy(op.name, load_factor=0.0), operator=op)
-            for op in operators
-        ]
+        self.stages: List[_SourceStage] = [_SourceStage(op) for op in operators]
         self._epoch_index = 0
         self._drain_backlog_next_epoch = False
 
@@ -203,7 +202,7 @@ class SourcePipeline:
         return [stage.operator.name for stage in self.stages]
 
     def load_factors(self) -> List[float]:
-        return [stage.proxy.load_factor for stage in self.stages]
+        return [stage.load_factor for stage in self.stages]
 
     def set_load_factors(self, factors: Sequence[float]) -> None:
         """Install a new data-level partitioning plan.
@@ -213,17 +212,28 @@ class SourcePipeline:
         of the next epoch ("any pending data that needs to be processed" is
         sent along, Section IV-A), so the new plan is evaluated on fresh input
         rather than on the previous plan's backlog.
+
+        Every factor is checked before any is installed: a NaN, or a value
+        outside ``[0, 1]`` by more than ``1e-9``, raises
+        :class:`ConfigurationError`, and smaller numerical error is clamped.
         """
         if len(factors) != len(self.stages):
             raise SimulationError(
                 f"expected {len(self.stages)} load factors, got {len(factors)}"
             )
+        for factor in factors:
+            if math.isnan(factor):
+                raise ConfigurationError("load factor must not be NaN")
+            if factor < -1e-9 or factor > 1.0 + 1e-9:
+                raise ConfigurationError(
+                    f"load factor must be within [0, 1], got {factor!r}"
+                )
         changed = any(
-            abs(stage.proxy.load_factor - factor) > 1e-9
+            abs(stage.load_factor - factor) > 1e-9
             for stage, factor in zip(self.stages, factors)
         )
         for stage, factor in zip(self.stages, factors):
-            stage.proxy.set_load_factor(factor)
+            stage.load_factor = min(1.0, max(0.0, factor))
         if changed and self.allow_congestion_relief:
             self._drain_backlog_next_epoch = True
 
@@ -346,15 +356,6 @@ class SourcePipeline:
             stage.window_input_bytes = 0.0
         return partial_states, partial_state_bytes
 
-    def reset(self) -> None:
-        """Clear all queues and operator state."""
-        for stage in self.stages:
-            stage.queue = []
-            stage.operator.reset()
-            stage.window_input_bytes = 0.0
-            stage.measured_relay = None
-        self._epoch_index = 0
-
 
 @dataclass
 class BlockEpoch:
@@ -435,9 +436,7 @@ def run_block_epoch(
 
     The pipelines must run one plan, the same operator chain stage by
     stage: a masking stage applies the first pipeline's row mask to all,
-    and a stage's per-record cost is read once, off the first pipeline,
-    unless it depends on operator state
-    (:meth:`~repro.simulation.cost_model.CostModel.stage_costs`).
+    and a stage's per-record cost is read once, off the first pipeline.
     """
     if not pipelines:
         return BlockEpoch.from_results([], 0)
@@ -546,9 +545,7 @@ class _BlockRun:
         count = len(stages)
         incoming = np.fromiter(map(len, current), np.int64, count)
         queued = np.fromiter((len(stage.queue) for stage in stages), np.int64, count)
-        cost_s = self.pipelines[0].cost_model.stage_costs(
-            [stage.operator for stage in stages]
-        )
+        cost_s = self.pipelines[0].cost_model.cost_per_record(stages[0].operator)
         counts = stage_counts(
             self.thresholds,
             incoming,
@@ -560,10 +557,8 @@ class _BlockRun:
             cost_s,
             np.maximum(0.0, self.cpu_budget_s - self.cpu_used_s),
         )
-        if self.profiling:
-            costs = np.broadcast_to(cost_s, (count,)).tolist()
-            for source in self.profiling:
-                self.measured_costs[source].append(costs[source])
+        for source in self.profiling:
+            self.measured_costs[source].append(cost_s)
         forwarded = counts.forwarded_records
         processed = counts.processed_records
         self.cpu_used_s = self.cpu_used_s + processed * cost_s
@@ -748,16 +743,16 @@ def stage_counts(
     load_factors: np.ndarray,
     profiles: np.ndarray,
     relief: np.ndarray,
-    cost_s: "float | np.ndarray",
+    cost_s: float,
     available_s: np.ndarray,
 ) -> StageCounts:
     """Decide one stage's counts for every source at once.
 
-    Each argument holds one value per source (``cost_s`` may be one for
-    all): the records arriving at the stage and already queued there, the
-    records the source took in this epoch, its proxy's load factor,
-    whether it profiles, whether it may relieve congestion, the stage's
-    per-record cost and the CPU seconds left of its budget.
+    Each array holds one value per source: the records arriving at the
+    stage and already queued there, the records the source took in this
+    epoch, its proxy's load factor, whether it profiles, whether it may
+    relieve congestion, and the CPU seconds left of its budget.
+    ``cost_s`` is the stage's per-record cost, one for every source.
     """
     # Profiling ignores load factors: each operator is measured on as many
     # records as the remaining budget allows ("executing an operator at a
@@ -866,21 +861,16 @@ def _by_source(per_stage: np.ndarray) -> list:
 
 
 def _budget_cut(
-    records: np.ndarray, available_s: np.ndarray, cost_s: "float | np.ndarray"
+    records: np.ndarray, available_s: np.ndarray, cost_s: float
 ) -> np.ndarray:
     """How many of ``records`` fit in ``available_s`` at ``cost_s`` each:
     ``min(records, int(available_s / cost_s))``, all of them when the cost
     is zero (``<= 1e-15``)."""
+    if cost_s <= 1e-15:
+        return records
     # ``records`` is exact as a float, so the minimum taken before
     # truncating equals ``min(records, int(available_s / cost_s))``.
-    if np.ndim(cost_s) == 0:  # the plan's cost, one for every source
-        if cost_s <= 1e-15:
-            return records
-        return np.minimum(records, available_s / cost_s).astype(np.int64)
-    free = cost_s <= 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        affordable = available_s / np.where(free, 1.0, cost_s)
-    return np.where(free, records, np.minimum(records, affordable).astype(np.int64))
+    return np.minimum(records, available_s / cost_s).astype(np.int64)
 
 
 def _run_stage(
@@ -1055,8 +1045,7 @@ class StreamProcessorPipeline:
         CPU of the batches processed before it is below the budget, and the
         walk stops at the first batch that is not.  Batches of one stage,
         all columnar, whose operators are row filters up to a last operator
-        (:attr:`Operator.masks_rows`) and whose costs do not depend on state
-        (:meth:`CostModel.cost_depends_on_state`) run as one columnar pass
+        (:attr:`Operator.masks_rows`) run as one columnar pass
         (:meth:`_fold_run`); any other FIFO runs batch by batch.  Both give
         the same results.
 
@@ -1140,10 +1129,7 @@ class StreamProcessorPipeline:
             for stage, records in drained
         ):
             return False
-        operators = self.operators[stage_index:]
-        return all(operator.masks_rows for operator in operators[:-1]) and not any(
-            self.cost_model.cost_depends_on_state(operator) for operator in operators
-        )
+        return all(operator.masks_rows for operator in self.operators[stage_index:-1])
 
     def _fold_run(
         self,
@@ -1221,8 +1207,3 @@ class StreamProcessorPipeline:
                 else:
                     operator.discard_window()
         return outputs
-
-    def reset(self) -> None:
-        for operator in self.operators:
-            operator.reset()
-        self._epoch_index = 0

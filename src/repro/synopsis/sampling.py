@@ -75,18 +75,6 @@ class WindowSampler:
         result.sampled_bytes = float(record_size_bytes(result.samples))
         return result
 
-    def sample_epochs(self, epochs: Sequence[Sequence[Record]]) -> SamplingResult:
-        """Sample a multi-epoch trace and return the combined result."""
-        combined = SamplingResult(sampling_rate=self.sampling_rate)
-        for records in epochs:
-            window = self.sample_window(records)
-            combined.input_records += window.input_records
-            combined.sampled_records += window.sampled_records
-            combined.input_bytes += window.input_bytes
-            combined.sampled_bytes += window.sampled_bytes
-            combined.samples.extend(window.samples)
-        return combined
-
 
 def sampled_pair_ranges(
     samples: Sequence[Record],

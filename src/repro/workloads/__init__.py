@@ -17,7 +17,7 @@ from .pingmesh import (
 )
 from .loganalytics import LogAnalyticsConfig, LogAnalyticsWorkload, log_analytics_cost_model
 from .dynamics import ResourceDynamics, WorkloadBurst
-from .traces import Trace, TraceStats, record_trace, replay_trace
+from .traces import Trace, record_trace
 
 __all__ = [
     "PingmeshConfig",
@@ -30,7 +30,5 @@ __all__ = [
     "ResourceDynamics",
     "WorkloadBurst",
     "Trace",
-    "TraceStats",
     "record_trace",
-    "replay_trace",
 ]

@@ -5,8 +5,8 @@ Section II-B motivates adaptivity with two kinds of change:
 * **Resource availability** — foreground services experience bursty load, so
   the CPU budget left for monitoring queries changes on the order of minutes.
   :class:`ResourceDynamics` produces :class:`~repro.simulation.node.BudgetSchedule`
-  objects for the patterns used in the evaluation (step changes, bursty
-  foreground load).
+  objects for bursty foreground load; a step change is a
+  :class:`~repro.simulation.node.BudgetSchedule` of its breakpoints.
 * **Resource demands** — anomalies change the monitoring-data distribution
   (error bursts, latency spikes lasting 40-60 seconds), so the query's compute
   demand changes even when the budget does not.  :class:`WorkloadBurst` wraps
@@ -15,7 +15,6 @@ Section II-B motivates adaptivity with two kinds of change:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,20 +25,6 @@ from ..simulation.node import BudgetSchedule
 
 class ResourceDynamics:
     """Factory for CPU-budget schedules used by the evaluation."""
-
-    @staticmethod
-    def step_change(
-        initial: float, changes: Sequence[Tuple[int, float]]
-    ) -> BudgetSchedule:
-        """A schedule that starts at ``initial`` and applies step ``changes``.
-
-        Example (Figure 8a): start at 10% of a core, jump to 90% at epoch 3,
-        drop to 60% at epoch 18::
-
-            ResourceDynamics.step_change(0.10, [(3, 0.90), (18, 0.60)])
-        """
-        breakpoints = [(0, initial)] + list(changes)
-        return BudgetSchedule(breakpoints)
 
     @staticmethod
     def bursty_foreground(
@@ -67,27 +52,6 @@ class ResourceDynamics:
             breakpoints.append((epoch, burst_budget))
             breakpoints.append((min(num_epochs, epoch + burst_epochs), baseline))
             epoch += period_epochs
-        return BudgetSchedule(breakpoints)
-
-    @staticmethod
-    def random_walk(
-        baseline: float,
-        num_epochs: int,
-        change_every: int = 30,
-        spread: float = 0.3,
-        floor: float = 0.05,
-        ceiling: float = 1.0,
-        seed: int = 0,
-    ) -> BudgetSchedule:
-        """A randomly drifting budget, for stress/property testing."""
-        if change_every <= 0:
-            raise WorkloadError(f"change_every must be positive, got {change_every!r}")
-        rng = random.Random(seed)
-        breakpoints: List[Tuple[int, float]] = [(0, baseline)]
-        budget = baseline
-        for epoch in range(change_every, num_epochs, change_every):
-            budget = min(ceiling, max(floor, budget + rng.uniform(-spread, spread)))
-            breakpoints.append((epoch, budget))
         return BudgetSchedule(breakpoints)
 
 
@@ -123,10 +87,6 @@ class WorkloadBurst:
     def __init__(self, base, bursts: Optional[Sequence[BurstSpec]] = None) -> None:
         self._base = base
         self.bursts: List[BurstSpec] = list(bursts or [])
-
-    def add_burst(self, start_epoch: int, end_epoch: int, rate_multiplier: float) -> None:
-        """Register an additional burst."""
-        self.bursts.append(BurstSpec(start_epoch, end_epoch, rate_multiplier))
 
     def _multiplier(self, epoch: int) -> float:
         """Rate multiplier in effect during ``epoch`` (1.0 outside bursts)."""

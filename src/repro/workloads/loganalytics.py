@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from ..errors import WorkloadError, require_finite
 from ..query.builder import Query, log_analytics_query
-from ..query.records import LogRecord, half_up
+from ..query.records import LogRecord
 from ..simulation.cost_model import CostModel, calibrate_cost_model
 
 #: Default simulated lines per one-second epoch at "10x" scaling.
@@ -95,18 +95,6 @@ class LogAnalyticsConfig:
                 "malformed_fraction must be within [0, 1], "
                 f"got {self.malformed_fraction!r}"
             )
-
-    def scaled(self, factor: float) -> "LogAnalyticsConfig":
-        """Return a copy with the input rate scaled by ``factor``."""
-        if factor <= 0:
-            raise WorkloadError(f"scale factor must be positive, got {factor!r}")
-        return LogAnalyticsConfig(
-            lines_per_epoch=max(1, half_up(self.lines_per_epoch * factor)),
-            tenants=self.tenants,
-            noise_fraction=self.noise_fraction,
-            malformed_fraction=self.malformed_fraction,
-            seed=self.seed,
-        )
 
 
 class LogAnalyticsWorkload:

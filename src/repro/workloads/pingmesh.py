@@ -148,28 +148,6 @@ class PingmeshConfig:
                 f"tail_probability must be within [0, 1], got {self.tail_probability!r}"
             )
 
-    def scaled(self, factor: float) -> "PingmeshConfig":
-        """Return a copy with the input rate scaled by ``factor``.
-
-        Mirrors the paper's 10x / 5x / 1x input-rate settings: the number of
-        records per epoch scales while per-record costs stay constant.
-        """
-        if factor <= 0:
-            raise WorkloadError(f"scale factor must be positive, got {factor!r}")
-        return PingmeshConfig(
-            records_per_epoch=max(1, half_up(self.records_per_epoch * factor)),
-            peers=max(1, half_up(self.peers * factor)),
-            error_rate=self.error_rate,
-            base_rtt_ms=self.base_rtt_ms,
-            rtt_jitter_ms=self.rtt_jitter_ms,
-            tail_probability=self.tail_probability,
-            tail_rtt_ms=self.tail_rtt_ms,
-            anomaly_peer_fraction=self.anomaly_peer_fraction,
-            anomaly_probability=self.anomaly_probability,
-            anomaly_rtt_ms=self.anomaly_rtt_ms,
-            seed=self.seed,
-        )
-
 
 class PingmeshWorkload:
     """Generates the probe stream observed by one data source node.
@@ -197,12 +175,12 @@ class PingmeshWorkload:
         # samples exactly as the equal list would (``sample`` only indexes
         # its population) without holding one Python int per peer.
         self._peers = range(1000, 1000 + self.config.peers)
-        self._anomalous = frozenset(self._rng.sample(self._peers, anomaly_count))
+        anomalous = self._rng.sample(self._peers, anomaly_count)
         self._peers_np = np.arange(1000, 1000 + self.config.peers, dtype=np.int64)
-        anomalous_np = np.zeros(len(self._peers), dtype=bool)
-        if self._anomalous:
-            anomalous_np[np.asarray(sorted(self._anomalous)) - 1000] = True
-        self._anomalous_np = anomalous_np
+        #: Whether each peer (``dst_ip - 1000``) is configured to experience
+        #: network issues.
+        self._anomalous_np = np.zeros(len(self._peers), dtype=bool)
+        self._anomalous_np[np.asarray(anomalous, dtype=np.int64) - 1000] = True
         self._np_rng = np.random.default_rng(self.config.seed)
         self._next_peer_index = 0
         # RTT = (base + scale * value) * 1000 per row, with (base, scale)
@@ -224,11 +202,6 @@ class PingmeshWorkload:
     def input_rate_mbps(self) -> float:
         """Nominal input rate implied by the configuration, in Mbps."""
         return self.config.records_per_epoch * 86 * 8.0 / 1e6
-
-    @property
-    def anomalous_peers(self) -> frozenset:
-        """Destination IPs configured to experience network issues."""
-        return self._anomalous
 
     def records_for_epoch(self, epoch: int) -> List[PingmeshRecord]:
         """Probe records arriving during ``epoch`` (epoch duration = 1 s)."""

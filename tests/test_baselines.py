@@ -122,8 +122,9 @@ class TestLBDP:
 
     def test_proportional_split_when_feasible(self, profile):
         strategy = LoadBalanceDPStrategy(profile, sp_compute_share=2.0)
-        strategy.on_epoch_end(observation(budget=0.5))
-        assert strategy.local_fraction == pytest.approx(0.5 / 2.5, rel=0.05)
+        factors = strategy.on_epoch_end(observation(budget=0.5))
+        assert factors[0] == pytest.approx(0.5 / 2.5, rel=0.05)
+        assert factors[1:] == [1.0, 1.0]
 
     def test_recompute_on_budget_change(self, profile):
         strategy = LoadBalanceDPStrategy(profile)

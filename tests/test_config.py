@@ -124,10 +124,11 @@ class TestJarvisConfig:
 
     def test_with_updates_replaces_only_named_fields(self):
         cfg = JarvisConfig()
-        updated = cfg.with_updates(seed=42)
-        assert updated.seed == 42
+        thresholds = ProxyThresholds(idle_thres=0.3)
+        updated = cfg.with_updates(thresholds=thresholds)
+        assert updated.thresholds == thresholds
         assert updated.epoch == cfg.epoch
-        assert cfg.seed == 0  # original untouched
+        assert cfg.thresholds == ProxyThresholds()  # original untouched
 
     def test_with_updates_nested_section(self):
         cfg = JarvisConfig()

@@ -14,7 +14,6 @@ import pytest
 
 from repro.config import ProxyThresholds
 from repro.core.control_proxy import (
-    ControlProxy,
     effective_load_factors,
     load_factors_from_effective,
     operator_states,
@@ -44,21 +43,39 @@ def observe(
     return OPERATOR_STATES[code]
 
 
+def two_stage_pipeline() -> SourcePipeline:
+    return SourcePipeline(
+        [WindowOperator("a", 10.0), WindowOperator("b", 10.0)], CostModel()
+    )
+
+
 class TestLoadFactor:
+    """Each pipeline stage holds its proxy's load factor."""
+
     def test_defaults_to_zero(self):
-        assert ControlProxy("op").load_factor == 0.0
+        assert two_stage_pipeline().load_factors() == [0.0, 0.0]
 
     def test_set_and_clamp_numerical_noise(self):
-        proxy = ControlProxy("op")
-        proxy.set_load_factor(1.0 + 1e-12)
-        assert proxy.load_factor == 1.0
-        proxy.set_load_factor(-1e-12)
-        assert proxy.load_factor == 0.0
+        pipeline = two_stage_pipeline()
+        pipeline.set_load_factors([1.0 + 1e-12, -1e-12])
+        assert pipeline.load_factors() == [1.0, 0.0]
 
     @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
     def test_rejects_invalid_values(self, value):
         with pytest.raises(ConfigurationError):
-            ControlProxy("op").set_load_factor(value)
+            two_stage_pipeline().set_load_factors([value, 0.5])
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
+    def test_a_bad_factor_installs_none(self, value: float) -> None:
+        """Every factor is checked before any is installed: a bad second
+        factor leaves the first one, and the backlog drain, untouched."""
+        pipeline = two_stage_pipeline()
+        pipeline.set_load_factors([0.25, 0.75])
+        pipeline._drain_backlog_next_epoch = False
+        with pytest.raises(ConfigurationError):
+            pipeline.set_load_factors([1.0, value])
+        assert pipeline.load_factors() == [0.25, 0.75]
+        assert not pipeline._drain_backlog_next_epoch
 
 
 class TestRouting:

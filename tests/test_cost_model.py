@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.query.builder import s2s_probe_query, t2t_probe_query
+from repro.baselines.base import static_profile
+from repro.errors import ConfigurationError, QueryDefinitionError
+from repro.query.builder import Stream, s2s_probe_query, t2t_probe_query
 from repro.query.operators import FilterOperator, MapOperator
 from repro.query.records import IpToTorTable
 from repro.simulation.cost_model import (
@@ -14,6 +15,8 @@ from repro.simulation.cost_model import (
     calibrate_cost_model,
 )
 from repro.workloads.pingmesh import s2s_cost_model, t2t_cost_model
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestOperatorCostSpec:
@@ -24,6 +27,16 @@ class TestOperatorCostSpec:
     def test_rejects_bad_ref_table_size(self):
         with pytest.raises(ConfigurationError):
             OperatorCostSpec(cpu_per_record=1.0, ref_table_size=0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "name", ["cpu_per_record", "table_scale_exp", "ref_table_size"]
+    )
+    def test_rejects_non_finite_values(self, name: str, value: float) -> None:
+        # A NaN or infinite per-record cost would turn the CPU-budget cut
+        # into a garbage record count and the stage's CPU into NaN.
+        with pytest.raises(ConfigurationError, match=name):
+            OperatorCostSpec(**{"cpu_per_record": 1e-6, name: value})
 
 
 class TestCostModelLookup:
@@ -74,35 +87,11 @@ class TestContextDependentCosts:
         cost_big = model.cost_per_record(join)
         assert cost_big > cost_small
 
-    def test_group_cost_term_grows_with_group_count(self):
-        model = CostModel()
-        query = s2s_probe_query()
-        gr = query.operators[2]
-        base = model.cost_per_record(gr)
-        from repro.query.records import PingmeshRecord
-
-        gr.process([PingmeshRecord(0.0, 1, i, 1.0) for i in range(1000)])
-        assert model.cost_per_record(gr) > base
-
-    def test_cost_depends_on_state_exactly_when_the_group_term_applies(self):
-        query = s2s_probe_query()
-        window, filter_op, gr = query.operators
-        defaults = CostModel()
-        assert defaults.cost_depends_on_state(gr)
-        assert not defaults.cost_depends_on_state(filter_op)
-        assert not defaults.cost_depends_on_state(window)
-        calibrated = s2s_cost_model(query)
-        assert not any(
-            calibrated.cost_depends_on_state(op) for op in (window, filter_op, gr)
-        )
-        grouped = calibrate_cost_model(
-            [window, filter_op, gr],
-            cpu_fractions={"filter": 0.13, "group_aggregate": 0.8},
-            input_records_per_second=1000.0,
-            group_log_cost_fraction=0.2,
-        )
-        assert grouped.cost_depends_on_state(gr)
-        assert not grouped.cost_depends_on_state(filter_op)
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_stream_refuses_a_non_finite_cost_hint(self, value: float) -> None:
+        # The hint scales the per-record cost, so it must be finite too.
+        with pytest.raises(QueryDefinitionError, match="cost_hint"):
+            Stream("q").window(10.0).filter(lambda r: True, cost_hint=value)
 
 
 class TestCalibration:
@@ -123,9 +112,10 @@ class TestCalibration:
         rate = 1000.0
         query = s2s_probe_query()
         model = s2s_cost_model(query, reference_records_per_second=rate)
-        operators = query.operators
-        full = model.pipeline_full_cost_fraction(operators, rate, [1.0, 0.86, 0.3])
-        assert full == pytest.approx(0.93, rel=0.02)
+        profile = static_profile(
+            query.operators, model, [1.0, 0.86, 0.3], rate, compute_budget=1.0
+        )
+        assert profile.full_cost_fraction() == pytest.approx(0.93, rel=0.02)
 
     def test_t2t_query_exceeds_one_core(self):
         """The paper notes T2TProbe needs more than one core end to end."""
@@ -133,22 +123,19 @@ class TestCalibration:
         table = IpToTorTable.dense(500)
         query = t2t_probe_query(table=table)
         model = t2t_cost_model(query, reference_records_per_second=rate, table=table)
-        operators = query.operators
-        full = model.pipeline_full_cost_fraction(
-            operators, rate, [1.0, 0.86, 1.0, 1.0, 0.1]
+        profile = static_profile(
+            query.operators, model, [1.0, 0.86, 1.0, 1.0, 0.1], rate, compute_budget=1.0
         )
-        assert full > 1.0
+        assert profile.full_cost_fraction() > 1.0
 
     def test_calibrate_rejects_bad_rate(self):
         with pytest.raises(ConfigurationError):
             calibrate_cost_model([], {}, input_records_per_second=0.0)
 
-    def test_pipeline_full_cost_validates_lengths(self):
-        model = CostModel()
-        with pytest.raises(ConfigurationError):
-            model.pipeline_full_cost_fraction(
-                [FilterOperator("f", lambda r: True)], 100.0, [1.0, 0.5]
-            )
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_calibrate_rejects_a_non_finite_rate(self, value: float) -> None:
+        with pytest.raises(ConfigurationError, match="input_records_per_second"):
+            calibrate_cost_model([], {}, input_records_per_second=value)
 
     def test_calibration_scale_invariance(self):
         """Costs calibrate per record: halving the rate halves per-epoch cost."""

@@ -25,7 +25,6 @@ from repro.analysis.experiments import (
 from repro.analysis.reporting import (
     format_table,
     series_table,
-    speedup_table,
     summarize_sweep,
 )
 from repro.core import lp_solver
@@ -256,9 +255,3 @@ class TestReporting:
         assert "Jarvis" in table and "Best-OP" in table
         with pytest.raises(ConfigurationError):
             series_table({})
-
-    def test_speedup_table_requires_reference(self):
-        sweep = {"Jarvis": {0.2: {"throughput_mbps": 2.0}}}
-        with pytest.raises(ConfigurationError):
-            speedup_table(sweep, reference="Best-OP")
-        assert "Jarvis" in speedup_table(sweep, reference="Jarvis")

@@ -719,8 +719,6 @@ class TestClusterMetrics:
         assert cluster.median_latency_s() == pytest.approx(2.0)
         assert cluster.max_latency_s() == pytest.approx(3.0)
         assert cluster.latency_percentile_s(1.0) == pytest.approx(3.0)
-        per_source = cluster.per_source_latency_s()
-        assert per_source == {"a": pytest.approx(1.0), "b": pytest.approx(3.0)}
 
     def test_duplicate_source_rejected(self):
         cluster = self.make_cluster()

@@ -61,10 +61,6 @@ class TestBudgetSchedule:
 
 
 class TestResourceDynamics:
-    def test_step_change_factory(self):
-        schedule = ResourceDynamics.step_change(0.10, [(3, 0.90), (18, 0.60)])
-        assert schedule.budget_at(4) == 0.90
-
     def test_bursty_foreground(self):
         schedule = ResourceDynamics.bursty_foreground(
             baseline=0.8, burst_budget=0.2, period_epochs=10, burst_epochs=3,
@@ -81,15 +77,6 @@ class TestResourceDynamics:
 
         with pytest.raises(WorkloadError):
             ResourceDynamics.bursty_foreground(0.8, 0.2, period_epochs=2, burst_epochs=5, num_epochs=10)
-
-    def test_random_walk_stays_within_bounds(self):
-        schedule = ResourceDynamics.random_walk(
-            baseline=0.5, num_epochs=300, change_every=20, spread=0.4,
-            floor=0.1, ceiling=0.9, seed=11,
-        )
-        budgets = {schedule.budget_at(epoch) for epoch in range(300)}
-        assert all(0.1 <= b <= 0.9 for b in budgets)
-        assert len(budgets) > 1
 
 
 class TestNodes:

@@ -49,12 +49,6 @@ class TestWindowOperator:
         records = probes(5)
         assert op.process(records) == records
 
-    def test_window_assignment(self):
-        op = WindowOperator("w", 10.0)
-        assert op.window_of(0.0) == (0.0, 10.0)
-        assert op.window_of(9.99) == (0.0, 10.0)
-        assert op.window_of(10.0) == (10.0, 20.0)
-
     def test_rejects_non_positive_length(self):
         with pytest.raises(QueryDefinitionError):
             WindowOperator("w", 0.0)

@@ -80,31 +80,3 @@ class TestOperatorLevelPartitioner:
         assert plan.boundary == 2
         assert plan.load_factors == [1.0, 1.0, 0.0]
         assert plan.local_cpu_fraction == pytest.approx(0.13, rel=0.02)
-
-    def test_solve_many_independent_sources(self):
-        partitioner = OperatorLevelPartitioner()
-        profiles = [s2s_profile(0.6), s2s_profile(1.0)]
-        plans = partitioner.solve_many(profiles)
-        assert [p.boundary for p in plans] == [2, 3]
-
-    def test_solve_many_with_budget_overrides(self):
-        partitioner = OperatorLevelPartitioner()
-        plans = partitioner.solve_many([s2s_profile(1.0)] * 2, budgets=[0.1, 1.0])
-        assert [p.boundary for p in plans] == [1, 3]
-
-    def test_solve_many_length_mismatch(self):
-        with pytest.raises(PartitioningError):
-            OperatorLevelPartitioner().solve_many([s2s_profile(1.0)], budgets=[0.1, 0.2])
-
-    def test_remote_cost_objective_decreases_with_boundary(self):
-        partitioner = OperatorLevelPartitioner()
-        shallow = partitioner.solve(s2s_profile(0.1))
-        deep = partitioner.solve(s2s_profile(1.0))
-        assert partitioner.total_remote_cost([deep], 3) < partitioner.total_remote_cost(
-            [shallow], 3
-        )
-
-    def test_custom_remote_costs_must_decrease(self):
-        with pytest.raises(PartitioningError):
-            OperatorLevelPartitioner(remote_costs=[1.0, 2.0])
-        OperatorLevelPartitioner(remote_costs=[3.0, 2.0, 1.0])  # must not raise

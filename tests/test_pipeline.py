@@ -280,14 +280,6 @@ class TestSourcePipelineExecution:
         )
         assert result.drained_bytes > result.input_bytes  # drain header overhead
 
-    def test_reset_clears_state(self, cost_model, workload):
-        pipeline = build_source(cost_model)
-        pipeline.set_load_factors([1.0, 1.0, 1.0])
-        pipeline.run_epoch(workload.records_for_epoch(0), 0.3)
-        pipeline.reset()
-        assert all(not stage.queue for stage in pipeline.stages)
-        assert pipeline.stages[2].operator.group_count() == 0
-
 
 class TestStreamProcessorPipeline:
     def test_needs_operators(self, cost_model):
@@ -339,14 +331,6 @@ class TestStreamProcessorPipeline:
             merged_rows.extend(out.outputs)
             merged_rows.extend(sp.advance_epoch(collect_outputs=True))
         assert merged_rows, "merged partial state must produce final rows"
-
-    def test_reset(self, cost_model, workload):
-        sp = build_sp(cost_model)
-        sp.process_arrivals([(0, workload.records_for_epoch(0))])
-        sp.advance_epoch()
-        sp.reset()
-        result = sp.process_arrivals([])
-        assert result.records_processed == 0
 
     @pytest.mark.parametrize("stage", [0, 1, 2])
     @pytest.mark.parametrize("layout", ["arena_views", "owned"])

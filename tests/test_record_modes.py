@@ -18,8 +18,6 @@ under arbitrary fleets (hypothesis property).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +43,6 @@ from repro.query.records import (
 )
 from repro.scenarios import ScenarioRunner, spec_from_dict
 from repro.scenarios.runner import run_multi_query, run_sharded
-from repro.simulation.cost_model import calibrate_cost_model
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
@@ -57,7 +54,6 @@ from repro.simulation.multisource import (
 from repro.simulation.network import plan_fifo_transfer
 from repro.simulation.node import BudgetSchedule, StreamProcessorNode
 from repro.simulation.sharding import ShardedClusterExecutor
-from repro.workloads.pingmesh import S2S_COUNT_RELAYS, S2S_CPU_FRACTIONS
 from repro.errors import SimulationError
 
 
@@ -358,50 +354,32 @@ def run_setup():
     return make_setup("s2s_probe", records_per_epoch=300)
 
 
-def _group_cost_setup(setup):
-    """``setup`` with a G+R whose cost grows with its live group count."""
-    return replace(
-        setup,
-        cost_model=calibrate_cost_model(
-            setup.query.operators,
-            cpu_fractions=S2S_CPU_FRACTIONS,
-            input_records_per_second=setup.records_per_epoch,
-            count_relay_ratios=S2S_COUNT_RELAYS,
-            group_log_cost_fraction=0.2,
-        ),
-    )
-
-
 class TestSPRunEquivalence:
     """Arena mode folds runs of SP backlog items in one columnar pass;
     object mode processes them one by one.  Every epoch must still match
-    where a run is cut by the compute budget, where its batches are owned
-    copies that must be concatenated, and where the G+R's cost depends on
-    the rows folded before it."""
+    where a run is cut by the compute budget and where its batches are
+    owned copies that must be concatenated."""
 
     SHAPES = {
         # The budget stops the SP partway through a run every epoch.
-        "budget_cut": (1000.0, 0.02, False),
+        "budget_cut": (1000.0, 0.02),
         # A tight link parks batches in the carryover, which owns them at
         # the epoch boundary, so runs concatenate instead of viewing.
-        "owned_copies": (1.5, 0.02, False),
-        # Ample compute, but each G+R batch costs by the groups before it.
-        "state_cost": (1000.0, 1.0, True),
+        "owned_copies": (1.5, 0.02),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("strategy_name", ["All-SP", "Best-OP", "Jarvis"])
     def test_epochs_match_object_mode(self, run_setup, shape, strategy_name):
-        ingress_mbps, sp_share, group_cost = self.SHAPES[shape]
-        setup = _group_cost_setup(run_setup) if group_cost else run_setup
+        ingress_mbps, sp_share = self.SHAPES[shape]
         epochs = {}
         for mode in RECORD_MODES:
             executor = MultiSourceExecutor(
-                plan=setup.plan,
-                cost_model=setup.cost_model,
-                sources=fleet(setup, 12, strategy_name),
+                plan=run_setup.plan,
+                cost_model=run_setup.cost_model,
+                sources=fleet(run_setup, 12, strategy_name),
                 cluster_config=MultiSourceConfig(
-                    config=setup.config,
+                    config=run_setup.config,
                     stream_processor=StreamProcessorNode(
                         ingress_bandwidth_mbps=ingress_mbps
                     ),

@@ -7,7 +7,7 @@ import pytest
 from repro.config import AdaptationConfig, EpochConfig, JarvisConfig
 from repro.core.control_proxy import ProxyObservation
 from repro.core.runtime import EpochObservation, JarvisRuntime, RuntimeTrace
-from repro.core.state import OperatorState, QueryState, RuntimePhase, classify_query_state, is_stable
+from repro.core.state import OperatorState, QueryState, RuntimePhase, classify_query_state
 from repro.errors import PartitioningError
 
 
@@ -61,10 +61,6 @@ class TestStateClassification:
 
     def test_empty_is_idle(self):
         assert classify_query_state([]) is QueryState.IDLE
-
-    def test_is_stable_helper(self):
-        assert is_stable(QueryState.STABLE) is True
-        assert is_stable(QueryState.CONGESTED) is False
 
 
 class TestRuntimeStateMachine:
@@ -136,7 +132,6 @@ class TestRuntimeStateMachine:
         assert runtime.phase is RuntimePhase.ADAPT
         assert factors[1] == pytest.approx(1.0, abs=1e-6)
         assert 0.0 < factors[2] < 1.0
-        assert runtime.last_profile is not None
 
     def test_profile_without_measurements_stays_in_profile(self):
         runtime = self.make_runtime()

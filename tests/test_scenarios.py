@@ -27,13 +27,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.reporting import (
-    flatten_rows,
     format_table,
     ratio,
     render_chart,
     render_report,
     series_table,
-    speedup_table,
     summarize_sweep,
 )
 from repro.errors import ConfigurationError, SimulationError
@@ -757,20 +755,6 @@ class TestTables:
         sweep = {"A": {0.5: {"throughput_mbps": 2.0}}}
         out = summarize_sweep(sweep, metric="latency_s")
         assert math.isnan(out["A"][0.5])
-
-    def test_speedup_table_relative_to_reference(self):
-        sweep = {
-            "A": {0.5: {"throughput_mbps": 2.0}},
-            "B": {0.5: {"throughput_mbps": 1.0}},
-        }
-        table = speedup_table(sweep, reference="B")
-        assert "2.000" in table
-        with pytest.raises(ConfigurationError, match="reference"):
-            speedup_table(sweep, reference="C")
-
-    def test_flatten_rows_projects_columns(self):
-        rows = flatten_rows([{"a": 1, "b": 2}, {"a": 3}], columns=["a", "b"])
-        assert rows == [[1, 2], [3, ""]]
 
 
 # ---------------------------------------------------------------------------

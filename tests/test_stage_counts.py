@@ -255,13 +255,6 @@ class TestStageCountsMatchTheScalarRules:
     )
     def test_every_source_counts_as_it_did_alone(self, data, sources, costs):
         count = len(sources)
-        # A stage whose cost depends on operator state has one per source.
-        costs = [
-            np.array(data.draw(st.lists(cost_st, min_size=count, max_size=count)))
-            if data.draw(st.booleans())
-            else cost
-            for cost in costs
-        ]
         budgets = data.draw(st.lists(budget_st, min_size=count, max_size=count))
         shared = data.draw(st.booleans())
         thresholds = (
@@ -273,11 +266,8 @@ class TestStageCountsMatchTheScalarRules:
             thresholds, sources, costs, budgets
         )
         for index, source in enumerate(sources):
-            own_costs = [
-                cost if np.ndim(cost) == 0 else float(cost[index]) for cost in costs
-            ]
             stages, observations = reference_epoch(
-                thresholds[index], source, own_costs, budgets[index]
+                thresholds[index], source, costs, budgets[index]
             )
             for stage, (expected, (_, _, counts)) in enumerate(zip(stages, per_stage)):
                 relieved = int(counts.relief_stop[index] - counts.relief_start[index])

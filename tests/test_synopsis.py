@@ -58,12 +58,6 @@ class TestWindowSampler:
         with pytest.raises(WorkloadError):
             result.network_mbps(0.0)
 
-    def test_sample_epochs_accumulates(self):
-        epochs = [anomaly_records(500, seed=i) for i in range(3)]
-        result = WindowSampler(0.3, seed=3).sample_epochs(epochs)
-        assert result.input_records == 1500
-        assert 0 < result.sampled_records < 1500
-
     def test_sampled_pair_ranges_skip_errors(self):
         records = [
             PingmeshRecord(0.0, 1, 2, 1000.0),
