@@ -50,6 +50,12 @@ AGGREGATE_ROW_BYTES = 48
 #: drained record still pays these bytes on the link.
 DRAIN_HEADER_BYTES = 4
 
+#: Writable column slices of a :class:`FleetArena`'s live buffers, by column
+#: name.  A function taking them may write the rows but keep none of them
+#: past the call: the arena recycles its buffers every epoch (simlint SL013
+#: treats a parameter of this type as aliasing them).
+ArenaColumns = Dict[str, np.ndarray]
+
 
 class Record:
     """Base class for all stream records.
@@ -595,6 +601,11 @@ class FleetArena:
     byte sizes, so views and fallback batches are interchangeable
     bit-identically.
 
+    A source's rows are reserved one source at a time (:meth:`reserve`
+    hands back writable slices at once; :meth:`reserve_rows` only the first
+    row, so a block fill can reserve every source before it writes a run of
+    them through :meth:`rows`: a reservation may grow the buffers).
+
     Because buffers are recycled every epoch, any view that survives the
     epoch boundary has to be detached before the next fill: :meth:`own`
     copies exactly the columns that alias the live buffers and returns other
@@ -741,13 +752,32 @@ class FleetArena:
         record_class: type,
         dtypes: Dict[str, Any],
         uniform_size_bytes: int,
-    ) -> Optional[Dict[str, np.ndarray]]:
+    ) -> Optional[ArenaColumns]:
         """Reserve ``count`` rows for ``source_id`` in the current epoch.
 
         Returns writable column slices aliasing the block buffers, or None
         when the request is incompatible with the arena schema (the caller
         then keeps its own per-source batch).  A schema equal to the last
         accepted one is not checked again.
+        """
+        start = self.reserve_rows(
+            source_id, count, record_class, dtypes, uniform_size_bytes
+        )
+        return None if start is None else self.rows(start, start + count)
+
+    def reserve_rows(
+        self,
+        source_id: int,
+        count: int,
+        record_class: type,
+        dtypes: Dict[str, Any],
+        uniform_size_bytes: int,
+    ) -> Optional[int]:
+        """:meth:`reserve` without the slices: the first reserved row.
+
+        A later reservation may grow the buffers, leaving earlier slices on
+        the old ones, so a caller reserving many sources before writing
+        takes their slices (:meth:`rows`) after the last reservation.
         """
         if count <= 0 or source_id in self._spans:
             return None
@@ -763,6 +793,10 @@ class FleetArena:
             self._grow(stop)
         self._spans[source_id] = (start, stop)
         self._cursor = stop
+        return start
+
+    def rows(self, start: int, stop: int) -> ArenaColumns:
+        """Writable column slices of the buffers' rows ``start:stop``."""
         return {name: buffer[start:stop] for name, buffer in self._buffers.items()}
 
     def _accept_schema(

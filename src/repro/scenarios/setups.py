@@ -429,7 +429,9 @@ class HotspotWorkload(WorkloadBurst):
     which is what dynamic re-placement reacts to.  Boosted epochs draw whole
     extra epochs (plus a fractional prefix) through the same arithmetic on
     the object and columnar paths, so both record modes consume identical
-    data by construction.
+    data by construction; in arena mode the whole extra epochs of a
+    Pingmesh base are units of its generation kernel, written straight into
+    the block's arena with the other sources' epochs.
     """
 
     def __init__(self, base, shift_epoch: int, factor: float = 2.0) -> None:

@@ -74,10 +74,11 @@ A workload without a columnar form — the variable-size LogAnalytics log
 lines — hands its record objects to the pipeline, which runs them on the
 object path in both modes.  In the
 fill phase each workload reserves its rows (the arena checks a schema once,
-then admits equal ones unchecked) and its generation kernel writes the
-epoch — one random draw, a handful of array writes — straight into the
-reserved slices; the engine hands each pipeline a zero-copy slice view and
-recycles the same buffers every epoch (allocation-free steady state).
+then admits equal ones unchecked); once all have, the generation kernel
+writes each run of same-shape sources — one random draw per source epoch,
+a handful of array writes per chunk of sources — straight into the
+reserved rows; the engine hands each pipeline a zero-copy slice view and
+recycles the same buffers every epoch.
 Operator queues are detached through
 :meth:`~repro.query.records.FleetArena.own` right after their source steps;
 drained and emitted views may wait in the executor's carryover and SP
@@ -157,7 +158,8 @@ matching patterns:
   accounting bugs of PRs 1–5 were all violations of this algebra.
 * **Arena escape (SL013).** A :class:`FleetArena` view
   (``arena.view(...)`` or a slice of one) and the writable slices
-  ``arena.reserve(...)`` hands a workload alias buffers the arena
+  ``arena.reserve(...)`` and ``arena.rows(...)`` hand a workload (the
+  generation kernel's ``ArenaColumns``) alias buffers the arena
   recycles at the next ``begin_epoch``; such a value may not be stored on
   ``self``, pushed into attribute-reachable containers, or returned —
   i.e. may not outlive the epoch — without being materialized through

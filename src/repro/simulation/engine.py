@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 from typing import (
+    Any,
     Dict,
     Iterable,
     List,
@@ -396,9 +397,11 @@ class EpochEngine:
         (:meth:`_finish_step`) before returning; a strategy whose plan did
         not change returns None, and its pipeline keeps its load factors.
 
-        Arena mode runs a fleet-wide fill phase first: every source's epoch
-        input lands in one block-level :class:`FleetArena`, and each
-        pipeline consumes a zero-copy view of the block arrays.
+        Arena mode runs a fleet-wide fill phase first (:meth:`_fill_arena`):
+        every source's epoch input lands in one block-level
+        :class:`FleetArena`, runs of same-shape generated sources written by
+        one kernel call each, and each pipeline consumes a zero-copy view of
+        the block arrays.
         """
         epoch = self._epoch
         self._epoch += 1
@@ -427,21 +430,35 @@ class EpochEngine:
         """Arena fill phase: stack every source's epoch input into the block.
 
         Returns each source's input, in source order, for the block stepper.
-        Workloads with a native ``fill_arena`` write their columns straight
-        into reserved buffer slices (allocation-free); anything else is
-        fetched normally and copied in when schema-compatible.  Views are
-        built only after every source has reserved its rows, so buffer growth
-        can never leave an earlier source's view pointing at stale memory,
-        and consecutive sources' views are consecutive row spans, which the
-        stepper's row-mask pass covers in one view.  Sources whose input
-        cannot live in the arena (empty epochs, record objects, a schema the
-        arena refuses) keep their fetched container as-is and step alone at
-        every stage.
+        A workload whose type has the block-fill entry (``arena_units``:
+        Pingmesh streams, bursts over them) reserves its rows first; once
+        every source has reserved, each run of consecutive reserved rows
+        whose generators share one shape is written by one call of their
+        generation kernel, which runs its column operations once per chunk
+        of sources instead of once per source.  Rows are written only after
+        the last reservation because a reservation can grow, and so replace,
+        the buffers.  Any other source takes the per-source path as it
+        reserves: a native ``fill_arena`` writes its own reserved slice;
+        anything else is fetched normally and copied in when
+        schema-compatible.  Views are built last, and consecutive sources'
+        views are consecutive row spans, which the stepper's row-mask pass
+        covers in one view.  Sources whose input cannot live in the arena
+        (empty epochs, record objects, a schema the arena refuses) keep
+        their fetched container as-is and step alone at every stage.
         """
         arena = self.arena
         arena.begin_epoch()
         fetched: List[Optional[RecordContainer]] = []
+        # (first row, units) of the block-filled sources, in source order.
+        reserved: List[Tuple[int, Any]] = []
         for state in self._sources:
+            entry = getattr(type(state.workload), "arena_units", None)
+            units = None if entry is None else entry(state.workload, epoch)
+            start = None if units is None else units.reserve(arena, state.arena_id)
+            if start is not None:
+                reserved.append((start, units))
+                fetched.append(None)
+                continue
             fill = getattr(state.workload, "fill_arena", None)
             if fill is not None and fill(epoch, arena, state.arena_id):
                 fetched.append(None)
@@ -455,6 +472,18 @@ class EpochEngine:
                 fetched.append(None)
             else:
                 fetched.append(records)
+        run: List[Any] = []
+        run_start = run_stop = 0
+        for start, units in reserved:
+            if run and (start != run_stop or units.shape != run[0].shape):
+                run[0].fill(run, epoch, arena.rows(run_start, run_stop))
+                run = []
+            if not run:
+                run_start = start
+            run.append(units)
+            run_stop = start + units.rows
+        if run:
+            run[0].fill(run, epoch, arena.rows(run_start, run_stop))
         for index, state in enumerate(self._sources):
             if fetched[index] is None:
                 fetched[index] = arena.view(state.arena_id)

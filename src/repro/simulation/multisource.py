@@ -53,7 +53,6 @@ from ..query.records import (
     DRAIN_HEADER_BYTES,
     FleetArena,
     RecordBatch,
-    record_size_bytes,
 )
 from .cost_model import CostModel
 from .engine import (
@@ -707,11 +706,12 @@ class MultiSourceExecutor:
         """Queue one epoch's outbound data; returns the new bytes enqueued."""
         queued_items = len(state.carryover)
         new_bytes = 0.0
-        for stage_index, records in src.drained:
+        drained_sizes = src.drained_sizes
+        for (stage_index, records), drained_bytes in zip(src.drained, drained_sizes):
             if not records:
                 continue
             batch = records if isinstance(records, RecordBatch) else list(records)
-            size = float(record_size_bytes(batch, drain=True))
+            size = float(drained_bytes)
             state.carryover.append(
                 _TransferItem(stage_index=stage_index, records=batch, size_bytes=size)
             )
@@ -719,7 +719,7 @@ class MultiSourceExecutor:
         if src.emitted:
             emitted = src.emitted
             batch = emitted if isinstance(emitted, RecordBatch) else list(emitted)
-            size = float(record_size_bytes(batch))
+            size = src.emitted_bytes
             state.carryover.append(
                 _TransferItem(stage_index=-1, records=batch, size_bytes=size)
             )

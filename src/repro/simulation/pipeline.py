@@ -138,16 +138,32 @@ class SourceEpochResult:
     #: Profiling measurements (only filled by profiling epochs).
     measured_costs: Optional[List[float]] = None
     measured_relays: Optional[List[float]] = None
+    #: :attr:`drained_sizes` once sized.
+    _drained_sizes: Optional[List[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def drained_records(self) -> int:
         return sum(len(records) for _, records in self.drained)
 
     @property
+    def drained_sizes(self) -> List[int]:
+        """Each drained container's bytes, drain headers included.
+
+        Sized once: the accountant (:attr:`network_bytes`) and the
+        executor's transfer queue both read these.
+        """
+        sizes = self._drained_sizes
+        if sizes is None:
+            sizes = self._drained_sizes = [
+                record_size_bytes(records, drain=True) for _, records in self.drained
+            ]
+        return sizes
+
+    @property
     def drained_bytes(self) -> float:
-        return float(
-            sum(record_size_bytes(records, drain=True) for _, records in self.drained)
-        )
+        return float(sum(self.drained_sizes))
 
     @property
     def emitted_bytes(self) -> float:

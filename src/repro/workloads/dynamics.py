@@ -16,11 +16,12 @@ Section II-B motivates adaptivity with two kinds of change:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError, require_finite
 from ..query.records import Record
 from ..simulation.node import BudgetSchedule
+from .pingmesh import ArenaUnits
 
 
 class ResourceDynamics:
@@ -57,7 +58,10 @@ class ResourceDynamics:
 
 @dataclass
 class BurstSpec:
-    """One workload burst: multiply the record rate during an epoch range."""
+    """One workload burst: multiply the record rate during an epoch range.
+
+    A burst adds records, so its multiplier is at least 1.
+    """
 
     start_epoch: int
     end_epoch: int
@@ -66,10 +70,11 @@ class BurstSpec:
     def __post_init__(self) -> None:
         if self.end_epoch <= self.start_epoch:
             raise WorkloadError("burst end_epoch must be after start_epoch")
-        require_finite(
-            "rate_multiplier", self.rate_multiplier, positive=True,
-            error=WorkloadError,
-        )
+        require_finite("rate_multiplier", self.rate_multiplier, error=WorkloadError)
+        if self.rate_multiplier < 1.0:
+            raise WorkloadError(
+                f"burst rate_multiplier must be >= 1, got {self.rate_multiplier!r}"
+            )
 
     def active(self, epoch: int) -> bool:
         return self.start_epoch <= epoch < self.end_epoch
@@ -82,6 +87,14 @@ class WorkloadBurst:
     latency spikes last 40-60 seconds; wrapping the base generator lets the
     same query/strategy stack be exercised under those conditions without any
     special-casing in the executor.
+
+    A boosted epoch draws whole extra epochs of the base, then, for a
+    fractional multiplier, one more epoch of which it keeps a prefix; the
+    object and columnar paths run the same arithmetic (:meth:`_rounds`), so
+    both record modes consume identical data by construction.  Over a base
+    with the block-fill entry (a Pingmesh stream), the whole rounds are
+    units of the base's generation kernel, written straight into the
+    engine's arena (:meth:`arena_units`).
     """
 
     def __init__(self, base, bursts: Optional[Sequence[BurstSpec]] = None) -> None:
@@ -96,42 +109,62 @@ class WorkloadBurst:
                 multiplier = max(multiplier, burst.rate_multiplier)
         return multiplier
 
-    def records_for_epoch(self, epoch: int) -> List[Record]:
-        records = self._base.records_for_epoch(epoch)
-        multiplier = self._multiplier(epoch)
-        if multiplier <= 1.0:
-            return records
-        extra_rounds = multiplier - 1.0
-        boosted = list(records)
+    def _rounds(self, epoch: int) -> Tuple[int, float]:
+        """Whole base epochs that ``epoch`` draws, and the fraction of one
+        more whose prefix it keeps (a draw happens whenever it is > 0)."""
+        extra_rounds = self._multiplier(epoch) - 1.0
+        rounds = 1
         while extra_rounds >= 1.0:
-            boosted.extend(self._base.records_for_epoch(epoch))
+            rounds += 1
             extra_rounds -= 1.0
-        if extra_rounds > 0:
-            partial = self._base.records_for_epoch(epoch)
-            boosted.extend(partial[: int(len(partial) * extra_rounds)])
+        return rounds, extra_rounds
+
+    def _boosted(self, epoch: int, fetch: Callable[[int], Any]) -> Any:
+        """``fetch(epoch)``'s containers for the boosted epoch, joined."""
+        rounds, fraction = self._rounds(epoch)
+        boosted = fetch(epoch)
+        for _ in range(rounds - 1):
+            boosted = boosted + fetch(epoch)
+        if fraction > 0:
+            partial = fetch(epoch)
+            boosted = boosted + partial[: int(len(partial) * fraction)]
         return boosted
 
-    def batch_for_epoch(self, epoch: int):
-        """Columnar view of the boosted epoch (same arithmetic as the object
-        path: whole extra draws plus a truncated fractional prefix, so both
-        execution modes consume identical data by construction).  A wrapped
-        workload without columnar generation hands over its boosted record
-        objects, exactly as the engine takes them from the bare workload."""
+    def records_for_epoch(self, epoch: int) -> List[Record]:
+        return self._boosted(epoch, self._base.records_for_epoch)
+
+    def arena_units(self, epoch: int) -> Optional[ArenaUnits]:
+        """The boosted epoch as block-fill units of the base's generator.
+
+        Its whole rounds are units the engine writes straight into the
+        arena; a fractional round is a full draw of which the prefix is
+        kept.  None when the base has no block-fill entry on its type (record
+        objects, or a wrapper), or its own epoch is not one whole unit.
+        """
+        entry = getattr(type(self._base), "arena_units", None)
+        base = None if entry is None else entry(self._base, epoch)
+        if base is None or base.rounds != 1 or base.prefix is not None:
+            return None
+        rounds, fraction = self._rounds(epoch)
+        count = base.generator.config.records_per_epoch
+        prefix = int(count * fraction) if fraction > 0 else None
+        return ArenaUnits(base.generator, rounds, prefix)
+
+    def batch_for_epoch(self, epoch: int) -> Any:
+        """Columnar view of the boosted epoch.
+
+        The one-source form of the block fill: a Pingmesh base's units are
+        generated into fresh columns.  Any other columnar base's batches are
+        joined, and a wrapped workload without columnar generation hands
+        over its boosted record objects, exactly as the engine takes them
+        from the bare workload.
+        """
+        units = self.arena_units(epoch)
+        if units is not None:
+            return units.batch(epoch)
         if getattr(self._base, "batch_for_epoch", None) is None:
             return self.records_for_epoch(epoch)
-        batch = self._base.batch_for_epoch(epoch)
-        multiplier = self._multiplier(epoch)
-        if multiplier <= 1.0:
-            return batch
-        extra_rounds = multiplier - 1.0
-        boosted = batch
-        while extra_rounds >= 1.0:
-            boosted = boosted + self._base.batch_for_epoch(epoch)
-            extra_rounds -= 1.0
-        if extra_rounds > 0:
-            partial = self._base.batch_for_epoch(epoch)
-            boosted = boosted + partial[: int(len(partial) * extra_rounds)]
-        return boosted
+        return self._boosted(epoch, self._base.batch_for_epoch)
 
     @property
     def input_rate_mbps(self) -> float:

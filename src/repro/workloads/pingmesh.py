@@ -25,12 +25,14 @@ import random
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..errors import WorkloadError, require_finite
 from ..query.builder import Query, s2s_probe_query, t2t_probe_query
 from ..query.records import (
     PINGMESH_RECORD_BYTES,
+    ArenaColumns,
+    FleetArena,
     IpToTorTable,
     PingmeshRecord,
     RecordBatch,
@@ -70,6 +72,16 @@ _COLUMN_DTYPES = {
     "rtt_us": np.float64,
     "err_code": np.int64,
 }
+
+#: Rows the generation kernel writes per chunk (:func:`fill_units`): every
+#: column operation but the draw and the peer cursor runs once per chunk.
+#: Measured on a 2-vCPU host, in µs per source epoch with 128 sources of a
+#: run, one kernel call per source against 16,384-row chunks: 2,500 rows
+#: 69 → 62, 600 rows 26.5 → 16.3, 400 rows 22.3 → 11.9, 100 rows 16.1 →
+#: 5.6.  At 32 600-row sources per block (eight blocks), chunks of 4,096
+#: rows took 5.3-5.6 ms per fleet epoch, 8,192 4.8-5.1, 16,384 4.8 and
+#: 32,768 4.7 with a wider spread; at 2,500 rows 16,384 was fastest.
+ARENA_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -152,11 +164,13 @@ class PingmeshConfig:
 class PingmeshWorkload:
     """Generates the probe stream observed by one data source node.
 
-    Generation is columnar, through one kernel: each epoch's five probe
-    columns are written into arrays the caller provides — fresh ones for
-    :meth:`batch_for_epoch`, reserved fleet-arena slices for
-    :meth:`fill_arena` — from one ``Generator.random`` draw per epoch, so
-    both paths produce the same columns bit for bit.
+    Generation is columnar, through one kernel (:func:`fill_units`): an
+    epoch's five probe columns are written into arrays the caller provides
+    — fresh ones for :meth:`batch_for_epoch`, a reserved fleet-arena slice
+    for :meth:`fill_arena`, or a block's reserved rows when the engine fills
+    many sources at once (:meth:`arena_units`) — from one
+    ``Generator.random`` draw per epoch of this workload's own generator, so
+    every path produces the same columns bit for bit.
     :meth:`records_for_epoch` materializes record objects from the same
     batch, so every execution mode consumes *identical* data by construction.
     """
@@ -197,6 +211,13 @@ class PingmeshWorkload:
         )
         #: Within-epoch event-time offsets; an epoch's times are epoch + ramp.
         self._ramp = np.arange(cfg.records_per_epoch) / cfg.records_per_epoch
+        #: What the kernel reads off a chunk's first unit for all of them:
+        #: workloads of equal shape generate together (the RTT tables as
+        #: bytes, so a signed zero never joins its twin).
+        self.generation_shape = (
+            cfg.records_per_epoch, cfg.error_rate, cfg.anomaly_probability,
+            cfg.tail_probability, self._rtt_base.tobytes(), self._rtt_scale.tobytes(),
+        )
 
     @property
     def input_rate_mbps(self) -> float:
@@ -213,24 +234,23 @@ class PingmeshWorkload:
         Columns stay numpy arrays end-to-end: slicing, filtering, and
         concatenation on the arena path are then C operations.
         """
-        count = self.config.records_per_epoch
-        columns = {
-            name: np.empty(count, dtype=dtype)
-            for name, dtype in _COLUMN_DTYPES.items()
-        }
-        self._generate(epoch, columns)
-        return RecordBatch(
-            record_class=PingmeshRecord,
-            columns=columns,
-            uniform_size_bytes=PINGMESH_RECORD_BYTES,
-        )
+        return ArenaUnits(self).batch(epoch)
 
-    def fill_arena(self, epoch: int, arena: object, source_id: int) -> bool:
+    def arena_units(self, epoch: int) -> "ArenaUnits":
+        """The block-fill entry: ``epoch`` is one unit of this workload.
+
+        The engine looks this up on the workload's type, reserves the rows
+        of every source that has it, and fills each run of consecutive
+        same-shape sources with one :func:`fill_units` call.
+        """
+        return ArenaUnits(self)
+
+    def fill_arena(self, epoch: int, arena: FleetArena, source_id: int) -> bool:
         """Generate one epoch's probes straight into a fleet arena's rows.
 
-        Arena-mode equivalent of :meth:`batch_for_epoch`: the same kernel
-        writes the columns into reserved block-buffer slices instead of fresh
-        arrays, so the generated columns are bit-identical while epoch
+        The one-source form of the engine's block fill: the same kernel
+        writes the columns into a reserved block-buffer slice instead of
+        fresh arrays, so the generated columns are bit-identical while epoch
         stepping reuses the block's memory.  Returns False (without consuming
         any randomness) when the arena refuses the reservation; the engine
         then falls back to :meth:`batch_for_epoch`.
@@ -244,56 +264,27 @@ class PingmeshWorkload:
         )
         if out is None:
             return False
-        self._generate(epoch, out)
+        fill_units([ArenaUnits(self)], epoch, out)
         return True
 
-    def _generate(self, epoch: int, out: Dict[str, np.ndarray]) -> None:
-        """The generation kernel: write one epoch into ``out``'s columns.
-
-        All randomness is one ``Generator.random(4 * count)`` draw, read as
-        four consecutive blocks of ``count`` uniforms — error, anomaly, tail,
-        value.  That is the stream, in the same order, that four
-        ``random(count)`` draws would consume, so generation is deterministic
-        per seed regardless of which branches records fall into.
-        """
-        cfg = self.config
-        count = cfg.records_per_epoch
-        draws = self._np_rng.random(4 * count)
-        anomalous = self._next_peers(count, out["dst_ip"])
-        np.less(draws[:count], cfg.error_rate, out=out["err_code"])
-        is_anomaly = anomalous & (draws[count : 2 * count] < cfg.anomaly_probability)
-        branch = (draws[2 * count : 3 * count] < cfg.tail_probability).astype(np.intp)
-        branch[is_anomaly] = 2
-        # In place as scale * value + base, then * 1000: IEEE addition and
-        # multiplication commute, so this is (base + scale * value) * 1000
-        # bit for bit (and ramp + epoch is epoch + ramp).
-        rtts = out["rtt_us"]
-        np.take(self._rtt_scale, branch, out=rtts)
-        rtts *= draws[3 * count :]
-        rtts += self._rtt_base.take(branch)
-        rtts *= 1000.0
-        np.add(self._ramp, float(epoch), out=out["event_time"])
-        out["src_ip"].fill(self.src_ip)
-
-    def _next_peers(self, count: int, dst_ips: np.ndarray) -> np.ndarray:
-        """Write the next ``count`` destinations into ``dst_ips``.
+    def _next_peers(self, dst_ips: np.ndarray, anomalous: np.ndarray) -> None:
+        """Write the next ``len(dst_ips)`` destinations and their flags.
 
         Destinations cycle through the sorted peer list from a cursor, copied
-        as contiguous slices that restart at peer 0 on a wrap.  Returns the
-        rows' anomalous-destination flags.
+        as contiguous slices that restart at peer 0 on a wrap; ``anomalous``
+        gets each row's anomalous-destination flag.
         """
         num_peers = len(self._peers_np)
+        count = len(dst_ips)
         start = self._next_peer_index
-        flags = []
         row = 0
         while row < count:
             take = min(count - row, num_peers - start)
             dst_ips[row : row + take] = self._peers_np[start : start + take]
-            flags.append(self._anomalous_np[start : start + take])
+            anomalous[row : row + take] = self._anomalous_np[start : start + take]
             row += take
             start = (start + take) % num_peers
         self._next_peer_index = start
-        return flags[0] if len(flags) == 1 else np.concatenate(flags)
 
     def tor_table(self, servers_per_tor: int = 40) -> IpToTorTable:
         """Static IP-to-ToR table covering this workload's destinations."""
@@ -302,6 +293,131 @@ class PingmeshWorkload:
         }
         mapping[self.src_ip] = self.src_ip // servers_per_tor
         return IpToTorTable(mapping)
+
+
+def fill_units(units: Sequence[ArenaUnits], epoch: int, out: ArenaColumns) -> None:
+    """The generation kernel: write ``units``' epochs, in order, into ``out``.
+
+    Every unit's generator has one :attr:`ArenaUnits.shape` — records per
+    epoch, the error, anomaly and tail probabilities, the RTT base and
+    scale — and ``out``'s columns hold exactly their rows.  Each unit draws
+    ``Generator.random(4 * count)`` from its own generator, in unit order,
+    read as four consecutive blocks of ``count`` uniforms — error, anomaly,
+    tail, value.  That is the stream, in the same order, that four
+    ``random(count)`` draws would consume, so generation is deterministic
+    per seed regardless of which branches records fall into, and of which
+    units share a call.  Whole units are generated in chunks of at most
+    :data:`ARENA_CHUNK_ROWS` rows, every column operation but the draw and
+    the peer cursor running once per chunk; a fractional round ends its
+    chunk, so its full draw follows the same generator's whole ones.
+    """
+    count = units[0].generator.config.records_per_epoch
+    per_chunk = max(1, ARENA_CHUNK_ROWS // count)
+    chunk: List[PingmeshWorkload] = []
+    row = 0
+    for unit in units:
+        for _ in range(unit.rounds):
+            chunk.append(unit.generator)
+            if len(chunk) == per_chunk:
+                row = _fill_chunk(chunk, epoch, out, row)
+                chunk = []
+        if unit.prefix is not None:
+            row = _fill_chunk(chunk, epoch, out, row)
+            chunk = []
+            partial = unit.generator.batch_for_epoch(epoch)
+            stop = row + unit.prefix
+            for name, column in partial.columns.items():
+                out[name][row:stop] = column[: unit.prefix]
+            row = stop
+    _fill_chunk(chunk, epoch, out, row)
+
+
+def _fill_chunk(
+    generators: List[PingmeshWorkload], epoch: int, out: ArenaColumns, row: int
+) -> int:
+    """Write one whole epoch of each generator from ``row`` on; the next row."""
+    if not generators:
+        return row
+    first = generators[0]
+    cfg = first.config
+    count = cfg.records_per_epoch
+    units = len(generators)
+    stop = row + units * count
+    rows = {
+        name: column[row:stop].reshape(units, count) for name, column in out.items()
+    }
+    draws = np.empty((units, 4, count))
+    anomalous = np.empty((units, count), dtype=bool)
+    dst_ips = rows["dst_ip"]
+    for unit, generator in enumerate(generators):
+        generator._np_rng.random(out=draws[unit])
+        generator._next_peers(dst_ips[unit], anomalous[unit])
+    np.less(draws[:, 0], cfg.error_rate, out=rows["err_code"])
+    anomalous &= draws[:, 1] < cfg.anomaly_probability
+    branch = np.empty((units, count), dtype=np.intp)
+    np.less(draws[:, 2], cfg.tail_probability, out=branch)
+    branch[anomalous] = 2
+    # In place as scale * value + base, then * 1000: IEEE addition and
+    # multiplication commute, so this is (base + scale * value) * 1000
+    # bit for bit (and ramp + epoch is epoch + ramp).
+    rtts = rows["rtt_us"]
+    np.take(first._rtt_scale, branch, out=rtts)
+    rtts *= draws[:, 3]
+    rtts += first._rtt_base.take(branch)
+    rtts *= 1000.0
+    np.add(first._ramp, float(epoch), out=rows["event_time"])
+    rows["src_ip"][:] = np.array(
+        [generator.src_ip for generator in generators], dtype=np.int64
+    )[:, None]
+    return stop
+
+
+class ArenaUnits(NamedTuple):
+    """One source's epoch as units of the generation kernel.
+
+    A unit is one ``records_per_epoch``-row draw of ``generator``.  The
+    source's epoch is ``rounds`` whole units, then, when ``prefix`` is not
+    None, one more draw of which only the first ``prefix`` rows are kept (a
+    fractional burst round, generated as a full epoch).
+    """
+
+    generator: PingmeshWorkload
+    rounds: int = 1
+    prefix: Optional[int] = None
+
+    @property
+    def rows(self) -> int:
+        """Rows the source's epoch holds."""
+        count = self.generator.config.records_per_epoch
+        return self.rounds * count + (self.prefix or 0)
+
+    @property
+    def shape(self) -> tuple:
+        """Sources of equal shape fill together (:func:`fill_units`)."""
+        return self.generator.generation_shape
+
+    def reserve(self, arena: FleetArena, source_id: int) -> Optional[int]:
+        """Reserve the source's rows; the first row, or None if refused."""
+        return arena.reserve_rows(
+            source_id, self.rows, PingmeshRecord, _COLUMN_DTYPES, PINGMESH_RECORD_BYTES
+        )
+
+    def batch(self, epoch: int) -> RecordBatch:
+        """The source's epoch as a batch of fresh columns."""
+        rows = self.rows
+        columns = {
+            name: np.empty(rows, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()
+        }
+        fill_units([self], epoch, columns)
+        return RecordBatch(
+            record_class=PingmeshRecord,
+            columns=columns,
+            uniform_size_bytes=PINGMESH_RECORD_BYTES,
+        )
+
+    #: The generation kernel, for a caller that holds units but does not
+    #: import this module (the engine's block fill).
+    fill = staticmethod(fill_units)
 
 
 def s2s_cost_model(

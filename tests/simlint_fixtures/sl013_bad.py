@@ -49,3 +49,16 @@ def leak_slice(arena, arena_id, n_rows):
 def leak_tuple(arena, arena_id, name):
     batch = arena.view(arena_id)
     return (name, batch)  # expect: SL013
+
+
+class Kernel:
+    def __init__(self) -> None:
+        self.rows = None
+
+    def keep_chunk(self, out: ArenaColumns, units: int, count: int) -> None:
+        # A parameter of type ArenaColumns holds reserved slices.
+        rows = {name: column.reshape(units, count) for name, column in out.items()}
+        self.rows = rows["rtt_us"]  # expect: SL013
+
+    def keep_span(self, arena: object, start: int, stop: int) -> None:
+        self.rows = arena.rows(start, stop)  # expect: SL013

@@ -9,6 +9,7 @@ from repro.analysis.experiments import HotspotWorkload, make_setup
 from repro.baselines import AllSPStrategy
 from repro.errors import SimulationError
 from repro.scenarios import ScenarioRunner, spec_from_dict
+from repro.simulation.engine import EpochEngine
 from repro.simulation.metrics import ClusterEpochMetrics
 from repro.simulation.multisource import MultiSourceConfig, homogeneous_sources
 from repro.simulation.node import StreamProcessorNode
@@ -347,12 +348,24 @@ class TestHotspotWorkload:
         assert len(after) == 2 * len(before)
 
     def test_object_and_batched_views_agree(self, setup):
+        # Records, a fresh batch and the engine's arena fill: whole rounds
+        # are kernel units, the half round a prefix of a full draw.
         a = HotspotWorkload(setup.workload_factory(3), shift_epoch=1, factor=2.5)
         b = HotspotWorkload(setup.workload_factory(3), shift_epoch=1, factor=2.5)
+        c = HotspotWorkload(setup.workload_factory(3), shift_epoch=1, factor=2.5)
+        engine = EpochEngine(setup.cost_model, setup.config, record_mode="arena")
+        engine.add_source("hot", c, AllSPStrategy(), 1.0, setup.plan)
         for epoch in range(3):
             records = a.records_for_epoch(epoch)
             batch = b.batch_for_epoch(epoch)
-            assert len(records) == len(batch)
+            (filled,) = engine._fill_arena(epoch)
+            assert len(records) == len(batch) == len(filled)
+            assert len(batch) == (120 if epoch < 1 else 300)
+            assert [r.as_dict() for r in records] == [
+                r.as_dict() for r in batch.to_records()
+            ]
+            for name, column in batch.columns.items():
+                assert filled.columns[name].tobytes() == column.tobytes(), name
 
     def test_rejects_shrinking_factor(self, setup):
         from repro.errors import ConfigurationError

@@ -540,17 +540,24 @@ class TestHistoricalBugClasses:
         assert "SL013" in {v.rule_id for v in violations}
 
     def test_reserved_slices_kept_by_a_workload_fire_sl013(self):
-        # fill_arena's reserved slices alias the recycled block buffers; a
-        # generator keeping them would write into another epoch's rows.
+        # The reserved slices and the kernel's chunk slices alias the
+        # recycled block buffers; a generator keeping them would write into
+        # another epoch's rows.
         source = (REPO_ROOT / "src/repro/workloads/pingmesh.py").read_text()
-        reverted = source.replace(
-            "        self._generate(epoch, out)\n",
-            "        self._columns = out\n        self._generate(epoch, out)\n",
-        )
-        assert reverted != source
         assert lint_source(source, "src/repro/workloads/pingmesh.py") == []
-        violations = lint_source(reverted, "src/repro/workloads/pingmesh.py")
-        assert "SL013" in {v.rule_id for v in violations}
+        for line, kept in (
+            # fill_arena's reserved slices, handed to the kernel.
+            (
+                "        fill_units([ArenaUnits(self)], epoch, out)\n",
+                "        self._columns = out\n",
+            ),
+            # A chunk's slices inside the kernel, cut from its ArenaColumns.
+            ('    rtts = rows["rtt_us"]\n', "    first._rtts = rtts\n"),
+        ):
+            assert source.count(line) == 1, line
+            reverted = source.replace(line, line + kept)
+            violations = lint_source(reverted, "src/repro/workloads/pingmesh.py")
+            assert "SL013" in {v.rule_id for v in violations}, kept
 
     def test_worker_side_shm_create_fires_sl014(self):
         # PR 9 contract: only the main process creates (and unlinks) shm

@@ -227,6 +227,9 @@ class TestWorkloadBurst:
             BurstSpec(5, 5, 2.0)
         with pytest.raises(WorkloadError):
             BurstSpec(0, 5, 0.0)
+        # A burst adds records; a multiplier below 1 used to be ignored.
+        with pytest.raises(WorkloadError, match=">= 1"):
+            BurstSpec(0, 5, 0.5)
 
     def test_exposes_base_rate(self):
         base = PingmeshWorkload(PingmeshConfig(records_per_epoch=100, peers=200))

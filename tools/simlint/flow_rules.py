@@ -9,8 +9,10 @@ These rules check *contracts over values*, not syntactic patterns:
   return convention.  Escape hatch: ``# simlint: unit[bytes]`` on the
   assignment line asserts the unit of the bound value.
 * **SL013 (arena escape)** taints values aliasing :class:`FleetArena`
-  buffers (``arena.view(...)`` and ``arena.reserve(...)`` results and
-  slices of them) and flags stores into attribute-reachable state, pushes
+  buffers (``arena.view(...)``, ``arena.reserve(...)`` and
+  ``arena.rows(...)`` results, parameters annotated ``ArenaColumns``, and
+  slices, entries and numpy views of them) and flags stores into
+  attribute-reachable state, pushes
   into attribute-rooted containers, and returns of directly tainted values
   — the places a zero-copy view can outlive the epoch whose buffers it
   aliases.  ``own()`` (and any materializing copy) sanitizes.  Stores into
@@ -475,8 +477,14 @@ _SANITIZING_CALLS = {
     "materialize",
 }
 #: Arena methods whose results alias the live buffers: zero-copy views and
-#: the writable column slices a reservation hands out.
-_ALIASING_ARENA_METHODS = {"view", "reserve"}
+#: the writable column slices a reservation (or a row span) hands out.
+_ALIASING_ARENA_METHODS = {"view", "reserve", "rows"}
+#: Methods whose result, on a value aliasing the buffers, aliases them too:
+#: a column mapping's entries, and numpy views of a column.
+_VIEW_METHODS = {"items", "values", "reshape", "view"}
+#: The annotation of a parameter that holds writable arena slices
+#: (``repro.query.records.ArenaColumns``).
+_ARENA_COLUMNS_TYPE = "ArenaColumns"
 _CONTAINER_PUSH_METHODS = {
     "append",
     "appendleft",
@@ -508,6 +516,29 @@ class TaintAnalysis(ForwardAnalysis):
     def _is_arena_receiver(self, node: ast.AST) -> bool:
         return _terminal_name(node).endswith("arena")
 
+    def value_of_parameter(self, arg: ast.arg) -> Optional[str]:
+        """A parameter annotated ``ArenaColumns`` holds arena slices."""
+        if arg.annotation is not None and (
+            _terminal_name(arg.annotation) == _ARENA_COLUMNS_TYPE
+        ):
+            return self.TAINTED
+        return None
+
+    def _comprehension_env(self, node: ast.AST, env: Env) -> Env:
+        """What a comprehension's element sees: its targets, tainted when
+        drawn from a value that aliases the buffers."""
+        inner = dict(env)
+        for generator in node.generators:
+            source = self.eval_expr(generator.iter, inner)
+            for name in ast.walk(generator.target):
+                if not isinstance(name, ast.Name):
+                    continue
+                if source == self.TAINTED:
+                    inner[name.id] = self.TAINTED
+                else:
+                    inner.pop(name.id, None)
+        return inner
+
     def eval_expr(self, node: ast.AST, env: Env):
         if node is None:
             return None
@@ -518,6 +549,12 @@ class TaintAnalysis(ForwardAnalysis):
                 method = node.func.attr
                 if method in _ALIASING_ARENA_METHODS and self._is_arena_receiver(
                     node.func.value
+                ):
+                    for arg in node.args:
+                        self.eval_expr(arg, env)
+                    return self.TAINTED
+                if method in _VIEW_METHODS and (
+                    self.eval_expr(node.func.value, env) == self.TAINTED
                 ):
                     for arg in node.args:
                         self.eval_expr(arg, env)
@@ -555,21 +592,9 @@ class TaintAnalysis(ForwardAnalysis):
                     tainted = self.eval_expr(value, env) or tainted
             return tainted
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            inner = dict(env)
-            for generator in node.generators:
-                self.eval_expr(generator.iter, env)
-                for name in ast.walk(generator.target):
-                    if isinstance(name, ast.Name):
-                        inner.pop(name.id, None)
-            return self.eval_expr(node.elt, inner)
+            return self.eval_expr(node.elt, self._comprehension_env(node, env))
         if isinstance(node, ast.DictComp):
-            inner = dict(env)
-            for generator in node.generators:
-                self.eval_expr(generator.iter, env)
-                for name in ast.walk(generator.target):
-                    if isinstance(name, ast.Name):
-                        inner.pop(name.id, None)
-            return self.eval_expr(node.value, inner)
+            return self.eval_expr(node.value, self._comprehension_env(node, env))
         if isinstance(node, ast.Starred):
             return self.eval_expr(node.value, env)
         if isinstance(node, (ast.BinOp, ast.BoolOp, ast.Compare, ast.UnaryOp)):
