@@ -11,9 +11,9 @@ queue length and idle time — and reports an :class:`OperatorState` at the
 epoch boundary, applying the ``DrainedThres`` / ``IdleThres`` hysteresis from
 Section IV-C so small workload variation does not trigger adaptation.
 
-Each pipeline stage holds its proxy's load factor
+A source pipeline holds its proxies' load factors, one per stage
 (:meth:`~repro.simulation.pipeline.SourcePipeline.set_load_factors` checks
-it).  The rules are array functions over many proxies at once —
+and installs them).  The rules are array functions over many proxies at once —
 :func:`route_counts` for routing, :func:`congestion_floor_records` and
 :func:`operator_states` for the observation — so the block stepper
 (:func:`~repro.simulation.pipeline.run_block_epoch`) decides one stage of

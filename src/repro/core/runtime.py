@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from ..config import JarvisConfig
 from ..errors import PartitioningError
@@ -24,9 +24,12 @@ from .state import QueryState, RuntimePhase, classify_query_state
 from .stepwise_adapt import StepWiseAdapt
 
 
-@dataclass(frozen=True)
-class EpochObservation:
+class EpochObservation(NamedTuple):
     """Everything the runtime learns about one finished epoch.
+
+    The engine builds one per source-epoch, so it is a named tuple, like the
+    :class:`ProxyObservation` entries it carries: cheap to build, read by
+    field name.
 
     Attributes:
         epoch: Epoch index (0-based).

@@ -557,14 +557,15 @@ class EpochEngine:
             state.drained_records += drained
             state.records_rejected += rejected
 
+            # Positional arguments, in field order, as for EpochMetrics.
             observation = EpochObservation(
-                epoch=epoch,
-                proxy_observations=src.observations,
-                compute_budget=budget_fraction,
-                records_injected=records_in,
-                measured_costs=src.measured_costs,
-                measured_relays=src.measured_relays,
-                records_processed=src.processed_per_stage,
+                epoch,
+                src.observations,
+                budget_fraction,
+                records_in,
+                src.measured_costs,
+                src.measured_relays,
+                src.processed_per_stage,
             )
             new_factors = state.strategy.on_epoch_end(observation)
             if new_factors is not None:
@@ -794,6 +795,7 @@ class EpochAccountant:
         epoch_duration_s: float,
         *,
         shared_queue_bytes: Sequence[Tuple[str, Sequence[float]]] = (),
+        network_bytes: Sequence[float],
         sent_bytes: Sequence[float],
         reported_queue_bytes: Sequence[float],
         network_delay_s: Sequence[float],
@@ -812,6 +814,9 @@ class EpochAccountant:
                 every executor-owned queue whose growth debits goodput, in
                 debit order; the previous levels live on each source's state
                 so the growth accounting survives across epochs.
+            network_bytes: Each source's
+                :attr:`~repro.simulation.pipeline.SourceEpochResult.network_bytes`,
+                the bytes it offered its link this epoch.
             sent_bytes: Bytes each source moved across its link this epoch.
             reported_queue_bytes: The queue level reported as
                 ``network_queue_bytes`` (uplink queue or carryover backlog).
@@ -854,27 +859,30 @@ class EpochAccountant:
             np.asarray(network_delay_s, dtype=float),
             sp_delay_s,
         )
+        # Positional arguments, in field order: a named tuple builds about
+        # twice as fast from them as from keywords.
         return [
             EpochMetrics(
-                epoch=src.epoch,
-                input_bytes=src.input_bytes,
-                goodput_bytes=goodput_n,
-                network_bytes_offered=src.network_bytes,
-                network_bytes_sent=sent,
-                network_queue_bytes=queued,
-                cpu_used_seconds=src.cpu_used_seconds,
-                cpu_budget_seconds=src.cpu_budget_seconds,
-                sp_cpu_seconds=sp_cpu,
-                source_backlog_records=backlog_n,
-                latency_s=latency_n,
-                query_state=query_state,
-                runtime_phase=cls.strategy_phase(state.strategy),
-                load_factors=tuple(state.pipeline.load_factors()),
+                src.epoch,
+                src.input_bytes,
+                goodput_n,
+                offered,
+                sent,
+                queued,
+                src.cpu_used_seconds,
+                src.cpu_budget_seconds,
+                sp_cpu,
+                backlog_n,
+                latency_n,
+                query_state,
+                cls.strategy_phase(state.strategy),
+                state.pipeline.load_factors,
             )
             for (
                 state,
                 src,
                 goodput_n,
+                offered,
                 sent,
                 queued,
                 sp_cpu,
@@ -885,6 +893,7 @@ class EpochAccountant:
                 states,
                 block.results,
                 goodput.tolist(),
+                network_bytes,
                 sent_bytes,
                 reported_queue_bytes,
                 sp_cpu_seconds,
@@ -925,6 +934,7 @@ class EpochAccountant:
                 (queue_name, [queue_bytes])
                 for queue_name, queue_bytes in shared_queue_bytes
             ],
+            network_bytes=[src.network_bytes],
             sent_bytes=[sent_bytes],
             reported_queue_bytes=[reported_queue_bytes],
             network_delay_s=[network_delay_s],

@@ -6,23 +6,30 @@ The paper's evaluation reports three metrics (Section VI-A):
 * **epoch processing latency** in seconds,
 * **convergence duration** in epochs after a resource-condition change.
 
-:class:`EpochMetrics` captures what happened in one epoch;
-:class:`RunMetrics` aggregates a run and exposes the reported quantities.
+:class:`EpochMetrics` captures what happened to one source in one epoch and
+:class:`ClusterEpochMetrics` what happened to a block's shared link and
+compute; :class:`RunMetrics` and :class:`ClusterMetrics` aggregate a run and
+expose the reported quantities.
+
+A run builds one :class:`EpochMetrics` per source-epoch, and a parallel run
+pickles every one of them from its worker, so both per-epoch records are
+named tuples: fields by name or position, cheap to build and to unpickle.
+Like any tuple they compare equal to a tuple of the same values, and JSON
+writes them as arrays.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..core.state import QueryState, RuntimePhase
 from ..errors import SimulationError
 from ..query.records import half_up
 
 
-@dataclass(frozen=True)
-class EpochMetrics:
+class EpochMetrics(NamedTuple):
     """Measurements for a single epoch of a single data source."""
 
     epoch: int
@@ -199,8 +206,7 @@ class RunMetrics:
         }
 
 
-@dataclass(frozen=True)
-class ClusterEpochMetrics:
+class ClusterEpochMetrics(NamedTuple):
     """Shared-resource measurements for one epoch of a multi-source run."""
 
     epoch: int

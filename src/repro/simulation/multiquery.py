@@ -245,11 +245,15 @@ class CoLocatedBlockExecutor:
             demands, self._weights, self.link.capacity_bytes_per_epoch
         )
         shipped: List[List[float]] = []
+        unsent: List[List[float]] = []
         contending: List[int] = []
         transmits = []
         for engine, grant in zip(engines, grants):
-            shipped_bytes, contending_sources = engine._ship_fair_share(grant)
+            shipped_bytes, unsent_bytes, contending_sources = engine._ship_fair_share(
+                grant
+            )
             shipped.append(shipped_bytes)
+            unsent.append(unsent_bytes)
             contending.append(contending_sources)
             transmits.append(engine.link.transmit_epoch(max_bytes=sum(shipped_bytes)))
 
@@ -317,6 +321,7 @@ class CoLocatedBlockExecutor:
             metrics[q.name] = engine._finish_epoch(
                 offered_bytes=offered[index],
                 shipped_bytes=shipped[index],
+                unsent_bytes=unsent[index],
                 contending_sources=contending[index],
                 sent_bytes=transmits[index].sent_bytes,
                 queued_bytes=transmits[index].queued_bytes,

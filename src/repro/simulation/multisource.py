@@ -153,10 +153,12 @@ class _TransferItem:
     :meth:`MultiSourceExecutor._finish_epoch` owns every such batch still
     queued; queued items therefore survive the arena's next-epoch buffer
     reuse, and a migrating source's partial-transfer state stays valid in
-    the adopting block's arena.  ``progress_bytes`` tracks how much of the
-    head record (or of the state blob) has already crossed the link:
-    transfers larger than one epoch's allocation simply take several
-    epochs, they never starve behind head-of-line blocking.
+    the adopting block's arena.  ``size_bytes`` is the exact byte total of
+    the records the item still holds (drain headers included), or the state
+    blob's size.  ``progress_bytes`` tracks how much of the head record (or
+    of the state blob) has already crossed the link: transfers larger than
+    one epoch's allocation simply take several epochs, they never starve
+    behind head-of-line blocking.
     """
 
     stage_index: int
@@ -309,8 +311,10 @@ class MultiSourceExecutor:
         self._fresh_sp_pending = 0
         self._epoch_index = 0
         #: The engine's step this epoch, between the source and accounting
-        #: phases (None between epochs).
+        #: phases (None between epochs), and each of its sources'
+        #: ``network_bytes`` as enqueued (empty between epochs).
         self._epoch_step: Optional[BlockStep] = None
+        self._network_bytes: List[float] = []
 
     # -- introspection -----------------------------------------------------------
 
@@ -392,7 +396,7 @@ class MultiSourceExecutor:
         """
         offered_bytes_total = self._run_sources()
         self.link.offer(offered_bytes_total)
-        shipped_bytes, contending_sources = self._ship_fair_share(
+        shipped_bytes, unsent_bytes, contending_sources = self._ship_fair_share(
             self.link.capacity_bytes_per_epoch
         )
         transmit = self.link.transmit_epoch(max_bytes=sum(shipped_bytes))
@@ -405,6 +409,7 @@ class MultiSourceExecutor:
         return self._finish_epoch(
             offered_bytes=offered_bytes_total,
             shipped_bytes=shipped_bytes,
+            unsent_bytes=unsent_bytes,
             contending_sources=contending_sources,
             sent_bytes=transmit.sent_bytes,
             queued_bytes=transmit.queued_bytes,
@@ -535,41 +540,50 @@ class MultiSourceExecutor:
         epoch = self.epoch_engine.epochs_run
         step = self.epoch_engine.step_sources()
         offered_bytes_total = 0.0
+        network_bytes: List[float] = []
         for state, result in zip(step.states, step.results):
-            offered_bytes_total += self._enqueue_transfers(state, result)
+            enqueued_bytes, source_bytes = self._enqueue_transfers(state, result)
+            offered_bytes_total += enqueued_bytes
+            network_bytes.append(source_bytes)
         self._epoch_index = epoch
         self._epoch_step = step
+        self._network_bytes = network_bytes
         return offered_bytes_total
 
     def total_remaining_demand(self) -> float:
         """Bytes this executor's sources still need to move across the link."""
         return sum(self._remaining_demand(state) for state in self._sources)
 
-    def _ship_fair_share(self, byte_budget: float) -> Tuple[List[float], int]:
+    def _ship_fair_share(
+        self, byte_budget: float
+    ) -> Tuple[List[float], List[float], int]:
         """Phase 2: max-min fair arbitration of ``byte_budget`` across sources.
 
         A source's demand is what still has to *cross* the link: the head
         item's bytes already transmitted in earlier epochs (its partial
         progress) stay in ``carryover_bytes`` for backlog accounting but must
         not be demanded again, or the allocator would strand capacity other
-        sources need.  Returns ``(bytes shipped per source, number of sources
-        that contended)``.
+        sources need.  Returns ``(bytes shipped per source, bytes each source
+        still has to move once shipped, number of sources that contended)``.
         """
         demands = [self._remaining_demand(state) for state in self._sources]
         allocations = max_min_fair_share(demands, byte_budget)
         contending_sources = sum(1 for demand in demands if demand > 0.0)
         pending = len(self._sp_pending)
-        shipped_bytes = [
-            self._ship(state, allocation)
-            for state, allocation in zip(self._sources, allocations)
-        ]
+        shipped_bytes: List[float] = []
+        unsent_bytes: List[float] = []
+        for state, allocation in zip(self._sources, allocations):
+            sent, unsent = self._ship(state, allocation)
+            shipped_bytes.append(sent)
+            unsent_bytes.append(unsent)
         self._fresh_sp_pending = len(self._sp_pending) - pending
-        return shipped_bytes, contending_sources
+        return shipped_bytes, unsent_bytes, contending_sources
 
     def _finish_epoch(
         self,
         offered_bytes: float,
         shipped_bytes: Sequence[float],
+        unsent_bytes: Sequence[float],
         contending_sources: int,
         sent_bytes: float,
         queued_bytes: float,
@@ -610,11 +624,12 @@ class MultiSourceExecutor:
         # Latency: the network term counts only the bytes that still have to
         # *cross* the link (the head item's partial progress has already
         # crossed and stays in ``carryover_bytes`` purely for backlog
-        # accounting).
+        # accounting), as shipping left them.
         fair_rate = link_rate_bytes_per_s / max(1, contending_sources)
-        demand_bytes = np.array([self._remaining_demand(state) for state in states])
         network_delay = (
-            demand_bytes / fair_rate if fair_rate > 0 else np.zeros(len(states))
+            np.array(unsent_bytes) / fair_rate
+            if fair_rate > 0
+            else np.zeros(len(states))
         )
         carryover_bytes = [state.carryover_bytes for state in states]
         accounted = EpochAccountant.finish_block_epoch(
@@ -628,6 +643,7 @@ class MultiSourceExecutor:
                     [sp_backlog_bytes.get(state.name, 0.0) for state in states],
                 ),
             ),
+            network_bytes=self._network_bytes,
             sent_bytes=shipped_bytes,
             reported_queue_bytes=carryover_bytes,
             network_delay_s=network_delay,
@@ -647,6 +663,7 @@ class MultiSourceExecutor:
             sp_backlog_records=self.sp_backlog_records(),
         )
         self._epoch_step = None
+        self._network_bytes = []
         arena = self.epoch_engine.arena
         if arena is not None:
             self._own_queued(arena)
@@ -702,8 +719,16 @@ class MultiSourceExecutor:
 
     def _enqueue_transfers(
         self, state: _CarryoverSourceState, src: SourceEpochResult
-    ) -> float:
-        """Queue one epoch's outbound data; returns the new bytes enqueued."""
+    ) -> Tuple[float, float]:
+        """Queue one epoch's outbound data.
+
+        Returns the new bytes enqueued and the source's
+        :attr:`~repro.simulation.pipeline.SourceEpochResult.network_bytes`.
+        Drained and emitted sizes are whole bytes, so the running sum of
+        their items is exactly ``drained_bytes + emitted_bytes``: the
+        accountant's ``network_bytes`` is that sum plus the partial state,
+        with nothing sized twice.
+        """
         queued_items = len(state.carryover)
         new_bytes = 0.0
         drained_sizes = src.drained_sizes
@@ -724,6 +749,7 @@ class MultiSourceExecutor:
                 _TransferItem(stage_index=-1, records=batch, size_bytes=size)
             )
             new_bytes += size
+        network_bytes = new_bytes + src.partial_state_bytes
         if src.partial_states:
             per_stage_bytes = src.partial_state_bytes / max(1, len(src.partial_states))
             for stage_index, blob in src.partial_states.items():
@@ -738,7 +764,7 @@ class MultiSourceExecutor:
                 new_bytes += per_stage_bytes
         state.carryover_bytes += new_bytes
         state.fresh_items = len(state.carryover) - queued_items
-        return new_bytes
+        return new_bytes, network_bytes
 
     @staticmethod
     def _plan_item_transfer(
@@ -771,8 +797,13 @@ class MultiSourceExecutor:
             len(records), budget, progress_bytes, sizes=sizes, tolerance=tolerance
         )
 
-    def _ship(self, state: _CarryoverSourceState, allocation: float) -> float:
+    def _ship(
+        self, state: _CarryoverSourceState, allocation: float
+    ) -> Tuple[float, float]:
         """Move up to ``allocation`` bytes from the carryover queue to the SP.
+
+        Returns the bytes sent and the source's remaining demand after
+        shipping (:meth:`_remaining_demand`, from the queue as it is left).
 
         FIFO byte-serialised transfer: record batches are delivered to the SP
         record by record as their bytes complete; a partial-state blob is
@@ -784,6 +815,16 @@ class MultiSourceExecutor:
         derived from it — never counts data that has not fully crossed the
         link.
 
+        A record item's ``size_bytes`` is the exact byte total of the records
+        it still holds, so a batch whose remaining bytes fit what is left of
+        the allocation moves to the SP queue as it is, uncut: that is exactly
+        what planning it would complete, since every record of it completes.
+        Only a batch that ships in part is planned
+        (:func:`~repro.simulation.network.plan_fifo_transfer`) and cut.
+        Record lists are always planned and cut item by item, so object
+        mode, the reference the arena runs are checked against, ships every
+        item through the planner.
+
         Items whose remaining bytes are zero (e.g. a partial-state blob whose
         measured size rounded to nothing) are delivered unconditionally, even
         on a zero-byte allocation: they consume no link capacity, and leaving
@@ -792,11 +833,12 @@ class MultiSourceExecutor:
         it with.
         """
         tolerance = 1e-9
+        carryover = state.carryover
         budget_bytes = allocation
         sent_bytes = 0.0
         completed_bytes = 0.0
-        while state.carryover:
-            item = state.carryover[0]
+        while carryover:
+            item = carryover[0]
             if item.stage_index == -2:
                 remaining_bytes = item.size_bytes - item.progress_bytes
                 if remaining_bytes > tolerance and budget_bytes <= tolerance:
@@ -807,18 +849,31 @@ class MultiSourceExecutor:
                 budget_bytes -= take_bytes
                 if item.size_bytes - item.progress_bytes <= tolerance:
                     completed_bytes += item.size_bytes
-                    state.carryover.popleft()
+                    carryover.popleft()
                     self._sp_free.append((state.name, item))
                 continue
             drained = item.stage_index >= 0
+            queue = self._sp_pending if drained else self._sp_free
+            if (
+                isinstance(item.records, RecordBatch)
+                and item.size_bytes <= budget_bytes + item.progress_bytes + tolerance
+            ):
+                take_bytes = item.size_bytes - item.progress_bytes
+                item.progress_bytes = 0.0
+                sent_bytes += take_bytes
+                budget_bytes -= take_bytes
+                completed_bytes += item.size_bytes
+                carryover.popleft()
+                queue.append((state.name, item))
+                continue
             plan = self._plan_item_transfer(
                 item.records, drained, item.progress_bytes, budget_bytes, tolerance
             )
             if plan.completed_records:
                 shipped = item.records[: plan.completed_records]
                 item.records = item.records[plan.completed_records :]
+                item.size_bytes -= plan.completed_bytes
                 completed_bytes += plan.completed_bytes
-                queue = self._sp_pending if drained else self._sp_free
                 queue.append(
                     (
                         state.name,
@@ -834,9 +889,12 @@ class MultiSourceExecutor:
             budget_bytes = plan.budget_left
             if item.records:
                 break  # allocation exhausted mid-batch
-            state.carryover.popleft()
-        state.carryover_bytes = max(0.0, state.carryover_bytes - completed_bytes)
-        return sent_bytes
+            carryover.popleft()
+        carryover_bytes = max(0.0, state.carryover_bytes - completed_bytes)
+        state.carryover_bytes = carryover_bytes
+        if carryover:
+            carryover_bytes -= carryover[0].progress_bytes
+        return sent_bytes, max(0.0, carryover_bytes)
 
     def _drain_sp_free(self) -> None:
         """Phase 3a: drain every free item that crossed the link this epoch.

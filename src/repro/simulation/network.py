@@ -12,7 +12,7 @@ Section VI-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from ..errors import SimulationError, require_finite
 
@@ -115,8 +115,7 @@ def weighted_max_min_fair_share(
     return allocations
 
 
-@dataclass(frozen=True)
-class TransferPlan:
+class TransferPlan(NamedTuple):
     """Outcome of fitting a FIFO run of records into a byte budget.
 
     Attributes:
@@ -168,7 +167,9 @@ def plan_fifo_transfer(
         if uniform_size <= 0:
             completed = count
         else:
-            completed = min(count, int(limit // uniform_size))
+            # An earlier item may overdraw the budget by up to ``tolerance``,
+            # so ``limit`` can sit a hair below 0, which floors to -1.
+            completed = min(count, max(0, int(limit // uniform_size)))
             # Guard the float floor-division against off-by-one rounding.
             while completed < count and (completed + 1) * uniform_size <= limit:
                 completed += 1

@@ -86,15 +86,14 @@ def process_records(operator: Operator, records: RecordContainer) -> RecordConta
 class _SourceStage:
     """One proxy/operator pair on the data source, plus its pending queue.
 
-    ``load_factor`` is the proxy's fraction ``p`` of incoming records
-    forwarded to the operator (Section IV-A); the rest drain.  ``queue`` is
-    a :data:`RecordContainer`: a record list on the object path, a
-    :class:`RecordBatch` on the arena path (an empty list concatenates into
-    whichever container the epoch produces).
+    ``queue`` is a :data:`RecordContainer`: a record list on the object
+    path, a :class:`RecordBatch` on the arena path (an empty list
+    concatenates into whichever container the epoch produces).  The
+    pipeline holds the proxy's load factor
+    (:attr:`SourcePipeline.load_factors`).
     """
 
     operator: Operator
-    load_factor: float = 0.0
     queue: RecordContainer = field(default_factory=list)
     #: Bytes that entered the operator since the last window flush.
     window_input_bytes: float = 0.0
@@ -205,6 +204,11 @@ class SourcePipeline:
         self.epoch_duration_s = float(epoch_duration_s)
         self.epochs_per_window = max(1, half_up(window_length_s / epoch_duration_s))
         self.stages: List[_SourceStage] = [_SourceStage(op) for op in operators]
+        #: Each stage's proxy load factor ``p``, in stage order: the fraction
+        #: of its incoming records forwarded to the operator (Section IV-A);
+        #: the rest drain.  Only :meth:`set_load_factors` replaces it, so the
+        #: block stepper and the epoch metrics read it as it is.
+        self.load_factors: Tuple[float, ...] = (0.0,) * len(self.stages)
         self._epoch_index = 0
         self._drain_backlog_next_epoch = False
 
@@ -216,9 +220,6 @@ class SourcePipeline:
 
     def operator_names(self) -> List[str]:
         return [stage.operator.name for stage in self.stages]
-
-    def load_factors(self) -> List[float]:
-        return [stage.load_factor for stage in self.stages]
 
     def set_load_factors(self, factors: Sequence[float]) -> None:
         """Install a new data-level partitioning plan.
@@ -245,11 +246,12 @@ class SourcePipeline:
                     f"load factor must be within [0, 1], got {factor!r}"
                 )
         changed = any(
-            abs(stage.load_factor - factor) > 1e-9
-            for stage, factor in zip(self.stages, factors)
+            abs(installed - factor) > 1e-9
+            for installed, factor in zip(self.load_factors, factors)
         )
-        for stage, factor in zip(self.stages, factors):
-            stage.load_factor = min(1.0, max(0.0, factor))
+        self.load_factors = tuple(
+            min(1.0, max(0.0, factor)) for factor in factors
+        )
         if changed and self.allow_congestion_relief:
             self._drain_backlog_next_epoch = True
 
@@ -501,7 +503,7 @@ class _BlockRun:
             [pipeline.allow_congestion_relief for pipeline in pipelines], dtype=bool
         )
         self.load_factors = np.array(
-            [pipeline.load_factors() for pipeline in pipelines]
+            [pipeline.load_factors for pipeline in pipelines]
         ).T
         self.profiles = np.array(profiles, dtype=bool)
         self.profiling = np.flatnonzero(self.profiles).tolist()
@@ -853,12 +855,15 @@ def observe_stages(
     the records its proxy routed (:func:`operator_states`).
     """
     idle_fraction = np.zeros(len(cpu_budget_s))
-    np.divide(
-        cpu_budget_s - cpu_used_s,
-        cpu_budget_s,
-        out=idle_fraction,
-        where=cpu_budget_s > 0,
-    )
+    # A subnormal budget under a larger CPU use overflows to -inf, which the
+    # clamp below reads as 0 idle, so the overflow is no error.
+    with np.errstate(over="ignore"):
+        np.divide(
+            cpu_budget_s - cpu_used_s,
+            cpu_budget_s,
+            out=idle_fraction,
+            where=cpu_budget_s > 0,
+        )
     idle_fractions = np.minimum(
         1.0,
         np.maximum(

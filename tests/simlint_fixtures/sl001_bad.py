@@ -14,6 +14,17 @@ def finish_epoch(metrics, epoch_duration_s, backlog_s, states):
     return snapshot, observation, query_state, latency
 
 
+def rebuild(metrics: object, rows: list, plan_cls: type) -> tuple:
+    # The records are named tuples: _make and _replace build them as well.
+    copied = EpochMetrics._make(rows)  # expect: SL001
+    observed = metrics.EpochObservation._make(rows)  # expect: SL001
+    bumped = copied._replace(goodput_bytes=0.0)  # expect: SL001
+    reset = finish_epoch(metrics, 1.0, 0.0, [])[0]._replace(epoch=0)  # expect: SL001
+    # _make on any other name builds no accounting record.
+    plan = plan_cls._make(rows)
+    return copied, observed, bumped, reset, plan
+
+
 def goodput_bytes(input_bytes, debits):  # expect: SL001
     return input_bytes - sum(debits)
 

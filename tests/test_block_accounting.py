@@ -167,6 +167,7 @@ class TestBlockFormEqualsOneSourceForm:
                 (name, [draw["queues"][q] for draw in draws])
                 for q, name in enumerate(QUEUES)
             ],
+            network_bytes=[src.network_bytes for src in results],
             sent_bytes=[draw["sent"] for draw in draws],
             reported_queue_bytes=[draw["reported"] for draw in draws],
             network_delay_s=[draw["network_delay"] for draw in draws],
@@ -217,6 +218,7 @@ class TestBlockFormEqualsOneSourceForm:
             BlockStep(states, [0.0, 0.0], BlockEpoch.from_results(results, 3)),
             setup.cost_model,
             EPOCH_S,
+            network_bytes=[src.network_bytes for src in results],
             sent_bytes=[0.0, 0.0],
             reported_queue_bytes=[0.0, 0.0],
             network_delay_s=[0.0, 0.0],

@@ -17,7 +17,6 @@ from repro.query.operators import (
     FilterOperator,
     GroupAggregateOperator,
     JoinOperator,
-    MapOperator,
     WindowOperator,
 )
 from repro.query.records import IpToTorTable, LogRecord, PingmeshRecord

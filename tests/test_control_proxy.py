@@ -53,12 +53,12 @@ class TestLoadFactor:
     """Each pipeline stage holds its proxy's load factor."""
 
     def test_defaults_to_zero(self):
-        assert two_stage_pipeline().load_factors() == [0.0, 0.0]
+        assert two_stage_pipeline().load_factors == (0.0, 0.0)
 
     def test_set_and_clamp_numerical_noise(self):
         pipeline = two_stage_pipeline()
         pipeline.set_load_factors([1.0 + 1e-12, -1e-12])
-        assert pipeline.load_factors() == [1.0, 0.0]
+        assert pipeline.load_factors == (1.0, 0.0)
 
     @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
     def test_rejects_invalid_values(self, value):
@@ -74,7 +74,7 @@ class TestLoadFactor:
         pipeline._drain_backlog_next_epoch = False
         with pytest.raises(ConfigurationError):
             pipeline.set_load_factors([1.0, value])
-        assert pipeline.load_factors() == [0.25, 0.75]
+        assert pipeline.load_factors == (0.25, 0.75)
         assert not pipeline._drain_backlog_next_epoch
 
 

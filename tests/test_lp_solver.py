@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis.experiments import make_setup, make_strategy
-from repro.config import AdaptationConfig
 from repro.core import lp_solver, stepwise_adapt
 from repro.core.lp_solver import (
     clear_plan_cache,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 import pytest
 
 from repro.baselines import AllSPStrategy, StaticLoadFactorStrategy
@@ -10,7 +12,12 @@ from repro.analysis.experiments import make_setup, make_strategy, run_single_sou
 from repro.query.builder import Stream
 from repro.simulation.cluster import ClusterModel
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
-from repro.simulation.metrics import ClusterEpochMetrics, ClusterMetrics, RunMetrics
+from repro.simulation.metrics import (
+    ClusterEpochMetrics,
+    ClusterMetrics,
+    EpochMetrics,
+    RunMetrics,
+)
 from repro.simulation.multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -485,6 +492,65 @@ class TestNetworkDelayAccounting:
         buggy = 0.5 * epoch_s + blob_bytes / rate
         assert em.latency_s == pytest.approx(expected)
         assert em.latency_s != pytest.approx(buggy)
+
+
+class TestOfferedBytes:
+    @pytest.mark.parametrize("record_mode", ["object", "arena"])
+    def test_offered_bytes_are_what_each_source_put_on_the_uplink(
+        self, setup: Any, record_mode: str, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """``network_bytes_offered`` is summed as the carryover queues fill;
+        it must equal each source epoch's ``network_bytes`` (drained and
+        emitted records plus window-close partial state), over a tight link
+        that leaves part of every epoch queued."""
+        finish = MultiSourceExecutor._finish_epoch
+        results = []
+
+        def recording(
+            executor: MultiSourceExecutor, *args: Any, **kwargs: Any
+        ) -> Dict[str, EpochMetrics]:
+            step = executor._epoch_step
+            results.append(
+                {state.name: src for state, src in zip(step.states, step.results)}
+            )
+            return finish(executor, *args, **kwargs)
+
+        monkeypatch.setattr(MultiSourceExecutor, "_finish_epoch", recording)
+        plans = {
+            "local": ([1.0, 1.0, 1.0], 1.0),
+            "split": ([1.0, 0.5, 0.5], 0.3),
+            "all-sp": ([0.0, 0.0, 0.0], 1.0),
+        }
+        specs = [
+            SourceSpec(
+                name=name,
+                workload=setup.workload_factory(20 + index),
+                strategy=StaticLoadFactorStrategy(factors, name=name),
+                budget=budget,
+            )
+            for index, (name, (factors, budget)) in enumerate(plans.items())
+        ]
+        executor = MultiSourceExecutor(
+            plan=setup.plan,
+            cost_model=setup.cost_model,
+            sources=specs,
+            cluster_config=MultiSourceConfig(
+                config=setup.config,
+                stream_processor=StreamProcessorNode(
+                    cores=64, ingress_bandwidth_mbps=0.05
+                ),
+                record_mode=record_mode,
+            ),
+        )
+        epochs = [executor.run_epoch() for _ in range(12)]
+        for metrics, sources in zip(epochs, results):
+            for name, src in sources.items():
+                assert metrics[name].network_bytes_offered == src.network_bytes
+        shipped = [src for sources in results for src in sources.values()]
+        assert any(src.partial_state_bytes > 0 for src in shipped)
+        assert any(src.drained_bytes > 0 for src in shipped)
+        assert any(state.carryover for state in executor._sources)
+        assert executor.verify_record_conservation() == []
 
 
 class TestRunReuseGuard:

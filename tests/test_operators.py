@@ -10,13 +10,11 @@ from repro.query.operators import (
     AggregateOperator,
     FilterOperator,
     GroupAggregateOperator,
-    JoinOperator,
     MapOperator,
-    Operator,
     WindowOperator,
     make_tor_join,
 )
-from repro.query.records import IpToTorTable, PingmeshRecord, Record
+from repro.query.records import IpToTorTable, PingmeshRecord
 
 
 def probes(n=10, err_every=None, base_rtt=100.0):

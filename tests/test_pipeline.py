@@ -52,9 +52,9 @@ class TestSourcePipelineBasics:
 
     def test_load_factor_management(self, cost_model):
         pipeline = build_source(cost_model)
-        assert pipeline.load_factors() == [0.0, 0.0, 0.0]
+        assert pipeline.load_factors == (0.0, 0.0, 0.0)
         pipeline.set_load_factors([1.0, 0.5, 0.2])
-        assert pipeline.load_factors() == [1.0, 0.5, 0.2]
+        assert pipeline.load_factors == (1.0, 0.5, 0.2)
         with pytest.raises(SimulationError):
             pipeline.set_load_factors([1.0])
 

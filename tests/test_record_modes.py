@@ -165,7 +165,10 @@ class TestRecordBatchContainer:
 
 class TestPlanFifoTransfer:
     def test_uniform_matches_sizes_walk(self):
-        for budget in (0.0, 85.9, 86.0, 200.0, 86.0 * 7, 1e9):
+        # The last budget is what shipping leaves after a 90-byte item
+        # completed within the tolerance: overdrawn by about 1e-9.
+        overdrawn = (90.0 - 1e-9) - 90.0
+        for budget in (0.0, 85.9, 86.0, 200.0, 86.0 * 7, 1e9, overdrawn):
             uniform = plan_fifo_transfer(7, budget, uniform_size=86)
             walked = plan_fifo_transfer(7, budget, sizes=[86] * 7)
             assert uniform == walked

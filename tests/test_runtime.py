@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import AdaptationConfig, EpochConfig, JarvisConfig
+from repro.config import EpochConfig, JarvisConfig
 from repro.core.control_proxy import ProxyObservation
 from repro.core.runtime import EpochObservation, JarvisRuntime, RuntimeTrace
 from repro.core.state import OperatorState, QueryState, RuntimePhase, classify_query_state

@@ -12,6 +12,7 @@ same counts and states.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -291,6 +292,27 @@ class TestStageCountsMatchTheScalarRules:
                 assert int(routed[stage, index]) == routed_incoming
                 assert int(pending[stage, index]) == pending_n
                 assert idle[stage, index].item() == idle_fraction
+
+
+class TestObservationEdgeBudgets:
+    def test_a_subnormal_budget_reads_no_idle_time_without_warning(self) -> None:
+        """A positive subnormal budget set against a larger CPU use divides
+        to an overflow; the idle fraction clamps to 0 either way, and the
+        overflow raises no warning."""
+        thresholds = threshold_columns([ProxyThresholds()] * 2)
+        none = np.zeros((1, 2), dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes, idle = observe_stages(
+                thresholds,
+                np.array([1e-310, 1.0]),
+                np.array([0.5, 0.25]),
+                none,
+                none,
+                none,
+            )
+        assert idle.tolist() == [[0.0, 0.75]]
+        assert codes.shape == (1, 2)
 
 
 # -- a profiling epoch's observations ------------------------------------------------

@@ -30,7 +30,10 @@ class AccountingSingleHomeRule(Rule):
     :class:`EpochMetrics`/:class:`EpochObservation`, call
     ``classify_query_state`` or its block form ``classify_query_states``,
     re-derive the half-epoch batching-delay term (``0.5 * ...``), or
-    redefine the accountant's arithmetic helpers.
+    redefine the accountant's arithmetic helpers.  The per-epoch records are
+    named tuples, which build without a call of the class too:
+    ``EpochMetrics._make(...)`` is flagged like ``EpochMetrics(...)``, and so
+    is every ``._replace(...)``, which copies a record with new values.
     """
 
     id = "SL001"
@@ -60,8 +63,8 @@ class AccountingSingleHomeRule(Rule):
     def check(self, ctx: FileContext) -> None:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                name = _last_segment(_call_name(node, ctx))
-                if name in self.BANNED_CONSTRUCTIONS:
+                name = self._construction(node, ctx)
+                if name is not None:
                     ctx.report(
                         node,
                         self.id,
@@ -86,6 +89,17 @@ class AccountingSingleHomeRule(Rule):
                         f"redefinition of accountant helper {node.name}(); the "
                         "single implementation lives in simulation/engine.py",
                     )
+
+    def _construction(self, node: ast.Call, ctx: FileContext) -> Optional[str]:
+        """How ``node`` builds an accounting record, or None if it does not."""
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "_replace":
+            return "._replace"
+        if isinstance(func, ast.Attribute) and func.attr == "_make":
+            owner = _last_segment(ctx.resolver.resolve(func.value))
+            return f"{owner}._make" if owner in self.BANNED_CONSTRUCTIONS else None
+        name = _last_segment(_call_name(node, ctx))
+        return name if name in self.BANNED_CONSTRUCTIONS else None
 
 
 class ConservationCounterRule(Rule):
